@@ -1,17 +1,18 @@
 """Command-line entry point.
 
-    pcapflow run <config.json> [...] [--out DIR] [--jobs K] [--seed N]
+    pcapflow run <config.json> [...] [--out DIR]
     pcapflow list-models [--json] [--verbose]
 
 Exit codes: 0 all checks pass (or are flagged not-guaranteed), 1 at least
 one check fails, 2 a solver broke down, 64 malformed config or unreadable
-file.  All artifacts (CSV series, report JSON) are written under --out.
+file.  Each config runs on its own: one that breaks prints its error and the
+others still write their reports; the exit code is the worst over all
+configs.  All artifacts (CSV tables, report JSON) are written under --out.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -34,14 +35,10 @@ SOLVER_ERRORS = (
     numerics.BracketError,
     geometry.DomainError,
     geometry.AvrUndefinedError,
+    # the numerics also reject impossible inputs (an annulus reaching the
+    # horizon, say) with plain ValueError
+    ValueError,
 )
-
-_MODEL_ROWS = [
-    ("euclidean", "n=3", "flat space; every bound is an equality case"),
-    ("cone", "n=3, aperture in (0,1]", "metric cone over a shrunk sphere; AVR = aperture^(n-1)"),
-    ("schwarzschild", "mass, n=3", "spatial Schwarzschild slice outside the horizon"),
-    ("tabulated", "n, table|path", "natural cubic splines through sampled (r, f, h)"),
-]
 
 
 def _load_config(path: str) -> dict:
@@ -60,52 +57,44 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _run_one(path: str, out_dir: str):
-    cfg = _load_config(path)
-    report = verify.run_experiment(cfg, out_dir)
-    prefix = cfg.get("out_prefix", report.experiment)
-    report_path = os.path.join(out_dir, f"{prefix}_report.json")
+def _run_one(path: str, out_dir: str) -> int:
+    """Run one config, write its report and return its exit code."""
+    try:
+        cfg = _load_config(path)
+        report = verify.run_experiment(cfg, out_dir)
+    except verify.ConfigError as exc:
+        print(f"config error: {path}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except SOLVER_ERRORS as exc:
+        print(f"solver error: {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    report_path = os.path.join(out_dir, f"{verify.artifact_prefix(cfg)}_report.json")
     report.write(report_path)
-    return report, report_path
+    for line in report.summary_lines():
+        print(line)
+    print(f"report: {report_path}")
+    return EXIT_FAIL if report.worst == "fail" else EXIT_PASS
 
 
 def _cmd_run(args) -> int:
     os.makedirs(args.out, exist_ok=True)
-    status = EXIT_PASS
-    jobs = max(1, args.jobs)
-    results = []
-    try:
-        if jobs == 1 or len(args.config) == 1:
-            for path in args.config:
-                results.append(_run_one(path, args.out))
-        else:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(_run_one, path, args.out) for path in args.config]
-                results = [f.result() for f in futures]
-    except verify.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SOLVER_ERRORS as exc:
-        print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except ValueError as exc:
-        print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    for report, report_path in results:
-        for line in report.summary_lines():
-            print(line)
-        print(f"report: {report_path}")
-        if report.worst == "fail":
-            status = EXIT_FAIL
-    return status
+    # the exit codes are ordered by severity: 64 > 2 > 1 > 0
+    return max(_run_one(path, args.out) for path in args.config)
 
 
 def _cmd_list_models(args) -> int:
     rows = []
-    for name, params, desc in _MODEL_ROWS:
-        row = {"name": name, "parameters": params, "description": desc}
+    for name, entry in geometry.MODELS.items():
+        row = {"name": name, "parameters": entry.parameters, "description": entry.description}
         if args.verbose:
-            row.update(_model_details(name))
+            row.update(r_min="-", avr="-")
+            if entry.example is not None:
+                model = geometry.build_model(name, **entry.example)
+                row["r_min"] = f"{model.r_min:.17g}"
+                try:
+                    row["avr"] = f"{geometry.avr(model):.17g}"
+                except geometry.AvrUndefinedError:
+                    pass
         rows.append(row)
     if args.json:
         print(json.dumps(rows, indent=2, sort_keys=True))
@@ -118,25 +107,6 @@ def _cmd_list_models(args) -> int:
     return EXIT_PASS
 
 
-def _model_details(name: str) -> dict:
-    try:
-        if name == "euclidean":
-            model = geometry.euclidean(3)
-        elif name == "cone":
-            model = geometry.cone(3, 0.5)
-        elif name == "schwarzschild":
-            model = geometry.schwarzschild(1.0)
-        else:
-            return {"r_min": "-", "avr": "-"}
-    except Exception:  # defensive: listing must never crash
-        return {"r_min": "-", "avr": "-"}
-    try:
-        avr = f"{geometry.avr(model):.17g}"
-    except geometry.AvrUndefinedError:
-        avr = "-"
-    return {"r_min": f"{model.r_min:.17g}", "avr": avr}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pcapflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -144,8 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="run one or more experiment configs")
     runp.add_argument("config", nargs="+", help="experiment config JSON path(s)")
     runp.add_argument("--out", default="out", help="output directory (default: ./out)")
-    runp.add_argument("--jobs", type=int, default=1, help="worker pool size for multiple configs")
-    runp.add_argument("--seed", type=int, default=0, help="reserved; no randomness in this version")
     runp.set_defaults(func=_cmd_run)
 
     listp = sub.add_parser("list-models", help="list the builtin radial models")

@@ -41,7 +41,6 @@ __all__ = [
     "geroch_rhs",
     "q_p_pointwise",
     "q_1_pointwise",
-    "write_series_csv",
 ]
 
 BULK_TOL = Tolerance(abs_tol=1e-11, rel_tol=1e-11, max_iter=200)
@@ -110,6 +109,14 @@ class MonotoneSeries:
         m = len(self.t)
         if len(self.values) != m or len(self.bulk) != m:
             raise ValueError("series columns must share the grid length")
+
+    def table(self):
+        """(header, rows) with columns t, value, bulk_term, rhs_Qp, residual."""
+        missing = np.full(len(self.t), np.nan)
+        rhs = self.rhs_qp if self.rhs_qp is not None else missing
+        res = self.residual if self.residual is not None else missing
+        header = ["t", "value", "bulk_term", "rhs_Qp", "residual"]
+        return header, list(zip(self.t, self.values, self.bulk, rhs, res))
 
 
 @dataclass(frozen=True)
@@ -235,12 +242,14 @@ def Q_p_integral(solution, params: FunctionalParams, t: float) -> float:
 
 
 def _finish_series(name, ts, values, bulk, rhs, fval, step, meta) -> MonotoneSeries:
-    """Assemble a series and fill the central-difference residual column."""
+    """Assemble a series and fill the central-difference residual column;
+    meta["derivative_step"] is the smallest difference step used."""
     residual = np.full(len(ts), np.nan)
     for i in range(1, len(ts) - 1):
         d = min(step, 0.45 * (ts[i] - ts[i - 1]), 0.45 * (ts[i + 1] - ts[i]))
         deriv = (fval(ts[i] + d) - fval(ts[i] - d)) / (2.0 * d)
         residual[i] = abs(deriv - rhs[i])
+        meta["derivative_step"] = min(d, meta.get("derivative_step", d))
     return MonotoneSeries(
         name=name,
         t=np.asarray(ts, dtype=float),
@@ -454,13 +463,3 @@ def geroch_rhs(level) -> float:
         area = level.area_value
     return math.sqrt(area / (16.0 * math.pi) ** 3) * (4.0 * math.pi * (2.0 - chi) + integral)
 
-
-def write_series_csv(series: MonotoneSeries, path) -> None:
-    """Deterministic CSV export: columns t, value, bulk_term, rhs_Qp, residual."""
-    rhs = series.rhs_qp if series.rhs_qp is not None else np.full(len(series.t), np.nan)
-    res = series.residual if series.residual is not None else np.full(len(series.t), np.nan)
-    lines = ["t,value,bulk_term,rhs_Qp,residual"]
-    for row in zip(series.t, series.values, series.bulk, rhs, res):
-        lines.append(",".join(f"{x:.17g}" for x in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -40,6 +40,8 @@ __all__ = [
     "tabulated",
     "tabulated_from_json",
     "build_model",
+    "CatalogEntry",
+    "MODELS",
     "MODEL_NAMES",
     "mean_curvature_sphere",
     "ricci_radial",
@@ -343,18 +345,43 @@ def tabulated_from_json(path, **kwargs) -> RadialManifold:
     return tabulated(kwargs.pop("n", 3), data, **kwargs)
 
 
-MODEL_NAMES = ("euclidean", "cone", "schwarzschild", "tabulated")
+@dataclass(frozen=True)
+class CatalogEntry:
+    """One builtin model: the name of its constructor in this module (looked
+    up when a model is built), its parameters and an example for listings."""
+
+    constructor: str
+    parameters: str
+    description: str
+    example: Optional[dict] = None
+
+
+MODELS = {
+    "euclidean": CatalogEntry(
+        "euclidean", "n=3", "flat space; every bound is an equality case", {"n": 3}
+    ),
+    "cone": CatalogEntry(
+        "cone",
+        "n=3, aperture in (0,1]",
+        "metric cone over a shrunk sphere; AVR = aperture^(n-1)",
+        {"n": 3, "aperture": 0.5},
+    ),
+    "schwarzschild": CatalogEntry(
+        "schwarzschild", "mass, n=3", "spatial Schwarzschild slice outside the horizon", {"mass": 1.0}
+    ),
+    "tabulated": CatalogEntry(
+        "tabulated_from_json", "path, n=3", "natural cubic splines through sampled (r, f, h)"
+    ),
+}
+
+MODEL_NAMES = tuple(MODELS)
 
 
 def build_model(name: str, **params) -> RadialManifold:
-    """Construct a catalog model from its name and parameters."""
-    if name == "euclidean":
-        return euclidean(int(params.pop("n", 3)), **params)
-    if name == "cone":
-        return cone(int(params.pop("n", 3)), float(params.pop("aperture")), **params)
-    if name == "schwarzschild":
-        return schwarzschild(float(params.pop("mass")), int(params.pop("n", 3)), **params)
-    if name == "tabulated":
-        path = params.pop("path")
-        return tabulated_from_json(path, **params)
-    raise ValueError(f"unknown model '{name}'; available: {', '.join(MODEL_NAMES)}")
+    """Construct a catalog model from its name and its constructor's parameters."""
+    entry = MODELS.get(name)
+    if entry is None:
+        raise ValueError(f"unknown model '{name}'; available: {', '.join(MODEL_NAMES)}")
+    if "n" in params:
+        params["n"] = int(params["n"])  # the dimension of every catalog model
+    return globals()[entry.constructor](**params)

@@ -52,8 +52,6 @@ __all__ = [
     "field_from_radial",
     "flux_profile",
     "divergence_residuals",
-    "write_field_csv",
-    "write_level_csv",
 ]
 
 _GP = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
@@ -312,6 +310,12 @@ class Field2D:
             self._levels[key] = curve
         return curve
 
+    def table(self):
+        """(header, rows) with one row sigma, theta, u per node, sigma-major."""
+        theta = self.theta
+        rows = [(s, th, self.u[i, j]) for i, s in enumerate(self.sigma) for j, th in enumerate(theta)]
+        return ["sigma", "theta", "u"], rows
+
 
 @dataclass
 class LevelCurve:
@@ -353,6 +357,11 @@ class LevelCurve:
     @property
     def chi_proxy(self) -> float:
         return self.sc_top_integral / (4.0 * math.pi)
+
+    def table(self):
+        """(header, rows) with one row theta, r, grad_w, H, kappa_m, kappa_phi per sample."""
+        header = ["theta", "r", "grad_w", "H", "kappa_m", "kappa_phi"]
+        return header, list(zip(self.theta, self.r, self.grad, self.H, self.kappa_m, self.kappa_phi))
 
 
 def extract_level(fieldv: Field2D, t: float) -> LevelCurve:
@@ -717,21 +726,3 @@ def divergence_residuals(fieldv: Field2D, alpha: float, margin: float = 0.15) ->
 
     return {"J": stats(res_J, rhs_J), "Y": stats(res_Y, rhs_Y), "eps": eps, "alpha": alpha}
 
-
-def write_field_csv(fieldv: Field2D, path) -> None:
-    lines = ["sigma,theta,u"]
-    sig = fieldv.sigma
-    th = fieldv.theta
-    for i in range(len(sig)):
-        for j in range(len(th)):
-            lines.append(f"{sig[i]:.17g},{th[j]:.17g},{fieldv.u[i, j]:.17g}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_level_csv(curve: LevelCurve, path) -> None:
-    lines = ["theta,r,grad_w,H,kappa_m,kappa_phi"]
-    for row in zip(curve.theta, curve.r, curve.grad, curve.H, curve.kappa_m, curve.kappa_phi):
-        lines.append(",".join(f"{x:.17g}" for x in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

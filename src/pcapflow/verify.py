@@ -10,29 +10,37 @@ requested parameters, so a violation is information rather than a defect.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass, field
+from typing import Optional, Union, get_args, get_origin
 
 import numpy as np
 
-from . import functionals, geometry, radial, solver2d
+from . import __version__, functionals, geometry, radial, solver2d
 
 __all__ = [
     "Check",
     "Report",
     "ConfigError",
     "check_monotone",
+    "write_csv",
+    "functional_series_suite",
+    "monotonicity_suite",
     "p_to_1_suite",
     "eps_to_0_suite",
     "inequality_suite",
+    "hawking_suite",
+    "solve_2d_suite",
+    "artifact_prefix",
     "run_experiment",
     "EXPERIMENTS",
 ]
 
-VERSION = "0.1.0"
+# radii at which the sup norms of the convergence suites are sampled
+_SUP_SAMPLES = 257
 
 
 class ConfigError(ValueError):
@@ -73,22 +81,9 @@ class Report:
         return "pass"
 
     def to_dict(self) -> dict:
-        env = dict(self.environment)
-        env.setdefault("version", VERSION)
-        return {
-            "experiment": self.experiment,
-            "checks": [
-                {
-                    "name": c.name,
-                    "anchor": c.anchor,
-                    "values": _jsonable(c.values),
-                    "threshold": c.threshold,
-                    "verdict": c.verdict,
-                }
-                for c in self.checks
-            ],
-            "environment": _jsonable(env),
-        }
+        env = {"version": __version__, **self.environment}
+        checks = [asdict(c) for c in self.checks]
+        return _jsonable({"experiment": self.experiment, "checks": checks, "environment": env})
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -148,7 +143,9 @@ def _monotone_check(name: str, anchor: str, series, guaranteed: bool, slack: flo
     )
 
 
-def write_table_csv(path, header, rows) -> None:
+def write_csv(path, header, rows) -> None:
+    """Deterministic CSV: floats in round-trip ``.17g`` form, other cells via str."""
+
     def fmt(x):
         if isinstance(x, (float, np.floating)):
             return f"{float(x):.17g}"
@@ -170,18 +167,33 @@ def _quad(fn, a, b):
     return integrate(fn, a, b, functionals.BULK_TOL)
 
 
+def _thresholds(defaults: dict, given: Optional[dict]) -> dict:
+    unknown = set(given or ()) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown threshold keys {sorted(unknown)}", "thresholds")
+    return {**defaults, **(given or {})}
+
+
+def _vanishing_check(name, anchor, values, column, threshold, report_decreasing) -> Check:
+    """Pass when ``column`` strictly decreases and ends below ``threshold``."""
+    decreasing = all(b < a for a, b in zip(column, column[1:]))
+    if report_decreasing:
+        values["decreasing"] = decreasing
+    ok = decreasing and column[-1] < threshold
+    return Check(name, anchor, values, threshold, "pass" if ok else "fail")
+
+
 def p_to_1_suite(
     model: geometry.RadialManifold,
     r0: float,
     R: float,
-    p_list,
+    p_list: list,
     phi_mode: str = "imcf",
     T_cap: float = 0.2,
     thresholds: Optional[dict] = None,
-    samples: int = 257,
     expect_sup: Optional[list] = None,
     expect_rel: float = 1e-6,
-) -> Report:
+):
     """Convergence table of the p-potentials toward the flow potential.
 
     Columns per p: sup|w_p - w_1| on [r0, R/2], L2/L4 gradient errors, the
@@ -194,17 +206,16 @@ def p_to_1_suite(
     (schwarzschild(1) on [2.2, 12] and euclidean(3) on [1, 4], p down to
     1.01), so they trip on regressions, not on the theory.  ``expect_sup``
     pins each sup_w row to an analytic value (rel tol ``expect_rel``).
+    Returns the report and the per-p table.
     """
     ps = [float(p) for p in p_list]
     if len(ps) < 2 or any(not (1.0 < p <= 2.0) for p in ps):
         raise ConfigError("p_list must have >= 2 entries inside (1, 2]", "p_list")
     if any(b >= a for a, b in zip(ps, ps[1:])):
         raise ConfigError("p_list must decrease toward 1", "p_list")
-    if phi_mode not in ("imcf", "scale-invariant"):
-        raise ConfigError(f"unknown phi_mode '{phi_mode}'", "phi_mode")
     if expect_sup is not None and len(expect_sup) != len(ps):
         raise ConfigError("expect_sup must match p_list in length", "expect_sup")
-    thr = {
+    defaults = {
         "sup_w": 5e-3,
         "l2_grad": 1e-1,
         "l4_grad": 5e-2,
@@ -212,43 +223,27 @@ def p_to_1_suite(
         "h_defect": 5e-3,
         "area_defect": 1.5,
     }
-    if thresholds:
-        unknown = set(thresholds) - set(thr)
-        if unknown:
-            raise ConfigError(f"unknown threshold keys {sorted(unknown)}", "thresholds")
-        thr.update(thresholds)
-    n = model.n
+    thr = _thresholds(defaults, thresholds)
+    phi_for = {p: _phi_for(phi_mode, model, r0, R, p) for p in ps}
     w1 = radial.solve_w1(model, r0, R)
     rmid = 0.5 * (r0 + R)
-    rs = np.linspace(r0, 0.5 * R, samples)
+    rs = np.linspace(r0, 0.5 * R, _SUP_SAMPLES)
     rows = []
-    cols = {k: [] for k in thr}
     for p in ps:
-        phi = None if phi_mode == "imcf" else (n - p) * math.log(R / r0)
-        pot = radial.solve_wp(model, r0, R, p, phi_R=phi)
+        pot = radial.solve_wp(model, r0, R, p, phi_R=phi_for[p])
         sup_w = max(abs(pot.w(r) - w1.w(r)) for r in rs)
         l2 = _grad_error(model, pot, w1, r0, 0.5 * R, 2)
         l4 = _grad_error(model, pot, w1, r0, 0.5 * R, 4)
-        cap_gap = abs(radial.capacity(pot, 0.0, min(T_cap, 0.9 * pot.phi_R)) - model.h(r0) ** (n - 1))
+        cap_gap = abs(radial.capacity(pot, 0.0, min(T_cap, 0.9 * pot.phi_R)) - model.h(r0) ** (model.n - 1))
         T = min(2.0, 0.8 * pot.w(rmid), 0.8 * w1.w(rmid))
         h_def = _h_defect(pot, T)
         a_def = _area_defect(pot, w1, T)
         rows.append((p, sup_w, l2, l4, cap_gap, h_def, a_def))
-        for key, val in zip(thr, (sup_w, l2, l4, cap_gap, h_def, a_def)):
-            cols[key].append(val)
-    checks = []
-    for key, vals in cols.items():
-        decreasing = all(b < a for a, b in zip(vals, vals[1:]))
-        ok = decreasing and vals[-1] < thr[key]
-        checks.append(
-            Check(
-                name=f"p-to-1 {key}",
-                anchor="p-to-1-strong-convergence",
-                values={"p": ps, key: vals, "decreasing": decreasing},
-                threshold=thr[key],
-                verdict="pass" if ok else "fail",
-            )
-        )
+    cols = {key: [row[k] for row in rows] for k, key in enumerate(thr, start=1)}
+    checks = [
+        _vanishing_check(f"p-to-1 {key}", "p-to-1-strong-convergence", {"p": ps, key: vals}, vals, thr[key], True)
+        for key, vals in cols.items()
+    ]
     if expect_sup is not None:
         worst = max(
             abs(s - e) / abs(e) for s, e in zip(cols["sup_w"], expect_sup)
@@ -262,19 +257,13 @@ def p_to_1_suite(
                 verdict="pass" if worst <= expect_rel else "fail",
             )
         )
-    return Report(
+    report = Report(
         experiment="p_to_1",
         checks=checks,
-        environment={
-            "model": model.label,
-            "r0": r0,
-            "R": R,
-            "phi_mode": phi_mode,
-            "T_cap": T_cap,
-            "rows": rows,
-            "header": ["p", "sup_w", "l2_grad", "l4_grad", "cap_gap", "h_defect", "area_defect"],
-        },
+        environment={"model": model.label, "r0": r0, "R": R, "phi_mode": phi_mode, "T_cap": T_cap},
     )
+    header = ["p", "sup_w", "l2_grad", "l4_grad", "cap_gap", "h_defect", "area_defect"]
+    return report, {"table": (header, rows)}
 
 
 def _grad_error(model, pot, w1, a, b, q):
@@ -288,8 +277,6 @@ def _grad_error(model, pot, w1, a, b, q):
 
 
 def _h_defect(pot, T):
-    model = pot.manifold
-
     def fn(t):
         lev = functionals.radial_level(pot, t)
         return lev.area * (lev.H - lev.grad) ** 2
@@ -311,72 +298,48 @@ def eps_to_0_suite(
     r0: float,
     R: float,
     p: float,
-    eps_list,
+    eps_list: list,
     interval: Optional[tuple[float, float]] = None,
-    samples: int = 257,
     thresholds: Optional[dict] = None,
-) -> Report:
-    """sup|w^eps - w_p| and sup theta_eps on an interior interval, per eps."""
+):
+    """sup|w^eps - w_p| and sup theta_eps on an interior interval, per eps.
+    Returns the report and the per-eps table."""
     eps_vals = [float(e) for e in eps_list]
     if len(eps_vals) < 2 or any(e <= 0.0 for e in eps_vals):
         raise ConfigError("eps_list must have >= 2 positive entries", "eps_list")
     if any(b >= a for a, b in zip(eps_vals, eps_vals[1:])):
         raise ConfigError("eps_list must decrease toward 0", "eps_list")
-    thr = {"sup_w": 1e-4, "sup_theta": 1e-6}
-    if thresholds:
-        unknown = set(thresholds) - set(thr)
-        if unknown:
-            raise ConfigError(f"unknown threshold keys {sorted(unknown)}", "thresholds")
-        thr.update(thresholds)
+    thr = _thresholds({"sup_w": 1e-4, "sup_theta": 1e-6}, thresholds)
     if interval is None:
         interval = (r0, 0.5 * (r0 + R))
     base = radial.solve_wp(model, r0, R, p)
-    rs = np.linspace(interval[0], interval[1], samples)
+    rs = np.linspace(interval[0], interval[1], _SUP_SAMPLES)
     rows = []
     for e in eps_vals:
         pot = radial.solve_wp_eps(model, r0, R, p, e)
         sup_w = max(abs(pot.w(r) - base.w(r)) for r in rs)
         sup_th = max(pot.theta(r) for r in rs)
         rows.append((e, sup_w, sup_th))
-    sup_ws = [r[1] for r in rows]
-    sup_ths = [r[2] for r in rows]
+    cols = {key: [row[k] for row in rows] for k, key in enumerate(thr, start=1)}
+    names = {
+        "sup_w": ("eps-to-0 sup|w_eps - w_p|", "eps-regularization-vanishes"),
+        "sup_theta": ("eps-to-0 sup theta_eps", "theta-eps-vanishing"),
+    }
     checks = [
-        Check(
-            name="eps-to-0 sup|w_eps - w_p|",
-            anchor="eps-regularization-vanishes",
-            values={"eps": eps_vals, "sup_w": sup_ws},
-            threshold=thr["sup_w"],
-            verdict="pass"
-            if all(b < a for a, b in zip(sup_ws, sup_ws[1:])) and sup_ws[-1] < thr["sup_w"]
-            else "fail",
-        ),
-        Check(
-            name="eps-to-0 sup theta_eps",
-            anchor="theta-eps-vanishing",
-            values={"eps": eps_vals, "sup_theta": sup_ths},
-            threshold=thr["sup_theta"],
-            verdict="pass"
-            if all(b < a for a, b in zip(sup_ths, sup_ths[1:])) and sup_ths[-1] < thr["sup_theta"]
-            else "fail",
-        ),
+        _vanishing_check(*names[key], {"eps": eps_vals, key: vals}, vals, thr[key], False)
+        for key, vals in cols.items()
     ]
-    return Report(
+    report = Report(
         experiment="eps_to_0",
         checks=checks,
-        environment={
-            "model": model.label,
-            "r0": r0,
-            "R": R,
-            "p": p,
-            "interval": list(interval),
-            "rows": rows,
-            "header": ["eps", "sup_w", "sup_theta"],
-        },
+        environment={"model": model.label, "r0": r0, "R": R, "p": p, "interval": list(interval)},
     )
+    return report, {"table": (["eps", "sup_w", "sup_theta"], rows)}
 
 
-def inequality_suite(models: Optional[list] = None) -> Report:
-    """Minkowski lower bound/equality, Hawking mass, and area growth checks."""
+def inequality_suite(models: Optional[list[geometry.RadialManifold]] = None):
+    """Minkowski lower bound/equality, Hawking mass, and area growth checks.
+    Returns the report and no tables."""
     if models is None:
         models = [
             geometry.euclidean(3),
@@ -387,8 +350,7 @@ def inequality_suite(models: Optional[list] = None) -> Report:
         ]
     checks = []
     for model in models:
-        r0 = 2.2 if "schwarzschild" in model.label else 1.0
-        R = 18.0 if "schwarzschild" in model.label else 10.0
+        r0, R = (2.2, 18.0) if "schwarzschild" in model.label else (1.0, 10.0)
         w1 = radial.solve_w1(model, r0, R)
         T = min(4.0, 0.9 * w1.phi_R)
         ts = np.linspace(0.0, T, 40)
@@ -477,35 +439,15 @@ def inequality_suite(models: Optional[list] = None) -> Report:
                     verdict="pass" if geroch_defect >= -1e-6 else "fail",
                 )
             )
-    return Report(experiment="inequalities", checks=checks, environment={"models": [m.label for m in models]})
+    return Report(experiment="inequalities", checks=checks, environment={"models": [m.label for m in models]}), {}
 
 
-# ------------------------------------------------------- experiment runners
+# ------------------------------------------------------------- experiments
 
 
-def _require(cfg: dict, key: str, typ=None):
-    if key not in cfg:
-        raise ConfigError("missing required field", key)
-    val = cfg[key]
-    if typ is not None and not isinstance(val, typ):
-        raise ConfigError(f"expected {typ}, got {type(val).__name__}", key)
-    return val
-
-
-def _check_keys(cfg: dict, allowed: set):
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}", "config")
-
-
-def _build_model(cfg) -> geometry.RadialManifold:
-    spec = _require(cfg, "model", dict)
-    _check_keys(spec, {"name", "params"})
-    if "name" not in spec:
-        raise ConfigError("missing required field", "model.name")
-    params = spec.get("params", {})
+def _model(name: str, params: Optional[dict] = None) -> geometry.RadialManifold:
     try:
-        return geometry.build_model(spec["name"], **params)
+        return geometry.build_model(name, **(params or {}))
     except TypeError as exc:
         raise ConfigError(str(exc), "model.params") from exc
     except ValueError as exc:
@@ -514,15 +456,7 @@ def _build_model(cfg) -> geometry.RadialManifold:
         raise ConfigError(str(exc), "model") from exc
 
 
-def _t_grid(cfg, pot) -> np.ndarray:
-    spec = cfg.get("t_grid")
-    if spec is None:
-        T = min(2.0, 0.8 * pot.w(0.5 * (pot.r0 + pot.R)))
-        return np.linspace(0.0, T, 20)
-    _check_keys(spec, {"start", "stop", "num"})
-    start = float(spec.get("start", 0.0))
-    stop = float(_require(spec, "stop"))
-    num = int(spec.get("num", 20))
+def _level_grid(pot, stop: float, start: float = 0.0, num: int = 20) -> np.ndarray:
     if not (0.0 <= start < stop and num >= 3):
         raise ConfigError("need 0 <= start < stop and num >= 3", "t_grid")
     if stop > pot.phi_R:
@@ -530,8 +464,7 @@ def _t_grid(cfg, pot) -> np.ndarray:
     return np.linspace(start, stop, num)
 
 
-def _phi_for(cfg, model, r0, R, p) -> Optional[float]:
-    mode = cfg.get("phi_mode", "imcf")
+def _phi_for(mode: str, model, r0, R, p) -> Optional[float]:
     if mode == "imcf":
         return None
     if mode == "scale-invariant":
@@ -539,101 +472,111 @@ def _phi_for(cfg, model, r0, R, p) -> Optional[float]:
     raise ConfigError(f"unknown phi_mode '{mode}'", "phi_mode")
 
 
-def _expect_checks(cfg, series) -> list:
-    out = []
-    expect = cfg.get("expect")
-    if not expect:
-        return out
-    _check_keys(expect, {"constant", "rel_tol"})
-    target = float(_require(expect, "constant"))
-    rtol = float(expect.get("rel_tol", 1e-8))
-    defect = float(np.max(np.abs(series.values - target))) / max(abs(target), 1e-300)
-    out.append(
-        Check(
-            name=f"{series.name} constant = {target:.17g}",
-            anchor="equality-case-constancy",
-            values={"target": target, "max_rel_defect": defect},
-            threshold=rtol,
-            verdict="pass" if defect <= rtol else "fail",
-        )
+def _constancy_check(series, constant: float, rel_tol: float = 1e-8) -> Check:
+    defect = float(np.max(np.abs(series.values - constant))) / max(abs(constant), 1e-300)
+    return Check(
+        name=f"{series.name} constant = {constant:.17g}",
+        anchor="equality-case-constancy",
+        values={"target": constant, "max_rel_defect": defect},
+        threshold=rel_tol,
+        verdict="pass" if defect <= rel_tol else "fail",
     )
-    return out
 
 
-def _run_functional_series(cfg: dict, out_dir) -> Report:
-    _check_keys(
-        cfg,
-        {
-            "experiment",
-            "model",
-            "functional",
-            "r0",
-            "R",
-            "p",
-            "alpha",
-            "phi_mode",
-            "t_grid",
-            "expect",
-            "slack",
-            "out_prefix",
-        },
+def _gp_identity_check(series) -> Check:
+    """(p-1) dG_p/dt = G_p + alpha * (boundary term of F_p), within 1e-6 of
+    max|rhs| plus the rounding floor 16 eps max|G_p| / ((p-1) d) of the
+    central difference with step d.  On the flat p = alpha = 2 equality case
+    the right side vanishes and the residual is that rounding noise alone."""
+    res = float(np.nanmax(series.residual))
+    scale = float(np.max(np.abs(series.rhs_qp)))
+    eps = float(np.finfo(float).eps)
+    step = series.meta["derivative_step"]
+    floor = 16.0 * eps * float(np.max(np.abs(series.values))) / ((series.meta["p"] - 1.0) * step)
+    return Check(
+        name="G_p derivative identity",
+        anchor="Gp-derivative-identity",
+        values={"max_residual": res, "scale": scale, "floor": floor},
+        threshold=1e-6,
+        verdict="pass" if res <= 1e-6 * scale + floor else "fail",
     )
-    model = _build_model(cfg)
-    r0 = float(_require(cfg, "r0"))
-    R = float(_require(cfg, "R"))
-    kind = cfg.get("functional", "F_p")
-    slack = float(cfg.get("slack", 1e-8))
-    if kind in ("F_p", "G_p"):
-        p = float(_require(cfg, "p"))
-        alpha = float(_require(cfg, "alpha"))
-        pot = radial.solve_wp(model, r0, R, p, phi_R=_phi_for(cfg, model, r0, R, p))
-        ts = _t_grid(cfg, pot)
+
+
+def _level_series(model, r0, R, kind, p, alpha, phi_mode, t_grid, expect, slack, label):
+    """One functional along the levels of a radial potential, with its checks."""
+    required = {"F_p": ("p", "alpha"), "G_p": ("p", "alpha"), "F_1": ("alpha",), "hawking": ()}
+    if kind not in required:
+        raise ConfigError(f"unknown functional '{kind}'", "functional")
+    missing = [key for key in required[kind] if {"p": p, "alpha": alpha}[key] is None]
+    if missing:
+        raise ConfigError("missing required field", missing[0])
+    if kind in ("F_1", "hawking"):
+        pot = radial.solve_w1(model, r0, R)
+    else:
+        pot = radial.solve_wp(model, r0, R, p, phi_R=_phi_for(phi_mode, model, r0, R, p))
+    if t_grid is None:
+        ts = np.linspace(0.0, min(2.0, 0.8 * pot.w(0.5 * (r0 + R))), 20)
+    else:
+        ts = _call(_level_grid, t_grid, "t_grid", pot)
+    guaranteed = True
+    if kind == "hawking":
+        series = functionals.hawking_series(pot, ts)
+    elif kind == "F_1":
+        series = functionals.F_1(pot, functionals.FunctionalParams(model.n, 1.0, alpha, tuple(ts)))
+    else:
         params = functionals.FunctionalParams(model.n, p, alpha, tuple(ts))
+        guaranteed = params.monotonicity_guaranteed and (model.nonneg_ricci or "schwarzschild" in model.label)
         if kind == "F_p":
             series = functionals.F_p(pot, params)
         else:
             # small step keeps the central-difference truncation below the
             # 1e-6 identity threshold without hitting rounding noise
             series = functionals.G_p(pot, params, derivative_step=2.5e-4)
-        guaranteed = params.monotonicity_guaranteed and (
-            model.nonneg_ricci or "schwarzschild" in model.label
-        )
-        checks = [_monotone_check(f"{kind} monotone", "Fp-monotone-nondecreasing", series, guaranteed, slack)]
-        if kind == "G_p":
-            res = float(np.nanmax(series.residual))
-            scale = float(np.max(np.abs(series.rhs_qp))) or 1.0
-            checks.append(
-                Check(
-                    name="G_p derivative identity",
-                    anchor="Gp-derivative-identity",
-                    values={"max_residual": res, "scale": scale},
-                    threshold=1e-6,
-                    verdict="pass" if res / scale < 1e-6 else "fail",
-                )
-            )
-    elif kind in ("F_1", "hawking"):
-        pot = radial.solve_w1(model, r0, R)
-        ts = _t_grid(cfg, pot)
-        if kind == "F_1":
-            alpha = float(_require(cfg, "alpha"))
-            params = functionals.FunctionalParams(model.n, 1.0, alpha, tuple(ts))
-            series = functionals.F_1(pot, params)
-            anchor = "F1-monotone-nondecreasing"
-        else:
-            series = functionals.hawking_series(pot, ts)
-            anchor = "geroch-hawking-monotone"
-        checks = [_monotone_check(f"{kind} monotone", anchor, series, True, slack)]
-    else:
-        raise ConfigError(f"unknown functional '{kind}'", "functional")
-    checks.extend(_expect_checks(cfg, series))
-    prefix = cfg.get("out_prefix", cfg["experiment"])
-    csv_path = f"{out_dir}/{prefix}_{series.name}.csv"
-    functionals.write_series_csv(series, csv_path)
-    return Report(
-        experiment=cfg["experiment"],
-        checks=checks,
-        environment={"model": model.label, "artifacts": [csv_path], "slack": slack},
+    anchors = {"F_1": "F1-monotone-nondecreasing", "hawking": "geroch-hawking-monotone"}
+    checks = [_monotone_check(label, anchors.get(kind, "Fp-monotone-nondecreasing"), series, guaranteed, slack)]
+    if kind == "G_p":
+        checks.append(_gp_identity_check(series))
+    if expect:
+        checks.append(_call(_constancy_check, expect, "expect", series))
+    return series, checks
+
+
+def functional_series_suite(
+    model: geometry.RadialManifold,
+    r0: float,
+    R: float,
+    functional: str = "F_p",
+    p: Optional[float] = None,
+    alpha: Optional[float] = None,
+    phi_mode: str = "imcf",
+    t_grid: Optional[dict] = None,
+    expect: Optional[dict] = None,
+    slack: float = 1e-8,
+):
+    """One functional (F_p, G_p, F_1 or hawking) on a level grid: monotone up
+    to ``slack``, the G_p derivative identity, an optional expected constant.
+    Returns the report and the series table."""
+    series, checks = _level_series(
+        model, r0, R, functional, p, alpha, phi_mode, t_grid, expect, slack, f"{functional} monotone"
     )
+    report = Report("functional_series", checks, {"model": model.label, "slack": slack})
+    return report, {series.name: series.table()}
+
+
+def hawking_suite(
+    model: geometry.RadialManifold,
+    r0: float,
+    R: float,
+    t_grid: Optional[dict] = None,
+    expect: Optional[dict] = None,
+    slack: float = 1e-8,
+):
+    """Hawking mass along the flow of one model, optional expected constant.
+    Returns the report and the series table."""
+    series, checks = _level_series(
+        model, r0, R, "hawking", None, None, "imcf", t_grid, expect, slack, "hawking mass monotone"
+    )
+    return Report("hawking_series", checks, {"model": model.label}), {series.name: series.table()}
 
 
 def _resolve_alpha(spec, n: int, p: float) -> float:
@@ -646,31 +589,29 @@ def _resolve_alpha(spec, n: int, p: float) -> float:
     return float(spec)
 
 
-def _run_monotonicity_sweep(cfg: dict, out_dir) -> Report:
-    _check_keys(
-        cfg,
-        {"experiment", "models", "p_list", "alpha_list", "r0", "R", "num_levels", "slack", "out_prefix"},
-    )
-    default_models = [
-        {"name": "euclidean", "params": {"n": 3}},
-        {"name": "cone", "params": {"n": 3, "aperture": 0.5}},
-        {"name": "schwarzschild", "params": {"mass": 1.0}},
-    ]
-    models = [_build_model({"model": m}) for m in cfg.get("models", default_models)]
-    p_list = [float(p) for p in cfg.get("p_list", [1.1, 1.5, 2.0])]
-    alpha_list = cfg.get("alpha_list", ["threshold+0.1", 2.0, "n-1"])
-    r0 = float(cfg.get("r0", 1.0))
-    num = int(cfg.get("num_levels", 40))
-    slack = float(cfg.get("slack", 1e-8))
+def monotonicity_suite(
+    models: Optional[list[geometry.RadialManifold]] = None,
+    p_list: tuple = (1.1, 1.5, 2.0),
+    alpha_list: tuple = ("threshold+0.1", 2.0, "n-1"),
+    r0: float = 1.0,
+    R: Optional[float] = None,
+    num_levels: int = 40,
+    slack: float = 1e-8,
+):
+    """F_p monotonicity over a (model, p, alpha) grid, alpha down to the
+    guarantee threshold.  Schwarzschild annuli start at r0 >= 2.2; R defaults
+    to 12 there and to 8 elsewhere.  Returns the report and the verdict table."""
+    if models is None:
+        models = [geometry.euclidean(3), geometry.cone(3, 0.5), geometry.schwarzschild(1.0)]
     checks = []
     rows = []
     for model in models:
         rr0 = max(r0, 2.2) if "schwarzschild" in model.label else r0
-        R = float(cfg.get("R", 12.0 if "schwarzschild" in model.label else 8.0))
-        for p in p_list:
-            pot = radial.solve_wp(model, rr0, R, p)
-            T = min(2.0, 0.8 * pot.w(0.5 * (rr0 + R)))
-            ts = np.linspace(0.0, T, num)
+        RR = R if R is not None else (12.0 if "schwarzschild" in model.label else 8.0)
+        for p in map(float, p_list):
+            pot = radial.solve_wp(model, rr0, RR, p)
+            T = min(2.0, 0.8 * pot.w(0.5 * (rr0 + RR)))
+            ts = np.linspace(0.0, T, num_levels)
             for aspec in alpha_list:
                 alpha = _resolve_alpha(aspec, model.n, p)
                 params = functionals.FunctionalParams(model.n, p, alpha, tuple(ts))
@@ -686,141 +627,42 @@ def _run_monotonicity_sweep(cfg: dict, out_dir) -> Report:
                 checks.append(chk)
                 worst = min((d for _, d in chk.values["violations"]), default=0.0)
                 rows.append((model.label, p, alpha, guaranteed, worst, chk.verdict))
-    prefix = cfg.get("out_prefix", "monotonicity")
-    csv_path = f"{out_dir}/{prefix}_sweep.csv"
-    write_table_csv(csv_path, ["model", "p", "alpha", "guaranteed", "worst_drop", "verdict"], rows)
-    return Report(
-        experiment=cfg["experiment"],
-        checks=checks,
-        environment={"artifacts": [csv_path], "slack": slack, "num_levels": num},
-    )
+    report = Report("monotonicity_sweep", checks, {"slack": slack, "num_levels": num_levels})
+    return report, {"sweep": (["model", "p", "alpha", "guaranteed", "worst_drop", "verdict"], rows)}
 
 
-def _run_p_to_1(cfg: dict, out_dir) -> Report:
-    _check_keys(
-        cfg,
-        {
-            "experiment",
-            "model",
-            "r0",
-            "R",
-            "p_list",
-            "phi_mode",
-            "T_cap",
-            "thresholds",
-            "expect_sup",
-            "expect_rel",
-            "out_prefix",
-        },
-    )
-    model = _build_model(cfg)
-    report = p_to_1_suite(
-        model,
-        float(_require(cfg, "r0")),
-        float(_require(cfg, "R")),
-        _require(cfg, "p_list", list),
-        phi_mode=cfg.get("phi_mode", "imcf"),
-        T_cap=float(cfg.get("T_cap", 0.2)),
-        thresholds=cfg.get("thresholds"),
-        expect_sup=cfg.get("expect_sup"),
-        expect_rel=float(cfg.get("expect_rel", 1e-6)),
-    )
-    report.experiment = cfg["experiment"]
-    prefix = cfg.get("out_prefix", "p_to_1")
-    csv_path = f"{out_dir}/{prefix}_table.csv"
-    write_table_csv(csv_path, report.environment.pop("header"), report.environment.pop("rows"))
-    report.environment["artifacts"] = [csv_path]
-    return report
-
-
-def _run_eps_to_0(cfg: dict, out_dir) -> Report:
-    _check_keys(
-        cfg,
-        {"experiment", "model", "r0", "R", "p", "eps_list", "interval", "thresholds", "out_prefix"},
-    )
-    model = _build_model(cfg)
-    interval = cfg.get("interval")
-    report = eps_to_0_suite(
-        model,
-        float(_require(cfg, "r0")),
-        float(_require(cfg, "R")),
-        float(_require(cfg, "p")),
-        _require(cfg, "eps_list", list),
-        interval=tuple(interval) if interval else None,
-        thresholds=cfg.get("thresholds"),
-    )
-    report.experiment = cfg["experiment"]
-    prefix = cfg.get("out_prefix", "eps_to_0")
-    csv_path = f"{out_dir}/{prefix}_table.csv"
-    write_table_csv(csv_path, report.environment.pop("header"), report.environment.pop("rows"))
-    report.environment["artifacts"] = [csv_path]
-    return report
-
-
-def _run_inequalities(cfg: dict, out_dir) -> Report:
-    _check_keys(cfg, {"experiment", "models", "out_prefix"})
-    models = None
-    if "models" in cfg:
-        models = [_build_model({"model": m}) for m in cfg["models"]]
-    report = inequality_suite(models)
-    report.experiment = cfg["experiment"]
-    return report
-
-
-def _run_hawking_series(cfg: dict, out_dir) -> Report:
-    _check_keys(cfg, {"experiment", "model", "r0", "R", "t_grid", "expect", "slack", "out_prefix"})
-    model = _build_model(cfg)
-    r0 = float(_require(cfg, "r0"))
-    R = float(_require(cfg, "R"))
-    pot = radial.solve_w1(model, r0, R)
-    ts = _t_grid(cfg, pot)
-    series = functionals.hawking_series(pot, ts)
-    slack = float(cfg.get("slack", 1e-8))
-    checks = [_monotone_check("hawking mass monotone", "geroch-hawking-monotone", series, True, slack)]
-    checks.extend(_expect_checks(cfg, series))
-    prefix = cfg.get("out_prefix", "hawking")
-    csv_path = f"{out_dir}/{prefix}_hawking_mass.csv"
-    functionals.write_series_csv(series, csv_path)
-    return Report(
-        experiment=cfg["experiment"],
-        checks=checks,
-        environment={"model": model.label, "artifacts": [csv_path]},
-    )
-
-
-def _run_solve_2d(cfg: dict, out_dir) -> Report:
-    _check_keys(
-        cfg,
-        {"experiment", "domain", "p", "u_R", "grid", "eps", "tol", "levels", "out_prefix"},
-    )
-    dom_spec = _require(cfg, "domain", dict)
-    _check_keys(dom_spec, {"shape", "r0", "R", "a_ax", "b_eq"})
-    shape = _require(dom_spec, "shape", str)
+def _domain(shape: str, r0: float = 1.0, R: float = 4.0, a_ax: float = 1.3, b_eq: float = 1.0):
     if shape == "sphere":
-        domain = solver2d.sphere_domain(dom_spec.get("r0", 1.0), dom_spec.get("R", 4.0))
-    elif shape == "ellipsoid":
-        domain = solver2d.ellipsoid_domain(
-            dom_spec.get("a_ax", 1.3), dom_spec.get("b_eq", 1.0), dom_spec.get("R", 4.0)
-        )
-    else:
-        raise ConfigError(f"unknown domain shape '{shape}'", "domain.shape")
-    grid = tuple(int(x) for x in cfg.get("grid", (96, 48)))
+        return solver2d.sphere_domain(r0, R)
+    if shape == "ellipsoid":
+        return solver2d.ellipsoid_domain(a_ax, b_eq, R)
+    raise ConfigError(f"unknown domain shape '{shape}'", "domain.shape")
+
+
+def solve_2d_suite(
+    domain: dict,
+    p: float,
+    u_R: float = 0.05,
+    grid: tuple = (96, 48),
+    eps: Optional[float] = None,
+    tol: Optional[float] = None,
+    levels: Optional[list] = None,
+):
+    """Axisymmetric solve on a sphere or ellipsoid annulus: convergence,
+    discrete flux conservation and the Gauss-Bonnet ratio of five levels
+    (or of ``levels``).  Returns the report, the field table and one table
+    per level."""
+    dom = _call(_domain, domain, "domain")
+    grid = tuple(int(x) for x in grid)
     # tol drives the flux spread (conservation holds up to the nonlinear
     # residual), so the default sits two decades under the 1e-6 gate
-    fieldv = solver2d.solve_2d(
-        domain,
-        float(_require(cfg, "p")),
-        float(cfg.get("u_R", 0.05)),
-        shape=grid,
-        eps=cfg.get("eps"),
-        tol=float(cfg.get("tol", 1e-10)),
-    )
+    fieldv = solver2d.solve_2d(dom, p, u_R, shape=grid, eps=eps, tol=1e-10 if tol is None else tol)
     checks = [
         Check(
             name="nonlinear solve converged",
             anchor="lagged-diffusivity-convergence",
             values={"residual_rel": fieldv.residual_rel, "outer_iterations": fieldv.outer_iterations},
-            threshold=float(cfg.get("tol", 1e-9)),
+            threshold=1e-9 if tol is None else tol,
             verdict="pass" if fieldv.converged else "fail",
         )
     ]
@@ -835,11 +677,7 @@ def _run_solve_2d(cfg: dict, out_dir) -> Report:
             verdict="pass" if spread < 1e-6 else "fail",
         )
     )
-    prefix = cfg.get("out_prefix", "field2d")
-    field_path = f"{out_dir}/{prefix}_field.csv"
-    solver2d.write_field_csv(fieldv, field_path)
-    artifacts = [field_path]
-    levels = cfg.get("levels")
+    tables = {"field": fieldv.table()}
     if levels is None:
         lo, hi = fieldv.w_range()
         levels = list(np.linspace(0.2 * hi, 0.8 * hi, 5))
@@ -855,33 +693,94 @@ def _run_solve_2d(cfg: dict, out_dir) -> Report:
                 verdict="pass" if abs(gb - 1.0) <= 0.01 else "fail",
             )
         )
-        level_path = f"{out_dir}/{prefix}_level{k}.csv"
-        solver2d.write_level_csv(curve, level_path)
-        artifacts.append(level_path)
-    return Report(
-        experiment=cfg["experiment"],
-        checks=checks,
-        environment={"domain": domain.label, "grid": list(grid), "artifacts": artifacts},
-    )
+        tables[f"level{k}"] = curve.table()
+    return Report("solve_2d", checks, {"domain": dom.label, "grid": list(grid)}), tables
 
 
+# Each experiment's keyword parameters are its config schema; it returns its
+# report and named tables (suffix -> (header, rows)).
 EXPERIMENTS = {
-    "functional_series": _run_functional_series,
-    "monotonicity_sweep": _run_monotonicity_sweep,
-    "p_to_1": _run_p_to_1,
-    "eps_to_0": _run_eps_to_0,
-    "inequalities": _run_inequalities,
-    "hawking_series": _run_hawking_series,
-    "solve_2d": _run_solve_2d,
+    "functional_series": functional_series_suite,
+    "monotonicity_sweep": monotonicity_suite,
+    "p_to_1": p_to_1_suite,
+    "eps_to_0": eps_to_0_suite,
+    "inequalities": inequality_suite,
+    "hawking_series": hawking_suite,
+    "solve_2d": solve_2d_suite,
 }
 
 
+def _coerce(key: str, value, kind):
+    """Convert a config value to the annotated type of its parameter."""
+    if get_origin(kind) is Union:  # Optional[X]
+        if value is None:
+            return None
+        kind = next(k for k in get_args(kind) if k is not type(None))
+    if kind is geometry.RadialManifold:
+        return _call(_model, value, key)
+    if kind in (float, int):
+        try:
+            return kind(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"expected a number, got {value!r}", key) from exc
+    container = get_origin(kind) or kind
+    if container in (list, tuple) and isinstance(value, (list, tuple)):
+        if get_args(kind) == (geometry.RadialManifold,):
+            return [_call(_model, spec, key) for spec in value]
+        return container(value)
+    if not isinstance(value, container):
+        raise ConfigError(f"expected {container.__name__}, got {type(value).__name__}", key)
+    return value
+
+
+def _call(fn, spec, field: str, *args):
+    """``fn(*args, **spec)``: the parameters of ``fn`` after ``args`` are the
+    schema of the config object ``spec``.  Unknown and missing keys, and
+    values that do not convert to their annotation, are config errors."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"expected an object, got {type(spec).__name__}", field)
+    params = list(inspect.signature(fn, eval_str=True).parameters.values())[len(args):]
+    allowed = {param.name for param in params}
+    unknown = set(spec) - allowed
+    if unknown:
+        raise ConfigError(f"unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}", field)
+    prefix = "" if field == "config" else f"{field}."
+    kwargs = {}
+    for param in params:
+        if param.name in spec:
+            kwargs[param.name] = _coerce(prefix + param.name, spec[param.name], param.annotation)
+        elif param.default is param.empty:
+            raise ConfigError("missing required field", prefix + param.name)
+    return fn(*args, **kwargs)
+
+
+def artifact_prefix(cfg: dict) -> str:
+    """File-name prefix of a config's tables and report: ``out_prefix``,
+    else the experiment name."""
+    return cfg.get("out_prefix", cfg["experiment"])
+
+
 def run_experiment(cfg: dict, out_dir) -> Report:
+    """Run one experiment config; write each of its tables to
+    ``{out_dir}/{prefix}_{suffix}.csv`` and list them as ``artifacts``.
+
+    Besides ``experiment`` and ``out_prefix`` a config holds the keyword
+    parameters of its experiment (see ``_call``).
+    """
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object", "config")
-    name = _require(cfg, "experiment", str)
-    runner = EXPERIMENTS.get(name)
-    if runner is None:
-        raise ConfigError(f"unknown experiment '{name}'; known: {sorted(EXPERIMENTS)}", "experiment")
+    name = cfg.get("experiment")
+    if not isinstance(name, str) or name not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {name!r}; known: {sorted(EXPERIMENTS)}", "experiment")
     os.makedirs(out_dir, exist_ok=True)
-    return runner(cfg, out_dir)
+    spec = {k: v for k, v in cfg.items() if k not in ("experiment", "out_prefix")}
+    report, tables = _call(EXPERIMENTS[name], spec, "config")
+    prefix = artifact_prefix(cfg)
+    artifacts = []
+    for suffix, (header, rows) in tables.items():
+        path = f"{out_dir}/{prefix}_{suffix}.csv"
+        write_csv(path, header, rows)
+        artifacts.append(path)
+    if artifacts:
+        report.environment["artifacts"] = artifacts
+    return report

@@ -137,7 +137,7 @@ def test_07_p_to_1_convergence(tmp_path):
 
 def test_08_eps_to_0_convergence(euclid3):
     """Regularized potentials converge and the degeneracy indicator vanishes."""
-    report = verify.eps_to_0_suite(euclid3, 1.0, 3.0, 1.5, [1e-2, 1e-3, 1e-4])
+    report, _ = verify.eps_to_0_suite(euclid3, 1.0, 3.0, 1.5, [1e-2, 1e-3, 1e-4])
     assert report.worst == "pass", [c.name for c in report.checks if c.verdict != "pass"]
     _passline(8, "eps->0: sup|w_eps - w_p| < 1e-4, sup theta_eps < 1e-6")
 

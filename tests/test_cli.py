@@ -4,11 +4,14 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from pcapflow.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, EXIT_SOLVER, main
 from pcapflow.geometry import MODEL_NAMES
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 FAST_CFG = {
     "experiment": "functional_series",
@@ -103,22 +106,40 @@ class TestRun:
         cfg = write_cfg(tmp_path, typo_key=1)
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
-    def test_parallel_jobs(self, tmp_path, capsys):
-        a = write_cfg(tmp_path, "a.json", out_prefix="job_a")
-        b = write_cfg(tmp_path, "b.json", out_prefix="job_b")
-        out = tmp_path / "out"
-        rc = main(["run", str(a), str(b), "--out", str(out), "--jobs", "2"])
-        assert rc == EXIT_PASS
-        assert (out / "job_a_report.json").exists()
-        assert (out / "job_b_report.json").exists()
-
     def test_worst_exit_wins_across_configs(self, tmp_path):
         good = write_cfg(tmp_path, "good.json", out_prefix="good")
         bad = write_cfg(
             tmp_path, "bad.json", out_prefix="bad", expect={"constant": -6.0, "rel_tol": 1e-8}
         )
-        rc = main(["run", str(good), str(bad), "--out", str(tmp_path / "out")])
+        out = tmp_path / "out"
+        rc = main(["run", str(good), str(bad), "--out", str(out)])
         assert rc == EXIT_FAIL
+        assert (out / "good_report.json").exists()
+        assert (out / "bad_report.json").exists()
+
+    def test_broken_config_does_not_hide_the_others(self, tmp_path, capsys):
+        good = write_cfg(tmp_path, "good.json", out_prefix="good")
+        missing = tmp_path / "missing.json"
+        bad = write_cfg(
+            tmp_path, "bad.json", out_prefix="bad", expect={"constant": -6.0, "rel_tol": 1e-8}
+        )
+        out = tmp_path / "out"
+        rc = main(["run", str(good), str(missing), str(bad), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert (out / "good_report.json").exists()
+        assert (out / "bad_report.json").exists()
+        assert str(missing) in capsys.readouterr().err
+
+    def test_removed_options_are_rejected(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        for option in ("--jobs", "--seed"):
+            with pytest.raises(SystemExit):
+                main(["run", str(cfg), "--out", str(tmp_path / "out"), option, "2"])
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_config_passes(config, tmp_path):
+    assert main(["run", str(config), "--out", str(tmp_path)]) == EXIT_PASS
 
 
 class TestModuleEntry:

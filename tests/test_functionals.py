@@ -20,8 +20,8 @@ from pcapflow.functionals import (
     q_1_pointwise,
     q_p_pointwise,
     radial_level,
-    write_series_csv,
 )
+from pcapflow.verify import write_csv
 
 TS20 = tuple(np.linspace(0.0, 2.0, 20))
 
@@ -250,7 +250,7 @@ class TestCsv:
         pot = radial.solve_wp(euclid3, 1.0, 8.0, 2.0)
         series = F_p(pot, FunctionalParams(3, 2.0, 2.0, (0.0, 0.5, 1.0)))
         path = tmp_path / "series.csv"
-        write_series_csv(series, path)
+        write_csv(path, *series.table())
         lines = path.read_text().splitlines()
         assert lines[0] == "t,value,bulk_term,rhs_Qp,residual"
         assert len(lines) == 4

@@ -17,9 +17,8 @@ from pcapflow.solver2d import (
     flux_profile,
     solve_2d,
     sphere_domain,
-    write_field_csv,
-    write_level_csv,
 )
+from pcapflow.verify import write_csv
 
 from conftest import midband
 
@@ -212,7 +211,7 @@ class TestCsvWriters:
     def test_field_csv(self, tmp_path):
         f = solve_2d(sphere_domain(1.0, 2.0), p=2.0, u_R=0.5, shape=(16, 16))
         path = tmp_path / "field.csv"
-        write_field_csv(f, path)
+        write_csv(path, *f.table())
         lines = path.read_text().splitlines()
         assert lines[0] == "sigma,theta,u"
         assert len(lines) == 1 + 17 * 17
@@ -221,7 +220,7 @@ class TestCsvWriters:
         t = float(midband(sphere_field, num=3)[0])
         curve = sphere_field.level(t)
         path = tmp_path / "level.csv"
-        write_level_csv(curve, path)
+        write_csv(path, *curve.table())
         lines = path.read_text().splitlines()
         assert lines[0] == "theta,r,grad_w,H,kappa_m,kappa_phi"
         assert len(lines) == 1 + len(curve.theta)

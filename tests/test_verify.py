@@ -1,13 +1,15 @@
 """Experiment harness: verdict logic, report schema, config validation."""
 
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
-from pcapflow import geometry, verify
+from pcapflow import functionals, geometry, verify
 from pcapflow.verify import (
+    EXPERIMENTS,
     Check,
     ConfigError,
     Report,
@@ -16,6 +18,21 @@ from pcapflow.verify import (
     p_to_1_suite,
     run_experiment,
 )
+
+# every key each experiment accepts, besides "experiment" and "out_prefix"
+ACCEPTED_KEYS = {
+    "functional_series": {
+        "model", "functional", "r0", "R", "p", "alpha", "phi_mode", "t_grid", "expect", "slack",
+    },
+    "monotonicity_sweep": {"models", "p_list", "alpha_list", "r0", "R", "num_levels", "slack"},
+    "p_to_1": {
+        "model", "r0", "R", "p_list", "phi_mode", "T_cap", "thresholds", "expect_sup", "expect_rel",
+    },
+    "eps_to_0": {"model", "r0", "R", "p", "eps_list", "interval", "thresholds"},
+    "inequalities": {"models"},
+    "hawking_series": {"model", "r0", "R", "t_grid", "expect", "slack"},
+    "solve_2d": {"domain", "p", "u_R", "grid", "eps", "tol", "levels"},
+}
 
 
 def fp_config(**overrides):
@@ -137,10 +154,47 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(cfg, tmp_path)
 
+    def test_missing_model_parameter(self, tmp_path):
+        cfg = fp_config(model={"name": "schwarzschild", "params": {}})
+        with pytest.raises(ConfigError) as err:
+            run_experiment(cfg, tmp_path)
+        assert err.value.fieldname == "model.params"
+
     def test_t_grid_must_be_mapping(self, tmp_path):
         cfg = fp_config(t_grid=[0.0, 2.0, 8])
         with pytest.raises(ConfigError):
             run_experiment(cfg, tmp_path)
+
+    @pytest.mark.parametrize("name", sorted(ACCEPTED_KEYS))
+    def test_accepted_keys(self, name, tmp_path):
+        assert set(EXPERIMENTS) == set(ACCEPTED_KEYS)
+        assert set(inspect.signature(EXPERIMENTS[name]).parameters) == ACCEPTED_KEYS[name]
+        with pytest.raises(ConfigError, match="typo_key"):
+            run_experiment({"experiment": name, "typo_key": 1}, tmp_path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("model", [1]), ("r0", "one"), ("p_list", 1.5), ("thresholds", [1.0])],
+    )
+    def test_type_errors_name_the_field(self, field, value, tmp_path):
+        cfg = {
+            "experiment": "p_to_1",
+            "model": {"name": "euclidean", "params": {"n": 3}},
+            "r0": 1.0,
+            "R": 4.0,
+            "p_list": [1.2, 1.1],
+            field: value,
+        }
+        with pytest.raises(ConfigError) as err:
+            run_experiment(cfg, tmp_path)
+        assert err.value.fieldname == field
+
+    def test_default_prefix_is_the_experiment(self, tmp_path):
+        cfg = fp_config()
+        del cfg["out_prefix"]
+        report = run_experiment(cfg, tmp_path)
+        assert report.environment["artifacts"] == [f"{tmp_path}/functional_series_F_p.csv"]
+        assert verify.artifact_prefix(cfg) == "functional_series"
 
     def test_unknown_threshold_keys(self, tmp_path):
         cfg = {
@@ -161,9 +215,11 @@ class TestSuites:
         # short p list: loosen the final-value gates (they are calibrated
         # for sweeps reaching p = 1.01) and keep only the shape assertions
         loose = {k: 10.0 for k in ("sup_w", "l2_grad", "l4_grad", "cap_gap", "h_defect", "area_defect")}
-        report = p_to_1_suite(
+        report, tables = p_to_1_suite(
             euclid3, 1.0, 4.0, [1.4, 1.2, 1.1], phi_mode="scale-invariant", thresholds=loose
         )
+        header, rows = tables["table"]
+        assert header[:2] == ["p", "sup_w"] and len(rows) == 3
         assert all(c.anchor for c in report.checks)
         assert report.worst == "pass"
         # sup column is the analytic (p-1) ln 2 for the scale-invariant datum
@@ -178,7 +234,7 @@ class TestSuites:
             p_to_1_suite(euclid3, 1.0, 4.0, [1.5, 0.9])
 
     def test_eps_to_0_smoke(self, euclid3):
-        report = eps_to_0_suite(euclid3, 1.0, 3.0, 1.5, [1e-2, 3e-3, 1e-3])
+        report, _ = eps_to_0_suite(euclid3, 1.0, 3.0, 1.5, [1e-2, 3e-3, 1e-3])
         assert all(c.anchor for c in report.checks)
         sup = next(c for c in report.checks if c.name.startswith("eps-to-0 sup|"))
         vals = sup.values["sup_w"]
@@ -187,3 +243,32 @@ class TestSuites:
     def test_eps_list_validation(self, euclid3):
         with pytest.raises(ConfigError):
             eps_to_0_suite(euclid3, 1.0, 3.0, 1.5, [1e-3, 1e-2])
+
+
+class TestGpIdentityCheck:
+    def _series(self, residual_frac):
+        ts = np.linspace(0.0, 1.0, 5)
+        values = 4.0 * math.pi * np.exp(ts)
+        rhs = values.copy()
+        residual = np.full(5, np.nan)
+        residual[1:-1] = residual_frac * np.max(np.abs(rhs))
+        return functionals.MonotoneSeries(
+            "G_p", ts, values, np.zeros(5), rhs, residual, {"p": 2.0, "derivative_step": 2.5e-4}
+        )
+
+    def test_relative_defect_still_fails(self):
+        chk = verify._gp_identity_check(self._series(1e-5))
+        assert chk.verdict == "fail"
+        assert chk.values["floor"] < 1e-9 * chk.values["scale"]
+
+    def test_within_relative_threshold_passes(self):
+        assert verify._gp_identity_check(self._series(5e-7)).verdict == "pass"
+
+    def test_rounding_floor_covers_vanishing_right_side(self):
+        series = self._series(0.0)
+        series.rhs_qp[:] = 1e-14
+        series.residual[1:-1] = 3.6e-11
+        series.values[:] = 4.0 * math.pi
+        chk = verify._gp_identity_check(series)
+        assert chk.verdict == "pass"
+        assert chk.values["max_residual"] > 1e-6 * chk.values["scale"]
