@@ -1,10 +1,9 @@
 """Shared numerical kernels.
 
 Adaptive Simpson quadrature, bracketed scalar root finding, natural cubic
-splines and a (preconditionable) conjugate-gradient solver for symmetric
-positive definite operators.  Every radial and level-set integral in the
-package routes through :func:`integrate` so that accuracy budgets live in
-one place.
+splines and a banded Cholesky solve for symmetric positive definite
+systems.  Every radial and level-set integral in the package routes
+through :func:`integrate` so that accuracy budgets live in one place.
 """
 
 from __future__ import annotations
@@ -12,10 +11,11 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 __all__ = [
     "Tolerance",
@@ -217,72 +217,23 @@ def find_root(fn: Callable[[float], float], lo: float, hi: float, tol: Tolerance
 
 @dataclass
 class SpdResult:
-    """Outcome of a conjugate-gradient solve."""
+    """Outcome of a banded SPD solve: one Cholesky factorization."""
 
     x: np.ndarray
-    converged: bool
     iterations: int
-    residual: float
-    restart_residuals: list[float]
 
 
-def solve_spd(
-    apply_op: Callable[[np.ndarray], np.ndarray],
-    rhs: np.ndarray,
-    tol: Tolerance = Tolerance(abs_tol=1e-14, rel_tol=1e-10, max_iter=10000),
-    precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    x0: Optional[np.ndarray] = None,
-    recompute_every: int = 50,
-) -> SpdResult:
-    """Conjugate gradients for a matrix-free SPD operator.
+def solve_spd(band: np.ndarray, rhs: np.ndarray) -> SpdResult:
+    """Solve A x = rhs for a symmetric positive definite band matrix A.
 
-    ``precond`` applies an (SPD) approximate inverse; the true residual is
-    recomputed every ``recompute_every`` steps to fight drift.  When the
-    iteration cap is hit the best iterate seen is returned flagged
-    non-converged.
+    ``band`` holds the lower band in LAPACK storage, ``band[i - j, j] =
+    A[i, j]`` for ``0 <= i - j < band.shape[0]``.  A Fortran-ordered float
+    array is factored in place, so its contents are lost; any other is
+    copied first.  A matrix that is not positive definite raises
+    ``numpy.linalg.LinAlgError`` (a ``ValueError``).
     """
-    b = np.asarray(rhs, dtype=float)
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    r = b - apply_op(x) if x0 is not None else b.copy()
-    bnorm = float(np.linalg.norm(b))
-    target = tol.abs_tol + tol.rel_tol * bnorm
-    z = precond(r) if precond is not None else r
-    p = z.copy()
-    rz = float(r @ z)
-    res = float(np.linalg.norm(r))
-    best_x = x.copy()
-    best_res = res
-    restart_residuals = [res]
-    if res <= target:
-        return SpdResult(x, True, 0, res, restart_residuals)
-    converged = False
-    k = 0
-    for k in range(1, tol.max_iter + 1):
-        Ap = apply_op(p)
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            raise ValueError("operator is not positive definite along a search direction")
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        if k % recompute_every == 0:
-            r = b - apply_op(x)
-            restart_residuals.append(float(np.linalg.norm(r)))
-        res = float(np.linalg.norm(r))
-        if res < best_res:
-            best_res = res
-            best_x = x.copy()
-        if res <= target:
-            converged = True
-            break
-        z = precond(r) if precond is not None else r
-        rz_new = float(r @ z)
-        beta = rz_new / rz
-        p = z + beta * p
-        rz = rz_new
-    if not converged:
-        x, res = best_x, best_res
-    return SpdResult(x, converged, k, res, restart_residuals)
+    factor = cholesky_banded(band, lower=True, overwrite_ab=True)
+    return SpdResult(cho_solve_banded((factor, True), rhs), iterations=1)
 
 
 def natural_cubic_spline(x, y) -> CubicSpline:

@@ -9,9 +9,15 @@ where the physical gradient picks up a shear:
     u_r = u_sigma / Delta,     u_theta|_r = u_thetahat - u_sigma rho'(1-sigma)/Delta,
 
 with Delta = R - rho.  The discretization is bilinear Galerkin on the mapped
-rectangles (the variational form keeps the system symmetric for conjugate
-gradients and the vanishing r^2 sin(theta) weight handles the axis without
-ghost rows), with damped lagged-diffusivity (Picard) outer iterations.
+rectangles (the vanishing r^2 sin(theta) weight handles the axis without
+ghost rows).  The discrete solution minimizes the convex energy
+
+    E(u) = int (|grad u|^2 + eps^2)^(p/2) / p
+
+over the interior nodal values; Newton's method with backtracking on E finds
+it, each step one banded Cholesky solve with the symmetric positive definite
+Hessian (Barrett & Liu, "Finite element approximation of the p-Laplacian",
+Math. Comp. 61 (1993)).
 
 Levels of w are extracted per polar ray (star-shapedness makes w monotone
 along rays), and each extracted curve carries the full second-order data:
@@ -31,10 +37,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import sparse
 from scipy.integrate import simpson
 
-from .numerics import SpdResult, Tolerance, solve_spd
+from .numerics import solve_spd
 
 __all__ = [
     "AxisymmetricDomain",
@@ -55,6 +60,7 @@ __all__ = [
 ]
 
 _GP = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
+_MAX_HALVINGS = 40  # line-search step lengths down to 2^-39
 
 
 class Solver2DError(RuntimeError):
@@ -123,8 +129,16 @@ def ellipsoid_domain(a_ax: float = 1.3, b_eq: float = 1.0, R: float = 8.0) -> Ax
     )
 
 
+# the element-matrix pairs (k, l) with conn[:, k] >= conn[:, l]: its lower
+# triangle in natural node order
+_LOWER_K = np.array([0, 1, 2, 3, 1, 2, 3, 1, 3, 3])
+_LOWER_L = np.array([0, 1, 2, 3, 0, 0, 0, 2, 1, 2])
+
+
 class _Mesh:
-    """Mapped-grid geometry and the per-Gauss-point stiffness skeleton."""
+    """Mapped-grid geometry: per-Gauss-point derivative coefficients and
+    volume weights, and where each element entry lands in the lower band of
+    the interior block."""
 
     def __init__(self, domain: AxisymmetricDomain, Nsigma: int, Ntheta: int):
         self.domain = domain
@@ -147,14 +161,11 @@ class _Mesh:
             ],
             axis=1,
         )
-        ne = Nsigma * Ntheta
         ii, jj = np.meshgrid(np.arange(Nsigma), np.arange(Ntheta), indexing="ij")
         ii = ii.ravel()
         jj = jj.ravel()
 
-        self.Dr = []  # per gp: (ne, 4) coefficients of the radial derivative
-        self.Dt = []  # per gp: (ne, 4) coefficients of the tangential derivative
-        self.P = []  # per gp: (ne, 4, 4) grad-grad matrices times the volume weight
+        Drs, Dts, vols = [], [], []
         for xi in _GP:
             for eta in _GP:
                 dNdxi = np.array([-(1.0 - eta), (1.0 - eta), -eta, eta])
@@ -165,25 +176,46 @@ class _Mesh:
                 delta_g = domain.R - rho_g
                 shear = np.asarray(domain.drho(tg), dtype=float) * (1.0 - sg) / delta_g
                 r_g = rho_g + sg * delta_g
-                Dr = dNdxi[None, :] / (self.dsig * delta_g[:, None])
-                Dt = (dNdeta[None, :] / self.dth - shear[:, None] * dNdxi[None, :] / self.dsig) / r_g[:, None]
-                vol = r_g**2 * np.sin(tg) * delta_g * self.dsig * self.dth * 0.25
-                P = (Dr[:, :, None] * Dr[:, None, :] + Dt[:, :, None] * Dt[:, None, :]) * vol[:, None, None]
-                self.Dr.append(Dr)
-                self.Dt.append(Dt)
-                self.P.append(P)
-        self.rows = np.broadcast_to(self.conn[:, :, None], (ne, 4, 4)).ravel()
-        self.cols = np.broadcast_to(self.conn[:, None, :], (ne, 4, 4)).ravel()
+                Drs.append(dNdxi[None, :] / (self.dsig * delta_g[:, None]))
+                Dts.append((dNdeta[None, :] / self.dth - shear[:, None] * dNdxi[None, :] / self.dsig) / r_g[:, None])
+                vols.append(r_g**2 * np.sin(tg) * delta_g * self.dsig * self.dth * 0.25)
+        self.Dr = np.stack(Drs)  # (gp, ne, 4) coefficients of the radial derivative
+        self.Dt = np.stack(Dts)  # (gp, ne, 4) coefficients of the tangential derivative
+        self.vol = np.stack(vols)  # (gp, ne) volume weights
 
-    def stiffness(self, u_flat: np.ndarray, p: float, eps: float) -> sparse.csr_matrix:
-        ue = u_flat[self.conn]
-        vals = np.zeros((len(self.conn), 4, 4))
-        for Dr, Dt, P in zip(self.Dr, self.Dt, self.P):
-            q2 = np.einsum("ek,ek->e", Dr, ue) ** 2 + np.einsum("ek,ek->e", Dt, ue) ** 2
-            a = (q2 + eps * eps) ** ((p - 2.0) / 2.0)
-            vals += a[:, None, None] * P
-        K = sparse.coo_matrix((vals.ravel(), (self.rows, self.cols)), shape=(self.n_nodes, self.n_nodes))
-        return K.tocsr()
+        # the unknowns are the nodes of sigma rows 1..Nsigma-1, numbered
+        # naturally, so the interior block has Ntheta+2 subdiagonals
+        self.inner = slice(Ntheta + 1, self.n_nodes - (Ntheta + 1))
+        self.n_inner = (Nsigma - 1) * (Ntheta + 1)
+        self.band_rows = Ntheta + 3
+        gi = self.conn[:, _LOWER_K] - (Ntheta + 1)
+        gj = self.conn[:, _LOWER_L] - (Ntheta + 1)
+        self.band_keep = (gj >= 0) & (gi < self.n_inner)
+        # entry (gi, gj) is band[gi - gj, gj]: flat index of the transpose
+        self.band_pos = (gi - gj + self.band_rows * gj)[self.band_keep]
+
+    def grad(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Radial and tangential derivative of the nodal field v, (gp, ne) each."""
+        ve = v[self.conn]
+        return np.einsum("gek,ek->ge", self.Dr, ve), np.einsum("gek,ek->ge", self.Dt, ve)
+
+    def load(self, coef: np.ndarray, vr: np.ndarray, vt: np.ndarray) -> np.ndarray:
+        """Nodal vector sum over Gauss points of coef (vr dphi_r + vt dphi_t)."""
+        loc = np.einsum("ge,gek->ek", coef * vr, self.Dr) + np.einsum("ge,gek->ek", coef * vt, self.Dt)
+        return np.bincount(self.conn.ravel(), loc.ravel(), minlength=self.n_nodes)
+
+    def hessian_band(self, coef: np.ndarray, ur: np.ndarray, ut: np.ndarray, s: np.ndarray, p: float) -> np.ndarray:
+        """Lower band (LAPACK storage, Fortran order) of the energy Hessian on
+        the interior block: per Gauss point coef (grad phi_k . grad phi_l)
+        + (p-2) coef/s (grad u . grad phi_k)(grad u . grad phi_l), with
+        coef = vol s^((p-2)/2) and s = |grad u|^2 + eps^2."""
+        K, L = _LOWER_K, _LOWER_L
+        vals = 0.0
+        for a, b, Dr, Dt, gr, gt in zip(coef, (p - 2.0) * coef / s, self.Dr, self.Dt, ur, ut):
+            gphi = gr[:, None] * Dr + gt[:, None] * Dt
+            vals = vals + a[:, None] * (Dr[:, K] * Dr[:, L] + Dt[:, K] * Dt[:, L]) + b[:, None] * gphi[:, K] * gphi[:, L]
+        band = np.bincount(self.band_pos, vals[self.band_keep], minlength=self.band_rows * self.n_inner)
+        return band.reshape(self.n_inner, self.band_rows).T
 
 
 @dataclass
@@ -191,7 +223,8 @@ class Field2D:
     """A solved (or radially seeded) nodal field on the mapped grid.
 
     ``u`` is (Nsigma+1, Ntheta+1); derived fields are nodal arrays computed
-    by mapped finite differences the first time they are needed.
+    by mapped finite differences the first time they are needed.  ``history``
+    holds one (energy, residual_rel, step_length) tuple per Newton step.
     """
 
     domain: AxisymmetricDomain
@@ -202,7 +235,8 @@ class Field2D:
     converged: bool
     outer_iterations: int
     residual_rel: float
-    _stiffness: Optional[sparse.csr_matrix] = field(default=None, repr=False)
+    history: list = field(default_factory=list)
+    _stiffness: Optional[np.ndarray] = field(default=None, repr=False)  # nodal K(u) u
     _derived: Optional[dict] = field(default=None, repr=False)
     _levels: dict = field(default_factory=dict, repr=False)
 
@@ -376,16 +410,10 @@ def extract_level(fieldv: Field2D, t: float) -> LevelCurve:
         raise NonMonotoneRayError(
             f"w is not strictly increasing along the ray theta={fieldv.theta[j]:.6f}"
         )
-    nth = w.shape[1]
-    sig = fieldv.sigma
-    k = np.empty(nth, dtype=int)
-    frac = np.empty(nth)
-    for j in range(nth):
-        kj = int(np.searchsorted(w[:, j], t))
-        kj = min(max(kj, 1), w.shape[0] - 1)
-        k[j] = kj
-        frac[j] = (t - w[kj - 1, j]) / (w[kj, j] - w[kj - 1, j])
-    cols = np.arange(nth)
+    # rays increase strictly, so the count of nodes below t is the insertion index
+    k = np.clip((w < t).sum(axis=0), 1, w.shape[0] - 1)
+    cols = np.arange(w.shape[1])
+    frac = (t - w[k - 1, cols]) / (w[k, cols] - w[k - 1, cols])
 
     def interp(F: np.ndarray) -> np.ndarray:
         lo_v = F[k - 1, cols]
@@ -521,15 +549,17 @@ def solve_2d(
     eps: Optional[float] = None,
     tol: float = 1e-9,
     max_outer: int = 80,
-    damping: float = 0.7,
-    inner_tol: Tolerance = Tolerance(abs_tol=1e-30, rel_tol=1e-11, max_iter=60000),
 ) -> Field2D:
-    """Damped lagged-diffusivity solve of the regularized p-Laplace problem.
+    """Newton solve of the regularized p-Laplace problem.
 
-    The first Picard step is undamped (it is exact for p = 2); iteration
-    stops when the relative residual of the current iterate in the freshly
-    assembled system drops below tol.  Exhausting max_outer returns the
-    field flagged non-converged rather than raising.
+    Each step solves the Hessian system of the discrete energy and
+    backtracks on the energy (Armijo); a step that changes the energy by no
+    more than a few ulps is accepted, since rounding hides any decrease
+    there.  Iteration stops when the relative residual ||(K(u) u)_I|| /
+    ||K(u)_ID u_D|| -- the energy gradient over the interior nodes I, scaled
+    by the Dirichlet load -- drops below tol.  Exhausting max_outer, or a
+    line search that cannot decrease the energy, returns the field flagged
+    non-converged rather than raising.
     """
     Nsigma, Ntheta = shape
     if Nsigma < 16 or Ntheta < 16:
@@ -552,43 +582,48 @@ def solve_2d(
     r = rho + mesh.sigma[:, None] * (domain.R - rho)
     u = ((1.0 / r - 1.0 / domain.R) / (1.0 / rho - 1.0 / domain.R)) * (1.0 - u_R) + u_R
 
-    n_nodes = mesh.n_nodes
-    idx2 = np.arange(n_nodes).reshape(Nsigma + 1, Ntheta + 1)
-    dir_idx = np.concatenate([idx2[0, :], idx2[-1, :]])
-    int_idx = idx2[1:-1, :].ravel()
+    inner = mesh.inner
     u_flat = u.ravel()
-    u_dir = u_flat[dir_idx]
+    u_dir = u_flat.copy()
+    u_dir[inner] = 0.0
 
-    K = None
-    res_rel = math.inf
+    def energy(v):
+        vr, vt = mesh.grad(v)
+        return float(np.sum(mesh.vol * (vr * vr + vt * vt + eps * eps) ** (p / 2.0))) / p
+
+    history = []
+    E = energy(u_flat)
+    step = 0.0
     converged = False
     it = 0
     for it in range(max_outer + 1):
-        K = mesh.stiffness(u_flat, p, eps)
-        A_int = K[int_idx]
-        A_II = A_int[:, int_idx]
-        rhs = -A_int[:, dir_idx] @ u_dir
-        rhs_norm = float(np.linalg.norm(rhs))
-        res_rel = float(np.linalg.norm(A_II @ u_flat[int_idx] - rhs)) / rhs_norm
+        ur, ut = mesh.grad(u_flat)
+        s = ur * ur + ut * ut + eps * eps
+        coef = mesh.vol * s ** ((p - 2.0) / 2.0)
+        Ku = mesh.load(coef, ur, ut)
+        dirichlet_load = mesh.load(coef, *mesh.grad(u_dir))[inner]
+        res_rel = float(np.linalg.norm(Ku[inner])) / float(np.linalg.norm(dirichlet_load))
+        if it:
+            history.append((E, res_rel, step))
         if res_rel < tol:
             converged = True
             break
         if it == max_outer:
             break
-        diag = A_II.diagonal()
-        lin = solve_spd(
-            lambda v: A_II @ v,
-            rhs,
-            tol=inner_tol,
-            precond=lambda v: v / diag,
-            x0=u_flat[int_idx],
-        )
-        if not lin.converged:
-            raise Solver2DError(
-                f"inner conjugate-gradient solve stalled at residual {lin.residual:.3e}"
-            )
-        omega = 1.0 if it == 0 else damping
-        u_flat[int_idx] = (1.0 - omega) * u_flat[int_idx] + omega * lin.x
+        direction = -solve_spd(mesh.hessian_band(coef, ur, ut, s, p), Ku[inner]).x
+        slope = float(Ku[inner] @ direction)
+        step = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = u_flat.copy()
+            trial[inner] += step * direction
+            E_trial = energy(trial)
+            change = E_trial - E
+            if change <= 1e-4 * step * slope or abs(change) <= 4.0 * np.spacing(E):
+                break
+            step *= 0.5
+        else:
+            break  # the energy does not decrease along the Newton direction
+        u_flat, E = trial, E_trial
 
     u = u_flat.reshape(Nsigma + 1, Ntheta + 1)
     if np.any(u <= 0.0) or np.max(u) > 1.0 + 1e-6:
@@ -602,7 +637,8 @@ def solve_2d(
         converged=converged,
         outer_iterations=it,
         residual_rel=res_rel,
-        _stiffness=K,
+        history=history,
+        _stiffness=Ku,
     )
 
 
@@ -646,10 +682,8 @@ def flux_profile(fieldv: Field2D) -> np.ndarray:
     if fieldv._stiffness is None:
         if fieldv.u_R == 1.0:
             return np.zeros(fieldv.shape[0])
-        raise Solver2DError("flux profile needs the assembled stiffness matrix")
-    Nsigma, Ntheta = fieldv.shape
-    Ku = (fieldv._stiffness @ fieldv.u.ravel()).reshape(Nsigma + 1, Ntheta + 1)
-    row_sums = Ku.sum(axis=1)
+        raise Solver2DError("flux profile needs the nodal K(u) u of a solve")
+    row_sums = fieldv._stiffness.reshape(fieldv.u.shape).sum(axis=1)
     return -2.0 * math.pi * np.cumsum(row_sums)[:-1]
 
 

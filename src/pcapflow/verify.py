@@ -656,14 +656,19 @@ def solve_2d_suite(
     grid = tuple(int(x) for x in grid)
     # tol drives the flux spread (conservation holds up to the nonlinear
     # residual), so the default sits two decades under the 1e-6 gate
-    fieldv = solver2d.solve_2d(dom, p, u_R, shape=grid, eps=eps, tol=1e-10 if tol is None else tol)
+    tol = 1e-10 if tol is None else tol
+    fieldv = solver2d.solve_2d(dom, p, u_R, shape=grid, eps=eps, tol=tol)
     checks = [
         Check(
             name="nonlinear solve converged",
-            anchor="lagged-diffusivity-convergence",
-            values={"residual_rel": fieldv.residual_rel, "outer_iterations": fieldv.outer_iterations},
-            threshold=1e-9 if tol is None else tol,
-            verdict="pass" if fieldv.converged else "fail",
+            anchor="newton-energy-convergence",
+            values={
+                "residual_rel": fieldv.residual_rel,
+                "outer_iterations": fieldv.outer_iterations,
+                "min_step": min((step for _, _, step in fieldv.history), default=None),
+            },
+            threshold=tol,
+            verdict="pass" if fieldv.converged and fieldv.residual_rel < tol else "fail",
         )
     ]
     flux = solver2d.flux_profile(fieldv)

@@ -1,4 +1,4 @@
-"""Quadrature, cumulative integrals, root finding and the CG kernel."""
+"""Quadrature, cumulative integrals, root finding and the banded SPD solve."""
 
 import math
 
@@ -164,53 +164,38 @@ class TestFindRoot:
 
 class TestSolveSpd:
     @staticmethod
-    def _tridiag(v):
-        v = np.asarray(v, dtype=float)
-        out = 2.0 * v
-        out[:-1] -= v[1:]
-        out[1:] -= v[:-1]
-        return out
+    def _dense(band):
+        """Symmetric matrix whose lower band is ``band`` (LAPACK storage)."""
+        n = band.shape[1]
+        a = np.zeros((n, n))
+        for d in range(band.shape[0]):
+            a += np.diag(band[d, : n - d], -d)
+            if d:
+                a += np.diag(band[d, : n - d], d)
+        return a
 
     def test_tridiagonal_oracle(self):
         # second-difference system with unit load: parabola 2.5 4 4.5 4 2.5
-        res = solve_spd(self._tridiag, np.ones(5))
-        assert res.converged
-        assert np.allclose(res.x, [2.5, 4.0, 4.5, 4.0, 2.5], atol=1e-8)
-        assert res.iterations <= 10
-
-    def test_jacobi_preconditioner(self):
-        res = solve_spd(self._tridiag, np.ones(5), precond=lambda r: r / 2.0)
-        assert res.converged
-        assert np.allclose(res.x, [2.5, 4.0, 4.5, 4.0, 2.5], atol=1e-8)
-
-    def test_warm_start_at_solution(self):
-        x_star = np.array([2.5, 4.0, 4.5, 4.0, 2.5])
-        res = solve_spd(self._tridiag, np.ones(5), x0=x_star)
-        assert res.converged
-        assert res.iterations == 0
-
-    def test_iteration_cap_returns_best_iterate(self):
-        rng = np.random.default_rng(7)
-        m = rng.standard_normal((40, 40))
-        a = m @ m.T + 40.0 * np.eye(40)
-        b = rng.standard_normal(40)
-        res = solve_spd(lambda v: a @ v, b, Tolerance(abs_tol=1e-14, rel_tol=1e-14, max_iter=2))
-        assert not res.converged
-        assert res.residual < np.linalg.norm(b)
-
-    def test_indefinite_operator_rejected(self):
-        with pytest.raises(ValueError, match="positive definite"):
-            solve_spd(lambda v: -v, np.ones(3))
+        band = np.array([[2.0] * 5, [-1.0] * 4 + [0.0]])
+        res = solve_spd(band, np.ones(5))
+        assert np.allclose(res.x, [2.5, 4.0, 4.5, 4.0, 2.5], atol=1e-13)
+        assert res.iterations == 1
 
     def test_random_spd_systems(self):
         rng = np.random.default_rng(11)
-        for n in (3, 17, 64):
-            m = rng.standard_normal((n, n))
-            a = m @ m.T + n * np.eye(n)
+        for n, bands in ((3, 1), (17, 4), (64, 10), (200, 35)):
+            band = np.asfortranarray(rng.standard_normal((bands + 1, n)))
+            band[0] = 0.0
+            band[0] = np.abs(self._dense(band)).sum(axis=1) + 1.0  # diagonally dominant
+            a = self._dense(band)
             b = rng.standard_normal(n)
-            res = solve_spd(lambda v: a @ v, b)
-            assert res.converged
-            assert np.linalg.norm(a @ res.x - b) < 1e-8 * np.linalg.norm(b)
+            x = solve_spd(band, b).x
+            assert np.linalg.norm(x - np.linalg.solve(a, b)) < 1e-12 * np.linalg.norm(x)
+
+    def test_indefinite_operator_rejected(self):
+        band = np.array([[2.0, -1.0, 2.0], [1.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="positive definite"):
+            solve_spd(band, np.ones(3))
 
 
 class TestSpline:

@@ -60,7 +60,7 @@ class TestHarmonicClosedForm:
     def _error(shape):
         f = solve_2d(sphere_domain(1.0, 2.0), p=2.0, u_R=0.5, shape=shape, eps=1e-3)
         assert f.converged
-        assert f.outer_iterations <= 2  # exact for p = 2 after one Picard step
+        assert f.outer_iterations == 1  # the energy is quadratic at p = 2: one Newton step
         r = 1.0 + f.sigma
         return float(np.max(np.abs(f.u - (1.0 / r)[:, None])))
 
@@ -95,6 +95,29 @@ class TestSolveValidation:
             sphere_domain(1.0, 2.0), p=1.3, u_R=0.1, shape=(16, 16), max_outer=1
         )
         assert not f.converged
+
+
+class TestNewtonNearOne:
+    """The p -> 1 regime: the ellipsoid at 64 x 32 for p = 1.1 and 1.05."""
+
+    @pytest.fixture(scope="class", params=[1.1, 1.05])
+    def field(self, request):
+        dom = ellipsoid_domain(1.3, 1.0, R=4.0)
+        return solve_2d(dom, p=request.param, u_R=0.05, shape=(64, 32), tol=1e-9)
+
+    def test_converges(self, field):
+        assert field.converged
+        assert field.residual_rel < 1e-9
+        assert field.outer_iterations == len(field.history)
+        assert field.history[-1][1] == field.residual_rel
+        flux = flux_profile(field)
+        assert (flux.max() - flux.min()) / abs(flux.mean()) < 1e-6
+        assert np.all(field.u > 0.0) and np.all(field.u <= 1.0)
+
+    def test_energy_never_increases(self, field):
+        energy = np.array([e for e, _, _ in field.history])
+        assert np.all(np.diff(energy) <= 4.0 * np.spacing(energy[:-1]))
+        assert all(0.0 < step <= 1.0 for _, _, step in field.history)
 
 
 class TestSphereField:
@@ -175,6 +198,17 @@ class TestLevelExtraction:
             extract_level(sphere_field, lo - 0.1)
         with pytest.raises(LevelRangeError):
             extract_level(sphere_field, hi + 0.1)
+
+    def test_ray_search_matches_searchsorted(self, sphere_field):
+        der = sphere_field.derived()
+        w, r = der["w"], der["r"]
+        cols = np.arange(w.shape[1])
+        lo, hi = sphere_field.w_range()
+        for t in lo + (hi - lo) * np.array([1e-9, 0.3, 0.6, 1.0 - 1e-9]):
+            k = np.array([min(max(int(np.searchsorted(w[:, j], t)), 1), w.shape[0] - 1) for j in cols])
+            frac = (t - w[k - 1, cols]) / (w[k, cols] - w[k - 1, cols])
+            expected = r[k - 1, cols] + frac * (r[k, cols] - r[k - 1, cols])
+            assert np.array_equal(sphere_field.level(t, cache=False).r, expected)
 
     def test_non_monotone_ray_detected(self):
         dom = sphere_domain(1.0, 3.0)

@@ -17,6 +17,7 @@ from pcapflow.verify import (
     eps_to_0_suite,
     p_to_1_suite,
     run_experiment,
+    solve_2d_suite,
 )
 
 # every key each experiment accepts, besides "experiment" and "out_prefix"
@@ -243,6 +244,18 @@ class TestSuites:
     def test_eps_list_validation(self, euclid3):
         with pytest.raises(ConfigError):
             eps_to_0_suite(euclid3, 1.0, 3.0, 1.5, [1e-3, 1e-2])
+
+    def test_solve_2d_convergence_check(self):
+        domain = {"shape": "sphere", "r0": 1.0, "R": 4.0}
+        report, _ = solve_2d_suite(domain, 1.5, grid=(32, 16), levels=[0.5])
+        check = report.checks[0]
+        assert check.anchor == "newton-energy-convergence"
+        assert check.threshold == 1e-10  # the tol the solve ran at, not a looser one
+        assert check.verdict == "pass" and check.values["residual_rel"] < check.threshold
+        assert check.values["outer_iterations"] >= 1 and 0.0 < check.values["min_step"] <= 1.0
+        report, _ = solve_2d_suite(domain, 1.5, grid=(32, 16), tol=1e-30, levels=[0.5])
+        check = report.checks[0]
+        assert check.threshold == 1e-30 and check.verdict == "fail"
 
 
 class TestGpIdentityCheck:
