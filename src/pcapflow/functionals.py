@@ -12,7 +12,9 @@ lam = alpha/(n-p) - 1 and G = |grad w|:
 together with the p = 1 analogue F_1, the Hawking mass, the normalized
 Minkowski functional and the Geroch right-hand side.  The derivative
 identity d F_p/dt = e^{lam t} int G^{a+p-3} Q_p is reported as a residual
-column (central differences against the Q_p integral).
+column (central differences against the Q_p integral).  On radial
+potentials every series is evaluated on the whole level grid at once:
+``radial_level`` and the functionals take arrays of levels.
 """
 
 from __future__ import annotations
@@ -121,7 +123,8 @@ class MonotoneSeries:
 
 @dataclass(frozen=True)
 class RadialLevel:
-    """Geometric data of a single round level set of a radial potential."""
+    """Geometric data of the round level sets of a radial potential: floats
+    for one level, arrays (one entry per level) for an array of levels."""
 
     t: float
     r: float
@@ -143,12 +146,12 @@ class RadialLevel:
         return self.area * self.scalar_induced / (4.0 * math.pi)
 
 
-def radial_level(pot: radial.RadialPotential, t: float) -> RadialLevel:
+def radial_level(pot: radial.RadialPotential, t) -> RadialLevel:
     model = pot.manifold
     r = pot.level_radius(t)
     area, scal_ind = geometry.cross_section(model, r)
     return RadialLevel(
-        t=float(t),
+        t=np.asarray(t, dtype=float)[()],
         r=r,
         n=model.n,
         area=area,
@@ -187,8 +190,23 @@ def _require_kind(pot: radial.RadialPotential, kinds: tuple[str, ...], what: str
         raise ValueError(f"{what} requires a solution of kind {kinds}, got '{pot.kind}'")
 
 
-def _radial_machinery(pot: radial.RadialPotential, params: FunctionalParams):
-    """Closures shared by F_p/G_p on a radial solution."""
+def _boundary_density(grad, H, n: int, p: float, alpha: float):
+    """Integrand of the boundary term of F_p on a level:
+    G^{a+p-2} (G ((n-1)/(n-p) - 1/a) - H)."""
+    return grad ** (alpha + p - 2.0) * (grad * ((n - 1.0) / (n - p) - 1.0 / alpha) - H)
+
+
+def _boundary_2d(field2d, params: FunctionalParams, t: float) -> float:
+    """e^{lam t} times the boundary term of F_p on the 2-D level {w = t}."""
+    n, p, alpha = params.n, params.p, params.alpha
+    curve = field2d.level(t)
+    return math.exp((alpha / (n - p) - 1.0) * t) * curve.integrate(_boundary_density(curve.grad, curve.H, n, p, alpha))
+
+
+def _ricci_bulk(pot: radial.RadialPotential, params: FunctionalParams):
+    """t -> int_0^t e^{lam s} int_{w=s} G^{a+p-3} Ric(nu,nu) ds, as the
+    radial integral of e^{lam w} |S^{n-1}| h^{n-1} G^{a+p-2} f Ric from r0
+    to the level radius (one cumulative table; p = 1 gives the F_1 bulk)."""
     model = pot.manifold
     n, p, alpha = params.n, params.p, params.alpha
     if model.n != n:
@@ -196,34 +214,35 @@ def _radial_machinery(pot: radial.RadialPotential, params: FunctionalParams):
     lam = alpha / (n - p) - 1.0
     sphere = geometry.unit_sphere_area(n)
 
-    def boundary(t: float) -> float:
-        lev = radial_level(pot, t)
-        bracket = lev.grad * ((n - 1.0) / (n - p) - 1.0 / alpha) - lev.H
-        return math.exp(lam * t) * lev.area * lev.grad ** (alpha + p - 2.0) * bracket
-
-    def ric_integrand(r: float) -> float:
-        w = pot.w(r)
-        g = pot.grad_norm(r)
-        h = model.h(r)
+    def integrand(r):
         return (
-            math.exp(lam * w)
+            np.exp(lam * pot.w(r))
             * sphere
-            * h ** (n - 1.0)
-            * g ** (alpha + p - 2.0)
+            * model.h(r) ** (n - 1.0)
+            * pot.grad_norm(r) ** (alpha + p - 2.0)
             * model.f(r)
             * geometry.ricci_radial(model, r)
         )
 
-    ric_cum = CumulativeIntegral(ric_integrand, pot.r0, BULK_TOL)
-
-    def bulk(t: float) -> float:
-        return ric_cum(pot.level_radius(t))
-
-    return lam, boundary, bulk
+    cum = CumulativeIntegral(integrand, pot.r0, (pot.r0, pot.R), BULK_TOL)
+    return lambda t: cum(pot.level_radius(t))
 
 
-def Q_p_integral(solution, params: FunctionalParams, t: float) -> float:
-    """int_{w=t} |grad w|^{alpha+p-3} Q_p  (no exponential prefactor)."""
+def _radial_boundary(pot: radial.RadialPotential, params: FunctionalParams):
+    """t -> e^{lam t} times the boundary term of F_p on the radial levels."""
+    n, p, alpha = params.n, params.p, params.alpha
+    lam = alpha / (n - p) - 1.0
+
+    def boundary(t):
+        lev = radial_level(pot, t)
+        return np.exp(lam * t) * lev.area * _boundary_density(lev.grad, lev.H, n, p, alpha)
+
+    return boundary
+
+
+def Q_p_integral(solution, params: FunctionalParams, t):
+    """int_{w=t} |grad w|^{alpha+p-3} Q_p  (no exponential prefactor);
+    levels of a radial solution may come as an array."""
     n, p, alpha = params.n, params.p, params.alpha
     if isinstance(solution, radial.RadialPotential):
         _require_kind(solution, (radial.KIND_P, radial.KIND_EPS), "Q_p_integral")
@@ -241,15 +260,23 @@ def Q_p_integral(solution, params: FunctionalParams, t: float) -> float:
     return curve.integrate(curve.grad ** (alpha + p - 3.0) * qp)
 
 
+def _per_level(fn):
+    """An array version of a functional of one level."""
+    return lambda ts: np.array([fn(t) for t in ts])
+
+
 def _finish_series(name, ts, values, bulk, rhs, fval, step, meta) -> MonotoneSeries:
-    """Assemble a series and fill the central-difference residual column;
-    meta["derivative_step"] is the smallest difference step used."""
+    """Assemble a series and fill the central-difference residual column
+    (``fval`` takes an array of levels); meta["derivative_step"] is the
+    smallest difference step used."""
     residual = np.full(len(ts), np.nan)
-    for i in range(1, len(ts) - 1):
-        d = min(step, 0.45 * (ts[i] - ts[i - 1]), 0.45 * (ts[i + 1] - ts[i]))
-        deriv = (fval(ts[i] + d) - fval(ts[i] - d)) / (2.0 * d)
-        residual[i] = abs(deriv - rhs[i])
-        meta["derivative_step"] = min(d, meta.get("derivative_step", d))
+    if len(ts) > 2:
+        gaps = np.diff(ts)
+        d = np.minimum(step, 0.45 * np.minimum(gaps[:-1], gaps[1:]))
+        inner = ts[1:-1]
+        deriv = (fval(inner + d) - fval(inner - d)) / (2.0 * d)
+        residual[1:-1] = np.abs(deriv - rhs[1:-1])
+        meta["derivative_step"] = float(np.min(d))
     return MonotoneSeries(
         name=name,
         t=np.asarray(ts, dtype=float),
@@ -273,25 +300,18 @@ def F_p(solution, params: FunctionalParams, derivative_step: float = 1e-3) -> Mo
     lam = params.alpha / (params.n - params.p) - 1.0
     if isinstance(solution, radial.RadialPotential):
         _require_kind(solution, (radial.KIND_P, radial.KIND_EPS), "F_p")
-        _, boundary, bulk = _radial_machinery(solution, params)
-        bulks = np.array([bulk(t) for t in ts])
-        values = np.array([boundary(t) for t in ts]) - bulks
-        rhs = np.array([math.exp(lam * t) * Q_p_integral(solution, params, t) for t in ts])
+        boundary = _radial_boundary(solution, params)
+        bulk = _ricci_bulk(solution, params)
+        bulks = bulk(ts)
+        values = boundary(ts) - bulks
+        rhs = np.exp(lam * ts) * Q_p_integral(solution, params, ts)
         meta["model"] = solution.manifold.label
         return _finish_series("F_p", ts, values, bulks, rhs, lambda t: boundary(t) - bulk(t), derivative_step, meta)
     field2d = solution
     if params.n != 3:
         raise ValueError("2-D fields are three dimensional")
-
-    def fval(t: float) -> float:
-        curve = field2d.level(t)
-        n, p, alpha = params.n, params.p, params.alpha
-        integrand = curve.grad ** (alpha + p - 2.0) * (
-            curve.grad * ((n - 1.0) / (n - p) - 1.0 / alpha) - curve.H
-        )
-        return math.exp(lam * t) * curve.integrate(integrand)
-
-    values = np.array([fval(t) for t in ts])
+    fval = _per_level(lambda t: _boundary_2d(field2d, params, t))
+    values = fval(ts)
     bulks = np.zeros_like(values)
     rhs = np.array([math.exp(lam * t) * Q_p_integral(field2d, params, t) for t in ts])
     meta["model"] = field2d.domain.label
@@ -307,36 +327,25 @@ def G_p(solution, params: FunctionalParams, derivative_step: float = 1e-3) -> Mo
     meta = {"p": p, "alpha": alpha}
     if isinstance(solution, radial.RadialPotential):
         _require_kind(solution, (radial.KIND_P, radial.KIND_EPS), "G_p")
-        _, boundary, _ = _radial_machinery(solution, params)
+        boundary = _radial_boundary(solution, params)
 
-        def gval(t: float) -> float:
+        def gval(t):
             lev = radial_level(solution, t)
-            return math.exp(lam * t) * lev.area * lev.grad ** (alpha + p - 1.0)
-
-        def rhs_fn(t: float) -> float:
-            return (gval(t) + alpha * boundary(t)) / (p - 1.0)
+            return np.exp(lam * t) * lev.area * lev.grad ** (alpha + p - 1.0)
 
         meta["model"] = solution.manifold.label
     else:
         field2d = solution
 
-        def gval(t: float) -> float:
+        def gval_one(t: float) -> float:
             curve = field2d.level(t)
             return math.exp(lam * t) * curve.integrate(curve.grad ** (alpha + p - 1.0))
 
-        def boundary2d(t: float) -> float:
-            curve = field2d.level(t)
-            integrand = curve.grad ** (alpha + p - 2.0) * (
-                curve.grad * ((n - 1.0) / (n - p) - 1.0 / alpha) - curve.H
-            )
-            return math.exp(lam * t) * curve.integrate(integrand)
-
-        def rhs_fn(t: float) -> float:
-            return (gval(t) + alpha * boundary2d(t)) / (p - 1.0)
-
+        gval = _per_level(gval_one)
+        boundary = _per_level(lambda t: _boundary_2d(field2d, params, t))
         meta["model"] = field2d.domain.label
-    values = np.array([gval(t) for t in ts])
-    rhs = np.array([rhs_fn(t) for t in ts])
+    values = gval(ts)
+    rhs = (values + alpha * boundary(ts)) / (p - 1.0)
     return _finish_series("G_p", ts, values, np.zeros_like(values), rhs, gval, derivative_step, meta)
 
 
@@ -354,37 +363,18 @@ def F_1(pot: radial.RadialPotential, params: FunctionalParams, derivative_step: 
         raise ValueError("F_1 requires alpha >= 1")
     n, alpha = params.n, params.alpha
     model = pot.manifold
-    if model.n != n:
-        raise ValueError(f"params.n={n} does not match the model dimension {model.n}")
     ts = np.asarray(params.t_grid, dtype=float)
     lam = alpha / (n - 1.0) - 1.0
-    sphere = geometry.unit_sphere_area(n)
+    bulk = _ricci_bulk(pot, params)
 
-    def boundary(t: float, use_H: bool = False) -> float:
+    def boundary(t, use_H: bool = False):
         lev = radial_level(pot, t)
         g = lev.H if use_H else lev.grad
-        return -(1.0 / alpha) * math.exp(lam * t) * lev.area * g**alpha
+        return -(1.0 / alpha) * np.exp(lam * t) * lev.area * g**alpha
 
-    def ric_integrand(r: float) -> float:
-        w = pot.w(r)
-        g = pot.grad_norm(r)
-        return (
-            math.exp(lam * w)
-            * sphere
-            * model.h(r) ** (n - 1.0)
-            * g ** (alpha - 1.0)
-            * model.f(r)
-            * geometry.ricci_radial(model, r)
-        )
-
-    ric_cum = CumulativeIntegral(ric_integrand, pot.r0, BULK_TOL)
-
-    def bulk(t: float) -> float:
-        return ric_cum(pot.level_radius(t))
-
-    bulks = np.array([bulk(t) for t in ts])
-    values = np.array([boundary(t) for t in ts]) - bulks
-    h_form = np.array([boundary(t, use_H=True) for t in ts]) - bulks
+    bulks = bulk(ts)
+    values = boundary(ts) - bulks
+    h_form = boundary(ts, use_H=True) - bulks
     rhs = np.zeros_like(values)  # round levels: grad^T H = 0 and h-ring = 0
     meta = {
         "alpha": alpha,
@@ -395,11 +385,11 @@ def F_1(pot: radial.RadialPotential, params: FunctionalParams, derivative_step: 
     return _finish_series("F_1", ts, values, bulks, rhs, lambda t: boundary(t) - bulk(t), derivative_step, meta)
 
 
-def hawking_mass(area: float, willmore: float) -> float:
-    """sqrt(area/16 pi) (1 - willmore/16 pi), willmore = int H^2."""
-    if area <= 0.0:
+def hawking_mass(area, willmore):
+    """sqrt(area/16 pi) (1 - willmore/16 pi), willmore = int H^2 (elementwise)."""
+    if np.any(np.asarray(area) <= 0.0):
         raise ValueError("area must be positive")
-    return math.sqrt(area / (16.0 * math.pi)) * (1.0 - willmore / (16.0 * math.pi))
+    return np.sqrt(area / (16.0 * math.pi)) * (1.0 - willmore / (16.0 * math.pi))
 
 
 def hawking_series(pot: radial.RadialPotential, t_grid, derivative_step: float = 1e-3) -> MonotoneSeries:
@@ -409,12 +399,12 @@ def hawking_series(pot: radial.RadialPotential, t_grid, derivative_step: float =
         raise ValueError("the Hawking mass is defined for n = 3")
     ts = np.asarray(t_grid, dtype=float)
 
-    def mval(t: float) -> float:
+    def mval(t):
         lev = radial_level(pot, t)
         return hawking_mass(lev.area, lev.willmore)
 
-    values = np.array([mval(t) for t in ts])
-    rhs = np.array([geroch_rhs(radial_level(pot, t)) for t in ts])
+    values = mval(ts)
+    rhs = geroch_rhs(radial_level(pot, ts))
     return _finish_series(
         "hawking_mass",
         ts,
@@ -448,7 +438,7 @@ def geroch_rhs(level) -> float:
     if isinstance(level, RadialLevel):
         if level.n != 3:
             raise ValueError("the Geroch right side is defined for n = 3")
-        if level.H <= 0.0:
+        if np.any(level.H <= 0.0):
             raise ValueError("mean curvature must be positive on the level")
         chi = level.chi_proxy
         integral = level.area * level.scalar
@@ -461,5 +451,5 @@ def geroch_rhs(level) -> float:
             2.0 * level.H_tangential**2 / level.H**2 + level.hring_sq
         )  # ambient scalar curvature vanishes for the flat 2-D solver
         area = level.area_value
-    return math.sqrt(area / (16.0 * math.pi) ** 3) * (4.0 * math.pi * (2.0 - chi) + integral)
+    return np.sqrt(area / (16.0 * math.pi) ** 3) * (4.0 * math.pi * (2.0 - chi) + integral)
 

@@ -2,7 +2,9 @@
 
 A model is the warped product  g = f(r)^2 dr^2 + h(r)^2 g_{S^{n-1}}  on
 r >= r_min, described by the warping functions f, h and their derivatives.
-Sign conventions, asserted in one place by the test suite:
+The warping functions, ``check_radius`` and the curvature helpers take a
+radius or an array of radii.  Sign conventions, asserted in one place by
+the test suite:
 
 * coordinate spheres carry the outward normal, so the mean curvature of a
   round sphere in flat space is H = (n-1)/r > 0;
@@ -27,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numerics import CumulativeIntegral, Tolerance, integrate, natural_cubic_spline
+from .numerics import Tolerance, integrate, natural_cubic_spline
 
 __all__ = [
     "RadialManifold",
@@ -86,16 +88,16 @@ class RadialManifold:
     ricci_fn: Optional[Callable[[float], float]] = None
     scalar_fn: Optional[Callable[[float], float]] = None
 
-    def check_radius(self, r: float) -> float:
-        r = float(r)
-        if r < self.r_min - 1e-12 * (1.0 + abs(self.r_min)):
-            raise DomainError(f"r={r} below r_min={self.r_min} for {self.label}")
-        if r > self.r_max * (1.0 + 1e-12):
-            raise DomainError(f"r={r} beyond tabulated range r_max={self.r_max} for {self.label}")
-        return r
+    def check_radius(self, r):
+        r = np.asarray(r, dtype=float)
+        if np.any(r < self.r_min - 1e-12 * (1.0 + abs(self.r_min))):
+            raise DomainError(f"r={np.min(r)} below r_min={self.r_min} for {self.label}")
+        if np.any(r > self.r_max * (1.0 + 1e-12)):
+            raise DomainError(f"r={np.max(r)} beyond tabulated range r_max={self.r_max} for {self.label}")
+        return r[()]
 
 
-def mean_curvature_sphere(model: RadialManifold, r: float) -> float:
+def mean_curvature_sphere(model: RadialManifold, r):
     """Mean curvature of the coordinate sphere {r} w.r.t. the outward normal."""
     r = model.check_radius(r)
     if model.mean_curvature_fn is not None:
@@ -103,7 +105,7 @@ def mean_curvature_sphere(model: RadialManifold, r: float) -> float:
     return (model.n - 1) * model.dh(r) / (model.f(r) * model.h(r))
 
 
-def ricci_radial(model: RadialManifold, r: float) -> float:
+def ricci_radial(model: RadialManifold, r):
     """Ricci curvature Ric(nu, nu) along the radial unit normal."""
     r = model.check_radius(r)
     if model.ricci_fn is not None:
@@ -113,7 +115,7 @@ def ricci_radial(model: RadialManifold, r: float) -> float:
     return -(model.n - 1) * (model.d2h(r) / (f * f * h) - model.dh(r) * model.df(r) / (f**3 * h))
 
 
-def scalar_curvature(model: RadialManifold, r: float) -> float:
+def scalar_curvature(model: RadialManifold, r):
     """Scalar curvature of the ambient warped product at radius r."""
     r = model.check_radius(r)
     if model.scalar_fn is not None:
@@ -126,7 +128,7 @@ def scalar_curvature(model: RadialManifold, r: float) -> float:
     return 2.0 * (n - 1) * k1 + (n - 1) * (n - 2) * k2
 
 
-def cross_section(model: RadialManifold, r: float) -> tuple[float, float]:
+def cross_section(model: RadialManifold, r) -> tuple:
     """(area, induced scalar curvature) of the coordinate sphere {r}."""
     r = model.check_radius(r)
     h = model.h(r)
@@ -185,8 +187,8 @@ def proper_distance(model: RadialManifold, a: float, b: float, tol: Tolerance = 
     # the floor, so the induced error is ~x_floor^3
     x_floor = 1e-4 * math.sqrt(max(a, 1e-12))
 
-    def regularized(x: float) -> float:
-        x = max(x, x_floor)
+    def regularized(x):
+        x = np.maximum(x, x_floor)
         return 2.0 * x * model.f(a + x * x)
 
     return integrate(regularized, 0.0, math.sqrt(b - a), tol)
@@ -194,19 +196,18 @@ def proper_distance(model: RadialManifold, a: float, b: float, tol: Tolerance = 
 
 def _validate_samples(model: RadialManifold, lo: float, hi: float, samples: int = 128) -> None:
     rs = np.linspace(lo, hi, samples)
-    for r in rs:
-        h = model.h(r)
-        f = model.f(r)
-        if not (h > 0.0):
-            raise ValueError(f"{model.label}: h(r) <= 0 at r={r}")
-        if not (f > 0.0):
-            raise ValueError(f"{model.label}: f(r) <= 0 at r={r}")
-        if model.dh(r) < -1e-12 * max(1.0, abs(h)):
-            raise ValueError(f"{model.label}: h'(r) < 0 at r={r}")
+    h = model.h(rs)
+    f = model.f(rs)
+    checks = [
+        (~(h > 0.0), "h(r) <= 0"),
+        (~(f > 0.0), "f(r) <= 0"),
+        (model.dh(rs) < -1e-12 * np.maximum(1.0, np.abs(h)), "h'(r) < 0"),
+    ]
     if model.nonneg_ricci:
-        for r in rs:
-            if math.isfinite(model.f(r)) and ricci_radial(model, r) < -1e-8:
-                raise ValueError(f"{model.label}: flagged nonneg-Ricci but Ric(nu,nu) < 0 at r={r}")
+        checks.append((np.isfinite(f) & (ricci_radial(model, rs) < -1e-8), "flagged nonneg-Ricci but Ric(nu,nu) < 0"))
+    for bad, what in checks:
+        if np.any(bad):
+            raise ValueError(f"{model.label}: {what} at r={rs[np.argmax(bad)]}")
 
 
 def cone(n: int = 3, aperture: float = 1.0) -> RadialManifold:
@@ -218,11 +219,11 @@ def cone(n: int = 3, aperture: float = 1.0) -> RadialManifold:
     a = float(aperture)
     model = RadialManifold(
         n=n,
-        f=lambda r: 1.0,
+        f=lambda r: 1.0 + 0.0 * r,
         h=lambda r: a * r,
-        df=lambda r: 0.0,
-        dh=lambda r: a,
-        d2h=lambda r: 0.0,
+        df=lambda r: 0.0 * r,
+        dh=lambda r: a + 0.0 * r,
+        d2h=lambda r: 0.0 * r,
         r_min=0.0,
         label=f"cone(n={n}, a={a:g})",
         avr_hint=a ** (n - 1),
@@ -251,28 +252,31 @@ def schwarzschild(mass: float, n: int = 3) -> RadialManifold:
         raise ValueError("mass must be positive")
     m = float(mass)
 
-    def f(r: float) -> float:
-        t = 1.0 - 2.0 * m / r
-        return t ** -0.5 if t > 0.0 else math.inf
+    def f(r):
+        t = 1.0 - 2.0 * m / np.asarray(r, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(t > 0.0, t**-0.5, np.inf)[()]
 
-    def df(r: float) -> float:
+    def df(r):
+        r = np.asarray(r, dtype=float)
         t = 1.0 - 2.0 * m / r
-        return -(m / (r * r)) * t ** -1.5 if t > 0.0 else -math.inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(t > 0.0, -(m / (r * r)) * t**-1.5, -np.inf)[()]
 
     model = RadialManifold(
         n=3,
         f=f,
         h=lambda r: r,
         df=df,
-        dh=lambda r: 1.0,
-        d2h=lambda r: 0.0,
+        dh=lambda r: 1.0 + 0.0 * r,
+        d2h=lambda r: 0.0 * r,
         r_min=2.0 * m,
         label=f"schwarzschild(m={m:g})",
         avr_hint=1.0,
         nonneg_ricci=False,
-        mean_curvature_fn=lambda r: (2.0 / r) * math.sqrt(max(1.0 - 2.0 * m / r, 0.0)),
+        mean_curvature_fn=lambda r: (2.0 / r) * np.sqrt(np.maximum(1.0 - 2.0 * m / r, 0.0)),
         ricci_fn=lambda r: -2.0 * m / r**3,
-        scalar_fn=lambda r: 0.0,
+        scalar_fn=lambda r: 0.0 * r,
     )
     _validate_samples(model, 2.0 * m * 1.001, 2.0 * m * 50.0)
     return model
@@ -311,10 +315,11 @@ def tabulated(
     r_lo, r_hi = float(rs[0]), float(rs[-1])
 
     def guard(fn):
-        def wrapped(r: float) -> float:
-            if r < r_lo - 1e-9 * (1 + abs(r_lo)) or r > r_hi + 1e-9 * (1 + abs(r_hi)):
-                raise DomainError(f"r={r} outside tabulated range [{r_lo}, {r_hi}]")
-            return float(fn(r))
+        def wrapped(r):
+            r = np.asarray(r, dtype=float)
+            if np.any(r < r_lo - 1e-9 * (1 + abs(r_lo))) or np.any(r > r_hi + 1e-9 * (1 + abs(r_hi))):
+                raise DomainError(f"r in [{np.min(r)}, {np.max(r)}] outside tabulated range [{r_lo}, {r_hi}]")
+            return fn(r)[()]
 
         return wrapped
 

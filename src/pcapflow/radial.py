@@ -5,15 +5,21 @@ With u = e^{-w/(p-1)} the p-harmonic equation integrates to the flux relation
 
     h^{n-1} |u'/f|^{p-2} (u'/f) = -C,
 
-so u(r) = 1 - B * I(r) with I(r) = int_{r0}^r f h^{-(n-1)/(p-1)} and
-C = B^{p-1}.  The regularized problem replaces |s|^{p-2} s by
+so u(r) = u_R + B * T(r) with the tail T(r) = int_r^R f h^{-(n-1)/(p-1)}
+and C = B^{p-1}.  T is tabulated on panels as log T, so u = e^{-w/(p-1)}
+is never formed where it would underflow: w = -(p-1) log u comes straight
+from log-sum-exp.  The regularized problem replaces |s|^{p-2} s by
 (s^2 + eps^2)^{(p-2)/2} s and is solved by shooting on C, recovering the
 slope from the (monotone) regularized flux relation at every radius.  The
 inverse-mean-curvature potential is explicit: w1 = (n-1) ln(h(r)/h(r0)).
+
+Every evaluator takes a radius or an array of radii (a level or an array of
+levels for ``level_radius``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -21,13 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import geometry
-from .numerics import (
-    BracketError,
-    CumulativeIntegral,
-    Tolerance,
-    find_root,
-    integrate,
-)
+from .numerics import CumulativeIntegral, Tolerance, find_root, integrate
 
 __all__ = [
     "RadialPotential",
@@ -44,10 +44,13 @@ KIND_P = "p-potential"
 KIND_IMCF = "imcf"
 KIND_EPS = "eps-regularized"
 
-# profile integrands span many decades when p is near 1 (h^{-kappa} with
-# kappa = (n-1)/(p-1)), so the quadrature must be purely relative: any
-# absolute floor would accept tail chunks at garbage relative accuracy
+# the log tails are refined to 1e-12 relative per panel; the integrand spans
+# many decades when p is near 1 (h^{-kappa}, kappa = (n-1)/(p-1)), so any
+# absolute floor would accept tail panels at garbage relative accuracy
 SOLVE_TOL = Tolerance(abs_tol=1e-300, rel_tol=1e-12, max_iter=200)
+
+# e-folds of h^{-kappa} per initial tail panel
+_EFOLDS_PER_PANEL = 4.0
 
 
 class NotOutwardMinimizing(RuntimeError):
@@ -62,6 +65,17 @@ class CapacityConsistencyError(RuntimeError):
     """The capacity read off at several cross sections disagrees."""
 
 
+def _scalar_or_array(fn):
+    """Evaluate fn on an array; return a float for a scalar argument."""
+
+    @functools.wraps(fn)
+    def wrapped(self, x):
+        out = fn(self, np.asarray(x, dtype=float))
+        return float(out) if np.ndim(x) == 0 else out
+
+    return wrapped
+
+
 @dataclass
 class RadialPotential:
     """A solved radial level-set potential with quadrature-backed evaluators.
@@ -69,6 +83,8 @@ class RadialPotential:
     w increases from w(r0) = 0 to w(R) = phi_R; grad_norm is |grad w|;
     u = e^{-w/(p-1)} where a p (or regularization) is present; theta is the
     regularization weight eps^2 / (|grad u|^2 + eps^2) for the eps kind.
+    ``_seed`` holds increasing radii and the values of w there, which
+    bracket the Newton steps of ``level_radius``.
     """
 
     manifold: geometry.RadialManifold
@@ -79,51 +95,70 @@ class RadialPotential:
     p: Optional[float] = None
     eps: Optional[float] = None
     flux: Optional[float] = None
-    _w: Callable[[float], float] = field(default=None, repr=False)
-    _grad: Callable[[float], float] = field(default=None, repr=False)
-    _dgrad: Callable[[float], float] = field(default=None, repr=False)
-    _u: Optional[Callable[[float], float]] = field(default=None, repr=False)
-    _theta: Optional[Callable[[float], float]] = field(default=None, repr=False)
-    _level: Optional[Callable[[float], float]] = field(default=None, repr=False)
+    _w: Callable[[np.ndarray], np.ndarray] = field(default=None, repr=False)
+    _grad: Callable[[np.ndarray], np.ndarray] = field(default=None, repr=False)
+    _dgrad: Callable[[np.ndarray], np.ndarray] = field(default=None, repr=False)
+    _u: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
+    _theta: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
+    _seed: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
 
-    def _check(self, r: float) -> float:
-        r = float(r)
+    def _check(self, r: np.ndarray) -> np.ndarray:
         pad = 1e-9 * (self.R - self.r0)
-        if r < self.r0 - pad or r > self.R + pad:
-            raise geometry.DomainError(f"r={r} outside the annulus [{self.r0}, {self.R}]")
-        return min(max(r, self.r0), self.R)
+        if np.any(r < self.r0 - pad) or np.any(r > self.R + pad):
+            bad = r[(r < self.r0 - pad) | (r > self.R + pad)].flat[0]
+            raise geometry.DomainError(f"r={bad} outside the annulus [{self.r0}, {self.R}]")
+        return np.clip(r, self.r0, self.R)
 
-    def w(self, r: float) -> float:
+    @_scalar_or_array
+    def w(self, r):
         return self._w(self._check(r))
 
-    def grad_norm(self, r: float) -> float:
+    @_scalar_or_array
+    def grad_norm(self, r):
         return self._grad(self._check(r))
 
-    def grad_norm_derivative(self, r: float) -> float:
+    @_scalar_or_array
+    def grad_norm_derivative(self, r):
         """d|grad w|/dr, in closed form from the flux relation."""
         return self._dgrad(self._check(r))
 
-    def u(self, r: float) -> float:
+    @_scalar_or_array
+    def u(self, r):
         if self._u is None:
             raise ValueError(f"u is not defined for kind '{self.kind}'")
         return self._u(self._check(r))
 
-    def theta(self, r: float) -> float:
+    @_scalar_or_array
+    def theta(self, r):
         if self._theta is None:
             raise ValueError(f"theta is only defined for the {KIND_EPS} kind")
         return self._theta(self._check(r))
 
-    def level_radius(self, t: float) -> float:
-        """Radius of the level set {w = t}."""
-        t = float(t)
-        if t < -1e-12 or t > self.phi_R + 1e-12:
-            raise ValueError(f"level t={t} outside [0, {self.phi_R}]")
-        if t <= 0.0:
-            return self.r0
-        if self._level is not None:
-            return self._level(t)
-        tol = Tolerance(abs_tol=1e-13 * max(1.0, self.R), rel_tol=1e-14, max_iter=200)
-        return find_root(lambda r: self._w(r) - t, self.r0, self.R, tol)
+    @_scalar_or_array
+    def level_radius(self, t):
+        """Radius of the level set {w = t}: safeguarded Newton steps with
+        dw/dr = f |grad w|, inside the seed bracket around t."""
+        if np.any(t < -1e-12) or np.any(t > self.phi_R + 1e-12):
+            bad = t[(t < -1e-12) | (t > self.phi_R + 1e-12)].flat[0]
+            raise ValueError(f"level t={bad} outside [0, {self.phi_R}]")
+        rs, ws = self._seed
+        k = np.clip(np.searchsorted(ws, t) - 1, 0, len(rs) - 2)
+        lo, hi, wlo, whi = rs[k], rs[k + 1], ws[k], ws[k + 1]
+        r = lo + (hi - lo) * np.clip((t - wlo) / np.where(whi > wlo, whi - wlo, 1.0), 0.0, 1.0)
+        step_tol = 1e-14 * max(1.0, self.R)
+        for _ in range(100):
+            w = self._w(r)
+            below = w < t
+            lo = np.where(below, r, lo)
+            hi = np.where(below, hi, r)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                nxt = r - (w - t) / (self.manifold.f(r) * self._grad(r))
+            nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+            done = np.abs(nxt - r) <= step_tol
+            r = nxt
+            if np.all(done):
+                break
+        return np.where(t <= 0.0, self.r0, np.where(t >= self.phi_R, self.R, r))
 
     @property
     def T_max(self) -> float:
@@ -144,6 +179,51 @@ def _check_annulus(model: geometry.RadialManifold, r0: float, R: float) -> None:
         raise geometry.DomainError(
             f"f({r0}) is not finite; start the annulus strictly inside the working range"
         )
+    if not model.h(r0) > 0.0:
+        raise geometry.DomainError(f"h({r0}) = 0; start the annulus away from the tip")
+
+
+def _tail_edges(model: geometry.RadialManifold, r0: float, R: float, kappa: float) -> np.ndarray:
+    """Initial tail panels on [r0, R], geometric in r, about
+    _EFOLDS_PER_PANEL e-folds of h^{-kappa} each."""
+    efolds = kappa * math.log(model.h(R) / model.h(r0))
+    count = max(2, math.ceil(efolds / _EFOLDS_PER_PANEL))
+    edges = np.geomspace(r0, R, count + 1) if r0 > 0.0 else np.linspace(r0, R, count + 1)
+    edges[0], edges[-1] = r0, R
+    return edges
+
+
+def _log_tail_potential(model, r0, R, p, phi_R, tail, shift, log_slope, dlog_slope, kind, **extra) -> RadialPotential:
+    """Potential with u = u_R + int_r^R f q, where log q = log_slope(r) with
+    derivative dlog_slope(r), and the log of the tail is shift + tail(r)
+    (``tail`` a log-mode CumulativeIntegral anchored at R).  w, u and
+    |grad w| = (p-1) q / u come from logs, so nothing underflows."""
+    log_uR = -phi_R / (p - 1.0)
+
+    def log_u(r):
+        return np.logaddexp(log_uR, shift + tail(r))
+
+    def grad(r):
+        return (p - 1.0) * np.exp(log_slope(r) - log_u(r))
+
+    def dgrad(r):
+        g = grad(r)
+        return g * (dlog_slope(r) + model.f(r) * g / (p - 1.0))
+
+    return RadialPotential(
+        manifold=model,
+        kind=kind,
+        r0=float(r0),
+        R=float(R),
+        phi_R=float(phi_R),
+        p=float(p),
+        _w=lambda r: -(p - 1.0) * log_u(r),
+        _grad=grad,
+        _dgrad=dgrad,
+        _u=lambda r: np.exp(log_u(r)),
+        _seed=(tail.edges, -(p - 1.0) * np.logaddexp(log_uR, shift + tail.at_edges)),
+        **extra,
+    )
 
 
 def solve_wp(
@@ -152,7 +232,6 @@ def solve_wp(
     R: float,
     p: float,
     phi_R: Optional[float] = None,
-    tol: Tolerance = SOLVE_TOL,
 ) -> RadialPotential:
     """Radial p-capacitary potential on the annulus [r0, R], p in (1, 2]."""
     _check_annulus(model, r0, R)
@@ -162,40 +241,25 @@ def solve_wp(
         phi_R = _default_phi(model, r0, R)
     if not phi_R > 0.0:
         raise ValueError(f"phi_R={phi_R} must be positive")
-    n = model.n
-    kappa = (n - 1.0) / (p - 1.0)
-    u_R = math.exp(-phi_R / (p - 1.0))
-    if u_R == 0.0:
-        raise ValueError(f"phi_R={phi_R} underflows exp(-phi_R/(p-1)) at p={p}")
-    # accumulate the profile integral from the outer shell inward: then
-    # u = u_R + B * tail is a sum of positive terms and stays accurate down
-    # to underflow, where 1 - B * I(r) would cancel catastrophically
-    cum = CumulativeIntegral(lambda s: model.f(s) * model.h(s) ** -kappa, R, tol, sided=True)
-    IR = -cum(r0)
-    B = (1.0 - u_R) / IR
+    kappa = (model.n - 1.0) / (p - 1.0)
+    tail = CumulativeIntegral(
+        lambda s: np.log(model.f(s)) - kappa * np.log(model.h(s)),
+        R,
+        _tail_edges(model, r0, R, kappa),
+        SOLVE_TOL,
+        log=True,
+    )
+    # u = u_R + B T(r) with B = (1 - u_R) / T(r0)
+    log_B = math.log1p(-math.exp(-phi_R / (p - 1.0))) - float(tail(r0))
 
-    def u(r: float) -> float:
-        return u_R - B * cum(r)
+    def log_slope(r):
+        return log_B - kappa * np.log(model.h(r))
 
-    def grad(r: float) -> float:
-        return (p - 1.0) * B * model.h(r) ** -kappa / u(r)
+    def dlog_slope(r):
+        return -kappa * model.dh(r) / model.h(r)
 
-    def dgrad(r: float) -> float:
-        g = grad(r)
-        return g * (-kappa * model.dh(r) / model.h(r) + model.f(r) * g / (p - 1.0))
-
-    return RadialPotential(
-        manifold=model,
-        kind=KIND_P,
-        r0=float(r0),
-        R=float(R),
-        phi_R=float(phi_R),
-        p=float(p),
-        flux=B ** (p - 1.0),
-        _w=lambda r: -(p - 1.0) * math.log(u(r)),
-        _grad=grad,
-        _dgrad=dgrad,
-        _u=u,
+    return _log_tail_potential(
+        model, r0, R, p, phi_R, tail, log_B, log_slope, dlog_slope, KIND_P, flux=math.exp((p - 1.0) * log_B)
     )
 
 
@@ -210,24 +274,24 @@ def solve_w1(model: geometry.RadialManifold, r0: float, R: float) -> RadialPoten
     if not r0 < R:
         raise ValueError(f"need r0 < R, got [{r0}, {R}]")
     n = model.n
-    for r in np.linspace(r0, R, 256):
-        if model.dh(r) <= 0.0:
-            raise NotOutwardMinimizing(f"h'(r) <= 0 at r={r}: flow is not outward minimizing")
+    rs = np.linspace(r0, R, 256)
+    slopes = model.dh(rs)
+    if np.any(slopes <= 0.0):
+        bad = rs[np.argmax(slopes <= 0.0)]
+        raise NotOutwardMinimizing(f"h'(r) <= 0 at r={bad}: flow is not outward minimizing")
     h0 = model.h(r0)
 
-    def grad(r: float) -> float:
+    def w(r):
+        return (n - 1.0) * np.log(model.h(r) / h0)
+
+    def grad(r):
         return (n - 1.0) * model.dh(r) / (model.f(r) * model.h(r))
 
-    def dgrad(r: float) -> float:
+    def dgrad(r):
         f = model.f(r)
         h = model.h(r)
         dh = model.dh(r)
         return (n - 1.0) * (model.d2h(r) / (f * h) - dh * model.df(r) / (f * f * h) - dh * dh / (f * h * h))
-
-    def level(t: float) -> float:
-        target = h0 * math.exp(t / (n - 1.0))
-        tol = Tolerance(abs_tol=1e-13 * max(1.0, R), rel_tol=1e-14, max_iter=200)
-        return find_root(lambda r: model.h(r) - target, r0, R, tol)
 
     return RadialPotential(
         manifold=model,
@@ -235,47 +299,32 @@ def solve_w1(model: geometry.RadialManifold, r0: float, R: float) -> RadialPoten
         r0=float(r0),
         R=float(R),
         phi_R=(n - 1.0) * math.log(model.h(R) / h0),
-        _w=lambda r: (n - 1.0) * math.log(model.h(r) / h0),
+        _w=w,
         _grad=grad,
         _dgrad=dgrad,
-        _level=level,
+        _seed=(rs, w(rs)),
     )
 
 
-def _regularized_slope(m: float, p: float, eps: float) -> float:
-    """Solve (q^2 + eps^2)^((p-2)/2) q = m for q >= 0 (monotone in q).
+def _regularized_log_slope(log_m: np.ndarray, p: float, eps: float) -> np.ndarray:
+    """log q for (q^2 + eps^2)^((p-2)/2) q = m, elementwise over log m.
 
-    Newton from the unregularized start q0 = m^(1/(p-1)) (a lower bound for
-    p <= 2), with a bracketed fallback.
+    In y = log q the defect F(y) = (p-2)/2 log(e^{2y} + eps^2) + y - log m
+    is increasing (F' in [p-1, 1]) and concave, so Newton steps from the
+    unregularized start y0 = log m / (p-1), where F <= 0 for p <= 2, rise
+    monotonically to the root.
     """
-    if m <= 0.0:
-        return 0.0
-    if p == 2.0:
-        return m
-
-    def phi(q: float) -> float:
-        return (q * q + eps * eps) ** ((p - 2.0) / 2.0) * q
-
-    def dphi(q: float) -> float:
-        s = q * q + eps * eps
-        return s ** ((p - 4.0) / 2.0) * ((p - 1.0) * q * q + eps * eps)
-
-    q = m ** (1.0 / (p - 1.0))
-    for _ in range(12):
-        step = (phi(q) - m) / dphi(q)
-        q_new = q - step
-        if q_new <= 0.0:
+    y = log_m / (p - 1.0)
+    log_eps2 = 2.0 * math.log(eps)
+    for _ in range(100):
+        s = np.logaddexp(2.0 * y, log_eps2)
+        defect = 0.5 * (p - 2.0) * s + y - log_m
+        slope = 1.0 - (2.0 - p) * np.exp(2.0 * y - s)
+        step = defect / slope
+        y = y - step
+        if np.all(np.abs(step) <= 1e-14 * np.maximum(1.0, np.abs(y))):
             break
-        if abs(step) <= 1e-14 * q_new:
-            return q_new
-        q = q_new
-    lo = m ** (1.0 / (p - 1.0))
-    hi = lo
-    for _ in range(200):
-        if phi(hi) >= m:
-            break
-        hi *= 2.0
-    return find_root(lambda s: phi(s) - m, lo, hi, Tolerance(1e-15, 1e-14, 200))
+    return y
 
 
 def solve_wp_eps(
@@ -285,7 +334,6 @@ def solve_wp_eps(
     p: float,
     eps: float,
     phi_R: Optional[float] = None,
-    tol: Tolerance = SOLVE_TOL,
 ) -> RadialPotential:
     """Regularized radial potential: shooting on the flux constant C.
 
@@ -301,70 +349,49 @@ def solve_wp_eps(
         phi_R = _default_phi(model, r0, R)
     n = model.n
     u_R = math.exp(-phi_R / (p - 1.0))
-    base = solve_wp(model, r0, R, p, phi_R, tol)
-    C0 = base.flux
+    C0 = solve_wp(model, r0, R, p, phi_R).flux
 
-    def q_at(r: float, C: float) -> float:
-        return _regularized_slope(C / model.h(r) ** (n - 1.0), p, eps)
+    def log_q(r, log_C):
+        return _regularized_log_slope(log_C - (n - 1.0) * np.log(model.h(r)), p, eps)
 
-    def u_end_defect(C: float) -> float:
-        drop = integrate(lambda s: model.f(s) * q_at(s, C), r0, R, tol)
+    def u_end_defect(log_C: float) -> float:
+        drop = integrate(lambda s: model.f(s) * np.exp(log_q(s, log_C)), r0, R, SOLVE_TOL)
         return (1.0 - drop) - u_R
 
     # u(R; C0) <= u_R for the regularized slope, so C0 brackets from above
     lo_exp, hi_exp = math.log(C0), math.log(C0)
     for _ in range(80):
-        if u_end_defect(math.exp(lo_exp)) >= 0.0:
+        if u_end_defect(lo_exp) >= 0.0:
             break
         lo_exp -= math.log(2.0)
     else:
         raise ShootingError("could not bracket the flux constant from below")
     for _ in range(80):
-        if u_end_defect(math.exp(hi_exp)) <= 0.0:
+        if u_end_defect(hi_exp) <= 0.0:
             break
         hi_exp += math.log(2.0)
     else:
         raise ShootingError("could not bracket the flux constant from above")
-    x = find_root(lambda y: u_end_defect(math.exp(y)), lo_exp, hi_exp, Tolerance(1e-13, 1e-13, 200))
-    C = math.exp(x)
+    log_C = find_root(u_end_defect, lo_exp, hi_exp, Tolerance(1e-13, 1e-13, 200))
 
-    # same tail accumulation as solve_wp: u = u_R + positive tail, safe from
-    # the 1 - cum cancellation when the outer datum is tiny (p near 1)
-    cum = CumulativeIntegral(lambda s: model.f(s) * q_at(s, C), R, tol, sided=True)
+    def log_slope(r):
+        return log_q(r, log_C)
 
-    def u(r: float) -> float:
-        return u_R - cum(r)
+    kappa = (n - 1.0) / (p - 1.0)
+    tail = CumulativeIntegral(
+        lambda s: np.log(model.f(s)) + log_slope(s), R, _tail_edges(model, r0, R, kappa), SOLVE_TOL, log=True
+    )
 
-    def q_fn(r: float) -> float:
-        return q_at(r, C)
+    def theta(r):
+        y = log_slope(r)
+        return np.exp(2.0 * math.log(eps) - np.logaddexp(2.0 * y, 2.0 * math.log(eps)))
 
-    def theta(r: float) -> float:
-        q = q_fn(r)
-        return eps * eps / (q * q + eps * eps)
+    def dlog_slope(r):
+        return -(n - 1.0) * (model.dh(r) / model.h(r)) / ((p - 1.0) + (2.0 - p) * theta(r))
 
-    def grad(r: float) -> float:
-        return (p - 1.0) * q_fn(r) / u(r)
-
-    def dgrad(r: float) -> float:
-        q = q_fn(r)
-        th = theta(r)
-        dq_over_q = -(n - 1.0) * (model.dh(r) / model.h(r)) / ((p - 1.0) + (2.0 - p) * th)
-        return grad(r) * (dq_over_q + model.f(r) * q / u(r))
-
-    return RadialPotential(
-        manifold=model,
-        kind=KIND_EPS,
-        r0=float(r0),
-        R=float(R),
-        phi_R=float(phi_R),
-        p=float(p),
-        eps=float(eps),
-        flux=C,
-        _w=lambda r: -(p - 1.0) * math.log(u(r)),
-        _grad=grad,
-        _dgrad=dgrad,
-        _u=u,
-        _theta=theta,
+    return _log_tail_potential(
+        model, r0, R, p, phi_R, tail, 0.0, log_slope, dlog_slope, KIND_EPS,
+        eps=float(eps), flux=math.exp(log_C), _theta=theta,
     )
 
 
@@ -395,19 +422,17 @@ def capacity(
         raise ValueError(f"need 0 <= t < T <= phi_R, got t={t}, T={T}, phi_R={pot.phi_R}")
     if taus is None:
         taus = (0.0, 0.5 * T, 0.75 * T)
-    vals = []
-    for tau in taus:
-        if not 0.0 <= tau <= pot.phi_R + 1e-12:
-            raise ValueError(f"tau={tau} outside [0, phi_R]")
-        r_tau = pot.level_radius(tau)
-        g = pot.grad_norm(r_tau)
-        h = pot.manifold.h(r_tau)
-        vals.append(math.exp(-tau) * h ** (n - 1.0) * (g / (n - p)) ** (p - 1.0))
-    denom = (math.exp(-t / (p - 1.0)) - math.exp(-T / (p - 1.0))) ** (p - 1.0)
-    caps = [v / denom for v in vals]
-    spread = (max(caps) - min(caps)) / max(abs(caps[0]), 1e-300)
+    taus = np.asarray(taus, dtype=float)
+    if np.any(taus < 0.0) or np.any(taus > pot.phi_R + 1e-12):
+        raise ValueError(f"taus {taus.tolist()} outside [0, phi_R]")
+    r_tau = pot.level_radius(taus)
+    flux = np.exp(-taus) * pot.manifold.h(r_tau) ** (n - 1.0) * (pot.grad_norm(r_tau) / (n - p)) ** (p - 1.0)
+    # (e^{-t/(p-1)} - e^{-T/(p-1)})^{p-1}, through logs so p near 1 cannot underflow
+    denom = math.exp(-t + (p - 1.0) * math.log1p(-math.exp(-(T - t) / (p - 1.0))))
+    caps = flux / denom
+    spread = (np.max(caps) - np.min(caps)) / max(abs(caps[0]), 1e-300)
     if spread > 1e-8:
         raise CapacityConsistencyError(
-            f"capacity values disagree across cross sections: {caps} (relative spread {spread:.3e})"
+            f"capacity values disagree across cross sections: {caps.tolist()} (relative spread {spread:.3e})"
         )
-    return sum(caps) / len(caps)
+    return float(np.mean(caps))

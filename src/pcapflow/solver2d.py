@@ -650,17 +650,14 @@ def field_from_radial(domain: AxisymmetricDomain, shape: tuple[int, int], pot) -
     be measured in isolation.
     """
     Nsigma, Ntheta = shape
-    mesh = _Mesh(domain, Nsigma, Ntheta)
-    rho = np.asarray(domain.rho(mesh.theta), dtype=float)[None, :]
-    r = rho + mesh.sigma[:, None] * (domain.R - rho)
+    sigma = np.linspace(0.0, 1.0, Nsigma + 1)
+    rho = np.asarray(domain.rho(np.linspace(0.0, math.pi, Ntheta + 1)), dtype=float)[None, :]
+    r = rho + sigma[:, None] * (domain.R - rho)
     if pot.r0 > float(np.min(rho)) + 1e-12 or pot.R < domain.R - 1e-12:
         raise Solver2DError(
             f"radial annulus [{pot.r0}, {pot.R}] does not cover the domain [{float(np.min(rho))}, {domain.R}]"
         )
-    u = np.empty_like(r)
-    flat = u.ravel()
-    for i, rv in enumerate(r.ravel()):
-        flat[i] = pot.u(rv)
+    u = pot.u(r)
     return Field2D(
         domain=domain,
         p=float(pot.p),

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,9 +67,18 @@ class TestSolveWp:
             expect = u_R + (1.0 - u_R) * tail / norm
             assert pot.u(r) == pytest.approx(expect, rel=1e-9)
 
-    def test_underflowing_datum_rejected(self, euclid3):
-        with pytest.raises(ValueError, match="underflow"):
-            solve_wp(euclid3, 1.0, 8.0, 1.01, phi_R=50.0)
+    def test_underflowing_datum_solves(self, euclid3):
+        # u_R = exp(-phi_R/(p-1)) = e^-5000 underflows; w comes from log u
+        p, k = 1.01, 200.0
+        pot = solve_wp(euclid3, 1.0, 8.0, p, phi_R=50.0)
+        rs = np.array([1.0, 1.5, 3.0, 7.9, 8.0])
+        # u = u_R + (1 - u_R) (r^{1-k} - 8^{1-k}) / (1 - 8^{1-k}), as logs
+        with np.errstate(divide="ignore"):
+            log_tail = (1.0 - k) * np.log(rs) + np.log1p(-((rs / 8.0) ** (k - 1.0))) - math.log1p(-(8.0 ** (1.0 - k)))
+        exact = -(p - 1.0) * np.logaddexp(-50.0 / (p - 1.0), log_tail)
+        assert np.allclose(pot.w(rs), exact, rtol=1e-13, atol=1e-14)
+        assert pot.w(8.0) == 50.0
+        assert pot.u(8.0) == 0.0  # the true value, e^-5000, is below the smallest double
 
     def test_p_range_validation(self, euclid3):
         for bad in (1.0, 0.5, 2.5):
@@ -88,6 +98,56 @@ class TestSolveWp:
             assert pot.w(r) == pytest.approx(t, abs=1e-10)
         with pytest.raises(ValueError):
             pot.level_radius(pot.T_max + 1.0)
+
+
+class TestNearOne:
+    """The p -> 1 limit: the log tail has no underflow to hit."""
+
+    @pytest.mark.parametrize("p", [1.0 + 1e-3, 1.0 + 1e-4, 1.0 + 1e-5])
+    def test_flat_scale_invariant(self, euclid3, p):
+        pot = solve_wp(euclid3, 1.0, 4.0, p, phi_R=(3.0 - p) * math.log(4.0))
+        rs = np.linspace(1.0, 4.0, 257)
+        assert np.max(np.abs(pot.w(rs) - (3.0 - p) * np.log(rs))) < 1e-12
+        ts = np.linspace(0.0, pot.phi_R, 33)
+        assert np.allclose(pot.level_radius(ts), np.exp(ts / (3.0 - p)), rtol=1e-13, atol=0.0)
+        # |grad w| loses about kappa*eps: the exponent is kappa ln h
+        kappa = 2.0 / (p - 1.0)
+        assert np.allclose(pot.grad_norm(rs), (3.0 - p) / rs, rtol=kappa * 1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("p", [1.5, 1.1, 1.01])
+    def test_schwarzschild_u_against_mpmath(self, schw1, p):
+        # u = u_R + (1 - u_R) T(r) / T(r0), T(r) = int_r^R f h^-kappa at 30 digits
+        r0, R = 2.2, 12.0
+        pot = solve_wp(schw1, r0, R, p)
+        radii = list(np.geomspace(r0, R, 17))
+        with mpmath.workdps(30):
+            kappa = 2 / (mpmath.mpf(p) - 1)
+            fn = lambda s: (1 - 2 / s) ** mpmath.mpf(-0.5) * s ** (-kappa)
+            tails = [mpmath.mpf(0)]
+            for a, b in zip(radii[-2::-1], radii[:0:-1]):
+                pts = [a * (b / a) ** (mpmath.mpf(j) / 40) for j in range(41)]
+                tails.insert(0, tails[0] + mpmath.quad(fn, pts, method="gauss-legendre"))
+            u_R = mpmath.exp(-2 * mpmath.log(mpmath.mpf(R) / mpmath.mpf(r0)) / (mpmath.mpf(p) - 1))
+            exact = [u_R + (1 - u_R) * t / tails[0] for t in tails]
+            worst = max(abs(mpmath.mpf(v) / e - 1) for v, e in zip(pot.u(np.array(radii)), exact))
+        assert worst < 1e-13
+
+    def test_array_calls_equal_scalar_calls(self, schw1):
+        pots = [solve_wp(schw1, 2.2, 8.0, 1.3), solve_w1(schw1, 2.2, 8.0), solve_wp_eps(schw1, 2.2, 8.0, 1.3, 1e-3)]
+        rs = np.linspace(2.2, 8.0, 7)
+        for pot in pots:
+            names = ["w", "grad_norm", "grad_norm_derivative"] + (["u"] if pot.kind != KIND_IMCF else [])
+            names += ["theta"] if pot.kind == KIND_EPS else []
+            for name in names:
+                fn = getattr(pot, name)
+                arr = fn(rs)
+                assert arr.shape == rs.shape
+                assert all(isinstance(fn(r), float) for r in rs)
+                # numpy's array loops may round differently from its scalar ones
+                assert np.allclose(arr, [fn(r) for r in rs], rtol=1e-14, atol=1e-15), name
+            ts = np.linspace(0.0, pot.phi_R, 7)
+            assert np.allclose(pot.level_radius(ts), [pot.level_radius(t) for t in ts], rtol=1e-14, atol=0.0)
+            assert np.allclose(pot.w(pot.level_radius(ts)), ts, rtol=0.0, atol=1e-12)
 
 
 class TestSolveW1:

@@ -228,6 +228,23 @@ class TestSuites:
         finals = sup.values["sup_w"]
         assert finals[-1] == pytest.approx(0.1 * math.log(2.0), rel=1e-6)
 
+    def test_p_to_1_flat_closed_forms(self, euclid3):
+        # scale-invariant flat datum: w_p = (3-p) ln r and w_1 = 2 ln r on
+        # [1, 4], so every column has a closed form; the sup and gradient
+        # columns are pinned to 1e-12 relative, the level integrals (whose
+        # integrands cancel to (p-1)/r) to 1e-11
+        ps = [1.2, 1.1, 1.05, 1.01]
+        _, tables = p_to_1_suite(euclid3, 1.0, 4.0, ps, phi_mode="scale-invariant", thresholds={"sup_w": 8e-3})
+        for p, sup, l2, l4, cap_gap, h_def, a_def in tables["table"][1]:
+            T = 0.8 * (3.0 - p) * math.log(2.5)  # the level window 0.8 w_p(5/2)
+            assert sup == pytest.approx((p - 1.0) * math.log(2.0), rel=1e-12)
+            assert l2 == pytest.approx((p - 1.0) * math.sqrt(4.0 * math.pi), rel=1e-12)
+            assert l4 == pytest.approx((p - 1.0) * (2.0 * math.pi) ** 0.25, rel=1e-12)
+            assert cap_gap == pytest.approx((1.0 - math.exp(-0.2 / (p - 1.0))) ** (1.0 - p) - 1.0, abs=1e-14)
+            assert h_def == pytest.approx(4.0 * math.pi * (p - 1.0) ** 2 * T, rel=1e-11)
+            area = 4.0 * math.pi * (0.5 * (3.0 - p) * math.expm1(2.0 * T / (3.0 - p)) - math.expm1(T))
+            assert a_def == pytest.approx(area, rel=1e-11)
+
     def test_p_list_validation(self, euclid3):
         with pytest.raises(ConfigError):
             p_to_1_suite(euclid3, 1.0, 4.0, [1.5])
