@@ -34,12 +34,13 @@ def main():
         print("%-5d %-23.16e %-10.3e %g" % (k, energy, residual, step))
     lo, hi = field.w_range()
     ts = np.linspace(lo + 0.2 * (hi - lo), lo + 0.8 * (hi - lo), 6)
-    geom = solver2d.level_functionals(field, ts, alpha=args.alpha)
     print("t        area       willmore   sc_top/8pi  hring^2")
-    for k, curve in enumerate(geom.curves):
+    for t in ts:
+        curve = field.level(t)
+        gb = curve.sc_top_integral / (8 * np.pi)
         print(
             "%-8.4f %-10.5f %-10.5f %-11.6f %.3e"
-            % (curve.t, curve.area_value, curve.willmore, curve.sc_top_integral / (8 * np.pi), geom.hring_int[k])
+            % (curve.t, curve.area, curve.willmore, gb, curve.integrate(curve.hring_sq))
         )
     res = solver2d.divergence_residuals(field, alpha=args.alpha)
     print("divergence residuals: J rms=%.3e  Y rms=%.3e" % (res["J"]["rms"], res["Y"]["rms"]))

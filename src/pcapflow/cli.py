@@ -30,13 +30,11 @@ SOLVER_ERRORS = (
     radial.CapacityConsistencyError,
     solver2d.Solver2DError,
     solver2d.NonMonotoneRayError,
-    solver2d.LevelRangeError,
     numerics.QuadratureError,
-    numerics.BracketError,
-    geometry.DomainError,
     geometry.AvrUndefinedError,
     # the numerics also reject impossible inputs (an annulus reaching the
-    # horizon, say) with plain ValueError
+    # horizon, say) with ValueError; BracketError, DomainError and
+    # LevelRangeError are subclasses of it
     ValueError,
 )
 

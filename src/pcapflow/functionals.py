@@ -12,9 +12,14 @@ lam = alpha/(n-p) - 1 and G = |grad w|:
 together with the p = 1 analogue F_1, the Hawking mass, the normalized
 Minkowski functional and the Geroch right-hand side.  The derivative
 identity d F_p/dt = e^{lam t} int G^{a+p-3} Q_p is reported as a residual
-column (central differences against the Q_p integral).  On radial
-potentials every series is evaluated on the whole level grid at once:
-``radial_level`` and the functionals take arrays of levels.
+column (central differences against the Q_p integral).
+
+A level is a ``RadialLevel`` (round, from ``radial_level``) or a
+``solver2d.LevelCurve`` (extracted from a 2-D field).  Both expose
+``integrate`` and the same per-point data, so each functional has one body
+for radial potentials and 2-D fields alike.  On radial potentials every
+series is evaluated on the whole level grid at once: ``radial_level`` and
+the functionals take arrays of levels.
 """
 
 from __future__ import annotations
@@ -124,7 +129,10 @@ class MonotoneSeries:
 @dataclass(frozen=True)
 class RadialLevel:
     """Geometric data of the round level sets of a radial potential: floats
-    for one level, arrays (one entry per level) for an array of levels."""
+    for one level, arrays (one entry per level) for an array of levels.
+
+    It shares the level interface of ``solver2d.LevelCurve``: ``integrate``
+    and the per-point fields below, so every functional has one body."""
 
     t: float
     r: float
@@ -135,6 +143,15 @@ class RadialLevel:
     ricci: float
     scalar: float
     scalar_induced: float
+
+    # round levels are umbilic and |grad w| is constant on them
+    grad_tangential = 0.0
+    H_tangential = 0.0
+    hring_sq = 0.0
+
+    def integrate(self, values):
+        """Surface integral over the level of a quantity constant on it."""
+        return self.area * values
 
     @property
     def willmore(self) -> float:
@@ -190,23 +207,42 @@ def _require_kind(pot: radial.RadialPotential, kinds: tuple[str, ...], what: str
         raise ValueError(f"{what} requires a solution of kind {kinds}, got '{pot.kind}'")
 
 
-def _boundary_density(grad, H, n: int, p: float, alpha: float):
-    """Integrand of the boundary term of F_p on a level:
-    G^{a+p-2} (G ((n-1)/(n-p) - 1/a) - H)."""
-    return grad ** (alpha + p - 2.0) * (grad * ((n - 1.0) / (n - p) - 1.0 / alpha) - H)
+def _validate(solution, params: FunctionalParams, what: str) -> str:
+    """Reject a solution ``what`` cannot use; return its model label."""
+    if isinstance(solution, radial.RadialPotential):
+        _require_kind(solution, (radial.KIND_P, radial.KIND_EPS), what)
+        return solution.manifold.label
+    if params.n != 3:
+        raise ValueError("2-D fields are three dimensional")
+    return solution.domain.label
 
 
-def _boundary_2d(field2d, params: FunctionalParams, t: float) -> float:
-    """e^{lam t} times the boundary term of F_p on the 2-D level {w = t}."""
+def _over_levels(solution, t, fn):
+    """fn(level) for each level {w = t}: the radial levels all at once, the
+    2-D levels one extracted curve at a time."""
+    if isinstance(solution, radial.RadialPotential):
+        return fn(radial_level(solution, t))
+    ts = np.asarray(t, dtype=float)
+    return np.array([fn(solution.level(s)) for s in ts.ravel()]).reshape(ts.shape)[()]
+
+
+def _boundary(level, params: FunctionalParams):
+    """e^{lam t} times the boundary term of F_p on a level:
+    e^{lam t} int G^{a+p-2} (G ((n-1)/(n-p) - 1/a) - H)."""
     n, p, alpha = params.n, params.p, params.alpha
-    curve = field2d.level(t)
-    return math.exp((alpha / (n - p) - 1.0) * t) * curve.integrate(_boundary_density(curve.grad, curve.H, n, p, alpha))
+    G = level.grad
+    density = G ** (alpha + p - 2.0) * (G * ((n - 1.0) / (n - p) - 1.0 / alpha) - level.H)
+    return np.exp((alpha / (n - p) - 1.0) * level.t) * level.integrate(density)
 
 
-def _ricci_bulk(pot: radial.RadialPotential, params: FunctionalParams):
+def _ricci_bulk(solution, params: FunctionalParams):
     """t -> int_0^t e^{lam s} int_{w=s} G^{a+p-3} Ric(nu,nu) ds, as the
     radial integral of e^{lam w} |S^{n-1}| h^{n-1} G^{a+p-2} f Ric from r0
-    to the level radius (one cumulative table; p = 1 gives the F_1 bulk)."""
+    to the level radius (one cumulative table; p = 1 gives the F_1 bulk).
+    The 2-D solver's ambient space is flat, so there the term is zero."""
+    if not isinstance(solution, radial.RadialPotential):
+        return lambda t: np.zeros_like(np.asarray(t, dtype=float))
+    pot = solution
     model = pot.manifold
     n, p, alpha = params.n, params.p, params.alpha
     if model.n != n:
@@ -228,41 +264,18 @@ def _ricci_bulk(pot: radial.RadialPotential, params: FunctionalParams):
     return lambda t: cum(pot.level_radius(t))
 
 
-def _radial_boundary(pot: radial.RadialPotential, params: FunctionalParams):
-    """t -> e^{lam t} times the boundary term of F_p on the radial levels."""
-    n, p, alpha = params.n, params.p, params.alpha
-    lam = alpha / (n - p) - 1.0
-
-    def boundary(t):
-        lev = radial_level(pot, t)
-        return np.exp(lam * t) * lev.area * _boundary_density(lev.grad, lev.H, n, p, alpha)
-
-    return boundary
-
-
 def Q_p_integral(solution, params: FunctionalParams, t):
     """int_{w=t} |grad w|^{alpha+p-3} Q_p  (no exponential prefactor);
-    levels of a radial solution may come as an array."""
+    the levels may come as an array."""
     n, p, alpha = params.n, params.p, params.alpha
-    if isinstance(solution, radial.RadialPotential):
-        _require_kind(solution, (radial.KIND_P, radial.KIND_EPS), "Q_p_integral")
-        lev = radial_level(solution, t)
-        qp = q_p_pointwise(n, p, alpha, lev.grad, lev.H)
-        return lev.area * lev.grad ** (alpha + p - 3.0) * qp
-    curve = solution.level(t)
-    tang_sq = (curve.grad_tangential / curve.grad) ** 2
-    qp = np.array(
-        [
-            q_p_pointwise(n, p, alpha, g, H, ts, hr)
-            for g, H, ts, hr in zip(curve.grad, curve.H, tang_sq, curve.hring_sq)
-        ]
-    )
-    return curve.integrate(curve.grad ** (alpha + p - 3.0) * qp)
+    _validate(solution, params, "Q_p_integral")
 
+    def integral(lev):
+        tang_sq = (lev.grad_tangential / lev.grad) ** 2
+        qp = q_p_pointwise(n, p, alpha, lev.grad, lev.H, tang_sq, lev.hring_sq)
+        return lev.integrate(lev.grad ** (alpha + p - 3.0) * qp)
 
-def _per_level(fn):
-    """An array version of a functional of one level."""
-    return lambda ts: np.array([fn(t) for t in ts])
+    return _over_levels(solution, t, integral)
 
 
 def _finish_series(name, ts, values, bulk, rhs, fval, step, meta) -> MonotoneSeries:
@@ -296,26 +309,18 @@ def F_p(solution, params: FunctionalParams, derivative_step: float = 1e-3) -> Mo
         "alpha": params.alpha,
         "monotonicity_guaranteed": params.monotonicity_guaranteed,
         "termwise_nonnegative": params.termwise_nonnegative,
+        "model": _validate(solution, params, "F_p"),
     }
     lam = params.alpha / (params.n - params.p) - 1.0
-    if isinstance(solution, radial.RadialPotential):
-        _require_kind(solution, (radial.KIND_P, radial.KIND_EPS), "F_p")
-        boundary = _radial_boundary(solution, params)
-        bulk = _ricci_bulk(solution, params)
-        bulks = bulk(ts)
-        values = boundary(ts) - bulks
-        rhs = np.exp(lam * ts) * Q_p_integral(solution, params, ts)
-        meta["model"] = solution.manifold.label
-        return _finish_series("F_p", ts, values, bulks, rhs, lambda t: boundary(t) - bulk(t), derivative_step, meta)
-    field2d = solution
-    if params.n != 3:
-        raise ValueError("2-D fields are three dimensional")
-    fval = _per_level(lambda t: _boundary_2d(field2d, params, t))
-    values = fval(ts)
-    bulks = np.zeros_like(values)
-    rhs = np.array([math.exp(lam * t) * Q_p_integral(field2d, params, t) for t in ts])
-    meta["model"] = field2d.domain.label
-    return _finish_series("F_p", ts, values, bulks, rhs, fval, derivative_step, meta)
+
+    def boundary(t):
+        return _over_levels(solution, t, lambda lev: _boundary(lev, params))
+
+    bulk = _ricci_bulk(solution, params)
+    bulks = bulk(ts)
+    values = boundary(ts) - bulks
+    rhs = np.exp(lam * ts) * Q_p_integral(solution, params, ts)
+    return _finish_series("F_p", ts, values, bulks, rhs, lambda t: boundary(t) - bulk(t), derivative_step, meta)
 
 
 def G_p(solution, params: FunctionalParams, derivative_step: float = 1e-3) -> MonotoneSeries:
@@ -324,28 +329,15 @@ def G_p(solution, params: FunctionalParams, derivative_step: float = 1e-3) -> Mo
     ts = np.asarray(params.t_grid, dtype=float)
     n, p, alpha = params.n, params.p, params.alpha
     lam = alpha / (n - p) - 1.0
-    meta = {"p": p, "alpha": alpha}
-    if isinstance(solution, radial.RadialPotential):
-        _require_kind(solution, (radial.KIND_P, radial.KIND_EPS), "G_p")
-        boundary = _radial_boundary(solution, params)
+    meta = {"p": p, "alpha": alpha, "model": _validate(solution, params, "G_p")}
 
-        def gval(t):
-            lev = radial_level(solution, t)
-            return np.exp(lam * t) * lev.area * lev.grad ** (alpha + p - 1.0)
+    def gval(t):
+        return _over_levels(
+            solution, t, lambda lev: np.exp(lam * lev.t) * lev.integrate(lev.grad ** (alpha + p - 1.0))
+        )
 
-        meta["model"] = solution.manifold.label
-    else:
-        field2d = solution
-
-        def gval_one(t: float) -> float:
-            curve = field2d.level(t)
-            return math.exp(lam * t) * curve.integrate(curve.grad ** (alpha + p - 1.0))
-
-        gval = _per_level(gval_one)
-        boundary = _per_level(lambda t: _boundary_2d(field2d, params, t))
-        meta["model"] = field2d.domain.label
     values = gval(ts)
-    rhs = (values + alpha * boundary(ts)) / (p - 1.0)
+    rhs = (values + alpha * _over_levels(solution, ts, lambda lev: _boundary(lev, params))) / (p - 1.0)
     return _finish_series("G_p", ts, values, np.zeros_like(values), rhs, gval, derivative_step, meta)
 
 
@@ -420,36 +412,17 @@ def hawking_series(pot: radial.RadialPotential, t_grid, derivative_step: float =
 def minkowski_M(level, alpha: float, area_hull: Optional[float] = None) -> float:
     """Normalized Minkowski functional
     |area_hull|^{alpha/(n-1)-1} int |H/(n-1)|^alpha."""
-    if isinstance(level, RadialLevel):
-        n = level.n
-        area = level.area
-        integral = area * abs(level.H / (n - 1.0)) ** alpha
-    else:
-        n = 3
-        area = level.area_value
-        integral = level.integrate(np.abs(level.H / (n - 1.0)) ** alpha)
+    n = level.n
     if area_hull is None:
-        area_hull = area
-    return area_hull ** (alpha / (n - 1.0) - 1.0) * integral
+        area_hull = level.area
+    return area_hull ** (alpha / (n - 1.0) - 1.0) * level.integrate(np.abs(level.H / (n - 1.0)) ** alpha)
 
 
 def geroch_rhs(level) -> float:
     """sqrt(area/(16 pi)^3) (4 pi (2 - chi) + int 2|grad^T H|^2/H^2 + |h-ring|^2 + Sc)."""
-    if isinstance(level, RadialLevel):
-        if level.n != 3:
-            raise ValueError("the Geroch right side is defined for n = 3")
-        if np.any(level.H <= 0.0):
-            raise ValueError("mean curvature must be positive on the level")
-        chi = level.chi_proxy
-        integral = level.area * level.scalar
-        area = level.area
-    else:
-        if np.any(level.H <= 0.0):
-            raise ValueError("mean curvature must be positive on the level")
-        chi = level.chi_proxy
-        integral = level.integrate(
-            2.0 * level.H_tangential**2 / level.H**2 + level.hring_sq
-        )  # ambient scalar curvature vanishes for the flat 2-D solver
-        area = level.area_value
-    return np.sqrt(area / (16.0 * math.pi) ** 3) * (4.0 * math.pi * (2.0 - chi) + integral)
-
+    if level.n != 3:
+        raise ValueError("the Geroch right side is defined for n = 3")
+    if np.any(level.H <= 0.0):
+        raise ValueError("mean curvature must be positive on the level")
+    integral = level.integrate(2.0 * level.H_tangential**2 / level.H**2 + level.hring_sq + level.scalar)
+    return np.sqrt(level.area / (16.0 * math.pi) ** 3) * (4.0 * math.pi * (2.0 - level.chi_proxy) + integral)

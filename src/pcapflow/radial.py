@@ -160,10 +160,6 @@ class RadialPotential:
                 break
         return np.where(t <= 0.0, self.r0, np.where(t >= self.phi_R, self.R, r))
 
-    @property
-    def T_max(self) -> float:
-        return self.phi_R
-
 
 def _default_phi(model: geometry.RadialManifold, r0: float, R: float) -> float:
     """Outer datum matched to the inverse-mean-curvature potential."""

@@ -45,7 +45,6 @@ __all__ = [
     "AxisymmetricDomain",
     "Field2D",
     "LevelCurve",
-    "LevelSetGeometry",
     "Solver2DError",
     "NonMonotoneRayError",
     "LevelRangeError",
@@ -53,7 +52,6 @@ __all__ = [
     "ellipsoid_domain",
     "solve_2d",
     "extract_level",
-    "level_functionals",
     "field_from_radial",
     "flux_profile",
     "divergence_residuals",
@@ -335,14 +333,11 @@ class Field2D:
         w = self.derived()["w"]
         return 0.0, float(np.min(w[-1, :]))
 
-    def level(self, t: float, cache: bool = True) -> "LevelCurve":
+    def level(self, t: float) -> "LevelCurve":
         key = round(float(t), 12)
-        if cache and key in self._levels:
-            return self._levels[key]
-        curve = extract_level(self, t)
-        if cache:
-            self._levels[key] = curve
-        return curve
+        if key not in self._levels:
+            self._levels[key] = extract_level(self, t)
+        return self._levels[key]
 
     def table(self):
         """(header, rows) with one row sigma, theta, u per node, sigma-major."""
@@ -359,24 +354,26 @@ class LevelCurve:
     t: float
     theta: np.ndarray
     r: np.ndarray
-    dr: np.ndarray
     grad: np.ndarray
     grad_tangential: np.ndarray
     H: np.ndarray
     H_tangential: np.ndarray
     kappa_m: np.ndarray
     kappa_phi: np.ndarray
-    kappa_m_geometric: np.ndarray
     hring_sq: np.ndarray
     theta_eps: np.ndarray
     measure: np.ndarray
+
+    # the solver's ambient space is flat 3-space
+    n = 3
+    scalar = 0.0
 
     def integrate(self, values) -> float:
         """Surface integral over the level (azimuthal factor included)."""
         return float(simpson(np.asarray(values, dtype=float) * self.measure, x=self.theta))
 
     @property
-    def area_value(self) -> float:
+    def area(self) -> float:
         return self.integrate(np.ones_like(self.theta))
 
     @property
@@ -445,8 +442,6 @@ def extract_level(fieldv: Field2D, t: float) -> LevelCurve:
     kphi[0] = 0.5 * H[0]
     kphi[-1] = 0.5 * H[-1]
     km = H - kphi
-    d2r = np.gradient(np.gradient(r, theta, edge_order=2), theta, edge_order=2)
-    km_geom = (r * r + 2.0 * dr * dr - r * d2r) / (r * r + dr * dr) ** 1.5
     # meridian unit tangent is nu rotated by 90 degrees in the (r, theta) plane
     grad_tan = np.abs(-Qr * nut + Qt * nur)
     H_tan = np.abs(-Hr * nut + Ht * nur)
@@ -455,89 +450,15 @@ def extract_level(fieldv: Field2D, t: float) -> LevelCurve:
         t=float(t),
         theta=theta,
         r=r,
-        dr=dr,
         grad=G,
         grad_tangential=grad_tan,
         H=H,
         H_tangential=H_tan,
         kappa_m=km,
         kappa_phi=kphi,
-        kappa_m_geometric=km_geom,
         hring_sq=0.5 * (km - kphi) ** 2,
         theta_eps=theta_eps,
         measure=measure,
-    )
-
-
-@dataclass
-class LevelSetGeometry:
-    """Per-level integral geometry of a family of extracted levels."""
-
-    t: np.ndarray
-    area: np.ndarray
-    willmore: np.ndarray
-    hring_int: np.ndarray
-    sc_top_int: np.ndarray
-    chi: np.ndarray
-    grad_power_int: np.ndarray
-    qp_term_tangential: np.ndarray
-    qp_term_hring: np.ndarray
-    qp_term_third: np.ndarray
-    alpha: float
-    p: float
-    beta: float
-    curves: list
-
-
-def level_functionals(fieldv: Field2D, t_samples, alpha: float, beta: Optional[float] = None) -> LevelSetGeometry:
-    """Integrate area, Willmore, |h-ring|^2, Sc^T, |grad w|^beta and the three
-    weighted Q_p terms over each requested level."""
-    p = fieldv.p
-    n = 3
-    if beta is None:
-        beta = alpha + p - 1.0
-    ts = np.asarray(t_samples, dtype=float)
-    area = np.empty_like(ts)
-    willmore = np.empty_like(ts)
-    hring = np.empty_like(ts)
-    sctop = np.empty_like(ts)
-    gpow = np.empty_like(ts)
-    q1 = np.empty_like(ts)
-    q2 = np.empty_like(ts)
-    q3 = np.empty_like(ts)
-    curves = []
-    for i, t in enumerate(ts):
-        c = fieldv.level(t)
-        curves.append(c)
-        area[i] = c.area_value
-        willmore[i] = c.willmore
-        hring[i] = c.integrate(c.hring_sq)
-        sctop[i] = c.sc_top_integral
-        gpow[i] = c.integrate(c.grad**beta)
-        weight = c.grad ** (alpha + p - 3.0)
-        q1[i] = c.integrate(weight * (alpha - (2.0 - p)) * (c.grad_tangential / c.grad) ** 2)
-        q2[i] = c.integrate(weight * c.hring_sq)
-        q3[i] = c.integrate(
-            weight
-            * (alpha - (n - p) / (n - 1.0))
-            / (p - 1.0)
-            * (c.H - (n - 1.0) / (n - p) * c.grad) ** 2
-        )
-    return LevelSetGeometry(
-        t=ts,
-        area=area,
-        willmore=willmore,
-        hring_int=hring,
-        sc_top_int=sctop,
-        chi=sctop / (4.0 * math.pi),
-        grad_power_int=gpow,
-        qp_term_tangential=q1,
-        qp_term_hring=q2,
-        qp_term_third=q3,
-        alpha=alpha,
-        p=p,
-        beta=beta,
-        curves=curves,
     )
 
 

@@ -693,7 +693,7 @@ def solve_2d_suite(
             Check(
                 name=f"gauss-bonnet level t={float(t):.6g}",
                 anchor="gauss-bonnet-quantization",
-                values={"sc_top_over_8pi": gb, "area": curve.area_value},
+                values={"sc_top_over_8pi": gb, "area": curve.area},
                 threshold=0.01,
                 verdict="pass" if abs(gb - 1.0) <= 0.01 else "fail",
             )

@@ -63,7 +63,7 @@ def test_04_flow_functional_and_hawking(radial_model_set):
     """F_1 nondecreasing for alpha in {1, 2}; Hawking mass constants."""
     for model, r0, _ in radial_model_set:
         pot = radial.solve_w1(model, r0, 18.0 if r0 > 2.0 else 8.0)
-        ts = tuple(np.linspace(0.0, min(2.0, 0.8 * pot.T_max), 20))
+        ts = tuple(np.linspace(0.0, min(2.0, 0.8 * pot.phi_R), 20))
         for alpha in (1.0, 2.0):
             series = F_1(pot, FunctionalParams(3, 1.0, alpha, ts))
             verdict, violations = verify.check_monotone(series.values)
@@ -83,7 +83,7 @@ def test_05_exponential_area_growth(radial_model_set):
     """Level areas grow exactly exponentially along the flow parameter."""
     for model, r0, _ in radial_model_set:
         pot = radial.solve_w1(model, r0, 18.0 if r0 > 2.0 else 10.0)
-        ts = np.linspace(0.0, min(4.0, 0.9 * pot.T_max), 40)
+        ts = np.linspace(0.0, min(4.0, 0.9 * pot.phi_R), 40)
         areas = np.array([functionals.radial_level(pot, t).area for t in ts])
         defect = np.max(np.abs(areas * np.exp(-ts) / areas[0] - 1.0))
         assert defect < 1e-10, (model.label, defect)

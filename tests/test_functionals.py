@@ -1,4 +1,4 @@
-"""Level-set functionals on radial solutions: frozen oracles and identities."""
+"""Level-set functionals on radial solutions and 2-D levels: frozen oracles and identities."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcapflow import functionals, geometry, radial
+from pcapflow import functionals, geometry, radial, solver2d
 from pcapflow.functionals import (
     F_1,
     F_p,
@@ -84,7 +84,7 @@ class TestFp:
 
     def test_monotone_on_curved_model(self, schw1):
         pot = radial.solve_wp(schw1, 2.2, 12.0, 1.5)
-        ts = tuple(np.linspace(0.0, pot.T_max * 0.8, 25))
+        ts = tuple(np.linspace(0.0, pot.phi_R * 0.8, 25))
         series = F_p(pot, FunctionalParams(3, 1.5, 2.0, ts))
         diffs = np.diff(series.values)
         assert np.all(diffs > -1e-8 * (1.0 + np.abs(series.values[:-1])))
@@ -109,7 +109,7 @@ class TestF1:
     def test_h_form_agrees(self, schw1):
         # |grad w1| equals the level mean curvature for exact flows
         pot = radial.solve_w1(schw1, 2.2, 12.0)
-        ts = tuple(np.linspace(0.0, pot.T_max * 0.8, 15))
+        ts = tuple(np.linspace(0.0, pot.phi_R * 0.8, 15))
         series = F_1(pot, FunctionalParams(3, 1.0, 2.0, ts))
         assert np.allclose(series.meta["h_form_values"], series.values, rtol=1e-10)
 
@@ -234,6 +234,26 @@ class TestLevelData:
             pot = radial.solve_w1(model, r0, 8.0)
             lev = radial_level(pot, 0.5)
             assert lev.chi_proxy == pytest.approx(2.0, rel=1e-12)
+
+    def test_two_dimensional_levels_match_radial(self, euclid3):
+        # a 2-D field seeded with the exact flat potential: its extracted
+        # levels must give the radial values up to the level-extraction error
+        p = 1.5
+        pot = radial.solve_wp(euclid3, 1.0, 4.0, p, phi_R=(3.0 - p) * math.log(4.0))
+        field = solver2d.field_from_radial(solver2d.sphere_domain(1.0, 4.0), (128, 64), pot)
+        ts = np.linspace(0.2, 0.8, 5) * field.w_range()[1]
+        params = FunctionalParams(3, p, 2.0, tuple(ts))
+        assert np.max(np.abs(G_p(field, params).values / G_p(pot, params).values - 1.0)) < 1e-2
+        curves = [field.level(t) for t in ts]
+        mink = np.array([minkowski_M(c, 2.0) for c in curves])
+        assert np.max(np.abs(mink / minkowski_M(radial_level(pot, ts), 2.0) - 1.0)) < 1e-2
+        geroch = np.array([geroch_rhs(c) for c in curves])
+        assert np.max(np.abs(geroch - geroch_rhs(radial_level(pot, ts)))) < 3e-3
+        four = FunctionalParams(4, p, 2.0, tuple(ts))
+        with pytest.raises(ValueError, match="three dimensional"):
+            G_p(field, four)
+        with pytest.raises(ValueError, match="three dimensional"):
+            functionals.Q_p_integral(field, four, ts[0])
 
     def test_geroch_rhs_requires_positive_h(self, euclid3):
         lev = radial_level(radial.solve_w1(euclid3, 1.0, 8.0), 0.5)

@@ -93,11 +93,11 @@ class TestSolveWp:
 
     def test_level_radius_roundtrip(self, schw1):
         pot = solve_wp(schw1, 2.2, 12.0, 1.5)
-        for t in np.linspace(0.0, pot.T_max, 9):
+        for t in np.linspace(0.0, pot.phi_R, 9):
             r = pot.level_radius(t)
             assert pot.w(r) == pytest.approx(t, abs=1e-10)
         with pytest.raises(ValueError):
-            pot.level_radius(pot.T_max + 1.0)
+            pot.level_radius(pot.phi_R + 1.0)
 
 
 class TestNearOne:
@@ -249,11 +249,11 @@ class TestCapacity:
     def test_full_annulus_default(self, schw1):
         pot = solve_wp(schw1, 2.2, 12.0, 1.5)
         val = capacity(pot)
-        assert val == pytest.approx(capacity(pot, 0.0, pot.T_max), rel=1e-12)
+        assert val == pytest.approx(capacity(pot, 0.0, pot.phi_R), rel=1e-12)
 
     def test_custom_cross_sections_agree(self, euclid3):
         pot = solve_wp(euclid3, 1.0, 8.0, 1.5)
-        T = pot.T_max
+        T = pot.phi_R
         a = capacity(pot, 0.0, T, taus=(0.0, 0.5 * T, 0.75 * T))
         b = capacity(pot, 0.0, T, taus=(0.1 * T, 0.9 * T))
         assert a == pytest.approx(b, rel=1e-8)

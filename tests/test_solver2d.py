@@ -139,7 +139,7 @@ class TestSphereField:
             assert curve.hring_sq.max() < 1e-5
             assert np.max(np.abs(curve.kappa_m - curve.kappa_phi)) < 5e-3
             r_t = sphere_oracle.level_radius(t)
-            assert curve.area_value == pytest.approx(4.0 * math.pi * r_t**2, rel=1e-3)
+            assert curve.area == pytest.approx(4.0 * math.pi * r_t**2, rel=1e-3)
             assert np.max(np.abs(curve.r - r_t)) < 5e-4
 
     def test_gauss_bonnet_quantization(self, sphere_field):
@@ -153,7 +153,7 @@ class TestSphereField:
     def test_level_cache(self, sphere_field):
         t = float(midband(sphere_field, num=3)[1])
         assert sphere_field.level(t) is sphere_field.level(t)
-        fresh = sphere_field.level(t, cache=False)
+        fresh = extract_level(sphere_field, t)
         assert fresh is not sphere_field.level(t)
         assert np.array_equal(fresh.r, sphere_field.level(t).r)
 
@@ -208,7 +208,7 @@ class TestLevelExtraction:
             k = np.array([min(max(int(np.searchsorted(w[:, j], t)), 1), w.shape[0] - 1) for j in cols])
             frac = (t - w[k - 1, cols]) / (w[k, cols] - w[k - 1, cols])
             expected = r[k - 1, cols] + frac * (r[k, cols] - r[k - 1, cols])
-            assert np.array_equal(sphere_field.level(t, cache=False).r, expected)
+            assert np.array_equal(extract_level(sphere_field, t).r, expected)
 
     def test_non_monotone_ray_detected(self):
         dom = sphere_domain(1.0, 3.0)
