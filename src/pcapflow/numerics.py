@@ -2,10 +2,10 @@
 
 Adaptive panel Gauss-Legendre quadrature on array integrands (one-shot
 integrals and cumulative tables), bracketed scalar root finding, natural
-cubic splines and a banded Cholesky solve for symmetric positive definite
-systems.  Every radial and level-set integral in the package routes
-through :func:`integrate` or :class:`CumulativeIntegral` so that accuracy
-budgets live in one place.
+cubic splines, a banded Cholesky solve for symmetric positive definite
+systems, and a context that runs BLAS on one thread.  Every radial and
+level-set integral in the package routes through :func:`integrate` or
+:class:`CumulativeIntegral` so that accuracy budgets live in one place.
 
 Each panel carries a 20-point and a 10-point Gauss-Legendre sum of the
 same integrand; their difference bounds the error of the 10-point sum, so
@@ -16,7 +16,10 @@ are evaluated in one call of the integrand.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,6 +35,7 @@ __all__ = [
     "integrate",
     "find_root",
     "solve_spd",
+    "single_threaded_blas",
     "natural_cubic_spline",
     "CumulativeIntegral",
     "DEFAULT_TOL",
@@ -326,6 +330,57 @@ def solve_spd(band: np.ndarray, rhs: np.ndarray) -> SpdResult:
     """
     factor = cholesky_banded(band, lower=True, overwrite_ab=True)
     return SpdResult(cho_solve_banded((factor, True), rhs), iterations=1)
+
+
+# thread-count entry points of an OpenBLAS build, tried in order: the
+# 64-bit-integer copy in NumPy's wheel, the 32-bit one in SciPy's, plain builds
+_OPENBLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads", "openblas_{}_num_threads")
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS library that NumPy
+    and SciPy ship in their wheels; empty for other BLAS builds."""
+    import ctypes
+    import glob
+
+    import scipy
+
+    controls = []
+    for package in (np, scipy):
+        libs = os.path.join(os.path.dirname(package.__file__), os.pardir, f"{package.__name__}.libs")
+        for path in glob.glob(os.path.join(libs, "*openblas*")):
+            lib = ctypes.CDLL(path)
+            for symbol in _OPENBLAS_SYMBOLS:
+                get, set_ = (getattr(lib, symbol.format(verb), None) for verb in ("get", "set"))
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    controls.append((get, set_))
+                    break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def single_threaded_blas():
+    """Run the block with every OpenBLAS library of NumPy and SciPy on one
+    thread, and give each its previous thread count back on exit.
+
+    The banded Cholesky of the 2-D solve (bandwidth about 100) and the
+    vector products around it are too small to split: a second thread makes
+    them slower, and idle threads spin on a core while they run.  The
+    thread count is process-wide, so BLAS calls on other threads are capped
+    too while the block runs.  A no-op where no OpenBLAS library is found.
+    """
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), count in zip(controls, saved):
+            set_threads(count)
 
 
 def natural_cubic_spline(x, y) -> CubicSpline:

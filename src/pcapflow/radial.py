@@ -83,7 +83,8 @@ class RadialPotential:
     w increases from w(r0) = 0 to w(R) = phi_R; grad_norm is |grad w|;
     u = e^{-w/(p-1)} where a p (or regularization) is present; theta is the
     regularization weight eps^2 / (|grad u|^2 + eps^2) for the eps kind.
-    ``_seed`` holds increasing radii and the values of w there, which
+    ``_w_grad`` returns w and |grad w| together, from one evaluation of the
+    tail where there is one.  ``_seed`` holds increasing radii and the values of w there, which
     bracket the Newton steps of ``level_radius``.
     """
 
@@ -96,7 +97,7 @@ class RadialPotential:
     eps: Optional[float] = None
     flux: Optional[float] = None
     _w: Callable[[np.ndarray], np.ndarray] = field(default=None, repr=False)
-    _grad: Callable[[np.ndarray], np.ndarray] = field(default=None, repr=False)
+    _w_grad: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
     _dgrad: Callable[[np.ndarray], np.ndarray] = field(default=None, repr=False)
     _u: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
     _theta: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
@@ -115,7 +116,7 @@ class RadialPotential:
 
     @_scalar_or_array
     def grad_norm(self, r):
-        return self._grad(self._check(r))
+        return self._w_grad(self._check(r))[1]
 
     @_scalar_or_array
     def grad_norm_derivative(self, r):
@@ -147,12 +148,12 @@ class RadialPotential:
         r = lo + (hi - lo) * np.clip((t - wlo) / np.where(whi > wlo, whi - wlo, 1.0), 0.0, 1.0)
         step_tol = 1e-14 * max(1.0, self.R)
         for _ in range(100):
-            w = self._w(r)
+            w, grad = self._w_grad(r)
             below = w < t
             lo = np.where(below, r, lo)
             hi = np.where(below, hi, r)
             with np.errstate(divide="ignore", invalid="ignore"):
-                nxt = r - (w - t) / (self.manifold.f(r) * self._grad(r))
+                nxt = r - (w - t) / (self.manifold.f(r) * grad)
             nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
             done = np.abs(nxt - r) <= step_tol
             r = nxt
@@ -199,11 +200,12 @@ def _log_tail_potential(model, r0, R, p, phi_R, tail, shift, log_slope, dlog_slo
     def log_u(r):
         return np.logaddexp(log_uR, shift + tail(r))
 
-    def grad(r):
-        return (p - 1.0) * np.exp(log_slope(r) - log_u(r))
+    def w_grad(r):
+        lu = log_u(r)
+        return -(p - 1.0) * lu, (p - 1.0) * np.exp(log_slope(r) - lu)
 
     def dgrad(r):
-        g = grad(r)
+        g = w_grad(r)[1]
         return g * (dlog_slope(r) + model.f(r) * g / (p - 1.0))
 
     return RadialPotential(
@@ -214,7 +216,7 @@ def _log_tail_potential(model, r0, R, p, phi_R, tail, shift, log_slope, dlog_slo
         phi_R=float(phi_R),
         p=float(p),
         _w=lambda r: -(p - 1.0) * log_u(r),
-        _grad=grad,
+        _w_grad=w_grad,
         _dgrad=dgrad,
         _u=lambda r: np.exp(log_u(r)),
         _seed=(tail.edges, -(p - 1.0) * np.logaddexp(log_uR, shift + tail.at_edges)),
@@ -296,7 +298,7 @@ def solve_w1(model: geometry.RadialManifold, r0: float, R: float) -> RadialPoten
         R=float(R),
         phi_R=(n - 1.0) * math.log(model.h(R) / h0),
         _w=w,
-        _grad=grad,
+        _w_grad=lambda r: (w(r), grad(r)),
         _dgrad=dgrad,
         _seed=(rs, w(rs)),
     )

@@ -39,7 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import simpson
 
-from .numerics import solve_spd
+from .numerics import single_threaded_blas, solve_spd
 
 __all__ = [
     "AxisymmetricDomain",
@@ -462,6 +462,7 @@ def extract_level(fieldv: Field2D, t: float) -> LevelCurve:
     )
 
 
+@single_threaded_blas()
 def solve_2d(
     domain: AxisymmetricDomain,
     p: float,
@@ -480,7 +481,9 @@ def solve_2d(
     ||K(u)_ID u_D|| -- the energy gradient over the interior nodes I, scaled
     by the Dirichlet load -- drops below tol.  Exhausting max_outer, or a
     line search that cannot decrease the energy, returns the field flagged
-    non-converged rather than raising.
+    non-converged rather than raising.  The solve runs on one BLAS thread
+    (``single_threaded_blas``): its banded Cholesky and vector products are
+    too small to gain from more.
     """
     Nsigma, Ntheta = shape
     if Nsigma < 16 or Ntheta < 16:
@@ -507,6 +510,7 @@ def solve_2d(
     u_flat = u.ravel()
     u_dir = u_flat.copy()
     u_dir[inner] = 0.0
+    dir_r, dir_t = mesh.grad(u_dir)
 
     def energy(v):
         vr, vt = mesh.grad(v)
@@ -522,7 +526,7 @@ def solve_2d(
         s = ur * ur + ut * ut + eps * eps
         coef = mesh.vol * s ** ((p - 2.0) / 2.0)
         Ku = mesh.load(coef, ur, ut)
-        dirichlet_load = mesh.load(coef, *mesh.grad(u_dir))[inner]
+        dirichlet_load = mesh.load(coef, dir_r, dir_t)[inner]
         res_rel = float(np.linalg.norm(Ku[inner])) / float(np.linalg.norm(dirichlet_load))
         if it:
             history.append((E, res_rel, step))

@@ -1,5 +1,7 @@
-"""Quadrature, cumulative integrals, root finding and the banded SPD solve."""
+"""Quadrature, cumulative integrals, root finding, the banded SPD solve and
+the BLAS thread cap."""
 
+import contextlib
 import math
 
 import mpmath
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcapflow import numerics, solver2d
 from pcapflow.numerics import (
     BracketError,
     CumulativeIntegral,
@@ -16,6 +19,7 @@ from pcapflow.numerics import (
     find_root,
     integrate,
     natural_cubic_spline,
+    single_threaded_blas,
     solve_spd,
 )
 
@@ -269,6 +273,72 @@ class TestSolveSpd:
         band = np.array([[2.0, -1.0, 2.0], [1.0, 1.0, 0.0]])
         with pytest.raises(ValueError, match="positive definite"):
             solve_spd(band, np.ones(3))
+
+
+_BLAS = numerics._openblas_thread_controls()
+
+
+def _blas_threads():
+    return [get() for get, _ in _BLAS]
+
+
+@contextlib.contextmanager
+def _caller_threads(count):
+    """Run the block with every OpenBLAS library on ``count`` threads."""
+    saved = _blas_threads()
+    for _, set_threads in _BLAS:
+        set_threads(count)
+    try:
+        yield
+    finally:
+        for (_, set_threads), n in zip(_BLAS, saved):
+            set_threads(n)
+
+
+@pytest.mark.skipif(not _BLAS, reason="no OpenBLAS library in the NumPy or SciPy wheels")
+class TestSingleThreadedBlas:
+    def test_caps_every_library_nests_and_restores(self):
+        with _caller_threads(2):
+            with single_threaded_blas():
+                with single_threaded_blas():
+                    assert _blas_threads() == [1] * len(_BLAS)
+                assert _blas_threads() == [1] * len(_BLAS)
+            assert _blas_threads() == [2] * len(_BLAS)
+
+    def test_restores_after_an_exception(self):
+        with _caller_threads(2):
+            with pytest.raises(ZeroDivisionError):
+                with single_threaded_blas():
+                    1.0 / 0.0
+            assert _blas_threads() == [2] * len(_BLAS)
+
+    def test_solve_2d_runs_on_one_thread(self, monkeypatch):
+        seen = []
+
+        def recording_solve_spd(band, rhs):
+            seen.append(_blas_threads())
+            return solve_spd(band, rhs)
+
+        monkeypatch.setattr(solver2d, "solve_spd", recording_solve_spd)
+        dom = solver2d.ellipsoid_domain(1.3, 1.0, R=4.0)
+        with _caller_threads(2):
+            fieldv = solver2d.solve_2d(dom, p=1.5, u_R=0.05, shape=(32, 16))
+            assert _blas_threads() == [2] * len(_BLAS)
+        assert fieldv.converged
+        assert seen and all(counts == [1] * len(_BLAS) for counts in seen)
+
+    def test_solve_2d_ignores_the_callers_thread_count(self):
+        # 143 x 129 unknowns: OpenBLAS splits dot products this long between
+        # two threads, and uncapped the final residual norm then rounds
+        # differently
+        dom = solver2d.ellipsoid_domain(1.3, 1.0, R=4.0)
+        fields = []
+        for count in (1, 2):
+            with _caller_threads(count):
+                fields.append(solver2d.solve_2d(dom, p=1.5, u_R=0.05, shape=(144, 128)))
+        one, two = fields
+        assert np.array_equal(one.u, two.u)
+        assert (one.outer_iterations, one.residual_rel) == (two.outer_iterations, two.residual_rel)
 
 
 class TestSpline:

@@ -132,6 +132,16 @@ class TestNearOne:
             worst = max(abs(mpmath.mpf(v) / e - 1) for v, e in zip(pot.u(np.array(radii)), exact))
         assert worst < 1e-13
 
+    @pytest.mark.parametrize("p", [1.5, 1.1, 1.01])
+    def test_level_radius_on_dense_levels(self, euclid3, schw1, p):
+        # flat scale-invariant datum: w = (3-p) ln r, so r(t) = e^{t/(3-p)}
+        pot = solve_wp(euclid3, 1.0, 4.0, p, phi_R=(3.0 - p) * math.log(4.0))
+        ts = np.linspace(0.0, pot.phi_R, 257)
+        assert np.allclose(pot.level_radius(ts), np.exp(ts / (3.0 - p)), rtol=1e-13, atol=0.0)
+        pot = solve_wp(schw1, 2.2, 12.0, p)
+        ts = np.linspace(0.0, pot.phi_R, 257)
+        assert np.allclose(pot.w(pot.level_radius(ts)), ts, rtol=0.0, atol=1e-13)
+
     def test_array_calls_equal_scalar_calls(self, schw1):
         pots = [solve_wp(schw1, 2.2, 8.0, 1.3), solve_w1(schw1, 2.2, 8.0), solve_wp_eps(schw1, 2.2, 8.0, 1.3, 1e-3)]
         rs = np.linspace(2.2, 8.0, 7)
