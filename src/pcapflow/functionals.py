@@ -31,7 +31,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import geometry, radial
-from .numerics import CumulativeIntegral, Tolerance
+from .numerics import CumulativeIntegral
 
 __all__ = [
     "FunctionalParams",
@@ -49,8 +49,6 @@ __all__ = [
     "q_p_pointwise",
     "q_1_pointwise",
 ]
-
-BULK_TOL = Tolerance(abs_tol=1e-11, rel_tol=1e-11, max_iter=200)
 
 
 @dataclass(frozen=True)
@@ -260,7 +258,7 @@ def _ricci_bulk(solution, params: FunctionalParams):
             * geometry.ricci_radial(model, r)
         )
 
-    cum = CumulativeIntegral(integrand, pot.r0, (pot.r0, pot.R), BULK_TOL)
+    cum = CumulativeIntegral(integrand, pot.r0, (pot.r0, pot.R), 1e-11)
     return lambda t: cum(pot.level_radius(t))
 
 

@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numerics import Tolerance, integrate, natural_cubic_spline
+from .numerics import integrate, natural_cubic_spline
 
 __all__ = [
     "RadialManifold",
@@ -165,7 +165,7 @@ def avr(model: RadialManifold) -> float:
     return vals[-1] + (vals[-1] - vals[-2])
 
 
-def proper_distance(model: RadialManifold, a: float, b: float, tol: Tolerance = Tolerance()) -> float:
+def proper_distance(model: RadialManifold, a: float, b: float) -> float:
     """Arc length of the radial geodesic between radii a and b.
 
     When f blows up at the inner endpoint (Schwarzschild horizon) the
@@ -179,7 +179,7 @@ def proper_distance(model: RadialManifold, a: float, b: float, tol: Tolerance = 
         return 0.0
     fa = model.f(a)
     if math.isfinite(fa):
-        return integrate(model.f, a, b, tol)
+        return integrate(model.f, a, b)
 
     # keep a + x*x strictly above a in double precision, and far enough out
     # that computing f there does not hit the cancellation noise of r - a;
@@ -191,7 +191,7 @@ def proper_distance(model: RadialManifold, a: float, b: float, tol: Tolerance = 
         x = np.maximum(x, x_floor)
         return 2.0 * x * model.f(a + x * x)
 
-    return integrate(regularized, 0.0, math.sqrt(b - a), tol)
+    return integrate(regularized, 0.0, math.sqrt(b - a))
 
 
 def _validate_samples(model: RadialManifold, lo: float, hi: float, samples: int = 128) -> None:

@@ -6,6 +6,9 @@ cubic splines, a banded Cholesky solve for symmetric positive definite
 systems, and a context that runs BLAS on one thread.  Every radial and
 level-set integral in the package routes through :func:`integrate` or
 :class:`CumulativeIntegral` so that accuracy budgets live in one place.
+The budget is one relative tolerance plus a rounding floor: a panel passes
+when its error estimate is below ``rel_tol`` of the integral or below 64 eps
+times its integral of |fn|, so integrals that cancel to zero still end.
 
 Each panel carries a 20-point and a 10-point Gauss-Legendre sum of the
 same integrand; their difference bounds the error of the 10-point sum, so
@@ -28,7 +31,6 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 __all__ = [
-    "Tolerance",
     "QuadratureError",
     "BracketError",
     "SpdResult",
@@ -38,28 +40,9 @@ __all__ = [
     "single_threaded_blas",
     "natural_cubic_spline",
     "CumulativeIntegral",
-    "DEFAULT_TOL",
-    "ROOT_TOL",
 ]
 
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Accuracy budget shared by the iterative kernels."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-
-
-DEFAULT_TOL = Tolerance()
-ROOT_TOL = Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_iter=200)
+_ROOT_STEPS = 200  # iteration cap of find_root
 
 # the kept rule and the coarse rule of the per-panel error estimate, on [-1, 1]
 _X, _W = np.polynomial.legendre.leggauss(20)
@@ -124,15 +107,14 @@ def _gauss_rows(fn, a, b, nodes, log):
     return fine, crude, floor
 
 
-def _panels(fn, edges, tol: Tolerance, log: bool, local: bool):
+def _panels(fn, edges, rel_tol: float, log: bool, local: bool):
     """Refine the panels between consecutive increasing ``edges`` until each
     passes its error test; returns the leaves (lo, hi, integral) sorted by lo.
 
     The test is |20-point - 10-point| <= max(target, floor): ``local``
-    targets rel_tol of the panel's own integral (or abs_tol times its share
-    of the span), otherwise each panel gets its width's share of
-    max(abs_tol, rel_tol*|total|); in log mode the target is rel_tol on the
-    log difference, and the floor is relative.
+    targets rel_tol of the panel's own integral, otherwise each panel gets
+    its width's share of rel_tol*|total|; in log mode the target is rel_tol
+    on the log difference, and the floor is relative.
 
     A halving gains about 2^-20 on a smooth integrand.  A panel that gained
     less than a factor 8 over the panel it was halved from, with an error
@@ -162,16 +144,15 @@ def _panels(fn, edges, tol: Tolerance, log: bool, local: bool):
         fine, crude, floor = _gauss(fn, lo, hi, log)
         with np.errstate(invalid="ignore"):
             err = np.nan_to_num(np.abs(fine - crude), nan=0.0)
-        share = (hi - lo) / span
         if log:
-            target = tol.rel_tol
+            target = rel_tol
             magnitude = 1.0
         else:
             magnitude = floor / (64.0 * _EPS)  # the panel's integral of |fn|
             if local:
-                target = np.maximum(tol.rel_tol * np.abs(fine), tol.abs_tol * share)
+                target = rel_tol * np.abs(fine)
             else:
-                target = max(tol.abs_tol, tol.rel_tol * abs(total + fine.sum())) * share
+                target = rel_tol * abs(total + fine.sum()) * ((hi - lo) / span)
         noise = (err > parent / 8.0) & (err <= _SQRT_EPS * magnitude)
         ok = (err <= np.maximum(target, floor)) | noise
         give_up = ~ok & (hi - lo <= min_width)
@@ -187,7 +168,7 @@ def _panels(fn, edges, tol: Tolerance, log: bool, local: bool):
         parent = np.tile(err[~keep], 2)
     lo, hi, v = (np.concatenate(parts) for parts in (done_lo, done_hi, done_v))
     order = np.argsort(lo)
-    budget = tol.rel_tol if log else max(tol.abs_tol, tol.rel_tol * abs(total))
+    budget = rel_tol if log else rel_tol * abs(total)
     if stuck > budget:
         raise QuadratureError(
             f"quadrature on [{edges[0]}, {edges[-1]}] did not reach tolerance {budget:.3e}; "
@@ -197,11 +178,11 @@ def _panels(fn, edges, tol: Tolerance, log: bool, local: bool):
     return lo[order], hi[order], v[order]
 
 
-def integrate(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def integrate(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float, rel_tol: float = 1e-10) -> float:
     """Adaptive panel Gauss-Legendre quadrature of ``fn`` over [a, b].
 
     ``fn`` maps an array of abscissae to an array of values.  The error
-    target is max(abs_tol, rel_tol*|I|), shared among the panels by width.
+    target is rel_tol*|I|, shared among the panels by width.
     Raises ValueError on non-finite integrand values and QuadratureError
     (carrying the best estimate) when panels reach rounding width without
     meeting the target.
@@ -212,7 +193,7 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: T
         raise ValueError(f"integration bounds out of order: [{a}, {b}]")
     if a == b:
         return 0.0
-    return float(_panels(fn, np.array([a, b]), tol, log=False, local=False)[2].sum())
+    return float(_panels(fn, np.array([a, b]), rel_tol, log=False, local=False)[2].sum())
 
 
 class CumulativeIntegral:
@@ -234,13 +215,13 @@ class CumulativeIntegral:
     the cumulative values there.
     """
 
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], x0: float, edges, tol: Tolerance = DEFAULT_TOL, log: bool = False):
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], x0: float, edges, rel_tol: float = 1e-10, log: bool = False):
         self.fn = fn
         self.log = log
         e = np.union1d(np.asarray(edges, dtype=float), [float(x0)])
         if e.size < 2:
             raise ValueError("the table needs an interval")
-        lo, hi, v = _panels(fn, e, tol, log, local=True)
+        lo, hi, v = _panels(fn, e, rel_tol, log, local=True)
         self.edges = np.append(lo, hi[-1])
         # sums from the anchor outward: up from x0 on the right, down on the left
         right = lo >= x0
@@ -271,9 +252,10 @@ class CumulativeIntegral:
         return out.reshape(xa.shape)[()]
 
 
-def find_root(fn: Callable[[float], float], lo: float, hi: float, tol: Tolerance = ROOT_TOL) -> float:
+def find_root(fn: Callable[[float], float], lo: float, hi: float, tol: float = 1e-13) -> float:
     """Bracketed root of a scalar function: bisection refined by secant steps.
 
+    Stops when the bracket is no wider than tol*(1 + |midpoint|).
     Alternating secant/bisection guarantees the bracket at least halves every
     other iteration.  Raises BracketError when fn(lo), fn(hi) share a sign.
     """
@@ -290,9 +272,9 @@ def find_root(fn: Callable[[float], float], lo: float, hi: float, tol: Tolerance
     if (flo > 0.0) == (fhi > 0.0):
         raise BracketError(f"no sign change on [{lo}, {hi}]: f(lo)={flo:.3e}, f(hi)={fhi:.3e}")
     use_secant = True
-    for _ in range(tol.max_iter):
+    for _ in range(_ROOT_STEPS):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol.abs_tol + tol.rel_tol * abs(mid):
+        if hi - lo <= tol + tol * abs(mid):
             break
         x = mid
         if use_secant and fhi != flo:

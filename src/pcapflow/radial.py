@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import geometry
-from .numerics import CumulativeIntegral, Tolerance, find_root, integrate
+from .numerics import CumulativeIntegral, find_root, integrate
 
 __all__ = [
     "RadialPotential",
@@ -47,7 +47,7 @@ KIND_EPS = "eps-regularized"
 # the log tails are refined to 1e-12 relative per panel; the integrand spans
 # many decades when p is near 1 (h^{-kappa}, kappa = (n-1)/(p-1)), so any
 # absolute floor would accept tail panels at garbage relative accuracy
-SOLVE_TOL = Tolerance(abs_tol=1e-300, rel_tol=1e-12, max_iter=200)
+_TAIL_TOL = 1e-12
 
 # e-folds of h^{-kappa} per initial tail panel
 _EFOLDS_PER_PANEL = 4.0
@@ -244,7 +244,7 @@ def solve_wp(
         lambda s: np.log(model.f(s)) - kappa * np.log(model.h(s)),
         R,
         _tail_edges(model, r0, R, kappa),
-        SOLVE_TOL,
+        _TAIL_TOL,
         log=True,
     )
     # u = u_R + B T(r) with B = (1 - u_R) / T(r0)
@@ -353,7 +353,7 @@ def solve_wp_eps(
         return _regularized_log_slope(log_C - (n - 1.0) * np.log(model.h(r)), p, eps)
 
     def u_end_defect(log_C: float) -> float:
-        drop = integrate(lambda s: model.f(s) * np.exp(log_q(s, log_C)), r0, R, SOLVE_TOL)
+        drop = integrate(lambda s: model.f(s) * np.exp(log_q(s, log_C)), r0, R, _TAIL_TOL)
         return (1.0 - drop) - u_R
 
     # u(R; C0) <= u_R for the regularized slope, so C0 brackets from above
@@ -370,14 +370,14 @@ def solve_wp_eps(
         hi_exp += math.log(2.0)
     else:
         raise ShootingError("could not bracket the flux constant from above")
-    log_C = find_root(u_end_defect, lo_exp, hi_exp, Tolerance(1e-13, 1e-13, 200))
+    log_C = find_root(u_end_defect, lo_exp, hi_exp)
 
     def log_slope(r):
         return log_q(r, log_C)
 
     kappa = (n - 1.0) / (p - 1.0)
     tail = CumulativeIntegral(
-        lambda s: np.log(model.f(s)) + log_slope(s), R, _tail_edges(model, r0, R, kappa), SOLVE_TOL, log=True
+        lambda s: np.log(model.f(s)) + log_slope(s), R, _tail_edges(model, r0, R, kappa), _TAIL_TOL, log=True
     )
 
     def theta(r):

@@ -6,11 +6,17 @@ outer sphere r = R; the potential is w = -(p-1) ln u.  The annular region is
 mapped to the unit square by r(sigma, theta) = rho(theta) + sigma (R - rho),
 where the physical gradient picks up a shear:
 
-    u_r = u_sigma / Delta,     u_theta|_r = u_thetahat - u_sigma rho'(1-sigma)/Delta,
+    u_r = u_sigma / r_sigma,     u_theta|_r = u_thetahat - u_sigma r_theta / r_sigma,
 
-with Delta = R - rho.  The discretization is bilinear Galerkin on the mapped
-rectangles (the vanishing r^2 sin(theta) weight handles the axis without
-ghost rows).  The discrete solution minimizes the convex energy
+with r_sigma = dr/dsigma and r_theta = dr/dtheta at fixed sigma.  The map
+lives in one function, ``_map``, which returns r, r_sigma and r_theta; the
+Gauss-point geometry of ``_Mesh``, the nodal radii and mapped gradient of
+``Field2D``, the initial profile of ``solve_2d`` and the nodal data of
+``field_from_radial`` all read it.
+
+The discretization is bilinear Galerkin on the mapped rectangles (the
+vanishing r^2 sin(theta) weight handles the axis without ghost rows).  The
+discrete solution minimizes the convex energy
 
     E(u) = int (|grad u|^2 + eps^2)^(p/2) / p
 
@@ -32,6 +38,7 @@ the tangential derivatives of |grad w| and H along the meridian.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -127,6 +134,19 @@ def ellipsoid_domain(a_ax: float = 1.3, b_eq: float = 1.0, R: float = 8.0) -> Ax
     )
 
 
+def _map(domain: AxisymmetricDomain, sigma, theta):
+    """The radial map at broadcastable (sigma, theta): r, dr/dsigma and
+    dr/dtheta at fixed sigma."""
+    rho = np.asarray(domain.rho(theta), dtype=float)
+    delta = domain.R - rho
+    return rho + sigma * delta, delta, np.asarray(domain.drho(theta), dtype=float) * (1.0 - sigma)
+
+
+def _nodes(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The sigma and theta node coordinates of an (Nsigma, Ntheta) grid."""
+    return np.linspace(0.0, 1.0, shape[0] + 1), np.linspace(0.0, math.pi, shape[1] + 1)
+
+
 # the element-matrix pairs (k, l) with conn[:, k] >= conn[:, l]: its lower
 # triangle in natural node order
 _LOWER_K = np.array([0, 1, 2, 3, 1, 2, 3, 1, 3, 3])
@@ -139,11 +159,6 @@ class _Mesh:
     the interior block."""
 
     def __init__(self, domain: AxisymmetricDomain, Nsigma: int, Ntheta: int):
-        self.domain = domain
-        self.Nsigma = Nsigma
-        self.Ntheta = Ntheta
-        self.sigma = np.linspace(0.0, 1.0, Nsigma + 1)
-        self.theta = np.linspace(0.0, math.pi, Ntheta + 1)
         self.dsig = 1.0 / Nsigma
         self.dth = math.pi / Ntheta
         self.n_nodes = (Nsigma + 1) * (Ntheta + 1)
@@ -168,15 +183,12 @@ class _Mesh:
             for eta in _GP:
                 dNdxi = np.array([-(1.0 - eta), (1.0 - eta), -eta, eta])
                 dNdeta = np.array([-(1.0 - xi), -xi, (1.0 - xi), xi])
-                sg = (ii + xi) * self.dsig
                 tg = (jj + eta) * self.dth
-                rho_g = np.asarray(domain.rho(tg), dtype=float)
-                delta_g = domain.R - rho_g
-                shear = np.asarray(domain.drho(tg), dtype=float) * (1.0 - sg) / delta_g
-                r_g = rho_g + sg * delta_g
-                Drs.append(dNdxi[None, :] / (self.dsig * delta_g[:, None]))
+                r_g, rs_g, rt_g = _map(domain, (ii + xi) * self.dsig, tg)
+                shear = rt_g / rs_g
+                Drs.append(dNdxi[None, :] / (self.dsig * rs_g[:, None]))
                 Dts.append((dNdeta[None, :] / self.dth - shear[:, None] * dNdxi[None, :] / self.dsig) / r_g[:, None])
-                vols.append(r_g**2 * np.sin(tg) * delta_g * self.dsig * self.dth * 0.25)
+                vols.append(r_g**2 * np.sin(tg) * rs_g * self.dsig * self.dth * 0.25)
         self.Dr = np.stack(Drs)  # (gp, ne, 4) coefficients of the radial derivative
         self.Dt = np.stack(Dts)  # (gp, ne, 4) coefficients of the tangential derivative
         self.vol = np.stack(vols)  # (gp, ne) volume weights
@@ -244,30 +256,32 @@ class Field2D:
 
     @property
     def sigma(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.u.shape[0])
+        return _nodes(self.shape)[0]
 
     @property
     def theta(self) -> np.ndarray:
-        return np.linspace(0.0, math.pi, self.u.shape[1])
+        return _nodes(self.shape)[1]
 
-    # -- mapped finite-difference helpers -------------------------------
-    def _geometry(self):
-        th = self.theta
-        rho = np.asarray(self.domain.rho(th), dtype=float)
-        delta = self.domain.R - rho
-        shear = np.asarray(self.domain.drho(th), dtype=float)[None, :] * (1.0 - self.sigma)[:, None] / delta[None, :]
-        r = rho[None, :] + self.sigma[:, None] * delta[None, :]
-        return rho, delta, shear, r
+    @functools.cached_property
+    def _frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nodal r, dr/dsigma and the shear (dr/dtheta)/(dr/dsigma) of the map."""
+        r, r_s, r_t = _map(self.domain, self.sigma[:, None], self.theta[None, :])
+        return r, r_s, r_t / r_s
 
-    def _d_r(self, F: np.ndarray) -> np.ndarray:
-        _, delta, _, _ = self._geometry()
-        return np.gradient(F, self.sigma, axis=0, edge_order=2) / delta[None, :]
+    @property
+    def r(self) -> np.ndarray:
+        """Nodal radii, (Nsigma+1, Ntheta+1)."""
+        return self._frame[0]
 
-    def _d_theta_at_r(self, F: np.ndarray) -> np.ndarray:
-        _, _, shear, _ = self._geometry()
-        return np.gradient(F, self.theta, axis=1, edge_order=2) - shear * np.gradient(
-            F, self.sigma, axis=0, edge_order=2
-        )
+    def _grad(self, F: np.ndarray, scale) -> tuple[np.ndarray, np.ndarray]:
+        """Mapped finite differences of the nodal field F: dF/dr, and dF/dtheta
+        at fixed r divided by ``scale``, set to 0 on the axis (symmetry)."""
+        _, r_s, shear = self._frame
+        F_s = np.gradient(F, self.sigma, axis=0, edge_order=2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            F_t = (np.gradient(F, self.theta, axis=1, edge_order=2) - shear * F_s) / scale
+        F_t[:, [0, -1]] = 0.0
+        return F_s / r_s, F_t
 
     def derived(self) -> dict:
         """Nodal w, gradient components, |grad w|, theta_eps, H, curvatures."""
@@ -276,13 +290,9 @@ class Field2D:
         if np.any(self.u <= 0.0):
             raise Solver2DError("u must stay positive to define w = -(p-1) ln u")
         p, eps = self.p, self.eps
-        _, _, _, r = self._geometry()
-        th = self.theta[None, :]
+        r = self.r
         w = -(p - 1.0) * np.log(self.u)
-        du_r = self._d_r(self.u)
-        du_t = self._d_theta_at_r(self.u) / r
-        du_t[:, 0] = 0.0
-        du_t[:, -1] = 0.0  # axis symmetry
+        du_r, du_t = self._grad(self.u, r)
         Gu2 = du_r**2 + du_t**2
         theta_eps = eps * eps / (Gu2 + eps * eps) if eps > 0.0 else np.zeros_like(Gu2)
         Wr = -(p - 1.0) * du_r / self.u
@@ -291,23 +301,12 @@ class Field2D:
         Gsafe = np.where(G > 0.0, G, 1.0)
         nur = Wr / Gsafe
         nut = Wt / Gsafe
-        Qr = self._d_r(G)
-        Qt = self._d_theta_at_r(G) / r
-        Qt[:, 0] = 0.0
-        Qt[:, -1] = 0.0
+        Qr, Qt = self._grad(G, r)
         ip_GW = Qr * Wr + Qt * Wt
         factor = 1.0 + (2.0 - p) / (p - 1.0) * theta_eps
         H = (G - (p - 1.0) * ip_GW / Gsafe**2) * factor
-        Hr = self._d_r(H)
-        Ht = self._d_theta_at_r(H) / r
-        Ht[:, 0] = 0.0
-        Ht[:, -1] = 0.0
-        sin = np.sin(th)
-        nu_cyl = nur * sin + nut * np.cos(th)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kphi = nu_cyl / (r * sin)
-        kphi[:, 0] = 0.5 * H[:, 0]
-        kphi[:, -1] = 0.5 * H[:, -1]  # on-axis limit: umbilic
+        Hr, Ht = self._grad(H, r)
+        kphi = _kappa_phi(nur, nut, r, H, self.theta)
         km = H - kphi
         self._derived = {
             "r": r,
@@ -395,6 +394,16 @@ class LevelCurve:
         return header, list(zip(self.theta, self.r, self.grad, self.H, self.kappa_m, self.kappa_phi))
 
 
+def _kappa_phi(nur, nut, r, H, theta):
+    """Parallel-circle curvature nu_cyl/(r sin theta) over theta on the last
+    axis; on the axis the level is umbilic, and it is H/2 there."""
+    sin = np.sin(theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kphi = (nur * sin + nut * np.cos(theta)) / (r * sin)
+    kphi[..., [0, -1]] = 0.5 * H[..., [0, -1]]
+    return kphi
+
+
 def extract_level(fieldv: Field2D, t: float) -> LevelCurve:
     der = fieldv.derived()
     w = der["w"]
@@ -435,17 +444,12 @@ def extract_level(fieldv: Field2D, t: float) -> LevelCurve:
     H = interp(der["H"])
     theta_eps = interp(der["theta_eps"])
     dr = -r * Wt / Wr  # implicit differentiation of w(r(theta), theta) = t
-    sin = np.sin(theta)
-    nu_cyl = nur * sin + nut * np.cos(theta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kphi = nu_cyl / (r * sin)
-    kphi[0] = 0.5 * H[0]
-    kphi[-1] = 0.5 * H[-1]
+    kphi = _kappa_phi(nur, nut, r, H, theta)
     km = H - kphi
     # meridian unit tangent is nu rotated by 90 degrees in the (r, theta) plane
     grad_tan = np.abs(-Qr * nut + Qt * nur)
     H_tan = np.abs(-Hr * nut + Ht * nur)
-    measure = 2.0 * math.pi * r * sin * np.sqrt(r * r + dr * dr)
+    measure = 2.0 * math.pi * r * np.sin(theta) * np.sqrt(r * r + dr * dr)
     return LevelCurve(
         t=float(t),
         theta=theta,
@@ -497,15 +501,15 @@ def solve_2d(
     if eps < 1e-8:
         raise Solver2DError(f"eps={eps} below 1e-8: the p->1 coefficient would overflow")
 
-    mesh = _Mesh(domain, Nsigma, Ntheta)
     if u_R == 1.0:
         return Field2D(domain, p, float(eps), 1.0, np.ones((Nsigma + 1, Ntheta + 1)), True, 0, 0.0)
 
-    # harmonic-like initial profile, exact boundary values
-    rho = np.asarray(domain.rho(mesh.theta), dtype=float)[None, :]
-    r = rho + mesh.sigma[:, None] * (domain.R - rho)
-    u = ((1.0 / r - 1.0 / domain.R) / (1.0 / rho - 1.0 / domain.R)) * (1.0 - u_R) + u_R
+    # harmonic-like initial profile, exact boundary values (row 0 of r is rho)
+    sigma, theta = _nodes(shape)
+    r = _map(domain, sigma[:, None], theta[None, :])[0]
+    u = ((1.0 / r - 1.0 / domain.R) / (1.0 / r[:1] - 1.0 / domain.R)) * (1.0 - u_R) + u_R
 
+    mesh = _Mesh(domain, Nsigma, Ntheta)
     inner = mesh.inner
     u_flat = u.ravel()
     u_dir = u_flat.copy()
@@ -574,14 +578,11 @@ def field_from_radial(domain: AxisymmetricDomain, shape: tuple[int, int], pot) -
     at the nodes, so discretization errors of the derived-field pipeline can
     be measured in isolation.
     """
-    Nsigma, Ntheta = shape
-    sigma = np.linspace(0.0, 1.0, Nsigma + 1)
-    rho = np.asarray(domain.rho(np.linspace(0.0, math.pi, Ntheta + 1)), dtype=float)[None, :]
-    r = rho + sigma[:, None] * (domain.R - rho)
-    if pot.r0 > float(np.min(rho)) + 1e-12 or pot.R < domain.R - 1e-12:
-        raise Solver2DError(
-            f"radial annulus [{pot.r0}, {pot.R}] does not cover the domain [{float(np.min(rho))}, {domain.R}]"
-        )
+    sigma, theta = _nodes(shape)
+    r = _map(domain, sigma[:, None], theta[None, :])[0]
+    r_min = float(np.min(r[0]))
+    if pot.r0 > r_min + 1e-12 or pot.R < domain.R - 1e-12:
+        raise Solver2DError(f"radial annulus [{pot.r0}, {pot.R}] does not cover the domain [{r_min}, {domain.R}]")
     u = pot.u(r)
     return Field2D(
         domain=domain,
@@ -634,11 +635,7 @@ def divergence_residuals(fieldv: Field2D, alpha: float, margin: float = 0.15) ->
     sin = np.sin(fieldv.theta)[None, :]
 
     def fd_div(Xr: np.ndarray, Xt: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term_t = fieldv._d_theta_at_r(sin * Xt) / (r * sin)
-        term_t[:, 0] = 0.0
-        term_t[:, -1] = 0.0
-        return fieldv._d_r(r * r * Xr) / (r * r) + term_t
+        return fieldv._grad(r * r * Xr, r)[0] / (r * r) + fieldv._grad(sin * Xt, r * sin)[1]
 
     ip_GW = Qr * Wr + Qt * Wt
     Jr = G ** (alpha + p - 2.0) * Wr

@@ -161,13 +161,10 @@ def write_csv(path, header, rows) -> None:
 # ----------------------------------------------------------------- suites
 
 
-# purely relative: the defects of the convergence tables fall to 1e-8 and
-# below as p -> 1, where any absolute floor would cost their digits
-_QUAD_TOL = numerics.Tolerance(abs_tol=1e-300, rel_tol=1e-12)
-
-
 def _quad(fn, a, b):
-    return numerics.integrate(fn, a, b, _QUAD_TOL)
+    # the defects of the convergence tables fall to 1e-8 and below as
+    # p -> 1, so the target is relative to each integral
+    return numerics.integrate(fn, a, b, 1e-12)
 
 
 def _thresholds(defaults: dict, given: Optional[dict]) -> dict:

@@ -147,8 +147,7 @@ def test_09_two_dimensional_oracle(sphere_field, ellipsoid_128):
     oracle = radial.solve_wp_eps(
         geometry.euclidean(3), 1.0, 3.0, 1.5, 1e-4, phi_R=0.5 * math.log(3.0)
     )
-    r = 1.0 + 2.0 * sphere_field.sigma
-    exact = np.array([oracle.u(x) for x in r])[:, None]
+    exact = oracle.u(sphere_field.r)
     assert np.max(np.abs(sphere_field.u - exact)) < 5e-4
     chis = [sphere_field.level(t).chi_proxy / 2.0 for t in midband(sphere_field, num=5)]
     chis += [ellipsoid_128.level(t).chi_proxy / 2.0 for t in midband(ellipsoid_128, num=5)]

@@ -61,14 +61,52 @@ class TestHarmonicClosedForm:
         f = solve_2d(sphere_domain(1.0, 2.0), p=2.0, u_R=0.5, shape=shape, eps=1e-3)
         assert f.converged
         assert f.outer_iterations == 1  # the energy is quadratic at p = 2: one Newton step
-        r = 1.0 + f.sigma
-        return float(np.max(np.abs(f.u - (1.0 / r)[:, None])))
+        return float(np.max(np.abs(f.u - 1.0 / f.r)))
 
     def test_second_order_convergence(self):
         e32 = self._error((32, 16))
         e64 = self._error((64, 32))
         assert e32 < 5e-3
         assert e64 < 0.35 * e32
+
+
+class TestMap:
+    """Properties every radial map of the mapped grid must keep."""
+
+    DOMAINS = {
+        "sphere": (sphere_domain(1.0, 4.0), 4.0 * math.pi / 3.0 * (4.0**3 - 1.0)),
+        "ellipsoid": (ellipsoid_domain(1.3, 1.0, R=4.0), 4.0 * math.pi / 3.0 * (4.0**3 - 1.3 * 1.0**2)),
+    }
+
+    @pytest.mark.parametrize("R", [4.0, 7.3])
+    def test_boundary_rows(self, R):
+        dom = ellipsoid_domain(1.3, 1.0, R=R)
+        f = Field2D(dom, 1.5, 1e-3, 0.5, np.ones((33, 17)), True, 0, 0.0)
+        assert np.array_equal(f.r[0], dom.rho(f.theta))
+        # rho + (R - rho) may round to a neighbour of R
+        assert np.all(np.abs(f.r[-1] - R) <= np.spacing(R))
+
+    def test_derived_radii_are_the_nodal_radii(self):
+        f = solve_2d(ellipsoid_domain(1.3, 1.0, R=4.0), p=2.0, u_R=0.25, shape=(32, 16))
+        assert f.derived()["r"] is f.r
+
+    def test_seeded_and_solved_fields_share_the_nodes(self):
+        dom = ellipsoid_domain(1.3, 1.0, R=4.0)
+        pot = radial.solve_wp(geometry.euclidean(3), 1.0, 4.0, 1.5)
+        seeded = field_from_radial(dom, (32, 16), pot)
+        solved = solve_2d(dom, p=1.5, u_R=0.25, shape=(32, 16), max_outer=1)
+        assert np.array_equal(seeded.r, solved.r)
+        assert np.array_equal(seeded.u, pot.u(solved.r))
+
+    @pytest.mark.parametrize("name", sorted(DOMAINS))
+    def test_mesh_volume_converges(self, name):
+        dom, volume = self.DOMAINS[name]
+        errs = [
+            abs(2.0 * math.pi * solver2d._Mesh(dom, *shape).vol.sum() - volume) / volume
+            for shape in ((32, 16), (64, 32), (128, 64))
+        ]
+        assert errs[0] < 1e-6
+        assert errs[1] < 0.1 * errs[0] and errs[2] < 0.1 * errs[1]
 
 
 class TestSolveValidation:
@@ -124,8 +162,7 @@ class TestSphereField:
     """128 x 64 regularized solve on [1, 3] against the radial oracle."""
 
     def test_matches_radial_solution(self, sphere_field, sphere_oracle):
-        r = 1.0 + 2.0 * sphere_field.sigma
-        exact = np.array([sphere_oracle.u(x) for x in r])[:, None]
+        exact = sphere_oracle.u(sphere_field.r)
         assert np.max(np.abs(sphere_field.u - exact)) < 1e-4
 
     def test_flux_is_conserved(self, sphere_field):
@@ -224,8 +261,7 @@ class TestFieldFromRadial:
     def test_nodal_values_are_exact(self):
         pot = radial.solve_wp_eps(geometry.euclidean(3), 1.0, 4.0, 1.5, 1e-3)
         f = field_from_radial(sphere_domain(1.0, 4.0), (32, 16), pot)
-        r = 1.0 + 3.0 * f.sigma
-        exact = np.array([pot.u(x) for x in r])[:, None]
+        exact = np.array([pot.u(x) for x in f.r.ravel()]).reshape(f.r.shape)
         assert np.max(np.abs(f.u - exact)) < 1e-14
 
     def test_divergence_identities_refine(self):
