@@ -10,6 +10,10 @@ The budget is one relative tolerance plus a rounding floor: a panel passes
 when its error estimate is below ``rel_tol`` of the integral or below 64 eps
 times its integral of |fn|, so integrals that cancel to zero still end.
 
+SciPy is imported inside the functions that call it (the spline and the
+banded Cholesky here, Simpson's rule in ``solver2d``): its import outlasts
+most configs' runs, and a radial-only run never needs it.
+
 Each panel carries a 20-point and a 10-point Gauss-Legendre sum of the
 same integrand; their difference bounds the error of the 10-point sum, so
 the 20-point sum that is kept is far more accurate than the test demands.
@@ -27,8 +31,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 __all__ = [
     "QuadratureError",
@@ -310,6 +312,8 @@ def solve_spd(band: np.ndarray, rhs: np.ndarray) -> SpdResult:
     copied first.  A matrix that is not positive definite raises
     ``numpy.linalg.LinAlgError`` (a ``ValueError``).
     """
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+
     factor = cholesky_banded(band, lower=True, overwrite_ab=True)
     return SpdResult(cho_solve_banded((factor, True), rhs), iterations=1)
 
@@ -365,6 +369,8 @@ def single_threaded_blas():
             set_threads(count)
 
 
-def natural_cubic_spline(x, y) -> CubicSpline:
-    """Cubic spline with natural boundary conditions (vanishing second derivative)."""
+def natural_cubic_spline(x, y):
+    """Natural cubic spline (vanishing second derivative), a SciPy ``CubicSpline``."""
+    from scipy.interpolate import CubicSpline
+
     return CubicSpline(np.asarray(x, dtype=float), np.asarray(y, dtype=float), bc_type="natural")

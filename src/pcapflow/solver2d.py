@@ -44,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .numerics import single_threaded_blas, solve_spd
 
@@ -88,7 +87,6 @@ class AxisymmetricDomain:
     drho: Callable[[np.ndarray], np.ndarray]
     R: float
     label: str
-    params: dict
 
     def __post_init__(self):
         th = np.linspace(0.0, math.pi, 181)
@@ -107,7 +105,6 @@ def sphere_domain(r0: float = 1.0, R: float = 8.0) -> AxisymmetricDomain:
         drho=lambda th: np.zeros_like(np.asarray(th, dtype=float)),
         R=float(R),
         label=f"sphere(r0={r0})",
-        params={"shape": "sphere", "r0": r0, "R": float(R)},
     )
 
 
@@ -130,7 +127,6 @@ def ellipsoid_domain(a_ax: float = 1.3, b_eq: float = 1.0, R: float = 8.0) -> Ax
         drho=drho,
         R=float(R),
         label=f"ellipsoid(a_ax={a_ax}, b_eq={b_eq})",
-        params={"shape": "ellipsoid", "a_ax": a_ax, "b_eq": b_eq, "R": float(R)},
     )
 
 
@@ -369,6 +365,8 @@ class LevelCurve:
 
     def integrate(self, values) -> float:
         """Surface integral over the level (azimuthal factor included)."""
+        from scipy.integrate import simpson
+
         return float(simpson(np.asarray(values, dtype=float) * self.measure, x=self.theta))
 
     @property

@@ -6,6 +6,13 @@ probes (e.g. ``area-exponential-growth``), measured values, a threshold and
 a verdict in {pass, fail, not-guaranteed}.  ``not-guaranteed`` marks checks
 whose hypothesis (an exponent range, a curvature sign) does not hold for the
 requested parameters, so a violation is information rather than a defect.
+
+Threshold checks are built by :func:`_gate` under one rule: a check passes
+iff its measured value is strictly below its threshold (strictly above, for a
+lower bound), and the threshold it reports is the one it applies.  Two checks
+keep their own rule: :func:`_monotone_check`, whose verdict comes from
+:func:`check_monotone` and can be ``not-guaranteed``, and
+:func:`_gp_identity_check`, which applies ``1e-6 * scale + floor``.
 """
 
 from __future__ import annotations
@@ -125,6 +132,13 @@ def check_monotone(values, slack: float = 1e-8):
     return ("pass" if not violations else "fail"), violations
 
 
+def _gate(name: str, anchor: str, values: dict, measured: float, threshold: float, lower: bool = False) -> Check:
+    """Pass iff ``measured < threshold``, or ``measured > threshold`` when
+    ``lower``; NaN fails."""
+    ok = measured > threshold if lower else measured < threshold
+    return Check(name, anchor, values, threshold, "pass" if ok else "fail")
+
+
 def _monotone_check(name: str, anchor: str, series, guaranteed: bool, slack: float = 1e-8) -> Check:
     verdict, violations = check_monotone(series.values, slack)
     if verdict == "fail" and not guaranteed:
@@ -179,8 +193,7 @@ def _vanishing_check(name, anchor, values, column, threshold, report_decreasing)
     decreasing = all(b < a for a, b in zip(column, column[1:]))
     if report_decreasing:
         values["decreasing"] = decreasing
-    ok = decreasing and column[-1] < threshold
-    return Check(name, anchor, values, threshold, "pass" if ok else "fail")
+    return _gate(name, anchor, values, column[-1] if decreasing else math.inf, threshold)
 
 
 def p_to_1_suite(
@@ -245,18 +258,9 @@ def p_to_1_suite(
         for key, vals in cols.items()
     ]
     if expect_sup is not None:
-        worst = max(
-            abs(s - e) / abs(e) for s, e in zip(cols["sup_w"], expect_sup)
-        )
-        checks.append(
-            Check(
-                name="p-to-1 sup_w analytic values",
-                anchor="p-to-1-strong-convergence",
-                values={"measured": cols["sup_w"], "expected": list(expect_sup), "worst_rel": worst},
-                threshold=expect_rel,
-                verdict="pass" if worst <= expect_rel else "fail",
-            )
-        )
+        worst = max(abs(s - e) / abs(e) for s, e in zip(cols["sup_w"], expect_sup))
+        values = {"measured": cols["sup_w"], "expected": list(expect_sup), "worst_rel": worst}
+        checks.append(_gate("p-to-1 sup_w analytic values", "p-to-1-strong-convergence", values, worst, expect_rel))
     report = Report(
         experiment="p_to_1",
         checks=checks,
@@ -357,40 +361,20 @@ def inequality_suite(models: Optional[list[geometry.RadialManifold]] = None):
         levels = functionals.radial_level(w1, ts)
         areas = levels.area
         growth = np.max(np.abs(areas * np.exp(-ts) / areas[0] - 1.0))
-        checks.append(
-            Check(
-                name=f"area growth [{model.label}]",
-                anchor="area-exponential-growth",
-                values={"max_rel_defect": float(growth), "T": float(T)},
-                threshold=1e-10,
-                verdict="pass" if growth < 1e-10 else "fail",
-            )
-        )
+        values = {"max_rel_defect": float(growth), "T": float(T)}
+        checks.append(_gate(f"area growth [{model.label}]", "area-exponential-growth", values, growth, 1e-10))
         if model.nonneg_ricci:
             avr = geometry.avr(model)
             for alpha in (1.0, 2.0):
                 bound = (avr * geometry.unit_sphere_area(model.n)) ** (alpha / (model.n - 1.0))
                 vals = functionals.minkowski_M(levels, alpha)
                 worst = float(np.min(vals - bound))
-                checks.append(
-                    Check(
-                        name=f"minkowski bound [{model.label}] alpha={alpha}",
-                        anchor="minkowski-lower-bound",
-                        values={"min_excess": worst, "bound": bound},
-                        threshold=-1e-8,
-                        verdict="pass" if worst >= -1e-8 else "fail",
-                    )
-                )
+                label = f"[{model.label}] alpha={alpha}"
+                values = {"min_excess": worst, "bound": bound}
+                checks.append(_gate(f"minkowski bound {label}", "minkowski-lower-bound", values, worst, -1e-8, True))
                 eq_defect = float(np.max(np.abs(vals - bound))) / bound
-                checks.append(
-                    Check(
-                        name=f"minkowski equality [{model.label}] alpha={alpha}",
-                        anchor="minkowski-cone-equality",
-                        values={"max_rel_defect": eq_defect},
-                        threshold=1e-8,
-                        verdict="pass" if eq_defect < 1e-8 else "fail",
-                    )
-                )
+                values = {"max_rel_defect": eq_defect}
+                checks.append(_gate(f"minkowski equality {label}", "minkowski-cone-equality", values, eq_defect, 1e-8))
         if model.n == 3:
 
             def m_of(t):
@@ -402,40 +386,21 @@ def inequality_suite(models: Optional[list[geometry.RadialManifold]] = None):
                 # recover the mass parameter from the metric itself
                 m = 0.5 * r0 * (1.0 - model.f(r0) ** -2)
                 spread = float(np.max(np.abs(masses - m)))
-                checks.append(
-                    Check(
-                        name=f"hawking mass constancy [{model.label}]",
-                        anchor="hawking-constancy-schwarzschild",
-                        values={"max_abs_defect": spread, "mass": m},
-                        threshold=1e-9,
-                        verdict="pass" if spread < 1e-9 else "fail",
-                    )
-                )
+                values = {"max_abs_defect": spread, "mass": m}
+                name = f"hawking mass constancy [{model.label}]"
+                checks.append(_gate(name, "hawking-constancy-schwarzschild", values, spread, 1e-9))
             if "euclidean" in model.label:
                 worst = float(np.max(np.abs(masses)))
-                checks.append(
-                    Check(
-                        name="hawking mass vanishes [euclidean]",
-                        anchor="hawking-flat-space-zero",
-                        values={"max_abs": worst},
-                        threshold=1e-10,
-                        verdict="pass" if worst < 1e-10 else "fail",
-                    )
-                )
+                name = "hawking mass vanishes [euclidean]"
+                checks.append(_gate(name, "hawking-flat-space-zero", {"max_abs": worst}, worst, 1e-10))
             step = 1e-4
             inner = ts[1:-1]
             rhs = functionals.geroch_rhs(functionals.radial_level(w1, inner))
             dmdt = (m_of(inner + step) - m_of(inner - step)) / (2.0 * step)
             geroch_defect = float(np.min(dmdt - rhs))
-            checks.append(
-                Check(
-                    name=f"geroch monotonicity [{model.label}]",
-                    anchor="geroch-hawking-monotone",
-                    values={"min_dmdt_minus_rhs": geroch_defect},
-                    threshold=-1e-6,
-                    verdict="pass" if geroch_defect >= -1e-6 else "fail",
-                )
-            )
+            values = {"min_dmdt_minus_rhs": geroch_defect}
+            name = f"geroch monotonicity [{model.label}]"
+            checks.append(_gate(name, "geroch-hawking-monotone", values, geroch_defect, -1e-6, True))
     return Report(experiment="inequalities", checks=checks, environment={"models": [m.label for m in models]}), {}
 
 
@@ -471,13 +436,8 @@ def _phi_for(mode: str, model, r0, R, p) -> Optional[float]:
 
 def _constancy_check(series, constant: float, rel_tol: float = 1e-8) -> Check:
     defect = float(np.max(np.abs(series.values - constant))) / max(abs(constant), 1e-300)
-    return Check(
-        name=f"{series.name} constant = {constant:.17g}",
-        anchor="equality-case-constancy",
-        values={"target": constant, "max_rel_defect": defect},
-        threshold=rel_tol,
-        verdict="pass" if defect <= rel_tol else "fail",
-    )
+    values = {"target": constant, "max_rel_defect": defect}
+    return _gate(f"{series.name} constant = {constant:.17g}", "equality-case-constancy", values, defect, rel_tol)
 
 
 def _gp_identity_check(series) -> Check:
@@ -655,30 +615,17 @@ def solve_2d_suite(
     # residual), so the default sits two decades under the 1e-6 gate
     tol = 1e-10 if tol is None else tol
     fieldv = solver2d.solve_2d(dom, p, u_R, shape=grid, eps=eps, tol=tol)
-    checks = [
-        Check(
-            name="nonlinear solve converged",
-            anchor="newton-energy-convergence",
-            values={
-                "residual_rel": fieldv.residual_rel,
-                "outer_iterations": fieldv.outer_iterations,
-                "min_step": min((step for _, _, step in fieldv.history), default=None),
-            },
-            threshold=tol,
-            verdict="pass" if fieldv.converged and fieldv.residual_rel < tol else "fail",
-        )
-    ]
+    values = {
+        "residual_rel": fieldv.residual_rel,
+        "outer_iterations": fieldv.outer_iterations,
+        "min_step": min((step for _, _, step in fieldv.history), default=None),
+    }
+    residual = fieldv.residual_rel if fieldv.converged else math.inf
+    checks = [_gate("nonlinear solve converged", "newton-energy-convergence", values, residual, tol)]
     flux = solver2d.flux_profile(fieldv)
     spread = float((np.max(flux) - np.min(flux)) / abs(np.mean(flux)))
-    checks.append(
-        Check(
-            name="discrete flux conservation",
-            anchor="flux-conservation",
-            values={"relative_spread": spread, "mean_flux": float(np.mean(flux))},
-            threshold=1e-6,
-            verdict="pass" if spread < 1e-6 else "fail",
-        )
-    )
+    values = {"relative_spread": spread, "mean_flux": float(np.mean(flux))}
+    checks.append(_gate("discrete flux conservation", "flux-conservation", values, spread, 1e-6))
     tables = {"field": fieldv.table()}
     if levels is None:
         lo, hi = fieldv.w_range()
@@ -686,15 +633,9 @@ def solve_2d_suite(
     for k, t in enumerate(levels):
         curve = fieldv.level(float(t))
         gb = curve.sc_top_integral / (8.0 * math.pi)
-        checks.append(
-            Check(
-                name=f"gauss-bonnet level t={float(t):.6g}",
-                anchor="gauss-bonnet-quantization",
-                values={"sc_top_over_8pi": gb, "area": curve.area},
-                threshold=0.01,
-                verdict="pass" if abs(gb - 1.0) <= 0.01 else "fail",
-            )
-        )
+        values = {"sc_top_over_8pi": gb, "area": curve.area}
+        name = f"gauss-bonnet level t={float(t):.6g}"
+        checks.append(_gate(name, "gauss-bonnet-quantization", values, abs(gb - 1.0), 0.01))
         tables[f"level{k}"] = curve.table()
     return Report("solve_2d", checks, {"domain": dom.label, "grid": list(grid)}), tables
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -152,3 +153,31 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0
         assert "euclidean" in proc.stdout
+
+
+class TestScipyStaysUnloaded:
+    """Radial work never needs SciPy, so it is imported only by the 2-D
+    solver and the tabulated model."""
+
+    @staticmethod
+    def _scipy_modules(code):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        probe = code + "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys\n" + probe],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    def test_import_cli(self):
+        assert self._scipy_modules("import pcapflow.cli") == "[]"
+
+    def test_radial_run(self, tmp_path):
+        config = CONFIGS / "euclidean_fp.json"
+        code = f"from pcapflow import cli\nassert cli.main(['run', {str(config)!r}, '--out', {str(tmp_path)!r}]) == 0"
+        assert self._scipy_modules(code) == "[]"
+        assert (tmp_path / "euclidean_fp_report.json").exists()

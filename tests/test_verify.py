@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -109,6 +110,41 @@ class TestCheckAndReport:
         assert lines[0] == "experiment: smoke"
         assert lines[-1] == "overall: pass"
         assert any("PASS" in ln for ln in lines)
+
+
+class TestGate:
+    def test_below_passes_equal_and_above_fail(self):
+        assert verify._gate("g", "anc", {}, 0.5, 1.0).verdict == "pass"
+        assert verify._gate("g", "anc", {}, 1.0, 1.0).verdict == "fail"
+        assert verify._gate("g", "anc", {}, 2.0, 1.0).verdict == "fail"
+        assert verify._gate("g", "anc", {}, math.nan, 1.0).verdict == "fail"
+
+    def test_lower_bound_mirrors(self):
+        assert verify._gate("g", "anc", {}, 0.0, -1e-8, lower=True).verdict == "pass"
+        assert verify._gate("g", "anc", {}, -1e-8, -1e-8, lower=True).verdict == "fail"
+        assert verify._gate("g", "anc", {}, -1.0, -1e-8, lower=True).verdict == "fail"
+        assert verify._gate("g", "anc", {}, math.nan, -1e-8, lower=True).verdict == "fail"
+
+    def test_reports_the_threshold_it_applies(self):
+        values = {"x": 0.5}
+        chk = verify._gate("g", "anc", values, 0.5, 0.75)
+        assert (chk.name, chk.anchor, chk.values, chk.threshold) == ("g", "anc", values, 0.75)
+
+    def test_vanishing_check_needs_a_strict_decrease(self):
+        values = {}
+        chk = verify._vanishing_check("v", "anc", values, [1e-3, 2e-3, 1e-9], 1e-6, True)
+        assert chk.verdict == "fail" and values["decreasing"] is False
+        chk = verify._vanishing_check("v", "anc", {}, [1e-3, 1e-3, 1e-9], 1e-6, False)
+        assert chk.verdict == "fail"
+        chk = verify._vanishing_check("v", "anc", {}, [1e-3, 1e-5, 1e-9], 1e-6, False)
+        assert chk.verdict == "pass" and chk.threshold == 1e-6
+
+    def test_constancy_defect_equal_to_rel_tol_fails(self):
+        series = SimpleNamespace(name="F_p", values=np.array([2.0, 2.5]))
+        chk = verify._constancy_check(series, 2.0, rel_tol=0.25)
+        assert chk.values["max_rel_defect"] == chk.threshold == 0.25
+        assert chk.verdict == "fail"
+        assert verify._constancy_check(series, 2.0, rel_tol=0.5).verdict == "pass"
 
 
 class TestRunExperiment:
