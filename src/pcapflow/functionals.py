@@ -9,10 +9,16 @@ lam = alpha/(n-p) - 1 and G = |grad w|:
     Q_p    = (a-(2-p)) |grad^T G|^2/G^2 + |h-ring|^2
              + (a - (n-p)/(n-1)) (H - (n-1)/(n-p) G)^2 / (p-1)
 
-together with the p = 1 analogue F_1, the Hawking mass, the normalized
-Minkowski functional and the Geroch right-hand side.  The derivative
-identity d F_p/dt = e^{lam t} int G^{a+p-3} Q_p is reported as a residual
-column (central differences against the Q_p integral).
+together with the Hawking mass, the normalized Minkowski functional and
+the Geroch right-hand side.  The derivative identity
+d F_p/dt = e^{lam t} int G^{a+p-3} Q_p is reported as a residual column
+(central differences against the Q_p integral).
+
+p = 1 is a case of F_p, not a separate functional: on the flow potential of
+``radial.solve_w1`` (whose p is 1) F_p is the functional F_1 of the inverse
+mean curvature flow, and Q_p drops its last term, which vanishes there since
+H = |grad w|.  ``F_1`` is another name for ``F_p``.  A solution is accepted
+iff its p is ``params.p``.
 
 A level is a ``RadialLevel`` (round, from ``radial_level``) or a
 ``solver2d.LevelCurve`` (extracted from a 2-D field).  Both expose
@@ -47,7 +53,6 @@ __all__ = [
     "minkowski_M",
     "geroch_rhs",
     "q_p_pointwise",
-    "q_1_pointwise",
 ]
 
 
@@ -69,6 +74,8 @@ class FunctionalParams:
             raise ValueError("need p < n")
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
+        if self.p == 1.0 and self.alpha < 1.0:
+            raise ValueError("alpha must be at least 1 at p = 1")
         ts = np.asarray(self.t_grid, dtype=float)
         if ts.size < 2 or np.any(np.diff(ts) <= 0.0) or ts[0] < 0.0:
             raise ValueError("t_grid must be strictly increasing and nonnegative")
@@ -84,9 +91,8 @@ class FunctionalParams:
 
     @property
     def monotonicity_guaranteed(self) -> bool:
-        if self.p == 1.0:
-            return self.alpha >= 1.0
-        return self.alpha > self.monotone_threshold
+        # at p = 1 the threshold is 1 and alpha >= 1 is enforced above
+        return self.p == 1.0 or self.alpha > self.monotone_threshold
 
     @property
     def termwise_nonnegative(self) -> bool:
@@ -187,32 +193,30 @@ def q_p_pointwise(
     tangential_sq: float = 0.0,
     hring_sq: float = 0.0,
 ) -> float:
-    """The nonnegative-combination integrand for p > 1.
+    """The nonnegative-combination integrand.
 
-    ``tangential_sq`` is |grad^T |grad w||^2 / |grad w|^2 at the point.
+    ``tangential_sq`` is |grad^T |grad w||^2 / |grad w|^2 at the point.  At
+    p = 1 the last term, (H - (n-1)/(n-p) |grad w|)^2 / (p-1), is dropped:
+    the flow has H = |grad w|, and what is left is the F_1 integrand.
     """
-    third = (alpha - (n - p) / (n - 1.0)) / (p - 1.0) * (H - (n - 1.0) / (n - p) * grad) ** 2
-    return (alpha - (2.0 - p)) * tangential_sq + hring_sq + third
-
-
-def q_1_pointwise(alpha: float, H: float, tangential_H_sq: float = 0.0, hring_sq: float = 0.0) -> float:
-    """p = 1 analogue: (alpha-1)|grad^T H|^2/H^2 + |h-ring|^2."""
-    return (alpha - 1.0) * tangential_H_sq / (H * H) + hring_sq
-
-
-def _require_kind(pot: radial.RadialPotential, kinds: tuple[str, ...], what: str) -> None:
-    if pot.kind not in kinds:
-        raise ValueError(f"{what} requires a solution of kind {kinds}, got '{pot.kind}'")
+    q = (alpha - (2.0 - p)) * tangential_sq + hring_sq
+    if p == 1.0:
+        return q
+    return q + (alpha - (n - p) / (n - 1.0)) / (p - 1.0) * (H - (n - 1.0) / (n - p) * grad) ** 2
 
 
 def _validate(solution, params: FunctionalParams, what: str) -> str:
-    """Reject a solution ``what`` cannot use; return its model label."""
+    """Reject a solution whose p is not ``params.p`` (the flow potential of
+    ``radial.solve_w1`` has p = 1); return its model label."""
     if isinstance(solution, radial.RadialPotential):
-        _require_kind(solution, (radial.KIND_P, radial.KIND_EPS), what)
-        return solution.manifold.label
-    if params.n != 3:
-        raise ValueError("2-D fields are three dimensional")
-    return solution.domain.label
+        label, kind = solution.manifold.label, solution.kind
+    else:
+        if params.n != 3:
+            raise ValueError("2-D fields are three dimensional")
+        label, kind = solution.domain.label, "2-D field"
+    if solution.p != params.p:
+        raise ValueError(f"{what} at p = {params.p} got a solution of kind '{kind}' with p = {solution.p}")
+    return label
 
 
 def _over_levels(solution, t, fn):
@@ -236,7 +240,7 @@ def _boundary(level, params: FunctionalParams):
 def _ricci_bulk(solution, params: FunctionalParams):
     """t -> int_0^t e^{lam s} int_{w=s} G^{a+p-3} Ric(nu,nu) ds, as the
     radial integral of e^{lam w} |S^{n-1}| h^{n-1} G^{a+p-2} f Ric from r0
-    to the level radius (one cumulative table; p = 1 gives the F_1 bulk).
+    to the level radius (one cumulative table).
     The 2-D solver's ambient space is flat, so there the term is zero."""
     if not isinstance(solution, radial.RadialPotential):
         return lambda t: np.zeros_like(np.asarray(t, dtype=float))
@@ -318,7 +322,8 @@ def F_p(solution, params: FunctionalParams, derivative_step: float = 1e-3) -> Mo
     bulks = bulk(ts)
     values = boundary(ts) - bulks
     rhs = np.exp(lam * ts) * Q_p_integral(solution, params, ts)
-    return _finish_series("F_p", ts, values, bulks, rhs, lambda t: boundary(t) - bulk(t), derivative_step, meta)
+    name = "F_1" if params.p == 1.0 else "F_p"
+    return _finish_series(name, ts, values, bulks, rhs, lambda t: boundary(t) - bulk(t), derivative_step, meta)
 
 
 def G_p(solution, params: FunctionalParams, derivative_step: float = 1e-3) -> MonotoneSeries:
@@ -326,6 +331,8 @@ def G_p(solution, params: FunctionalParams, derivative_step: float = 1e-3) -> Mo
     (p-1) dG_p/dt = G_p + alpha * (boundary term of F_p)."""
     ts = np.asarray(params.t_grid, dtype=float)
     n, p, alpha = params.n, params.p, params.alpha
+    if p == 1.0:
+        raise ValueError("G_p requires p > 1")
     lam = alpha / (n - p) - 1.0
     meta = {"p": p, "alpha": alpha, "model": _validate(solution, params, "G_p")}
 
@@ -339,40 +346,8 @@ def G_p(solution, params: FunctionalParams, derivative_step: float = 1e-3) -> Mo
     return _finish_series("G_p", ts, values, np.zeros_like(values), rhs, gval, derivative_step, meta)
 
 
-def F_1(pot: radial.RadialPotential, params: FunctionalParams, derivative_step: float = 1e-3) -> MonotoneSeries:
-    """The p = 1 level-set functional along the inverse-mean-curvature flow.
-
-    Computed from |grad w1| and, independently, from the sphere mean
-    curvature (the two agree identically for exact flows); the H-form is
-    kept in ``meta['h_form_values']``.
-    """
-    _require_kind(pot, (radial.KIND_IMCF,), "F_1")
-    if params.p != 1.0:
-        raise ValueError("F_1 requires p = 1 in params")
-    if params.alpha < 1.0:
-        raise ValueError("F_1 requires alpha >= 1")
-    n, alpha = params.n, params.alpha
-    model = pot.manifold
-    ts = np.asarray(params.t_grid, dtype=float)
-    lam = alpha / (n - 1.0) - 1.0
-    bulk = _ricci_bulk(pot, params)
-
-    def boundary(t, use_H: bool = False):
-        lev = radial_level(pot, t)
-        g = lev.H if use_H else lev.grad
-        return -(1.0 / alpha) * np.exp(lam * t) * lev.area * g**alpha
-
-    bulks = bulk(ts)
-    values = boundary(ts) - bulks
-    h_form = boundary(ts, use_H=True) - bulks
-    rhs = np.zeros_like(values)  # round levels: grad^T H = 0 and h-ring = 0
-    meta = {
-        "alpha": alpha,
-        "model": model.label,
-        "monotonicity_guaranteed": alpha >= 1.0,
-        "h_form_values": h_form,
-    }
-    return _finish_series("F_1", ts, values, bulks, rhs, lambda t: boundary(t) - bulk(t), derivative_step, meta)
+# the flow functional F_1 is F_p at p = 1; the name stays for its callers
+F_1 = F_p
 
 
 def hawking_mass(area, willmore):
@@ -384,7 +359,8 @@ def hawking_mass(area, willmore):
 
 def hawking_series(pot: radial.RadialPotential, t_grid, derivative_step: float = 1e-3) -> MonotoneSeries:
     """Hawking mass along the flow; rhs column is the Geroch right side."""
-    _require_kind(pot, (radial.KIND_IMCF,), "hawking_series")
+    if pot.kind != radial.KIND_IMCF:
+        raise ValueError(f"hawking_series requires a solution of kind '{radial.KIND_IMCF}', got '{pot.kind}'")
     if pot.manifold.n != 3:
         raise ValueError("the Hawking mass is defined for n = 3")
     ts = np.asarray(t_grid, dtype=float)

@@ -81,8 +81,9 @@ class RadialPotential:
     """A solved radial level-set potential with quadrature-backed evaluators.
 
     w increases from w(r0) = 0 to w(R) = phi_R; grad_norm is |grad w|;
-    u = e^{-w/(p-1)} where a p (or regularization) is present; theta is the
-    regularization weight eps^2 / (|grad u|^2 + eps^2) for the eps kind.
+    u = e^{-w/(p-1)} for p > 1 (the flow potential has p = 1 and no u);
+    theta is the regularization weight eps^2 / (|grad u|^2 + eps^2) for the
+    eps kind.
     ``_w_grad`` returns w and |grad w| together, from one evaluation of the
     tail where there is one.  ``_seed`` holds increasing radii and the values of w there, which
     bracket the Newton steps of ``level_radius``.
@@ -265,7 +266,8 @@ def solve_w1(model: geometry.RadialManifold, r0: float, R: float) -> RadialPoten
     """Inverse-mean-curvature potential w1 = (n-1) ln(h(r)/h(r0)).
 
     Requires h' > 0 on [r0, R] (coordinate spheres strictly outward
-    minimizing); |grad w1| equals the sphere mean curvature.
+    minimizing); |grad w1| equals the sphere mean curvature.  Its p is 1,
+    the limit of the p-potentials.
     """
     model.check_radius(r0)
     model.check_radius(R)
@@ -297,6 +299,7 @@ def solve_w1(model: geometry.RadialManifold, r0: float, R: float) -> RadialPoten
         r0=float(r0),
         R=float(R),
         phi_R=(n - 1.0) * math.log(model.h(R) / h0),
+        p=1.0,
         _w=w,
         _w_grad=lambda r: (w(r), grad(r)),
         _dgrad=dgrad,

@@ -7,12 +7,11 @@ a verdict in {pass, fail, not-guaranteed}.  ``not-guaranteed`` marks checks
 whose hypothesis (an exponent range, a curvature sign) does not hold for the
 requested parameters, so a violation is information rather than a defect.
 
-Threshold checks are built by :func:`_gate` under one rule: a check passes
-iff its measured value is strictly below its threshold (strictly above, for a
-lower bound), and the threshold it reports is the one it applies.  Two checks
-keep their own rule: :func:`_monotone_check`, whose verdict comes from
-:func:`check_monotone` and can be ``not-guaranteed``, and
-:func:`_gp_identity_check`, which applies ``1e-6 * scale + floor``.
+Every pass/fail verdict comes from :func:`_gate` under one rule: a check
+passes iff its measured value is strictly below its threshold (strictly
+above, for a lower bound), and the threshold it reports is the one it
+applies.  :func:`_monotone_check` gates the largest normalized drop against
+its slack and may turn a fail into ``not-guaranteed``.
 """
 
 from __future__ import annotations
@@ -48,6 +47,10 @@ __all__ = [
 
 # radii at which the sup norms of the convergence suites are sampled
 _SUP_SAMPLES = 257
+# upper level of the capacity read by the p -> 1 capacity gap
+_T_CAP = 0.2
+# largest normalized drop a monotone series may take
+_SLACK = 1e-8
 
 
 class ConfigError(ValueError):
@@ -139,22 +142,24 @@ def _gate(name: str, anchor: str, values: dict, measured: float, threshold: floa
     return Check(name, anchor, values, threshold, "pass" if ok else "fail")
 
 
-def _monotone_check(name: str, anchor: str, series, guaranteed: bool, slack: float = 1e-8) -> Check:
-    verdict, violations = check_monotone(series.values, slack)
-    if verdict == "fail" and not guaranteed:
-        verdict = "not-guaranteed"
-    return Check(
-        name=name,
-        anchor=anchor,
-        values={
-            "first": float(series.values[0]),
-            "last": float(series.values[-1]),
-            "violations": violations,
-            "guaranteed": guaranteed,
-        },
-        threshold=slack,
-        verdict=verdict,
-    )
+def _monotone_check(name: str, anchor: str, series, guaranteed: bool, slack: float = _SLACK) -> Check:
+    """Gate the largest normalized drop max_k (v_k - v_{k+1}) / (1 + |v_k|)
+    against ``slack``, the bound ``check_monotone`` applies; a failure
+    without the hypothesis of the theorem is ``not-guaranteed``."""
+    v = series.values
+    _, violations = check_monotone(v, slack)
+    worst = float(np.max(-np.diff(v) / (1.0 + np.abs(v[:-1]))))
+    values = {
+        "first": float(v[0]),
+        "last": float(v[-1]),
+        "max_rel_drop": worst,
+        "violations": violations,
+        "guaranteed": guaranteed,
+    }
+    check = _gate(name, anchor, values, worst, slack)
+    if check.verdict == "fail" and not guaranteed:
+        check.verdict = "not-guaranteed"
+    return check
 
 
 def write_csv(path, header, rows) -> None:
@@ -202,7 +207,6 @@ def p_to_1_suite(
     R: float,
     p_list: list,
     phi_mode: str = "imcf",
-    T_cap: float = 0.2,
     thresholds: Optional[dict] = None,
     expect_sup: Optional[list] = None,
     expect_rel: float = 1e-6,
@@ -210,7 +214,8 @@ def p_to_1_suite(
     """Convergence table of the p-potentials toward the flow potential.
 
     Columns per p: sup|w_p - w_1| on [r0, R/2], L2/L4 gradient errors, the
-    normalized-capacity gap to h(r0)^{n-1}, the area-weighted (H-|grad w_p|)^2
+    gap of the normalized capacity between the levels 0 and min(0.2,
+    0.9 phi_R) to h(r0)^{n-1}, the area-weighted (H-|grad w_p|)^2
     defect, and the level-area defect.  Verdict per column: decreasing along
     the (descending) p list with final value below its threshold.
 
@@ -247,7 +252,7 @@ def p_to_1_suite(
         sup_w = float(np.max(np.abs(pot.w(rs) - w1.w(rs))))
         l2 = _grad_error(model, pot, w1, r0, 0.5 * R, 2)
         l4 = _grad_error(model, pot, w1, r0, 0.5 * R, 4)
-        cap_gap = abs(radial.capacity(pot, 0.0, min(T_cap, 0.9 * pot.phi_R)) - model.h(r0) ** (model.n - 1))
+        cap_gap = abs(radial.capacity(pot, 0.0, min(_T_CAP, 0.9 * pot.phi_R)) - model.h(r0) ** (model.n - 1))
         T = min(2.0, 0.8 * pot.w(rmid), 0.8 * w1.w(rmid))
         h_def = _h_defect(pot, T)
         a_def = _area_defect(pot, w1, T)
@@ -264,7 +269,7 @@ def p_to_1_suite(
     report = Report(
         experiment="p_to_1",
         checks=checks,
-        environment={"model": model.label, "r0": r0, "R": R, "phi_mode": phi_mode, "T_cap": T_cap},
+        environment={"model": model.label, "r0": r0, "R": R, "phi_mode": phi_mode, "T_cap": _T_CAP},
     )
     header = ["p", "sup_w", "l2_grad", "l4_grad", "cap_gap", "h_defect", "area_defect"]
     return report, {"table": (header, rows)}
@@ -303,19 +308,17 @@ def eps_to_0_suite(
     R: float,
     p: float,
     eps_list: list,
-    interval: Optional[tuple[float, float]] = None,
     thresholds: Optional[dict] = None,
 ):
-    """sup|w^eps - w_p| and sup theta_eps on an interior interval, per eps.
-    Returns the report and the per-eps table."""
+    """sup|w^eps - w_p| and sup theta_eps on the inner half [r0, (r0+R)/2],
+    per eps.  Returns the report and the per-eps table."""
     eps_vals = [float(e) for e in eps_list]
     if len(eps_vals) < 2 or any(e <= 0.0 for e in eps_vals):
         raise ConfigError("eps_list must have >= 2 positive entries", "eps_list")
     if any(b >= a for a, b in zip(eps_vals, eps_vals[1:])):
         raise ConfigError("eps_list must decrease toward 0", "eps_list")
     thr = _thresholds({"sup_w": 1e-4, "sup_theta": 1e-6}, thresholds)
-    if interval is None:
-        interval = (r0, 0.5 * (r0 + R))
+    interval = (r0, 0.5 * (r0 + R))
     base = radial.solve_wp(model, r0, R, p)
     rs = np.linspace(interval[0], interval[1], _SUP_SAMPLES)
     rows = []
@@ -341,17 +344,17 @@ def eps_to_0_suite(
     return report, {"table": (["eps", "sup_w", "sup_theta"], rows)}
 
 
-def inequality_suite(models: Optional[list[geometry.RadialManifold]] = None):
-    """Minkowski lower bound/equality, Hawking mass, and area growth checks.
-    Returns the report and no tables."""
-    if models is None:
-        models = [
-            geometry.euclidean(3),
-            geometry.cone(3, 0.25),
-            geometry.cone(3, 0.5),
-            geometry.cone(3, 0.75),
-            geometry.schwarzschild(1.0),
-        ]
+def inequality_suite():
+    """Minkowski lower bound/equality, Hawking mass, Geroch and area growth
+    checks on flat space, three cones and Schwarzschild(1).  Returns the
+    report and no tables."""
+    models = [
+        geometry.euclidean(3),
+        geometry.cone(3, 0.25),
+        geometry.cone(3, 0.5),
+        geometry.cone(3, 0.75),
+        geometry.schwarzschild(1.0),
+    ]
     checks = []
     for model in models:
         r0, R = (2.2, 18.0) if "schwarzschild" in model.label else (1.0, 10.0)
@@ -376,12 +379,8 @@ def inequality_suite(models: Optional[list[geometry.RadialManifold]] = None):
                 values = {"max_rel_defect": eq_defect}
                 checks.append(_gate(f"minkowski equality {label}", "minkowski-cone-equality", values, eq_defect, 1e-8))
         if model.n == 3:
-
-            def m_of(t):
-                lev = functionals.radial_level(w1, t)
-                return functionals.hawking_mass(lev.area, lev.willmore)
-
-            masses = m_of(ts)
+            hawking = functionals.hawking_series(w1, ts, derivative_step=1e-4)
+            masses = hawking.values
             if "schwarzschild" in model.label:
                 # recover the mass parameter from the metric itself
                 m = 0.5 * r0 * (1.0 - model.f(r0) ** -2)
@@ -393,14 +392,11 @@ def inequality_suite(models: Optional[list[geometry.RadialManifold]] = None):
                 worst = float(np.max(np.abs(masses)))
                 name = "hawking mass vanishes [euclidean]"
                 checks.append(_gate(name, "hawking-flat-space-zero", {"max_abs": worst}, worst, 1e-10))
-            step = 1e-4
-            inner = ts[1:-1]
-            rhs = functionals.geroch_rhs(functionals.radial_level(w1, inner))
-            dmdt = (m_of(inner + step) - m_of(inner - step)) / (2.0 * step)
-            geroch_defect = float(np.min(dmdt - rhs))
-            values = {"min_dmdt_minus_rhs": geroch_defect}
+            # round levels turn the Geroch inequality into an identity
+            geroch_defect = float(np.nanmax(hawking.residual))
+            values = {"max_abs_dmdt_minus_rhs": geroch_defect}
             name = f"geroch monotonicity [{model.label}]"
-            checks.append(_gate(name, "geroch-hawking-monotone", values, geroch_defect, -1e-6, True))
+            checks.append(_gate(name, "geroch-hawking-monotone", values, geroch_defect, 1e-6))
     return Report(experiment="inequalities", checks=checks, environment={"models": [m.label for m in models]}), {}
 
 
@@ -441,8 +437,8 @@ def _constancy_check(series, constant: float, rel_tol: float = 1e-8) -> Check:
 
 
 def _gp_identity_check(series) -> Check:
-    """(p-1) dG_p/dt = G_p + alpha * (boundary term of F_p), within 1e-6 of
-    max|rhs| plus the rounding floor 16 eps max|G_p| / ((p-1) d) of the
+    """(p-1) dG_p/dt = G_p + alpha * (boundary term of F_p), within the bound
+    1e-6 max|rhs| plus the rounding floor 16 eps max|G_p| / ((p-1) d) of the
     central difference with step d.  On the flat p = alpha = 2 equality case
     the right side vanishes and the residual is that rounding noise alone."""
     res = float(np.nanmax(series.residual))
@@ -450,16 +446,11 @@ def _gp_identity_check(series) -> Check:
     eps = float(np.finfo(float).eps)
     step = series.meta["derivative_step"]
     floor = 16.0 * eps * float(np.max(np.abs(series.values))) / ((series.meta["p"] - 1.0) * step)
-    return Check(
-        name="G_p derivative identity",
-        anchor="Gp-derivative-identity",
-        values={"max_residual": res, "scale": scale, "floor": floor},
-        threshold=1e-6,
-        verdict="pass" if res <= 1e-6 * scale + floor else "fail",
-    )
+    values = {"max_residual": res, "scale": scale, "floor": floor}
+    return _gate("G_p derivative identity", "Gp-derivative-identity", values, res, 1e-6 * scale + floor)
 
 
-def _level_series(model, r0, R, kind, p, alpha, phi_mode, t_grid, expect, slack, label):
+def _level_series(model, r0, R, kind, p, alpha, phi_mode, t_grid, expect, label):
     """One functional along the levels of a radial potential, with its checks."""
     required = {"F_p": ("p", "alpha"), "G_p": ("p", "alpha"), "F_1": ("alpha",), "hawking": ()}
     if kind not in required:
@@ -478,19 +469,17 @@ def _level_series(model, r0, R, kind, p, alpha, phi_mode, t_grid, expect, slack,
     guaranteed = True
     if kind == "hawking":
         series = functionals.hawking_series(pot, ts)
-    elif kind == "F_1":
-        series = functionals.F_1(pot, functionals.FunctionalParams(model.n, 1.0, alpha, tuple(ts)))
     else:
-        params = functionals.FunctionalParams(model.n, p, alpha, tuple(ts))
+        params = functionals.FunctionalParams(model.n, 1.0 if kind == "F_1" else p, alpha, tuple(ts))
         guaranteed = params.monotonicity_guaranteed and (model.nonneg_ricci or "schwarzschild" in model.label)
-        if kind == "F_p":
+        if kind != "G_p":
             series = functionals.F_p(pot, params)
         else:
             # small step keeps the central-difference truncation below the
             # 1e-6 identity threshold without hitting rounding noise
             series = functionals.G_p(pot, params, derivative_step=2.5e-4)
     anchors = {"F_1": "F1-monotone-nondecreasing", "hawking": "geroch-hawking-monotone"}
-    checks = [_monotone_check(label, anchors.get(kind, "Fp-monotone-nondecreasing"), series, guaranteed, slack)]
+    checks = [_monotone_check(label, anchors.get(kind, "Fp-monotone-nondecreasing"), series, guaranteed)]
     if kind == "G_p":
         checks.append(_gp_identity_check(series))
     if expect:
@@ -508,15 +497,15 @@ def functional_series_suite(
     phi_mode: str = "imcf",
     t_grid: Optional[dict] = None,
     expect: Optional[dict] = None,
-    slack: float = 1e-8,
 ):
-    """One functional (F_p, G_p, F_1 or hawking) on a level grid: monotone up
-    to ``slack``, the G_p derivative identity, an optional expected constant.
-    Returns the report and the series table."""
+    """One functional (F_p, G_p, F_1 = F_p at p = 1, or hawking) on a level
+    grid: monotone up to a normalized drop of 1e-8, the G_p derivative
+    identity, an optional expected constant.  Returns the report and the
+    series table."""
     series, checks = _level_series(
-        model, r0, R, functional, p, alpha, phi_mode, t_grid, expect, slack, f"{functional} monotone"
+        model, r0, R, functional, p, alpha, phi_mode, t_grid, expect, f"{functional} monotone"
     )
-    report = Report("functional_series", checks, {"model": model.label, "slack": slack})
+    report = Report("functional_series", checks, {"model": model.label, "slack": _SLACK})
     return report, {series.name: series.table()}
 
 
@@ -526,12 +515,11 @@ def hawking_suite(
     R: float,
     t_grid: Optional[dict] = None,
     expect: Optional[dict] = None,
-    slack: float = 1e-8,
 ):
     """Hawking mass along the flow of one model, optional expected constant.
     Returns the report and the series table."""
     series, checks = _level_series(
-        model, r0, R, "hawking", None, None, "imcf", t_grid, expect, slack, "hawking mass monotone"
+        model, r0, R, "hawking", None, None, "imcf", t_grid, expect, "hawking mass monotone"
     )
     return Report("hawking_series", checks, {"model": model.label}), {series.name: series.table()}
 
@@ -550,24 +538,21 @@ def monotonicity_suite(
     models: Optional[list[geometry.RadialManifold]] = None,
     p_list: tuple = (1.1, 1.5, 2.0),
     alpha_list: tuple = ("threshold+0.1", 2.0, "n-1"),
-    r0: float = 1.0,
-    R: Optional[float] = None,
     num_levels: int = 40,
-    slack: float = 1e-8,
+    slack: float = _SLACK,
 ):
     """F_p monotonicity over a (model, p, alpha) grid, alpha down to the
-    guarantee threshold.  Schwarzschild annuli start at r0 >= 2.2; R defaults
-    to 12 there and to 8 elsewhere.  Returns the report and the verdict table."""
+    guarantee threshold.  The annulus is [2.2, 12] on Schwarzschild models
+    and [1, 8] elsewhere.  Returns the report and the verdict table."""
     if models is None:
         models = [geometry.euclidean(3), geometry.cone(3, 0.5), geometry.schwarzschild(1.0)]
     checks = []
     rows = []
     for model in models:
-        rr0 = max(r0, 2.2) if "schwarzschild" in model.label else r0
-        RR = R if R is not None else (12.0 if "schwarzschild" in model.label else 8.0)
+        r0, R = (2.2, 12.0) if "schwarzschild" in model.label else (1.0, 8.0)
         for p in map(float, p_list):
-            pot = radial.solve_wp(model, rr0, RR, p)
-            T = min(2.0, 0.8 * pot.w(0.5 * (rr0 + RR)))
+            pot = radial.solve_wp(model, r0, R, p)
+            T = min(2.0, 0.8 * pot.w(0.5 * (r0 + R)))
             ts = np.linspace(0.0, T, num_levels)
             for aspec in alpha_list:
                 alpha = _resolve_alpha(aspec, model.n, p)

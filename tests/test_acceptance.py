@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pcapflow import functionals, geometry, radial, solver2d, verify
-from pcapflow.functionals import F_1, F_p, G_p, FunctionalParams, hawking_series, minkowski_M
+from pcapflow.functionals import F_p, G_p, FunctionalParams, hawking_series, minkowski_M
 
 from conftest import midband
 
@@ -60,12 +60,12 @@ def test_03_derivative_identity(radial_model_set, ellipsoid_fields):
 
 
 def test_04_flow_functional_and_hawking(radial_model_set):
-    """F_1 nondecreasing for alpha in {1, 2}; Hawking mass constants."""
+    """F_1 (F_p at p = 1) nondecreasing for alpha in {1, 2}; Hawking mass constants."""
     for model, r0, _ in radial_model_set:
         pot = radial.solve_w1(model, r0, 18.0 if r0 > 2.0 else 8.0)
         ts = tuple(np.linspace(0.0, min(2.0, 0.8 * pot.phi_R), 20))
         for alpha in (1.0, 2.0):
-            series = F_1(pot, FunctionalParams(3, 1.0, alpha, ts))
+            series = F_p(pot, FunctionalParams(3, 1.0, alpha, ts))
             verdict, violations = verify.check_monotone(series.values)
             assert verdict == "pass", (model.label, alpha, violations)
     schw = geometry.schwarzschild(1.0)

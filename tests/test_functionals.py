@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from pcapflow import functionals, geometry, radial, solver2d
 from pcapflow.functionals import (
-    F_1,
     F_p,
     G_p,
     FunctionalParams,
@@ -17,7 +16,6 @@ from pcapflow.functionals import (
     hawking_mass,
     hawking_series,
     minkowski_M,
-    q_1_pointwise,
     q_p_pointwise,
     radial_level,
 )
@@ -97,36 +95,68 @@ class TestFp:
         with pytest.raises(ValueError, match="dimension"):
             F_p(pot, FunctionalParams(3, 1.5, 2.0, TS20))
 
+    def test_rejects_mismatched_p_radial(self, euclid3):
+        pot = radial.solve_wp(euclid3, 1.0, 8.0, 1.5)
+        params = FunctionalParams(3, 2.0, 2.0, TS20)
+        for series in (F_p, G_p):
+            with pytest.raises(ValueError, match="p = 1.5"):
+                series(pot, params)
+        with pytest.raises(ValueError, match="p = 1.5"):
+            functionals.Q_p_integral(pot, params, 0.5)
+
+    def test_rejects_mismatched_p_field(self, euclid3):
+        pot = radial.solve_wp(euclid3, 1.0, 4.0, 1.5)
+        field = solver2d.field_from_radial(solver2d.sphere_domain(1.0, 4.0), (32, 16), pot)
+        params = FunctionalParams(3, 2.0, 2.0, tuple(np.linspace(0.2, 0.8, 4) * field.w_range()[1]))
+        for series in (F_p, G_p):
+            with pytest.raises(ValueError, match="'2-D field' with p = 1.5"):
+                series(field, params)
+        with pytest.raises(ValueError, match="'2-D field' with p = 1.5"):
+            functionals.Q_p_integral(field, params, params.t_grid[0])
+
 
 class TestF1:
+    """F_1 is F_p at p = 1, on the flow potential of solve_w1."""
+
     def test_flat_values_both_exponents(self, euclid3):
         # alpha = 1 and alpha = 2 both give the constant -8 pi on flat space
+        assert functionals.F_1 is F_p
         pot = radial.solve_w1(euclid3, 1.0, 8.0)
         for alpha in (1.0, 2.0):
-            series = F_1(pot, FunctionalParams(3, 1.0, alpha, TS20))
+            series = F_p(pot, FunctionalParams(3, 1.0, alpha, TS20))
+            assert series.name == "F_1"
             assert np.allclose(series.values, -8.0 * math.pi, rtol=1e-10)
 
-    def test_h_form_agrees(self, schw1):
-        # |grad w1| equals the level mean curvature for exact flows
-        pot = radial.solve_w1(schw1, 2.2, 12.0)
-        ts = tuple(np.linspace(0.0, pot.phi_R * 0.8, 15))
-        series = F_1(pot, FunctionalParams(3, 1.0, 2.0, ts))
-        assert np.allclose(series.meta["h_form_values"], series.values, rtol=1e-10)
+    def test_h_form_agrees(self, radial_model_set):
+        # F_p's boundary term reads H; on the flow H = |grad w1|, which turns
+        # it into the closed form -(1/alpha) e^{lam t} area |grad w1|^alpha
+        for model, r0, R in radial_model_set:
+            pot = radial.solve_w1(model, r0, R)
+            ts = np.linspace(0.0, min(2.0, 0.8 * pot.phi_R), 15)
+            lev = radial_level(pot, ts)
+            for alpha in (1.0, 2.0, 3.0):
+                series = F_p(pot, FunctionalParams(3, 1.0, alpha, tuple(ts)))
+                lam = alpha / 2.0 - 1.0
+                closed = -(1.0 / alpha) * np.exp(lam * ts) * lev.area * lev.grad**alpha - series.bulk
+                assert np.max(np.abs(series.values / closed - 1.0)) < 1e-13, (model.label, alpha)
+                assert np.all(series.rhs_qp == 0.0)
 
     def test_nondecreasing_on_cone(self, cone_half):
         pot = radial.solve_w1(cone_half, 1.0, 8.0)
-        series = F_1(pot, FunctionalParams(3, 1.0, 2.0, TS20))
+        series = F_p(pot, FunctionalParams(3, 1.0, 2.0, TS20))
         assert np.all(np.diff(series.values) > -1e-8 * (1.0 + np.abs(series.values[:-1])))
 
     def test_validation(self, euclid3):
         pot = radial.solve_w1(euclid3, 1.0, 8.0)
-        with pytest.raises(ValueError, match="p = 1"):
-            F_1(pot, FunctionalParams(3, 1.5, 2.0, TS20))
+        with pytest.raises(ValueError, match="imcf"):
+            F_p(pot, FunctionalParams(3, 1.5, 2.0, TS20))
         with pytest.raises(ValueError, match="alpha"):
-            F_1(pot, FunctionalParams(3, 1.0, 0.5, TS20))
+            FunctionalParams(3, 1.0, 0.5, TS20)
         wp = radial.solve_wp(euclid3, 1.0, 8.0, 1.5)
         with pytest.raises(ValueError, match="kind"):
-            F_1(wp, FunctionalParams(3, 1.0, 2.0, TS20))
+            F_p(wp, FunctionalParams(3, 1.0, 2.0, TS20))
+        with pytest.raises(ValueError, match="p > 1"):
+            G_p(pot, FunctionalParams(3, 1.0, 2.0, TS20))
 
 
 class TestHawking:
@@ -219,13 +249,17 @@ class TestPointwiseCombinations:
 
     @given(
         alpha=st.floats(min_value=1.0, max_value=4.0, allow_nan=False),
+        grad=st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
         H=st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
         tang=st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
         hring=st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
     )
     @settings(max_examples=80, deadline=None)
-    def test_q_1_nonnegative(self, alpha, H, tang, hring):
-        assert q_1_pointwise(alpha, H, tang, hring) >= 0.0
+    def test_q_1_nonnegative(self, alpha, grad, H, tang, hring):
+        # at p = 1 the (H - grad)^2/(p-1) term is dropped, whatever H is
+        q = q_p_pointwise(3, 1.0, alpha, grad, H, tang, hring)
+        assert q >= 0.0
+        assert q == (alpha - 1.0) * tang + hring
 
 
 class TestLevelData:

@@ -23,16 +23,12 @@ from pcapflow.verify import (
 
 # every key each experiment accepts, besides "experiment" and "out_prefix"
 ACCEPTED_KEYS = {
-    "functional_series": {
-        "model", "functional", "r0", "R", "p", "alpha", "phi_mode", "t_grid", "expect", "slack",
-    },
-    "monotonicity_sweep": {"models", "p_list", "alpha_list", "r0", "R", "num_levels", "slack"},
-    "p_to_1": {
-        "model", "r0", "R", "p_list", "phi_mode", "T_cap", "thresholds", "expect_sup", "expect_rel",
-    },
-    "eps_to_0": {"model", "r0", "R", "p", "eps_list", "interval", "thresholds"},
-    "inequalities": {"models"},
-    "hawking_series": {"model", "r0", "R", "t_grid", "expect", "slack"},
+    "functional_series": {"model", "functional", "r0", "R", "p", "alpha", "phi_mode", "t_grid", "expect"},
+    "monotonicity_sweep": {"models", "p_list", "alpha_list", "num_levels", "slack"},
+    "p_to_1": {"model", "r0", "R", "p_list", "phi_mode", "thresholds", "expect_sup", "expect_rel"},
+    "eps_to_0": {"model", "r0", "R", "p", "eps_list", "thresholds"},
+    "inequalities": set(),
+    "hawking_series": {"model", "r0", "R", "t_grid", "expect"},
     "solve_2d": {"domain", "p", "u_R", "grid", "eps", "tol", "levels"},
 }
 
@@ -76,6 +72,26 @@ class TestCheckMonotone:
     def test_needs_three_samples(self):
         with pytest.raises(ValueError):
             check_monotone([0.0, 1.0])
+
+
+class TestMonotoneCheck:
+    @staticmethod
+    def _check(values, guaranteed=True):
+        series = functionals.MonotoneSeries("G_p", np.arange(3.0), np.array(values), np.zeros(3))
+        return verify._monotone_check("G_p monotone", "Fp-monotone-nondecreasing", series, guaranteed)
+
+    def test_reports_the_normalized_drop_it_gates(self):
+        # a drop of 1e-7 at 12.57 is 7.4e-9 of 1 + 12.57: under the slack
+        chk = self._check([12.57, 12.57 - 1e-7, 12.57])
+        assert chk.threshold == 1e-8
+        assert chk.values["max_rel_drop"] == pytest.approx(1e-7 / 13.57, rel=1e-6)
+        assert chk.verdict == "pass" and chk.values["violations"] == []
+
+    def test_drop_above_slack_fails_or_is_not_guaranteed(self):
+        chk = self._check([12.57, 12.57 - 2e-7, 12.57])
+        assert chk.values["max_rel_drop"] > chk.threshold
+        assert chk.verdict == "fail" and len(chk.values["violations"]) == 1
+        assert self._check([12.57, 12.57 - 2e-7, 12.57], guaranteed=False).verdict == "not-guaranteed"
 
 
 class TestCheckAndReport:
@@ -329,6 +345,13 @@ class TestGpIdentityCheck:
 
     def test_within_relative_threshold_passes(self):
         assert verify._gp_identity_check(self._series(5e-7)).verdict == "pass"
+
+    def test_reports_the_bound_it_applies(self):
+        for frac in (5e-7, 1e-5):
+            chk = verify._gp_identity_check(self._series(frac))
+            bound = 1e-6 * chk.values["scale"] + chk.values["floor"]
+            assert chk.threshold == bound
+            assert (chk.verdict == "pass") == (chk.values["max_residual"] < bound)
 
     def test_rounding_floor_covers_vanishing_right_side(self):
         series = self._series(0.0)
