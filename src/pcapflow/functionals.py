@@ -23,9 +23,10 @@ iff its p is ``params.p``.
 A level is a ``RadialLevel`` (round, from ``radial_level``) or a
 ``solver2d.LevelCurve`` (extracted from a 2-D field).  Both expose
 ``integrate`` and the same per-point data, so each functional has one body
-for radial potentials and 2-D fields alike.  On radial potentials every
-series is evaluated on the whole level grid at once: ``radial_level`` and
-the functionals take arrays of levels.
+for radial potentials and 2-D fields alike.  A series builds the levels of
+its grid once and the levels of its central-difference stencil once, and
+evaluates its value, right side and bulk term on them; on radial potentials
+each build is one ``radial_level`` call on an array of levels.
 """
 
 from __future__ import annotations
@@ -219,13 +220,15 @@ def _validate(solution, params: FunctionalParams, what: str) -> str:
     return label
 
 
-def _over_levels(solution, t, fn):
-    """fn(level) for each level {w = t}: the radial levels all at once, the
-    2-D levels one extracted curve at a time."""
+def _over_levels(solution, t, *fns):
+    """[fn(levels) for fn in fns] on one build of the levels {w = t}: the
+    radial levels all at once, the 2-D levels one extracted curve at a time."""
     if isinstance(solution, radial.RadialPotential):
-        return fn(radial_level(solution, t))
+        lev = radial_level(solution, t)
+        return [fn(lev) for fn in fns]
     ts = np.asarray(t, dtype=float)
-    return np.array([fn(solution.level(s)) for s in ts.ravel()]).reshape(ts.shape)[()]
+    levs = [solution.level(s) for s in ts.ravel()]
+    return [np.array([fn(lev) for lev in levs]).reshape(ts.shape)[()] for fn in fns]
 
 
 def _boundary(level, params: FunctionalParams):
@@ -237,13 +240,17 @@ def _boundary(level, params: FunctionalParams):
     return np.exp((alpha / (n - p) - 1.0) * level.t) * level.integrate(density)
 
 
+def _no_bulk(level):
+    return np.zeros_like(level.t)
+
+
 def _ricci_bulk(solution, params: FunctionalParams):
-    """t -> int_0^t e^{lam s} int_{w=s} G^{a+p-3} Ric(nu,nu) ds, as the
+    """level -> int_0^t e^{lam s} int_{w=s} G^{a+p-3} Ric(nu,nu) ds, as the
     radial integral of e^{lam w} |S^{n-1}| h^{n-1} G^{a+p-2} f Ric from r0
     to the level radius (one cumulative table).
     The 2-D solver's ambient space is flat, so there the term is zero."""
     if not isinstance(solution, radial.RadialPotential):
-        return lambda t: np.zeros_like(np.asarray(t, dtype=float))
+        return _no_bulk
     pot = solution
     model = pot.manifold
     n, p, alpha = params.n, params.p, params.alpha
@@ -263,49 +270,47 @@ def _ricci_bulk(solution, params: FunctionalParams):
         )
 
     cum = CumulativeIntegral(integrand, pot.r0, (pot.r0, pot.R), 1e-11)
-    return lambda t: cum(pot.level_radius(t))
+    return lambda lev: cum(lev.r)
+
+
+def _qp_integral(level, params: FunctionalParams):
+    """int_{w=t} |grad w|^{alpha+p-3} Q_p on a level."""
+    tang_sq = (level.grad_tangential / level.grad) ** 2
+    qp = q_p_pointwise(params.n, params.p, params.alpha, level.grad, level.H, tang_sq, level.hring_sq)
+    return level.integrate(level.grad ** (params.alpha + params.p - 3.0) * qp)
 
 
 def Q_p_integral(solution, params: FunctionalParams, t):
     """int_{w=t} |grad w|^{alpha+p-3} Q_p  (no exponential prefactor);
     the levels may come as an array."""
-    n, p, alpha = params.n, params.p, params.alpha
     _validate(solution, params, "Q_p_integral")
-
-    def integral(lev):
-        tang_sq = (lev.grad_tangential / lev.grad) ** 2
-        qp = q_p_pointwise(n, p, alpha, lev.grad, lev.H, tang_sq, lev.hring_sq)
-        return lev.integrate(lev.grad ** (alpha + p - 3.0) * qp)
-
-    return _over_levels(solution, t, integral)
+    return _over_levels(solution, t, lambda lev: _qp_integral(lev, params))[0]
 
 
-def _finish_series(name, ts, values, bulk, rhs, fval, step, meta) -> MonotoneSeries:
-    """Assemble a series and fill the central-difference residual column
-    (``fval`` takes an array of levels); meta["derivative_step"] is the
-    smallest difference step used."""
+def _series(name, solution, t_grid, value, rhs, step, meta, bulk=_no_bulk) -> MonotoneSeries:
+    """The series value(lev) - bulk(lev) with the columns bulk(lev) and
+    rhs(lev) on the levels of ``t_grid``, and the central-difference residual
+    |d(value - bulk)/dt - rhs| on the stencil t +- d at the inner levels.
+
+    The grid's levels are built once and the stencil's once; d is ``step``,
+    cut to 0.45 of the smaller neighbouring gap, and meta["derivative_step"]
+    is the smallest d used."""
+    ts = np.asarray(t_grid, dtype=float)
+    vals, bulks, rhs_col = _over_levels(solution, ts, value, bulk, rhs)
     residual = np.full(len(ts), np.nan)
     if len(ts) > 2:
         gaps = np.diff(ts)
         d = np.minimum(step, 0.45 * np.minimum(gaps[:-1], gaps[1:]))
         inner = ts[1:-1]
-        deriv = (fval(inner + d) - fval(inner - d)) / (2.0 * d)
-        residual[1:-1] = np.abs(deriv - rhs[1:-1])
+        vals_st, bulks_st = _over_levels(solution, np.concatenate([inner + d, inner - d]), value, bulk)
+        above, below = np.split(vals_st - bulks_st, 2)
+        residual[1:-1] = np.abs((above - below) / (2.0 * d) - rhs_col[1:-1])
         meta["derivative_step"] = float(np.min(d))
-    return MonotoneSeries(
-        name=name,
-        t=np.asarray(ts, dtype=float),
-        values=np.asarray(values, dtype=float),
-        bulk=np.asarray(bulk, dtype=float),
-        rhs_qp=np.asarray(rhs, dtype=float),
-        residual=residual,
-        meta=meta,
-    )
+    return MonotoneSeries(name, ts, vals - bulks, bulks, rhs_col, residual, meta)
 
 
 def F_p(solution, params: FunctionalParams, derivative_step: float = 1e-3) -> MonotoneSeries:
     """The level-set functional F_p on the grid, with identity diagnostics."""
-    ts = np.asarray(params.t_grid, dtype=float)
     meta = {
         "p": params.p,
         "alpha": params.alpha,
@@ -315,35 +320,32 @@ def F_p(solution, params: FunctionalParams, derivative_step: float = 1e-3) -> Mo
     }
     lam = params.alpha / (params.n - params.p) - 1.0
 
-    def boundary(t):
-        return _over_levels(solution, t, lambda lev: _boundary(lev, params))
+    def rhs(lev):
+        return np.exp(lam * lev.t) * _qp_integral(lev, params)
 
-    bulk = _ricci_bulk(solution, params)
-    bulks = bulk(ts)
-    values = boundary(ts) - bulks
-    rhs = np.exp(lam * ts) * Q_p_integral(solution, params, ts)
+    def boundary(lev):
+        return _boundary(lev, params)
+
     name = "F_1" if params.p == 1.0 else "F_p"
-    return _finish_series(name, ts, values, bulks, rhs, lambda t: boundary(t) - bulk(t), derivative_step, meta)
+    return _series(name, solution, params.t_grid, boundary, rhs, derivative_step, meta, _ricci_bulk(solution, params))
 
 
 def G_p(solution, params: FunctionalParams, derivative_step: float = 1e-3) -> MonotoneSeries:
     """Gradient-power functional G_p; residual column checks
     (p-1) dG_p/dt = G_p + alpha * (boundary term of F_p)."""
-    ts = np.asarray(params.t_grid, dtype=float)
     n, p, alpha = params.n, params.p, params.alpha
     if p == 1.0:
         raise ValueError("G_p requires p > 1")
     lam = alpha / (n - p) - 1.0
     meta = {"p": p, "alpha": alpha, "model": _validate(solution, params, "G_p")}
 
-    def gval(t):
-        return _over_levels(
-            solution, t, lambda lev: np.exp(lam * lev.t) * lev.integrate(lev.grad ** (alpha + p - 1.0))
-        )
+    def gval(lev):
+        return np.exp(lam * lev.t) * lev.integrate(lev.grad ** (alpha + p - 1.0))
 
-    values = gval(ts)
-    rhs = (values + alpha * _over_levels(solution, ts, lambda lev: _boundary(lev, params))) / (p - 1.0)
-    return _finish_series("G_p", ts, values, np.zeros_like(values), rhs, gval, derivative_step, meta)
+    def rhs(lev):
+        return (gval(lev) + alpha * _boundary(lev, params)) / (p - 1.0)
+
+    return _series("G_p", solution, params.t_grid, gval, rhs, derivative_step, meta)
 
 
 # the flow functional F_1 is F_p at p = 1; the name stays for its callers
@@ -363,24 +365,11 @@ def hawking_series(pot: radial.RadialPotential, t_grid, derivative_step: float =
         raise ValueError(f"hawking_series requires a solution of kind '{radial.KIND_IMCF}', got '{pot.kind}'")
     if pot.manifold.n != 3:
         raise ValueError("the Hawking mass is defined for n = 3")
-    ts = np.asarray(t_grid, dtype=float)
 
-    def mval(t):
-        lev = radial_level(pot, t)
+    def mass(lev):
         return hawking_mass(lev.area, lev.willmore)
 
-    values = mval(ts)
-    rhs = geroch_rhs(radial_level(pot, ts))
-    return _finish_series(
-        "hawking_mass",
-        ts,
-        values,
-        np.zeros_like(values),
-        rhs,
-        mval,
-        derivative_step,
-        {"model": pot.manifold.label},
-    )
+    return _series("hawking_mass", pot, t_grid, mass, geroch_rhs, derivative_step, {"model": pot.manifold.label})
 
 
 def minkowski_M(level, alpha: float, area_hull: Optional[float] = None) -> float:

@@ -3,7 +3,7 @@
 The unknown is u with div(a(|grad u|) grad u) = 0, a(q) = (q^2+eps^2)^((p-2)/2),
 u = 1 on the inner star-shaped boundary r = rho(theta) and u = u_R on the
 outer sphere r = R; the potential is w = -(p-1) ln u.  The annular region is
-mapped to the unit square by r(sigma, theta) = rho(theta) + sigma (R - rho),
+mapped to the unit square by r(sigma, theta) = (1 - sigma) rho(theta) + sigma R,
 where the physical gradient picks up a shear:
 
     u_r = u_sigma / r_sigma,     u_theta|_r = u_thetahat - u_sigma r_theta / r_sigma,
@@ -132,10 +132,11 @@ def ellipsoid_domain(a_ax: float = 1.3, b_eq: float = 1.0, R: float = 8.0) -> Ax
 
 def _map(domain: AxisymmetricDomain, sigma, theta):
     """The radial map at broadcastable (sigma, theta): r, dr/dsigma and
-    dr/dtheta at fixed sigma."""
+    dr/dtheta at fixed sigma.  r is written (1 - sigma) rho + sigma R, so
+    the rows sigma = 0 and sigma = 1 are rho and R exactly."""
     rho = np.asarray(domain.rho(theta), dtype=float)
-    delta = domain.R - rho
-    return rho + sigma * delta, delta, np.asarray(domain.drho(theta), dtype=float) * (1.0 - sigma)
+    r = (1.0 - sigma) * rho + sigma * domain.R
+    return r, domain.R - rho, np.asarray(domain.drho(theta), dtype=float) * (1.0 - sigma)
 
 
 def _nodes(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:

@@ -122,16 +122,21 @@ def _jsonable(obj):
     return obj
 
 
-def check_monotone(values, slack: float = 1e-8):
-    """Nondecreasing up to slack*(1+|value|); returns (verdict, violations)."""
+def _drops(values):
+    """The normalized drops (v_k - v_{k+1}) / (1 + |v_k|) of a series, and
+    its violations (k, v_{k+1} - v_k): every step whose drop is not strictly
+    below the slack, NaN included."""
     v = np.asarray(values, dtype=float)
     if len(v) < 3:
         raise ValueError("need at least 3 samples to call a series monotone")
-    violations = []
-    for k in range(len(v) - 1):
-        drop = v[k + 1] - v[k]
-        if drop < -slack * (1.0 + abs(v[k])):
-            violations.append((k, float(drop)))
+    drops = -np.diff(v) / (1.0 + np.abs(v[:-1]))
+    return drops, [(int(k), float(v[k + 1] - v[k])) for k in np.flatnonzero(~(drops < _SLACK))]
+
+
+def check_monotone(values):
+    """Nondecreasing up to a normalized drop below 1e-8 per step (a NaN is a
+    violation); returns (verdict, violations)."""
+    _, violations = _drops(values)
     return ("pass" if not violations else "fail"), violations
 
 
@@ -142,13 +147,13 @@ def _gate(name: str, anchor: str, values: dict, measured: float, threshold: floa
     return Check(name, anchor, values, threshold, "pass" if ok else "fail")
 
 
-def _monotone_check(name: str, anchor: str, series, guaranteed: bool, slack: float = _SLACK) -> Check:
+def _monotone_check(name: str, anchor: str, series, guaranteed: bool) -> Check:
     """Gate the largest normalized drop max_k (v_k - v_{k+1}) / (1 + |v_k|)
-    against ``slack``, the bound ``check_monotone`` applies; a failure
-    without the hypothesis of the theorem is ``not-guaranteed``."""
+    against the slack, under the rule ``check_monotone`` applies per step; a
+    failure without the hypothesis of the theorem is ``not-guaranteed``."""
     v = series.values
-    _, violations = check_monotone(v, slack)
-    worst = float(np.max(-np.diff(v) / (1.0 + np.abs(v[:-1]))))
+    drops, violations = _drops(v)
+    worst = float(np.max(drops))
     values = {
         "first": float(v[0]),
         "last": float(v[-1]),
@@ -156,7 +161,7 @@ def _monotone_check(name: str, anchor: str, series, guaranteed: bool, slack: flo
         "violations": violations,
         "guaranteed": guaranteed,
     }
-    check = _gate(name, anchor, values, worst, slack)
+    check = _gate(name, anchor, values, worst, _SLACK)
     if check.verdict == "fail" and not guaranteed:
         check.verdict = "not-guaranteed"
     return check
@@ -450,61 +455,52 @@ def _gp_identity_check(series) -> Check:
     return _gate("G_p derivative identity", "Gp-derivative-identity", values, res, 1e-6 * scale + floor)
 
 
-def _level_series(model, r0, R, kind, p, alpha, phi_mode, t_grid, expect, label):
-    """One functional along the levels of a radial potential, with its checks."""
-    required = {"F_p": ("p", "alpha"), "G_p": ("p", "alpha"), "F_1": ("alpha",), "hawking": ()}
-    if kind not in required:
-        raise ConfigError(f"unknown functional '{kind}'", "functional")
-    missing = [key for key in required[kind] if {"p": p, "alpha": alpha}[key] is None]
-    if missing:
-        raise ConfigError("missing required field", missing[0])
-    if kind in ("F_1", "hawking"):
-        pot = radial.solve_w1(model, r0, R)
-    else:
-        pot = radial.solve_wp(model, r0, R, p, phi_R=_phi_for(phi_mode, model, r0, R, p))
+def _series_grid(pot, t_grid: Optional[dict]) -> np.ndarray:
+    """The config's level grid, else 20 levels up to min(2, 0.8 w(mid-annulus))."""
     if t_grid is None:
-        ts = np.linspace(0.0, min(2.0, 0.8 * pot.w(0.5 * (r0 + R))), 20)
-    else:
-        ts = _call(_level_grid, t_grid, "t_grid", pot)
-    guaranteed = True
-    if kind == "hawking":
-        series = functionals.hawking_series(pot, ts)
-    else:
-        params = functionals.FunctionalParams(model.n, 1.0 if kind == "F_1" else p, alpha, tuple(ts))
-        guaranteed = params.monotonicity_guaranteed and (model.nonneg_ricci or "schwarzschild" in model.label)
-        if kind != "G_p":
-            series = functionals.F_p(pot, params)
-        else:
-            # small step keeps the central-difference truncation below the
-            # 1e-6 identity threshold without hitting rounding noise
-            series = functionals.G_p(pot, params, derivative_step=2.5e-4)
-    anchors = {"F_1": "F1-monotone-nondecreasing", "hawking": "geroch-hawking-monotone"}
-    checks = [_monotone_check(label, anchors.get(kind, "Fp-monotone-nondecreasing"), series, guaranteed)]
-    if kind == "G_p":
-        checks.append(_gp_identity_check(series))
-    if expect:
-        checks.append(_call(_constancy_check, expect, "expect", series))
-    return series, checks
+        return np.linspace(0.0, min(2.0, 0.8 * pot.w(0.5 * (pot.r0 + pot.R))), 20)
+    return _call(_level_grid, t_grid, "t_grid", pot)
 
 
 def functional_series_suite(
     model: geometry.RadialManifold,
     r0: float,
     R: float,
+    p: float,
+    alpha: float,
     functional: str = "F_p",
-    p: Optional[float] = None,
-    alpha: Optional[float] = None,
     phi_mode: str = "imcf",
     t_grid: Optional[dict] = None,
     expect: Optional[dict] = None,
 ):
-    """One functional (F_p, G_p, F_1 = F_p at p = 1, or hawking) on a level
-    grid: monotone up to a normalized drop of 1e-8, the G_p derivative
-    identity, an optional expected constant.  Returns the report and the
-    series table."""
-    series, checks = _level_series(
-        model, r0, R, functional, p, alpha, phi_mode, t_grid, expect, f"{functional} monotone"
-    )
+    """F_p or G_p on a level grid: monotone up to a normalized drop of 1e-8,
+    the G_p derivative identity, an optional expected constant.  p = 1 is
+    F_p on the flow potential of ``radial.solve_w1``, the series F_1.
+    Returns the report and the series table."""
+    if functional not in ("F_p", "G_p"):
+        raise ConfigError(f"unknown functional '{functional}'; known: F_p, G_p", "functional")
+    if p == 1.0:
+        if functional == "G_p":
+            raise ConfigError("G_p requires p > 1", "functional")
+        if phi_mode != "imcf":
+            raise ConfigError("p = 1 is the flow potential, whose phi_mode is 'imcf'", "phi_mode")
+        pot = radial.solve_w1(model, r0, R)
+    else:
+        pot = radial.solve_wp(model, r0, R, p, phi_R=_phi_for(phi_mode, model, r0, R, p))
+    params = functionals.FunctionalParams(model.n, p, alpha, tuple(_series_grid(pot, t_grid)))
+    guaranteed = params.monotonicity_guaranteed and (model.nonneg_ricci or "schwarzschild" in model.label)
+    if functional == "F_p":
+        series = functionals.F_p(pot, params)
+    else:
+        # small step keeps the central-difference truncation below the
+        # 1e-6 identity threshold without hitting rounding noise
+        series = functionals.G_p(pot, params, derivative_step=2.5e-4)
+    anchor = "F1-monotone-nondecreasing" if p == 1.0 else "Fp-monotone-nondecreasing"
+    checks = [_monotone_check(f"{series.name} monotone", anchor, series, guaranteed)]
+    if functional == "G_p":
+        checks.append(_gp_identity_check(series))
+    if expect:
+        checks.append(_call(_constancy_check, expect, "expect", series))
     report = Report("functional_series", checks, {"model": model.label, "slack": _SLACK})
     return report, {series.name: series.table()}
 
@@ -518,9 +514,11 @@ def hawking_suite(
 ):
     """Hawking mass along the flow of one model, optional expected constant.
     Returns the report and the series table."""
-    series, checks = _level_series(
-        model, r0, R, "hawking", None, None, "imcf", t_grid, expect, "hawking mass monotone"
-    )
+    pot = radial.solve_w1(model, r0, R)
+    series = functionals.hawking_series(pot, _series_grid(pot, t_grid))
+    checks = [_monotone_check("hawking mass monotone", "geroch-hawking-monotone", series, True)]
+    if expect:
+        checks.append(_call(_constancy_check, expect, "expect", series))
     return Report("hawking_series", checks, {"model": model.label}), {series.name: series.table()}
 
 
@@ -539,7 +537,6 @@ def monotonicity_suite(
     p_list: tuple = (1.1, 1.5, 2.0),
     alpha_list: tuple = ("threshold+0.1", 2.0, "n-1"),
     num_levels: int = 40,
-    slack: float = _SLACK,
 ):
     """F_p monotonicity over a (model, p, alpha) grid, alpha down to the
     guarantee threshold.  The annulus is [2.2, 12] on Schwarzschild models
@@ -564,12 +561,11 @@ def monotonicity_suite(
                     "Fp-monotone-nondecreasing",
                     series,
                     guaranteed,
-                    slack,
                 )
                 checks.append(chk)
                 worst = min((d for _, d in chk.values["violations"]), default=0.0)
                 rows.append((model.label, p, alpha, guaranteed, worst, chk.verdict))
-    report = Report("monotonicity_sweep", checks, {"slack": slack, "num_levels": num_levels})
+    report = Report("monotonicity_sweep", checks, {"slack": _SLACK, "num_levels": num_levels})
     return report, {"sweep": (["model", "p", "alpha", "guaranteed", "worst_drop", "verdict"], rows)}
 
 

@@ -194,6 +194,37 @@ class TestHawking:
             hawking_series(wp, TS20)
 
 
+class TestLevelBuilds:
+    """A series builds the levels of its grid once and those of its
+    central-difference stencil once."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        sizes = []
+        build = functionals.radial_level
+
+        def counted(pot, t):
+            sizes.append(np.size(t))
+            return build(pot, t)
+
+        monkeypatch.setattr(functionals, "radial_level", counted)
+        return sizes
+
+    def test_two_builds_per_series(self, builds, schw1):
+        wp = radial.solve_wp(schw1, 2.2, 12.0, 1.5)
+        w1 = radial.solve_w1(schw1, 2.2, 12.0)
+        runs = [
+            lambda: F_p(wp, FunctionalParams(3, 1.5, 2.0, TS20)),
+            lambda: G_p(wp, FunctionalParams(3, 1.5, 2.0, TS20)),
+            lambda: F_p(w1, FunctionalParams(3, 1.0, 2.0, TS20)),
+            lambda: hawking_series(w1, TS20),
+        ]
+        for run in runs:
+            builds.clear()
+            run()
+            assert builds == [20, 36]  # the grid, then t +- d at the 18 inner levels
+
+
 class TestMinkowski:
     @pytest.mark.parametrize("aperture", [0.25, 0.5, 0.75])
     def test_cone_value(self, aperture):

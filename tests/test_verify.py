@@ -24,7 +24,7 @@ from pcapflow.verify import (
 # every key each experiment accepts, besides "experiment" and "out_prefix"
 ACCEPTED_KEYS = {
     "functional_series": {"model", "functional", "r0", "R", "p", "alpha", "phi_mode", "t_grid", "expect"},
-    "monotonicity_sweep": {"models", "p_list", "alpha_list", "num_levels", "slack"},
+    "monotonicity_sweep": {"models", "p_list", "alpha_list", "num_levels"},
     "p_to_1": {"model", "r0", "R", "p_list", "phi_mode", "thresholds", "expect_sup", "expect_rel"},
     "eps_to_0": {"model", "r0", "R", "p", "eps_list", "thresholds"},
     "inequalities": set(),
@@ -72,6 +72,11 @@ class TestCheckMonotone:
     def test_needs_three_samples(self):
         with pytest.raises(ValueError):
             check_monotone([0.0, 1.0])
+
+    def test_nan_is_a_violation(self):
+        verdict, violations = check_monotone([0.0, math.nan, 1.0])
+        assert verdict == "fail"
+        assert [k for k, _ in violations] == [0, 1]
 
 
 class TestMonotoneCheck:
@@ -261,6 +266,57 @@ class TestRunExperiment:
         }
         with pytest.raises(ConfigError, match="threshold"):
             run_experiment(cfg, tmp_path)
+
+
+class TestFunctionalSeriesSchema:
+    """functional_series runs F_p or G_p; p = 1 is F_p on the flow potential."""
+
+    F1 = {
+        "model": {"name": "schwarzschild", "params": {"mass": 1.0}},
+        "functional": "F_p",
+        "p": 1,
+        "alpha": 2.0,
+        "r0": 2.2,
+        "R": 12.0,
+        "t_grid": {"start": 0.0, "stop": 2.0, "num": 8},
+    }
+
+    @pytest.mark.parametrize("spelling", ["F_1", "hawking"])
+    def test_removed_spellings_are_config_errors(self, spelling, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            run_experiment(fp_config(functional=spelling), tmp_path)
+        assert err.value.fieldname == "functional"
+
+    @pytest.mark.parametrize(
+        "overrides, fieldname",
+        [({"functional": "G_p"}, "functional"), ({"phi_mode": "scale-invariant"}, "phi_mode")],
+    )
+    def test_p_one_is_f_p_on_the_flow(self, overrides, fieldname, tmp_path):
+        cfg = {"experiment": "functional_series", **self.F1, **overrides}
+        with pytest.raises(ConfigError) as err:
+            run_experiment(cfg, tmp_path)
+        assert err.value.fieldname == fieldname
+
+    def test_p_one_reproduces_the_f1_report(self):
+        # the report of the former {"functional": "F_1", "alpha": 2} config
+        report, tables = verify.functional_series_suite(**{**self.F1, "model": geometry.schwarzschild(1.0)})
+        (check,) = report.checks
+        assert (check.name, check.anchor, check.threshold, check.verdict) == (
+            "F_1 monotone",
+            "F1-monotone-nondecreasing",
+            1e-8,
+            "pass",
+        )
+        assert check.values["first"] == pytest.approx(-2.2847946571562145, rel=1e-13)
+        assert check.values["last"] == pytest.approx(-2.284794657156219, rel=1e-13)
+        assert check.values["guaranteed"] is True and check.values["violations"] == []
+        assert report.environment == {"model": "schwarzschild(m=1)", "slack": 1e-8}
+        header, rows = tables["F_1"]
+        assert header[:3] == ["t", "value", "bulk_term"]
+        bulk = [0.0, -3.041566634001986, -5.6782335296358575, -7.9639017904637806,
+                -9.9452970919359398, -11.662924889450997, -13.151898467113389, -14.442656754900877]
+        assert [row[2] for row in rows] == pytest.approx(bulk, rel=1e-13, abs=1e-15)
+        assert [row[1] for row in rows] == pytest.approx([-2.2847946571562145] * 8, rel=1e-13)
 
 
 class TestSuites:
