@@ -14,10 +14,14 @@ the test suite:
 Curvature of the warped product, with K1 the radial-tangential and K2 the
 tangential-tangential sectional curvature:
 
-    K1 = -(h''/(f^2 h) - h' f'/(f^3 h))
-    K2 = (1 - (h'/f)^2) / h^2
+    H          = (n-1) h' / (f h)
+    K1         = -(h''/(f^2 h) - h' f'/(f^3 h))
+    K2         = (1 - (h'/f)^2) / h^2
     Ric(nu,nu) = (n-1) K1
-    Scal       = 2(n-1) K1 + (n-1)(n-2) K2
+    Scal       = 2 Ric(nu,nu) + (n-1)(n-2) K2
+
+They serve every model and are finite wherever f is; at the Schwarzschild
+horizon, where f is infinite, H is exactly 0.
 """
 
 from __future__ import annotations
@@ -82,17 +86,12 @@ class RadialManifold:
     r_max: float = math.inf
     avr_hint: Optional[float] = None
     nonneg_ricci: bool = False
-    # closed-form curvature overrides for models whose generic formula
-    # degenerates (f blows up at the Schwarzschild horizon)
-    mean_curvature_fn: Optional[Callable[[float], float]] = None
-    ricci_fn: Optional[Callable[[float], float]] = None
-    scalar_fn: Optional[Callable[[float], float]] = None
 
     def check_radius(self, r):
         r = np.asarray(r, dtype=float)
-        if np.any(r < self.r_min - 1e-12 * (1.0 + abs(self.r_min))):
+        if (r < self.r_min - 1e-12 * (1.0 + abs(self.r_min))).any():
             raise DomainError(f"r={np.min(r)} below r_min={self.r_min} for {self.label}")
-        if np.any(r > self.r_max * (1.0 + 1e-12)):
+        if (r > self.r_max * (1.0 + 1e-12)).any():
             raise DomainError(f"r={np.max(r)} beyond tabulated range r_max={self.r_max} for {self.label}")
         return r[()]
 
@@ -100,16 +99,12 @@ class RadialManifold:
 def mean_curvature_sphere(model: RadialManifold, r):
     """Mean curvature of the coordinate sphere {r} w.r.t. the outward normal."""
     r = model.check_radius(r)
-    if model.mean_curvature_fn is not None:
-        return model.mean_curvature_fn(r)
     return (model.n - 1) * model.dh(r) / (model.f(r) * model.h(r))
 
 
 def ricci_radial(model: RadialManifold, r):
     """Ricci curvature Ric(nu, nu) along the radial unit normal."""
     r = model.check_radius(r)
-    if model.ricci_fn is not None:
-        return model.ricci_fn(r)
     f = model.f(r)
     h = model.h(r)
     return -(model.n - 1) * (model.d2h(r) / (f * f * h) - model.dh(r) * model.df(r) / (f**3 * h))
@@ -118,14 +113,9 @@ def ricci_radial(model: RadialManifold, r):
 def scalar_curvature(model: RadialManifold, r):
     """Scalar curvature of the ambient warped product at radius r."""
     r = model.check_radius(r)
-    if model.scalar_fn is not None:
-        return model.scalar_fn(r)
-    n = model.n
-    f = model.f(r)
     h = model.h(r)
-    k1 = -(model.d2h(r) / (f * f * h) - model.dh(r) * model.df(r) / (f**3 * h))
-    k2 = (1.0 - (model.dh(r) / f) ** 2) / (h * h)
-    return 2.0 * (n - 1) * k1 + (n - 1) * (n - 2) * k2
+    k2 = (1.0 - (model.dh(r) / model.f(r)) ** 2) / (h * h)
+    return 2.0 * ricci_radial(model, r) + (model.n - 1) * (model.n - 2) * k2
 
 
 def cross_section(model: RadialManifold, r) -> tuple:
@@ -242,9 +232,9 @@ def euclidean(n: int = 3) -> RadialManifold:
 def schwarzschild(mass: float, n: int = 3) -> RadialManifold:
     """Spatial Schwarzschild slice of mass m > 0 (n = 3), r >= 2m.
 
-    f = (1 - 2m/r)^(-1/2) diverges at the horizon, where the closed-form
-    curvature evaluators below remain finite: H = (2/r) sqrt(1 - 2m/r),
-    Ric(nu,nu) = -2m/r^3, Scal = 0.
+    f = (1 - 2m/r)^(-1/2) diverges at the horizon.  The warped-product
+    formulas give H = (2/r) sqrt(1 - 2m/r), which is 0 at the horizon,
+    Ric(nu,nu) = -2m/r^3 and Scal = 0 outside it.
     """
     if n != 3:
         raise ValueError("the Schwarzschild model is implemented for n = 3")
@@ -274,9 +264,6 @@ def schwarzschild(mass: float, n: int = 3) -> RadialManifold:
         label=f"schwarzschild(m={m:g})",
         avr_hint=1.0,
         nonneg_ricci=False,
-        mean_curvature_fn=lambda r: (2.0 / r) * np.sqrt(np.maximum(1.0 - 2.0 * m / r, 0.0)),
-        ricci_fn=lambda r: -2.0 * m / r**3,
-        scalar_fn=lambda r: 0.0 * r,
     )
     _validate_samples(model, 2.0 * m * 1.001, 2.0 * m * 50.0)
     return model

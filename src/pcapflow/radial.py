@@ -11,7 +11,8 @@ is never formed where it would underflow: w = -(p-1) log u comes straight
 from log-sum-exp.  The regularized problem replaces |s|^{p-2} s by
 (s^2 + eps^2)^{(p-2)/2} s and is solved by shooting on C, recovering the
 slope from the (monotone) regularized flux relation at every radius.  The
-inverse-mean-curvature potential is explicit: w1 = (n-1) ln(h(r)/h(r0)).
+inverse-mean-curvature potential is explicit: w1 = (n-1) ln(h(r)/h(r0)),
+and its |grad w1| and d|grad w1|/dr are the curvatures of ``geometry``.
 
 Every evaluator takes a radius or an array of radii (a level or an array of
 levels for ``level_radius``).
@@ -168,12 +169,14 @@ def _default_phi(model: geometry.RadialManifold, r0: float, R: float) -> float:
     return (model.n - 1) * math.log(model.h(R) / model.h(r0))
 
 
-def _check_annulus(model: geometry.RadialManifold, r0: float, R: float) -> None:
+def _check_annulus(model: geometry.RadialManifold, r0: float, R: float, p: float) -> None:
+    """[r0, R] inside the working range with h(r0) > 0, and f(r0) finite for the
+    p-potentials (p > 1); the flow potential may start on the horizon, where H = 0."""
     model.check_radius(r0)
     model.check_radius(R)
     if not r0 < R:
         raise ValueError(f"need r0 < R, got [{r0}, {R}]")
-    if not math.isfinite(model.f(r0)):
+    if p > 1.0 and not math.isfinite(model.f(r0)):
         raise geometry.DomainError(
             f"f({r0}) is not finite; start the annulus strictly inside the working range"
         )
@@ -233,7 +236,7 @@ def solve_wp(
     phi_R: Optional[float] = None,
 ) -> RadialPotential:
     """Radial p-capacitary potential on the annulus [r0, R], p in (1, 2]."""
-    _check_annulus(model, r0, R)
+    _check_annulus(model, r0, R, p)
     if not (1.0 < p <= 2.0):
         raise ValueError(f"p={p} outside (1, 2]")
     if phi_R is None:
@@ -269,10 +272,7 @@ def solve_w1(model: geometry.RadialManifold, r0: float, R: float) -> RadialPoten
     minimizing); |grad w1| equals the sphere mean curvature.  Its p is 1,
     the limit of the p-potentials.
     """
-    model.check_radius(r0)
-    model.check_radius(R)
-    if not r0 < R:
-        raise ValueError(f"need r0 < R, got [{r0}, {R}]")
+    _check_annulus(model, r0, R, 1.0)
     n = model.n
     rs = np.linspace(r0, R, 256)
     slopes = model.dh(rs)
@@ -284,21 +284,19 @@ def solve_w1(model: geometry.RadialManifold, r0: float, R: float) -> RadialPoten
     def w(r):
         return (n - 1.0) * np.log(model.h(r) / h0)
 
-    def grad(r):
-        return (n - 1.0) * model.dh(r) / (model.f(r) * model.h(r))
+    grad = functools.partial(geometry.mean_curvature_sphere, model)
 
     def dgrad(r):
-        f = model.f(r)
-        h = model.h(r)
-        dh = model.dh(r)
-        return (n - 1.0) * (model.d2h(r) / (f * h) - dh * model.df(r) / (f * f * h) - dh * dh / (f * h * h))
+        # the Riccati identity of the radial flow: H' = -f (Ric(nu,nu) + H^2/(n-1))
+        H = grad(r)
+        return -model.f(r) * (geometry.ricci_radial(model, r) + H * H / (n - 1.0))
 
     return RadialPotential(
         manifold=model,
         kind=KIND_IMCF,
         r0=float(r0),
         R=float(R),
-        phi_R=(n - 1.0) * math.log(model.h(R) / h0),
+        phi_R=_default_phi(model, r0, R),
         p=1.0,
         _w=w,
         _w_grad=lambda r: (w(r), grad(r)),
@@ -341,7 +339,7 @@ def solve_wp_eps(
     u(R; C) is strictly decreasing in C, so the boundary condition pins C by
     a log-parametrized bracketed root find.
     """
-    _check_annulus(model, r0, R)
+    _check_annulus(model, r0, R, p)
     if not (1.0 < p <= 2.0):
         raise ValueError(f"p={p} outside (1, 2]")
     if not eps > 0.0:

@@ -98,7 +98,7 @@ class AxisymmetricDomain:
             raise Solver2DError("rho'(0) and rho'(pi) must vanish (axis regularity)")
 
 
-def sphere_domain(r0: float = 1.0, R: float = 8.0) -> AxisymmetricDomain:
+def sphere_domain(r0: float = 1.0, R: float = 4.0) -> AxisymmetricDomain:
     r0 = float(r0)
     return AxisymmetricDomain(
         rho=lambda th: np.full_like(np.asarray(th, dtype=float), r0),
@@ -108,7 +108,7 @@ def sphere_domain(r0: float = 1.0, R: float = 8.0) -> AxisymmetricDomain:
     )
 
 
-def ellipsoid_domain(a_ax: float = 1.3, b_eq: float = 1.0, R: float = 8.0) -> AxisymmetricDomain:
+def ellipsoid_domain(a_ax: float = 1.3, b_eq: float = 1.0, R: float = 4.0) -> AxisymmetricDomain:
     """Spheroid with polar semi-axis a_ax (along the symmetry axis) and
     equatorial semi-axis b_eq: rho(theta) = (cos^2/a^2 + sin^2/b^2)^(-1/2)."""
     a_ax = float(a_ax)

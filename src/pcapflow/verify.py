@@ -479,6 +479,11 @@ def functional_series_suite(
     Returns the report and the series table."""
     if functional not in ("F_p", "G_p"):
         raise ConfigError(f"unknown functional '{functional}'; known: F_p, G_p", "functional")
+    if not 1.0 <= p <= 2.0:
+        raise ConfigError(f"p={p} outside [1, 2]", "p")
+    if not (alpha >= 1.0 if p == 1.0 else alpha > 0.0):
+        bound = "at least 1 at p = 1" if p == 1.0 else "positive"
+        raise ConfigError(f"alpha={alpha} must be {bound}", "alpha")
     if p == 1.0:
         if functional == "G_p":
             raise ConfigError("G_p requires p > 1", "functional")
@@ -569,12 +574,19 @@ def monotonicity_suite(
     return report, {"sweep": (["model", "p", "alpha", "guaranteed", "worst_drop", "verdict"], rows)}
 
 
-def _domain(shape: str, r0: float = 1.0, R: float = 4.0, a_ax: float = 1.3, b_eq: float = 1.0):
-    if shape == "sphere":
-        return solver2d.sphere_domain(r0, R)
-    if shape == "ellipsoid":
-        return solver2d.ellipsoid_domain(a_ax, b_eq, R)
-    raise ConfigError(f"unknown domain shape '{shape}'", "domain.shape")
+_DOMAINS = {"sphere": solver2d.sphere_domain, "ellipsoid": solver2d.ellipsoid_domain}
+
+
+def _domain(spec: dict) -> solver2d.AxisymmetricDomain:
+    """A domain object: ``shape`` names the constructor, whose parameters are
+    the other keys; the constructor's own validation errors are config errors."""
+    shape = spec.get("shape")
+    if not isinstance(shape, str) or shape not in _DOMAINS:
+        raise ConfigError(f"unknown domain shape {shape!r}; known: {', '.join(_DOMAINS)}", "domain.shape")
+    try:
+        return _call(_DOMAINS[shape], {k: v for k, v in spec.items() if k != "shape"}, "domain")
+    except solver2d.Solver2DError as exc:
+        raise ConfigError(str(exc), "domain") from exc
 
 
 def solve_2d_suite(
@@ -590,7 +602,7 @@ def solve_2d_suite(
     discrete flux conservation and the Gauss-Bonnet ratio of five levels
     (or of ``levels``).  Returns the report, the field table and one table
     per level."""
-    dom = _call(_domain, domain, "domain")
+    dom = _domain(domain)
     grid = tuple(int(x) for x in grid)
     # tol drives the flux spread (conservation holds up to the nonlinear
     # residual), so the default sits two decades under the 1e-6 gate

@@ -3,13 +3,25 @@
 The 2-D solves are the only expensive pieces of the suite, so they are
 session-scoped: the ellipsoid pair (one grid doubling) and the round-annulus
 field are each solved once and shared between the solver tests and the
-acceptance checks.
+acceptance checks.  Any warning fails a test here.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pcapflow import geometry, radial, solver2d
+
+HERE = Path(__file__).resolve().parent
+
+
+def pytest_collection_modifyitems(items):
+    """Every warning raised by a test in this directory fails it: a NumPy
+    divide, overflow or invalid warning is how a NaN or inf path first shows."""
+    for item in items:
+        if HERE in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error"))
 
 
 @pytest.fixture(scope="session")

@@ -107,6 +107,51 @@ class TestRun:
         cfg = write_cfg(tmp_path, typo_key=1)
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
+    def test_out_of_range_exponents(self, tmp_path, capsys):
+        for field, overrides in (
+            ("alpha", {"p": 1, "alpha": 0.5}),
+            ("p", {"p": 2.5}),
+        ):
+            cfg = write_cfg(tmp_path, **overrides)
+            assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+            assert f"config error: {cfg}: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "domain",
+        [
+            {"shape": "sphere", "r0": 1.0, "R": 4.0, "a_ax": 3.0},
+            {"shape": "ellipsoid", "a_ax": 1.3, "r0": 0.5},
+            {"shape": "sphere", "r0": 5.0, "R": 4.0},
+        ],
+        ids=["sphere-a_ax", "ellipsoid-r0", "sphere-r0-beyond-R"],
+    )
+    def test_domain_checked_against_its_constructor(self, tmp_path, capsys, domain):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"experiment": "solve_2d", "domain": domain, "p": 1.5}))
+        good = write_cfg(tmp_path, "good.json", out_prefix="good")
+        out = tmp_path / "out"
+        assert main(["run", str(bad), str(good), "--out", str(out)]) == EXIT_CONFIG
+        assert f"config error: {bad}: domain" in capsys.readouterr().err
+        assert (out / "good_report.json").exists()
+
+    def test_flow_from_cone_tip(self, tmp_path, capsys):
+        # h(0) = 0 on the cone: the flow potential has no annulus there
+        tip = tmp_path / "tip.json"
+        tip.write_text(
+            json.dumps(
+                {
+                    "experiment": "hawking_series",
+                    "model": {"name": "cone", "params": {"aperture": 0.5}},
+                    "r0": 0,
+                    "R": 4.0,
+                }
+            )
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(tip), str(CONFIGS / "euclidean_fp.json"), "--out", str(out)]) == EXIT_SOLVER
+        assert f"solver error: {tip}: DomainError" in capsys.readouterr().err
+        assert (out / "euclidean_fp_report.json").exists()
+
     def test_worst_exit_wins_across_configs(self, tmp_path):
         good = write_cfg(tmp_path, "good.json", out_prefix="good")
         bad = write_cfg(

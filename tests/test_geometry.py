@@ -189,15 +189,11 @@ class TestCurvatureConsistency:
     @given(r=st.floats(min_value=2.3, max_value=15.0, allow_nan=False))
     @settings(max_examples=40, deadline=None)
     def test_schwarzschild_closed_forms(self, r):
-        # the closed-form curvature overrides must agree with the generic
-        # warped-product formulas wherever both are finite
+        # the warped-product formulas reproduce Schwarzschild's closed forms
         m = schwarzschild(1.0)
-        f = m.f(r)
-        h = m.h(r)
-        generic_ric = -2.0 * (m.d2h(r) / (f * f * h) - m.dh(r) * m.df(r) / (f**3 * h))
-        assert ricci_radial(m, r) == pytest.approx(generic_ric, rel=1e-9, abs=1e-12)
-        generic_H = 2.0 * m.dh(r) / (f * h)
-        assert mean_curvature_sphere(m, r) == pytest.approx(generic_H, rel=1e-11)
+        assert ricci_radial(m, r) == pytest.approx(-2.0 / r**3, rel=1e-9, abs=1e-12)
+        assert mean_curvature_sphere(m, r) == pytest.approx((2.0 / r) * math.sqrt(1.0 - 2.0 / r), rel=1e-11)
+        assert scalar_curvature(m, r) == pytest.approx(0.0, abs=1e-12)
 
     @given(r=st.floats(min_value=0.2, max_value=20.0, allow_nan=False))
     @settings(max_examples=30, deadline=None)

@@ -226,7 +226,8 @@ class TestCurvatureIdentity:
 
     For the p-potential H = g - (p-1) g'/(f g) with g = |grad w|; the
     regularized potential carries the extra factor 1 + (2-p) theta/(p-1).
-    Both must match the geometric (n-1) h'/(f h) pointwise.
+    Both must match the geometric (n-1) h'/(f h) pointwise.  The flow
+    potential has g = H, and its g' must be the derivative of H.
     """
 
     @pytest.mark.parametrize("p", [1.2, 1.5, 2.0])
@@ -238,6 +239,14 @@ class TestCurvatureIdentity:
                 dg = pot.grad_norm_derivative(r)
                 lhs = g - (p - 1.0) * dg / (model.f(r) * g)
                 assert lhs == pytest.approx(mean_curvature_sphere(model, r), rel=1e-6)
+
+    def test_flow_potential_derivative(self, radial_model_set):
+        for model, r0, R in radial_model_set:
+            pot = solve_w1(model, r0, R)
+            for r in np.linspace(r0 * 1.001, R * 0.999, 50):
+                d = 1e-5 * r
+                fd = (pot.grad_norm(r + d) - pot.grad_norm(r - d)) / (2.0 * d)
+                assert pot.grad_norm_derivative(r) == pytest.approx(fd, rel=1e-6)
 
     def test_regularized_identity(self, euclid3, schw1):
         for model, r0, R in ((euclid3, 1.0, 4.0), (schw1, 2.2, 8.0)):
