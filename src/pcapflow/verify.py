@@ -20,7 +20,7 @@ import inspect
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Union, get_args, get_origin
 
 import numpy as np
@@ -51,6 +51,8 @@ _SUP_SAMPLES = 257
 _T_CAP = 0.2
 # largest normalized drop a monotone series may take
 _SLACK = 1e-8
+# levels of each monotonicity sweep series
+_SWEEP_LEVELS = 40
 
 
 class ConfigError(ValueError):
@@ -191,38 +193,45 @@ def _quad(fn, a, b):
     return numerics.integrate(fn, a, b, 1e-12)
 
 
-def _thresholds(defaults: dict, given: Optional[dict]) -> dict:
-    unknown = set(given or ()) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown threshold keys {sorted(unknown)}", "thresholds")
-    return {**defaults, **(given or {})}
-
-
-def _vanishing_check(name, anchor, values, column, threshold, report_decreasing) -> Check:
+def _vanishing_check(name, anchor, values, column, threshold) -> Check:
     """Pass when ``column`` strictly decreases and ends below ``threshold``."""
     decreasing = all(b < a for a, b in zip(column, column[1:]))
-    if report_decreasing:
-        values["decreasing"] = decreasing
+    values["decreasing"] = decreasing
     return _gate(name, anchor, values, column[-1] if decreasing else math.inf, threshold)
+
+
+def _shell_integral(pot, fn, b):
+    """|S^{n-1}| int_{r0}^b fn f h^{n-1} dr: the integral of the radial
+    function ``fn`` over the shell r0 < r < b."""
+    model = pot.manifold
+    n = model.n
+
+    def integrand(r):
+        return fn(r) * model.f(r) * model.h(r) ** (n - 1)
+
+    return geometry.unit_sphere_area(n) * _quad(integrand, pot.r0, b)
 
 
 def p_to_1_suite(
     model: geometry.RadialManifold,
     r0: float,
     R: float,
-    p_list: list,
+    p_list: list[float],
     phi_mode: str = "imcf",
     thresholds: Optional[dict] = None,
-    expect_sup: Optional[list] = None,
+    expect_sup: Optional[list[float]] = None,
     expect_rel: float = 1e-6,
 ):
     """Convergence table of the p-potentials toward the flow potential.
 
-    Columns per p: sup|w_p - w_1| on [r0, R/2], L2/L4 gradient errors, the
-    gap of the normalized capacity between the levels 0 and min(0.2,
-    0.9 phi_R) to h(r0)^{n-1}, the area-weighted (H-|grad w_p|)^2
-    defect, and the level-area defect.  Verdict per column: decreasing along
-    the (descending) p list with final value below its threshold.
+    Columns per p: sup|w_p - w_1| on [r0, R/2], L2/L4 gradient errors over
+    the same shell, the gap of the normalized capacity between the levels 0
+    and min(0.2, 0.9 phi_R) to h(r0)^{n-1}, the level integrals over t in
+    [0, T] of the area-weighted (H-|grad w_p|)^2 defect and of the level-area
+    defect against the flow's |Sigma_0| e^t.  By coarea those are volume
+    integrals over {w_p < T} weighted by |grad w_p|.  Verdict per column:
+    decreasing along the (descending) p list with final value below its
+    threshold.
 
     The sup_w threshold is the acceptance gate; the other defaults are
     calibration gates sized with ~2x headroom on the reference sweeps
@@ -231,13 +240,14 @@ def p_to_1_suite(
     pins each sup_w row to an analytic value (rel tol ``expect_rel``).
     Returns the report and the per-p table.
     """
-    ps = [float(p) for p in p_list]
-    if len(ps) < 2 or any(not (1.0 < p <= 2.0) for p in ps):
+    if len(p_list) < 2 or any(not (1.0 < p <= 2.0) for p in p_list):
         raise ConfigError("p_list must have >= 2 entries inside (1, 2]", "p_list")
-    if any(b >= a for a, b in zip(ps, ps[1:])):
+    if any(b >= a for a, b in zip(p_list, p_list[1:])):
         raise ConfigError("p_list must decrease toward 1", "p_list")
-    if expect_sup is not None and len(expect_sup) != len(ps):
+    if expect_sup is not None and len(expect_sup) != len(p_list):
         raise ConfigError("expect_sup must match p_list in length", "expect_sup")
+    if expect_sup is not None and not all(math.isfinite(e) and e != 0.0 for e in expect_sup):
+        raise ConfigError("expect_sup entries must be finite and nonzero", "expect_sup")
     defaults = {
         "sup_w": 5e-3,
         "l2_grad": 1e-1,
@@ -246,25 +256,43 @@ def p_to_1_suite(
         "h_defect": 5e-3,
         "area_defect": 1.5,
     }
-    thr = _thresholds(defaults, thresholds)
-    phi_for = {p: _phi_for(phi_mode, model, r0, R, p) for p in ps}
+    unknown = set(thresholds or ()) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown threshold keys {sorted(unknown)}", "thresholds")
+    thr = {**defaults, **(thresholds or {})}
+    phi_for = {p: _phi_for(phi_mode, model, r0, R, p) for p in p_list}
     w1 = radial.solve_w1(model, r0, R)
     rmid = 0.5 * (r0 + R)
     rs = np.linspace(r0, 0.5 * R, _SUP_SAMPLES)
+    n = model.n
+    h0 = model.h(r0)
     rows = []
-    for p in ps:
+    for p in p_list:
         pot = radial.solve_wp(model, r0, R, p, phi_R=phi_for[p])
         sup_w = float(np.max(np.abs(pot.w(rs) - w1.w(rs))))
-        l2 = _grad_error(model, pot, w1, r0, 0.5 * R, 2)
-        l4 = _grad_error(model, pot, w1, r0, 0.5 * R, 4)
-        cap_gap = abs(radial.capacity(pot, 0.0, min(_T_CAP, 0.9 * pot.phi_R)) - model.h(r0) ** (model.n - 1))
+
+        def grad_gap(r):
+            return np.abs(pot.grad_norm(r) - w1.grad_norm(r))
+
+        def h_density(r):
+            grad = pot.grad_norm(r)
+            return (geometry.mean_curvature_sphere(model, r) - grad) ** 2 * grad
+
+        def area_density(r):
+            return np.abs(1.0 - (h0 / model.h(r)) ** (n - 1) * np.exp(pot.w(r))) * pot.grad_norm(r)
+
+        l2 = _shell_integral(pot, lambda r: grad_gap(r) ** 2, 0.5 * R) ** 0.5
+        l4 = _shell_integral(pot, lambda r: grad_gap(r) ** 4, 0.5 * R) ** 0.25
+        cap_gap = abs(radial.capacity(pot, 0.0, min(_T_CAP, 0.9 * pot.phi_R)) - h0 ** (n - 1))
+        # the levels 0 <= t <= T fill the shell r0 < r < r_T
         T = min(2.0, 0.8 * pot.w(rmid), 0.8 * w1.w(rmid))
-        h_def = _h_defect(pot, T)
-        a_def = _area_defect(pot, w1, T)
+        r_T = pot.level_radius(T)
+        h_def = _shell_integral(pot, h_density, r_T)
+        a_def = _shell_integral(pot, area_density, r_T)
         rows.append((p, sup_w, l2, l4, cap_gap, h_def, a_def))
     cols = {key: [row[k] for row in rows] for k, key in enumerate(thr, start=1)}
     checks = [
-        _vanishing_check(f"p-to-1 {key}", "p-to-1-strong-convergence", {"p": ps, key: vals}, vals, thr[key], True)
+        _vanishing_check(f"p-to-1 {key}", "p-to-1-strong-convergence", {"p": p_list, key: vals}, vals, thr[key])
         for key, vals in cols.items()
     ]
     if expect_sup is not None:
@@ -280,67 +308,37 @@ def p_to_1_suite(
     return report, {"table": (header, rows)}
 
 
-def _grad_error(model, pot, w1, a, b, q):
-    n = model.n
-    sphere = geometry.unit_sphere_area(n)
-
-    def fn(r):
-        return np.abs(pot.grad_norm(r) - w1.grad_norm(r)) ** q * model.f(r) * model.h(r) ** (n - 1)
-
-    return (sphere * _quad(fn, a, b)) ** (1.0 / q)
-
-
-def _h_defect(pot, T):
-    def fn(t):
-        lev = functionals.radial_level(pot, t)
-        return lev.area * (lev.H - lev.grad) ** 2
-
-    return _quad(fn, 0.0, T)
-
-
-def _area_defect(pot, w1, T):
-    def fn(t):
-        a_p = functionals.radial_level(pot, t).area
-        a_1 = functionals.radial_level(w1, t).area
-        return np.abs(a_p - a_1)
-
-    return _quad(fn, 0.0, T)
-
-
 def eps_to_0_suite(
     model: geometry.RadialManifold,
     r0: float,
     R: float,
     p: float,
-    eps_list: list,
-    thresholds: Optional[dict] = None,
+    eps_list: list[float],
 ):
     """sup|w^eps - w_p| and sup theta_eps on the inner half [r0, (r0+R)/2],
-    per eps.  Returns the report and the per-eps table."""
-    eps_vals = [float(e) for e in eps_list]
-    if len(eps_vals) < 2 or any(e <= 0.0 for e in eps_vals):
+    per eps; they must decrease and end below 1e-4 and 1e-6.  Returns the
+    report and the per-eps table."""
+    if len(eps_list) < 2 or any(e <= 0.0 for e in eps_list):
         raise ConfigError("eps_list must have >= 2 positive entries", "eps_list")
-    if any(b >= a for a, b in zip(eps_vals, eps_vals[1:])):
+    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("eps_list must decrease toward 0", "eps_list")
-    thr = _thresholds({"sup_w": 1e-4, "sup_theta": 1e-6}, thresholds)
     interval = (r0, 0.5 * (r0 + R))
     base = radial.solve_wp(model, r0, R, p)
     rs = np.linspace(interval[0], interval[1], _SUP_SAMPLES)
     rows = []
-    for e in eps_vals:
+    for e in eps_list:
         pot = radial.solve_wp_eps(model, r0, R, p, e)
         sup_w = float(np.max(np.abs(pot.w(rs) - base.w(rs))))
         sup_th = float(np.max(pot.theta(rs)))
         rows.append((e, sup_w, sup_th))
-    cols = {key: [row[k] for row in rows] for k, key in enumerate(thr, start=1)}
-    names = {
-        "sup_w": ("eps-to-0 sup|w_eps - w_p|", "eps-regularization-vanishes"),
-        "sup_theta": ("eps-to-0 sup theta_eps", "theta-eps-vanishing"),
-    }
-    checks = [
-        _vanishing_check(*names[key], {"eps": eps_vals, key: vals}, vals, thr[key], False)
-        for key, vals in cols.items()
-    ]
+    gates = (
+        ("sup_w", "eps-to-0 sup|w_eps - w_p|", "eps-regularization-vanishes", 1e-4),
+        ("sup_theta", "eps-to-0 sup theta_eps", "theta-eps-vanishing", 1e-6),
+    )
+    checks = []
+    for k, (key, name, anchor, threshold) in enumerate(gates, start=1):
+        column = [row[k] for row in rows]
+        checks.append(_vanishing_check(name, anchor, {"eps": eps_list, key: column}, column, threshold))
     report = Report(
         experiment="eps_to_0",
         checks=checks,
@@ -518,47 +516,37 @@ def hawking_suite(
     expect: Optional[dict] = None,
 ):
     """Hawking mass along the flow of one model, optional expected constant.
-    Returns the report and the series table."""
+    Geroch monotonicity is guaranteed where the scalar curvature is
+    nonnegative (down to -1e-8) at every level radius.  Returns the report
+    and the series table."""
     pot = radial.solve_w1(model, r0, R)
     series = functionals.hawking_series(pot, _series_grid(pot, t_grid))
-    checks = [_monotone_check("hawking mass monotone", "geroch-hawking-monotone", series, True)]
+    guaranteed = bool(np.all(geometry.scalar_curvature(model, pot.level_radius(series.t)) >= -1e-8))
+    checks = [_monotone_check("hawking mass monotone", "geroch-hawking-monotone", series, guaranteed)]
     if expect:
         checks.append(_call(_constancy_check, expect, "expect", series))
     return Report("hawking_series", checks, {"model": model.label}), {series.name: series.table()}
 
 
-def _resolve_alpha(spec, n: int, p: float) -> float:
-    if isinstance(spec, str):
-        if spec == "threshold+0.1":
-            return max(2.0 - p, (n - p) / (n - 1.0)) + 0.1
-        if spec == "n-1":
-            return float(n - 1)
-        raise ConfigError(f"unknown alpha spec '{spec}'", "alpha_list")
-    return float(spec)
-
-
-def monotonicity_suite(
-    models: Optional[list[geometry.RadialManifold]] = None,
-    p_list: tuple = (1.1, 1.5, 2.0),
-    alpha_list: tuple = ("threshold+0.1", 2.0, "n-1"),
-    num_levels: int = 40,
-):
-    """F_p monotonicity over a (model, p, alpha) grid, alpha down to the
-    guarantee threshold.  The annulus is [2.2, 12] on Schwarzschild models
-    and [1, 8] elsewhere.  Returns the report and the verdict table."""
-    if models is None:
-        models = [geometry.euclidean(3), geometry.cone(3, 0.5), geometry.schwarzschild(1.0)]
+def monotonicity_suite():
+    """F_p monotonicity on flat space and cone(3, 0.5) over [1, 8] and on
+    Schwarzschild(1) over [2.2, 12], at p in {1.1, 1.5, 2} and the distinct
+    alpha of {termwise threshold + 0.1, 2, n - 1}, on 40 levels.  Returns
+    the report and the verdict table."""
+    annuli = [
+        (geometry.euclidean(3), 1.0, 8.0),
+        (geometry.cone(3, 0.5), 1.0, 8.0),
+        (geometry.schwarzschild(1.0), 2.2, 12.0),
+    ]
     checks = []
     rows = []
-    for model in models:
-        r0, R = (2.2, 12.0) if "schwarzschild" in model.label else (1.0, 8.0)
-        for p in map(float, p_list):
+    for model, r0, R in annuli:
+        for p in (1.1, 1.5, 2.0):
             pot = radial.solve_wp(model, r0, R, p)
             T = min(2.0, 0.8 * pot.w(0.5 * (r0 + R)))
-            ts = np.linspace(0.0, T, num_levels)
-            for aspec in alpha_list:
-                alpha = _resolve_alpha(aspec, model.n, p)
-                params = functionals.FunctionalParams(model.n, p, alpha, tuple(ts))
+            base = functionals.FunctionalParams(model.n, p, 2.0, tuple(np.linspace(0.0, T, _SWEEP_LEVELS)))
+            for alpha in dict.fromkeys((base.termwise_threshold + 0.1, 2.0, model.n - 1.0)):
+                params = replace(base, alpha=alpha)
                 series = functionals.F_p(pot, params)
                 guaranteed = params.monotonicity_guaranteed
                 chk = _monotone_check(
@@ -570,7 +558,7 @@ def monotonicity_suite(
                 checks.append(chk)
                 worst = min((d for _, d in chk.values["violations"]), default=0.0)
                 rows.append((model.label, p, alpha, guaranteed, worst, chk.verdict))
-    report = Report("monotonicity_sweep", checks, {"slack": _SLACK, "num_levels": num_levels})
+    report = Report("monotonicity_sweep", checks, {"slack": _SLACK, "num_levels": _SWEEP_LEVELS})
     return report, {"sweep": (["model", "p", "alpha", "guaranteed", "worst_drop", "verdict"], rows)}
 
 
@@ -593,17 +581,16 @@ def solve_2d_suite(
     domain: dict,
     p: float,
     u_R: float = 0.05,
-    grid: tuple = (96, 48),
+    grid: tuple[int, int] = (96, 48),
     eps: Optional[float] = None,
     tol: Optional[float] = None,
-    levels: Optional[list] = None,
+    levels: Optional[list[float]] = None,
 ):
     """Axisymmetric solve on a sphere or ellipsoid annulus: convergence,
     discrete flux conservation and the Gauss-Bonnet ratio of five levels
     (or of ``levels``).  Returns the report, the field table and one table
     per level."""
     dom = _domain(domain)
-    grid = tuple(int(x) for x in grid)
     # tol drives the flux spread (conservation holds up to the nonlinear
     # residual), so the default sits two decades under the 1e-6 gate
     tol = 1e-10 if tol is None else tol
@@ -661,9 +648,11 @@ def _coerce(key: str, value, kind):
             raise ConfigError(f"expected a number, got {value!r}", key) from exc
     container = get_origin(kind) or kind
     if container in (list, tuple) and isinstance(value, (list, tuple)):
-        if get_args(kind) == (geometry.RadialManifold,):
-            return [_call(_model, spec, key) for spec in value]
-        return container(value)
+        # list[X] holds any number of X, tuple[X, Y] exactly one X and one Y
+        kinds = get_args(kind) * (len(value) if container is list else 1)
+        if len(kinds) != len(value):
+            raise ConfigError(f"expected {len(kinds)} entries, got {len(value)}", key)
+        return container(_coerce(key, v, k) for v, k in zip(value, kinds))
     if not isinstance(value, container):
         raise ConfigError(f"expected {container.__name__}, got {type(value).__name__}", key)
     return value

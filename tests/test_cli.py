@@ -11,6 +11,7 @@ import pytest
 
 from pcapflow.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, EXIT_SOLVER, main
 from pcapflow.geometry import MODEL_NAMES
+from pcapflow.verify import artifact_prefix
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -176,6 +177,42 @@ class TestRun:
         assert (out / "bad_report.json").exists()
         assert str(missing) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, field, value",
+        [
+            ("euclidean_p_to_1", "expect_sup", [0, 0, 0, 0]),
+            ("euclidean_p_to_1", "expect_sup", ["a", 0.1, 0.1, 0.1]),
+            ("euclidean_p_to_1", "expect_sup", [0.1, 0.1, 0.1, math.inf]),
+            ("euclidean_p_to_1", "p_list", ["a", 1.1]),
+            ("sphere_2d", "grid", ["a", 48]),
+            ("sphere_2d", "grid", [96]),
+        ],
+        ids=["expect_sup-zero", "expect_sup-string", "expect_sup-inf", "p_list-string", "grid-string", "grid-short"],
+    )
+    def test_list_entries_are_checked(self, tmp_path, capsys, config, field, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**json.loads((CONFIGS / f"{config}.json").read_text()), field: value}))
+        out = tmp_path / "out"
+        assert main(["run", str(bad), str(CONFIGS / "euclidean_fp.json"), "--out", str(out)]) == EXIT_CONFIG
+        assert f"config error: {bad}: {field}:" in capsys.readouterr().err
+        assert (out / "euclidean_fp_report.json").exists()
+
+    def test_hawking_monotonicity_needs_nonnegative_scalar_curvature(self, tmp_path):
+        # hyperbolic space, f = 1 and h = sinh r, has Sc = -6: Geroch
+        # monotonicity is not guaranteed there, while on Schwarzschild it is
+        table = tmp_path / "hyperbolic.json"
+        rs = [1.0 + 0.025 * k for k in range(141)]
+        table.write_text(json.dumps([{"r": r, "f": 1.0, "h": math.sinh(r)} for r in rs]))
+        cfg = tmp_path / "hyperbolic_hawking.json"
+        model = {"name": "tabulated", "params": {"path": str(table)}}
+        cfg.write_text(json.dumps({"experiment": "hawking_series", "model": model, "r0": 1.0, "R": 4.5}))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), str(CONFIGS / "schwarzschild_geroch.json"), "--out", str(out)]) == EXIT_PASS
+        (check,) = json.loads((out / "hawking_series_report.json").read_text())["checks"]
+        assert check["verdict"] == "not-guaranteed" and check["values"]["guaranteed"] is False
+        schwarzschild = json.loads((out / "schwarzschild_geroch_report.json").read_text())["checks"]
+        assert [(c["verdict"], c["values"].get("guaranteed")) for c in schwarzschild] == [("pass", True), ("pass", None)]
+
     def test_removed_options_are_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path)
         for option in ("--jobs", "--seed"):
@@ -186,6 +223,9 @@ class TestRun:
 @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
 def test_shipped_config_passes(config, tmp_path):
     assert main(["run", str(config), "--out", str(tmp_path)]) == EXIT_PASS
+    prefix = artifact_prefix(json.loads(config.read_text()))
+    names = [c["name"] for c in json.loads((tmp_path / f"{prefix}_report.json").read_text())["checks"]]
+    assert len(names) == len(set(names))
 
 
 class TestModuleEntry:

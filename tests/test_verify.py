@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pcapflow import functionals, geometry, verify
+from pcapflow import functionals, geometry, numerics, radial, verify
 from pcapflow.verify import (
     EXPERIMENTS,
     Check,
@@ -24,9 +24,9 @@ from pcapflow.verify import (
 # every key each experiment accepts, besides "experiment" and "out_prefix"
 ACCEPTED_KEYS = {
     "functional_series": {"model", "functional", "r0", "R", "p", "alpha", "phi_mode", "t_grid", "expect"},
-    "monotonicity_sweep": {"models", "p_list", "alpha_list", "num_levels"},
+    "monotonicity_sweep": set(),
     "p_to_1": {"model", "r0", "R", "p_list", "phi_mode", "thresholds", "expect_sup", "expect_rel"},
-    "eps_to_0": {"model", "r0", "R", "p", "eps_list", "thresholds"},
+    "eps_to_0": {"model", "r0", "R", "p", "eps_list"},
     "inequalities": set(),
     "hawking_series": {"model", "r0", "R", "t_grid", "expect"},
     "solve_2d": {"domain", "p", "u_R", "grid", "eps", "tol", "levels"},
@@ -153,11 +153,11 @@ class TestGate:
 
     def test_vanishing_check_needs_a_strict_decrease(self):
         values = {}
-        chk = verify._vanishing_check("v", "anc", values, [1e-3, 2e-3, 1e-9], 1e-6, True)
+        chk = verify._vanishing_check("v", "anc", values, [1e-3, 2e-3, 1e-9], 1e-6)
         assert chk.verdict == "fail" and values["decreasing"] is False
-        chk = verify._vanishing_check("v", "anc", {}, [1e-3, 1e-3, 1e-9], 1e-6, False)
+        chk = verify._vanishing_check("v", "anc", {}, [1e-3, 1e-3, 1e-9], 1e-6)
         assert chk.verdict == "fail"
-        chk = verify._vanishing_check("v", "anc", {}, [1e-3, 1e-5, 1e-9], 1e-6, False)
+        chk = verify._vanishing_check("v", "anc", {}, [1e-3, 1e-5, 1e-9], 1e-6)
         assert chk.verdict == "pass" and chk.threshold == 1e-6
 
     def test_constancy_defect_equal_to_rel_tol_fails(self):
@@ -256,12 +256,11 @@ class TestRunExperiment:
 
     def test_unknown_threshold_keys(self, tmp_path):
         cfg = {
-            "experiment": "eps_to_0",
+            "experiment": "p_to_1",
             "model": {"name": "euclidean", "params": {"n": 3}},
-            "p": 1.5,
             "r0": 1.0,
-            "R": 3.0,
-            "eps_list": [1e-2, 1e-3],
+            "R": 4.0,
+            "p_list": [1.2, 1.1],
             "thresholds": {"sup_w": 1e-4, "bogus": 1.0},
         }
         with pytest.raises(ConfigError, match="threshold"):
@@ -352,6 +351,28 @@ class TestSuites:
             assert h_def == pytest.approx(4.0 * math.pi * (p - 1.0) ** 2 * T, rel=1e-11)
             area = 4.0 * math.pi * (0.5 * (3.0 - p) * math.expm1(2.0 * T / (3.0 - p)) - math.expm1(T))
             assert a_def == pytest.approx(area, rel=1e-11)
+
+    def test_p_to_1_coarea_columns_on_schwarzschild(self, schw1):
+        # h_defect and area_defect are volume integrals over {w_p < T}; by
+        # coarea they equal the integrals over t in [0, T] of the level data,
+        # the reference where no closed form exists
+        r0, R = 2.2, 12.0
+        _, tables = p_to_1_suite(schw1, r0, R, [1.2, 1.1, 1.05, 1.01])
+        w1 = radial.solve_w1(schw1, r0, R)
+        rmid = 0.5 * (r0 + R)
+        for p, *_, h_def, a_def in tables["table"][1]:
+            pot = radial.solve_wp(schw1, r0, R, p)
+            T = min(2.0, 0.8 * pot.w(rmid), 0.8 * w1.w(rmid))
+
+            def h_level(t):
+                lev = functionals.radial_level(pot, t)
+                return lev.area * (lev.H - lev.grad) ** 2
+
+            def area_level(t):
+                return np.abs(functionals.radial_level(pot, t).area - functionals.radial_level(w1, t).area)
+
+            assert h_def == pytest.approx(numerics.integrate(h_level, 0.0, T, 1e-12), rel=1e-10)
+            assert a_def == pytest.approx(numerics.integrate(area_level, 0.0, T, 1e-12), rel=1e-10)
 
     def test_p_list_validation(self, euclid3):
         with pytest.raises(ConfigError):
