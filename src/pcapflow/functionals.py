@@ -372,13 +372,11 @@ def hawking_series(pot: radial.RadialPotential, t_grid, derivative_step: float =
     return _series("hawking_mass", pot, t_grid, mass, geroch_rhs, derivative_step, {"model": pot.manifold.label})
 
 
-def minkowski_M(level, alpha: float, area_hull: Optional[float] = None) -> float:
+def minkowski_M(level, alpha: float) -> float:
     """Normalized Minkowski functional
-    |area_hull|^{alpha/(n-1)-1} int |H/(n-1)|^alpha."""
+    |Sigma|^{alpha/(n-1)-1} int |H/(n-1)|^alpha of the level Sigma."""
     n = level.n
-    if area_hull is None:
-        area_hull = level.area
-    return area_hull ** (alpha / (n - 1.0) - 1.0) * level.integrate(np.abs(level.H / (n - 1.0)) ** alpha)
+    return level.area ** (alpha / (n - 1.0) - 1.0) * level.integrate(np.abs(level.H / (n - 1.0)) ** alpha)
 
 
 def geroch_rhs(level) -> float:

@@ -12,7 +12,7 @@ from log-sum-exp.  The regularized problem replaces |s|^{p-2} s by
 (s^2 + eps^2)^{(p-2)/2} s and is solved by shooting on C, recovering the
 slope from the (monotone) regularized flux relation at every radius.  The
 inverse-mean-curvature potential is explicit: w1 = (n-1) ln(h(r)/h(r0)),
-and its |grad w1| and d|grad w1|/dr are the curvatures of ``geometry``.
+and its |grad w1| is the sphere mean curvature of ``geometry``.
 
 Every evaluator takes a radius or an array of radii (a level or an array of
 levels for ``level_radius``).
@@ -100,7 +100,6 @@ class RadialPotential:
     flux: Optional[float] = None
     _w: Callable[[np.ndarray], np.ndarray] = field(default=None, repr=False)
     _w_grad: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
-    _dgrad: Callable[[np.ndarray], np.ndarray] = field(default=None, repr=False)
     _u: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
     _theta: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
     _seed: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
@@ -119,11 +118,6 @@ class RadialPotential:
     @_scalar_or_array
     def grad_norm(self, r):
         return self._w_grad(self._check(r))[1]
-
-    @_scalar_or_array
-    def grad_norm_derivative(self, r):
-        """d|grad w|/dr, in closed form from the flux relation."""
-        return self._dgrad(self._check(r))
 
     @_scalar_or_array
     def u(self, r):
@@ -194,11 +188,11 @@ def _tail_edges(model: geometry.RadialManifold, r0: float, R: float, kappa: floa
     return edges
 
 
-def _log_tail_potential(model, r0, R, p, phi_R, tail, shift, log_slope, dlog_slope, kind, **extra) -> RadialPotential:
-    """Potential with u = u_R + int_r^R f q, where log q = log_slope(r) with
-    derivative dlog_slope(r), and the log of the tail is shift + tail(r)
-    (``tail`` a log-mode CumulativeIntegral anchored at R).  w, u and
-    |grad w| = (p-1) q / u come from logs, so nothing underflows."""
+def _log_tail_potential(model, r0, R, p, phi_R, tail, shift, log_slope, kind, **extra) -> RadialPotential:
+    """Potential with u = u_R + int_r^R f q, where log q = log_slope(r) and
+    the log of the tail is shift + tail(r) (``tail`` a log-mode
+    CumulativeIntegral anchored at R).  w, u and |grad w| = (p-1) q / u come
+    from logs, so nothing underflows."""
     log_uR = -phi_R / (p - 1.0)
 
     def log_u(r):
@@ -207,10 +201,6 @@ def _log_tail_potential(model, r0, R, p, phi_R, tail, shift, log_slope, dlog_slo
     def w_grad(r):
         lu = log_u(r)
         return -(p - 1.0) * lu, (p - 1.0) * np.exp(log_slope(r) - lu)
-
-    def dgrad(r):
-        g = w_grad(r)[1]
-        return g * (dlog_slope(r) + model.f(r) * g / (p - 1.0))
 
     return RadialPotential(
         manifold=model,
@@ -221,7 +211,6 @@ def _log_tail_potential(model, r0, R, p, phi_R, tail, shift, log_slope, dlog_slo
         p=float(p),
         _w=lambda r: -(p - 1.0) * log_u(r),
         _w_grad=w_grad,
-        _dgrad=dgrad,
         _u=lambda r: np.exp(log_u(r)),
         _seed=(tail.edges, -(p - 1.0) * np.logaddexp(log_uR, shift + tail.at_edges)),
         **extra,
@@ -257,12 +246,7 @@ def solve_wp(
     def log_slope(r):
         return log_B - kappa * np.log(model.h(r))
 
-    def dlog_slope(r):
-        return -kappa * model.dh(r) / model.h(r)
-
-    return _log_tail_potential(
-        model, r0, R, p, phi_R, tail, log_B, log_slope, dlog_slope, KIND_P, flux=math.exp((p - 1.0) * log_B)
-    )
+    return _log_tail_potential(model, r0, R, p, phi_R, tail, log_B, log_slope, KIND_P, flux=math.exp((p - 1.0) * log_B))
 
 
 def solve_w1(model: geometry.RadialManifold, r0: float, R: float) -> RadialPotential:
@@ -286,11 +270,6 @@ def solve_w1(model: geometry.RadialManifold, r0: float, R: float) -> RadialPoten
 
     grad = functools.partial(geometry.mean_curvature_sphere, model)
 
-    def dgrad(r):
-        # the Riccati identity of the radial flow: H' = -f (Ric(nu,nu) + H^2/(n-1))
-        H = grad(r)
-        return -model.f(r) * (geometry.ricci_radial(model, r) + H * H / (n - 1.0))
-
     return RadialPotential(
         manifold=model,
         kind=KIND_IMCF,
@@ -300,7 +279,6 @@ def solve_w1(model: geometry.RadialManifold, r0: float, R: float) -> RadialPoten
         p=1.0,
         _w=w,
         _w_grad=lambda r: (w(r), grad(r)),
-        _dgrad=dgrad,
         _seed=(rs, w(rs)),
     )
 
@@ -385,11 +363,8 @@ def solve_wp_eps(
         y = log_slope(r)
         return np.exp(2.0 * math.log(eps) - np.logaddexp(2.0 * y, 2.0 * math.log(eps)))
 
-    def dlog_slope(r):
-        return -(n - 1.0) * (model.dh(r) / model.h(r)) / ((p - 1.0) + (2.0 - p) * theta(r))
-
     return _log_tail_potential(
-        model, r0, R, p, phi_R, tail, 0.0, log_slope, dlog_slope, KIND_EPS,
+        model, r0, R, p, phi_R, tail, 0.0, log_slope, KIND_EPS,
         eps=float(eps), flux=math.exp(log_C), _theta=theta,
     )
 

@@ -493,15 +493,12 @@ def solve_2d(
         raise Solver2DError(f"grid {shape} too coarse; need at least 16x16")
     if not (1.0 < p <= 2.0):
         raise Solver2DError(f"p={p} outside (1, 2]")
-    if not (0.0 < u_R <= 1.0):
-        raise Solver2DError(f"u_R={u_R} outside (0, 1]")
+    if not (0.0 < u_R < 1.0):
+        raise Solver2DError(f"u_R={u_R} outside (0, 1)")
     if eps is None:
         eps = min(1e-3, 1.0 / Nsigma)
     if eps < 1e-8:
         raise Solver2DError(f"eps={eps} below 1e-8: the p->1 coefficient would overflow")
-
-    if u_R == 1.0:
-        return Field2D(domain, p, float(eps), 1.0, np.ones((Nsigma + 1, Ntheta + 1)), True, 0, 0.0)
 
     # harmonic-like initial profile, exact boundary values (row 0 of r is rho)
     sigma, theta = _nodes(shape)
@@ -602,8 +599,6 @@ def flux_profile(fieldv: Field2D) -> np.ndarray:
     to the nonlinear residual: the discrete conservation law of the scheme.
     """
     if fieldv._stiffness is None:
-        if fieldv.u_R == 1.0:
-            return np.zeros(fieldv.shape[0])
         raise Solver2DError("flux profile needs the nodal K(u) u of a solve")
     row_sums = fieldv._stiffness.reshape(fieldv.u.shape).sum(axis=1)
     return -2.0 * math.pi * np.cumsum(row_sums)[:-1]

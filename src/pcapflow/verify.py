@@ -642,10 +642,12 @@ def _coerce(key: str, value, kind):
     if kind is geometry.RadialManifold:
         return _call(_model, value, key)
     if kind in (float, int):
-        try:
-            return kind(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"expected a number, got {value!r}", key) from exc
+        # JSON numbers only: no strings, no booleans, no truncated fractions
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"expected a number, got {value!r}", key)
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"expected an integer, got {value!r}", key)
+        return kind(value)
     container = get_origin(kind) or kind
     if container in (list, tuple) and isinstance(value, (list, tuple)):
         # list[X] holds any number of X, tuple[X, Y] exactly one X and one Y

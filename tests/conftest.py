@@ -74,3 +74,9 @@ def midband(field, lo_frac=0.25, hi_frac=0.7, num=7):
     """Level values away from both boundary layers of a 2-D field."""
     lo, hi = field.w_range()
     return np.linspace(lo + lo_frac * (hi - lo), lo + hi_frac * (hi - lo), num)
+
+
+def grad_norm_fd(pot, r):
+    """d|grad w|/dr as a central difference of pot.grad_norm, step 1e-6 r."""
+    d = 1e-6 * r
+    return (pot.grad_norm(r + d) - pot.grad_norm(r - d)) / (2.0 * d)

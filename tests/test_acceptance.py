@@ -13,7 +13,7 @@ import pytest
 from pcapflow import functionals, geometry, radial, solver2d, verify
 from pcapflow.functionals import F_p, G_p, FunctionalParams, hawking_series, minkowski_M
 
-from conftest import midband
+from conftest import grad_norm_fd, midband
 
 
 def _passline(k, text):
@@ -179,14 +179,14 @@ def test_11_structure_identities(radial_model_set, euclid3):
         pot = radial.solve_wp(model, r0, R, 1.5)
         for r in np.linspace(r0 * 1.001, R * 0.999, 50):
             g = pot.grad_norm(r)
-            lhs = g - 0.5 * pot.grad_norm_derivative(r) / (model.f(r) * g)
+            lhs = g - 0.5 * grad_norm_fd(pot, r) / (model.f(r) * g)
             rhs = geometry.mean_curvature_sphere(model, r)
             assert lhs == pytest.approx(rhs, rel=1e-6), (model.label, r)
         pote = radial.solve_wp_eps(model, r0, R, 1.5, 1e-3)
         for r in np.linspace(r0 * 1.001, R * 0.999, 50):
             g = pote.grad_norm(r)
             c = 1.0 + 0.5 * pote.theta(r) / 0.5
-            lhs = (g - 0.5 * pote.grad_norm_derivative(r) / (model.f(r) * g)) * c
+            lhs = (g - 0.5 * grad_norm_fd(pote, r) / (model.f(r) * g)) * c
             rhs = geometry.mean_curvature_sphere(model, r)
             assert lhs == pytest.approx(rhs, rel=1e-6), (model.label, r)
     pot = radial.solve_wp_eps(euclid3, 1.0, 4.0, 1.5, 1e-3)

@@ -186,8 +186,25 @@ class TestRun:
             ("euclidean_p_to_1", "p_list", ["a", 1.1]),
             ("sphere_2d", "grid", ["a", 48]),
             ("sphere_2d", "grid", [96]),
+            ("sphere_2d", "grid", [32.7, 16]),
+            ("sphere_2d", "grid", ["32", "16"]),
+            ("sphere_2d", "grid", [True, 16]),
+            ("euclidean_eps_to_0", "p", "1.5"),
+            ("euclidean_eps_to_0", "eps_list", ["1e-2", "1e-3", "1e-4"]),
         ],
-        ids=["expect_sup-zero", "expect_sup-string", "expect_sup-inf", "p_list-string", "grid-string", "grid-short"],
+        ids=[
+            "expect_sup-zero",
+            "expect_sup-string",
+            "expect_sup-inf",
+            "p_list-string",
+            "grid-string",
+            "grid-short",
+            "grid-fraction",
+            "grid-numeric-strings",
+            "grid-bool",
+            "p-numeric-string",
+            "eps_list-numeric-strings",
+        ],
     )
     def test_list_entries_are_checked(self, tmp_path, capsys, config, field, value):
         bad = tmp_path / "bad.json"
@@ -196,6 +213,15 @@ class TestRun:
         assert main(["run", str(bad), str(CONFIGS / "euclidean_fp.json"), "--out", str(out)]) == EXIT_CONFIG
         assert f"config error: {bad}: {field}:" in capsys.readouterr().err
         assert (out / "euclidean_fp_report.json").exists()
+
+    def test_integer_field_takes_integral_floats_only(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, t_grid={"start": 0.0, "stop": 2.0, "num": 8.0})
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_PASS
+        assert len((out / "fast_F_p.csv").read_text().splitlines()) == 9
+        cfg = write_cfg(tmp_path, t_grid={"start": 0.0, "stop": 2.0, "num": 8.5})
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert f"config error: {cfg}: t_grid.num: expected an integer" in capsys.readouterr().err
 
     def test_hawking_monotonicity_needs_nonnegative_scalar_curvature(self, tmp_path):
         # hyperbolic space, f = 1 and h = sinh r, has Sc = -6: Geroch

@@ -249,13 +249,6 @@ class TestMinkowski:
                 bound_scale ** (alpha / 2.0), rel=1e-12
             )
 
-    def test_hull_area_normalization(self, euclid3):
-        pot = radial.solve_w1(euclid3, 1.0, 8.0)
-        lev = radial_level(pot, 0.0)
-        base = minkowski_M(lev, 1.0)
-        doubled = minkowski_M(lev, 1.0, area_hull=2.0 * lev.area)
-        assert doubled == pytest.approx(base * 2.0 ** (1.0 / 2.0 - 1.0), rel=1e-12)
-
 
 class TestPointwiseCombinations:
     @given(

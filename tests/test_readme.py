@@ -1,0 +1,37 @@
+"""The Python examples of README.md run and give what their comments state."""
+
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from pcapflow import capacity
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+
+
+def _run(index):
+    namespace = {}
+    exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), namespace)
+    return namespace
+
+
+def test_readme_has_two_python_examples():
+    assert len(BLOCKS) == 2
+
+
+def test_radial_quick_start():
+    ns = _run(0)
+    assert np.allclose(ns["series"].values, -2.0 * math.pi, rtol=1e-10, atol=0.0)
+    assert capacity(ns["pot"]) == pytest.approx(8.0 / 7.0, rel=1e-9)
+
+
+def test_2d_quick_start():
+    ns = _run(1)
+    field, curve = ns["field"], ns["curve"]
+    assert field.converged
+    assert curve.chi_proxy == pytest.approx(2.0, abs=0.01)
+    assert field.r.shape == field.u.shape == (129, 65)

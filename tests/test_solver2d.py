@@ -117,15 +117,10 @@ class TestSolveValidation:
             solve_2d(dom, p=2.5, u_R=0.5)
         with pytest.raises(Solver2DError, match="u_R"):
             solve_2d(dom, p=1.5, u_R=0.0)
+        with pytest.raises(Solver2DError, match="u_R"):
+            solve_2d(dom, p=1.5, u_R=1.0)
         with pytest.raises(Solver2DError, match="eps"):
             solve_2d(dom, p=1.5, u_R=0.5, eps=1e-12)
-
-    def test_trivial_boundary_value(self):
-        f = solve_2d(sphere_domain(1.0, 2.0), p=1.5, u_R=1.0, shape=(16, 16))
-        assert f.converged
-        assert f.outer_iterations == 0
-        assert np.all(f.u == 1.0)
-        assert np.all(flux_profile(f) == 0.0)
 
     def test_iteration_cap_flags_not_converged(self):
         f = solve_2d(
