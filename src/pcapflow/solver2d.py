@@ -15,8 +15,13 @@ Gauss-point geometry of ``_Mesh``, the nodal radii and mapped gradient of
 ``field_from_radial`` all read it.
 
 The discretization is bilinear Galerkin on the mapped rectangles (the
-vanishing r^2 sin(theta) weight handles the axis without ghost rows).  The
-discrete solution minimizes the convex energy
+vanishing r^2 sin(theta) weight handles the axis without ghost rows).  At a
+Gauss point the mapped gradient of shape function k factors as
+(alpha xi_k, beta eta_k + gamma xi_k): xi_k, eta_k are the reference
+derivatives, alpha = 1/(dsigma r_sigma), beta = 1/(dtheta r) and
+gamma = -(r_theta/r_sigma)/(dsigma r), so the energy gradient and Hessian
+are small matrix products per element.  The discrete solution minimizes the
+convex energy
 
     E(u) = int (|grad u|^2 + eps^2)^(p/2) / p
 
@@ -144,51 +149,39 @@ def _nodes(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     return np.linspace(0.0, 1.0, shape[0] + 1), np.linspace(0.0, math.pi, shape[1] + 1)
 
 
+# the Gauss points (xi, eta), xi-major, and the bilinear dN_k/dxi, dN_k/deta
+# at them: (local node k, Gauss point), the same in every element
+_XI_G, _ETA_G = np.repeat(_GP, 2), np.tile(_GP, 2)
+_DXI = np.array([-(1.0 - _ETA_G), 1.0 - _ETA_G, -_ETA_G, _ETA_G])
+_DETA = np.array([-(1.0 - _XI_G), -_XI_G, 1.0 - _XI_G, _XI_G])
+
 # the element-matrix pairs (k, l) with conn[:, k] >= conn[:, l]: its lower
 # triangle in natural node order
 _LOWER_K = np.array([0, 1, 2, 3, 1, 2, 3, 1, 3, 3])
 _LOWER_L = np.array([0, 1, 2, 3, 0, 0, 0, 2, 1, 2])
+# xi_k xi_l, xi_k eta_l + eta_k xi_l and eta_k eta_l per Gauss point: (12, 10)
+_XK, _XL, _EK, _EL = _DXI[_LOWER_K], _DXI[_LOWER_L], _DETA[_LOWER_K], _DETA[_LOWER_L]
+_PAIRS = np.hstack([_XK * _XL, _XK * _EL + _EK * _XL, _EK * _EL]).T
 
 
 class _Mesh:
-    """Mapped-grid geometry: per-Gauss-point derivative coefficients and
-    volume weights, and where each element entry lands in the lower band of
-    the interior block."""
+    """Mapped-grid geometry: the map scalars alpha, beta, gamma of the factored
+    gradient (alpha xi_k, beta eta_k + gamma xi_k) and the volume weight, (ne, gp)
+    each, and where each element entry lands in the lower band of the interior block."""
 
     def __init__(self, domain: AxisymmetricDomain, Nsigma: int, Ntheta: int):
-        self.dsig = 1.0 / Nsigma
-        self.dth = math.pi / Ntheta
+        dsig, dth = 1.0 / Nsigma, math.pi / Ntheta
         self.n_nodes = (Nsigma + 1) * (Ntheta + 1)
-
         idx = np.arange(self.n_nodes).reshape(Nsigma + 1, Ntheta + 1)
         # local node order (sigma, theta): (0,0), (1,0), (0,1), (1,1)
-        self.conn = np.stack(
-            [
-                idx[:-1, :-1].ravel(),
-                idx[1:, :-1].ravel(),
-                idx[:-1, 1:].ravel(),
-                idx[1:, 1:].ravel(),
-            ],
-            axis=1,
-        )
+        self.conn = np.stack([idx[:-1, :-1], idx[1:, :-1], idx[:-1, 1:], idx[1:, 1:]], axis=-1).reshape(-1, 4)
         ii, jj = np.meshgrid(np.arange(Nsigma), np.arange(Ntheta), indexing="ij")
-        ii = ii.ravel()
-        jj = jj.ravel()
-
-        Drs, Dts, vols = [], [], []
-        for xi in _GP:
-            for eta in _GP:
-                dNdxi = np.array([-(1.0 - eta), (1.0 - eta), -eta, eta])
-                dNdeta = np.array([-(1.0 - xi), -xi, (1.0 - xi), xi])
-                tg = (jj + eta) * self.dth
-                r_g, rs_g, rt_g = _map(domain, (ii + xi) * self.dsig, tg)
-                shear = rt_g / rs_g
-                Drs.append(dNdxi[None, :] / (self.dsig * rs_g[:, None]))
-                Dts.append((dNdeta[None, :] / self.dth - shear[:, None] * dNdxi[None, :] / self.dsig) / r_g[:, None])
-                vols.append(r_g**2 * np.sin(tg) * rs_g * self.dsig * self.dth * 0.25)
-        self.Dr = np.stack(Drs)  # (gp, ne, 4) coefficients of the radial derivative
-        self.Dt = np.stack(Dts)  # (gp, ne, 4) coefficients of the tangential derivative
-        self.vol = np.stack(vols)  # (gp, ne) volume weights
+        tg = (jj.reshape(-1, 1) + _ETA_G) * dth
+        r_g, rs_g, rt_g = _map(domain, (ii.reshape(-1, 1) + _XI_G) * dsig, tg)
+        self.alpha = 1.0 / (dsig * rs_g)
+        self.beta = 1.0 / (dth * r_g)
+        self.gamma = -rt_g / rs_g / (dsig * r_g)
+        self.vol = r_g**2 * np.sin(tg) * rs_g * dsig * dth * 0.25
 
         # the unknowns are the nodes of sigma rows 1..Nsigma-1, numbered
         # naturally, so the interior block has Ntheta+2 subdiagonals
@@ -202,25 +195,31 @@ class _Mesh:
         self.band_pos = (gi - gj + self.band_rows * gj)[self.band_keep]
 
     def grad(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Radial and tangential derivative of the nodal field v, (gp, ne) each."""
+        """Radial and tangential derivative of the nodal field v, (ne, gp) each."""
         ve = v[self.conn]
-        return np.einsum("gek,ek->ge", self.Dr, ve), np.einsum("gek,ek->ge", self.Dt, ve)
+        X = ve @ _DXI
+        return self.alpha * X, self.beta * (ve @ _DETA) + self.gamma * X
 
     def load(self, coef: np.ndarray, vr: np.ndarray, vt: np.ndarray) -> np.ndarray:
         """Nodal vector sum over Gauss points of coef (vr dphi_r + vt dphi_t)."""
-        loc = np.einsum("ge,gek->ek", coef * vr, self.Dr) + np.einsum("ge,gek->ek", coef * vt, self.Dt)
+        loc = (coef * (vr * self.alpha + vt * self.gamma)) @ _DXI.T + (coef * vt * self.beta) @ _DETA.T
         return np.bincount(self.conn.ravel(), loc.ravel(), minlength=self.n_nodes)
 
     def hessian_band(self, coef: np.ndarray, ur: np.ndarray, ut: np.ndarray, s: np.ndarray, p: float) -> np.ndarray:
         """Lower band (LAPACK storage, Fortran order) of the energy Hessian on
         the interior block: per Gauss point coef (grad phi_k . grad phi_l)
-        + (p-2) coef/s (grad u . grad phi_k)(grad u . grad phi_l), with
-        coef = vol s^((p-2)/2) and s = |grad u|^2 + eps^2."""
-        K, L = _LOWER_K, _LOWER_L
-        vals = 0.0
-        for a, b, Dr, Dt, gr, gt in zip(coef, (p - 2.0) * coef / s, self.Dr, self.Dt, ur, ut):
-            gphi = gr[:, None] * Dr + gt[:, None] * Dt
-            vals = vals + a[:, None] * (Dr[:, K] * Dr[:, L] + Dt[:, K] * Dt[:, L]) + b[:, None] * gphi[:, K] * gphi[:, L]
+        + b (grad u . grad phi_k)(grad u . grad phi_l), with coef = vol
+        s^((p-2)/2), s = |grad u|^2 + eps^2 and b = (p-2) coef/s.  Factored,
+        entry (k, l) is c1 xi_k xi_l + c2 (xi_k eta_l + eta_k xi_l) + c3 eta_k eta_l
+        with c1 = coef (alpha^2 + gamma^2) + b P^2, c2 = coef beta gamma + b P Q,
+        c3 = coef beta^2 + b Q^2, P = u_r alpha + u_theta gamma, Q = u_theta beta."""
+        b = (p - 2.0) * coef / s
+        P = ur * self.alpha + ut * self.gamma
+        Q = ut * self.beta
+        c1 = coef * (self.alpha**2 + self.gamma**2) + b * P * P
+        c2 = coef * self.beta * self.gamma + b * P * Q
+        c3 = coef * self.beta**2 + b * Q * Q
+        vals = np.hstack([c1, c2, c3]) @ _PAIRS
         band = np.bincount(self.band_pos, vals[self.band_keep], minlength=self.band_rows * self.n_inner)
         return band.reshape(self.n_inner, self.band_rows).T
 
@@ -513,16 +512,16 @@ def solve_2d(
     dir_r, dir_t = mesh.grad(u_dir)
 
     def energy(v):
+        """E(v) and the gradient (v_r, v_theta) it was computed from."""
         vr, vt = mesh.grad(v)
-        return float(np.sum(mesh.vol * (vr * vr + vt * vt + eps * eps) ** (p / 2.0))) / p
+        return float(np.sum(mesh.vol * (vr * vr + vt * vt + eps * eps) ** (p / 2.0))) / p, vr, vt
 
     history = []
-    E = energy(u_flat)
+    E, ur, ut = energy(u_flat)
     step = 0.0
     converged = False
     it = 0
     for it in range(max_outer + 1):
-        ur, ut = mesh.grad(u_flat)
         s = ur * ur + ut * ut + eps * eps
         coef = mesh.vol * s ** ((p - 2.0) / 2.0)
         Ku = mesh.load(coef, ur, ut)
@@ -541,14 +540,14 @@ def solve_2d(
         for _ in range(_MAX_HALVINGS):
             trial = u_flat.copy()
             trial[inner] += step * direction
-            E_trial = energy(trial)
+            E_trial, *grad_trial = energy(trial)
             change = E_trial - E
             if change <= 1e-4 * step * slope or abs(change) <= 4.0 * np.spacing(E):
                 break
             step *= 0.5
         else:
             break  # the energy does not decrease along the Newton direction
-        u_flat, E = trial, E_trial
+        u_flat, E, (ur, ut) = trial, E_trial, grad_trial
 
     u = u_flat.reshape(Nsigma + 1, Ntheta + 1)
     if np.any(u <= 0.0) or np.max(u) > 1.0 + 1e-6:

@@ -108,6 +108,66 @@ class TestMap:
         assert errs[1] < 0.1 * errs[0] and errs[2] < 0.1 * errs[1]
 
 
+class TestNewtonKernels:
+    """The mesh's load and Hessian are the derivatives of the discrete energy."""
+
+    EPS = 1e-2
+    H = 1e-6
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        dom = ellipsoid_domain(1.3, 1.0, R=4.0)
+        mesh = solver2d._Mesh(dom, 16, 16)
+        sigma, theta = solver2d._nodes((16, 16))
+        r = solver2d._map(dom, sigma[:, None], theta[None, :])[0]
+        noise = np.random.default_rng(7).standard_normal(r.shape)
+        return mesh, (1.0 / r + 0.05 * noise).ravel()
+
+    def _energy(self, mesh, v, p):
+        vr, vt = mesh.grad(v)
+        return float(np.sum(mesh.vol * (vr * vr + vt * vt + self.EPS**2) ** (p / 2.0))) / p
+
+    def _kernels(self, mesh, v, p):
+        """(coef, u_r, u_theta, s) at v, as the Newton step forms them."""
+        ur, ut = mesh.grad(v)
+        s = ur * ur + ut * ut + self.EPS**2
+        return mesh.vol * s ** ((p - 2.0) / 2.0), ur, ut, s
+
+    def _central(self, f, v, nodes):
+        """Central differences of f at v in each of the given nodal values."""
+        cols = []
+        for k in nodes:
+            up, dn = v.copy(), v.copy()
+            up[k] += self.H
+            dn[k] -= self.H
+            cols.append((f(up) - f(dn)) / (2.0 * self.H))
+        return np.array(cols)
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 2.0])
+    def test_load_is_the_energy_gradient(self, setup, p):
+        mesh, v = setup
+        coef, ur, ut, _ = self._kernels(mesh, v, p)
+        load = mesh.load(coef, ur, ut)[mesh.inner]
+        nodes = range(mesh.inner.start, mesh.inner.stop)
+        fd = self._central(lambda x: self._energy(mesh, x, p), v, nodes)
+        assert np.max(np.abs(fd - load)) < 1e-8 * np.max(np.abs(load))
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 2.0])
+    def test_hessian_is_the_load_jacobian(self, setup, p):
+        mesh, v = setup
+        coef, ur, ut, s = self._kernels(mesh, v, p)
+        band = mesh.hessian_band(coef, ur, ut, s, p)
+        n = mesh.n_inner
+        dense = np.zeros((n, n))
+        for d in range(band.shape[0]):
+            j = np.arange(n - d)
+            dense[j + d, j] = band[d, : n - d]
+        dense = np.tril(dense) + np.tril(dense, -1).T
+        nodes = range(mesh.inner.start, mesh.inner.stop)
+        fd = self._central(lambda x: mesh.load(*self._kernels(mesh, x, p)[:3])[mesh.inner], v, nodes)
+        assert np.max(np.abs(fd - dense)) < 1e-6 * np.max(np.abs(dense))
+
+
 class TestSolveValidation:
     def test_parameter_guards(self):
         dom = sphere_domain(1.0, 2.0)
@@ -150,6 +210,22 @@ class TestNewtonNearOne:
         energy = np.array([e for e, _, _ in field.history])
         assert np.all(np.diff(energy) <= 4.0 * np.spacing(energy[:-1]))
         assert all(0.0 < step <= 1.0 for _, _, step in field.history)
+
+    def test_one_gradient_per_energy_evaluation(self, monkeypatch):
+        calls = 0
+        grad = solver2d._Mesh.grad
+
+        def counted(mesh, v):
+            nonlocal calls
+            calls += 1
+            return grad(mesh, v)
+
+        monkeypatch.setattr(solver2d._Mesh, "grad", counted)
+        field = solve_2d(ellipsoid_domain(1.3, 1.0, R=4.0), p=1.1, u_R=0.05, shape=(64, 32), tol=1e-9)
+        assert field.converged
+        # the Dirichlet gradient, the initial energy, then one per line-search trial
+        trials = sum(1 + round(math.log2(1.0 / step)) for _, _, step in field.history)
+        assert calls == 2 + trials
 
 
 class TestSphereField:
