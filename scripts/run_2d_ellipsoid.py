@@ -1,8 +1,9 @@
 """Solve the axisymmetric problem outside an ellipsoid and report level-set functionals.
 
-Prints the Newton history (energy, residual, step length per step), per-level
-area, Willmore energy and the Gauss-Bonnet ratio, then the divergence-identity
-residuals used for the discretization-order check.
+Prints the Newton history (per step: the energy after it, the relative Newton
+decrement before it and the step length), per-level area, Willmore energy and
+the Gauss-Bonnet ratio, then the divergence-identity residuals used for the
+discretization-order check.
 """
 
 import argparse
@@ -26,12 +27,12 @@ def main():
     domain = solver2d.ellipsoid_domain(args.a_ax, args.b_eq, args.R)
     field = solver2d.solve_2d(domain, args.p, args.u_R, shape=tuple(args.grid))
     print(
-        "solve: converged=%s newton_steps=%d residual=%.3e"
+        "solve: converged=%s newton_steps=%d decrement=%.3e"
         % (field.converged, field.outer_iterations, field.residual_rel)
     )
-    print("step  energy                  residual   step_length")
-    for k, (energy, residual, step) in enumerate(field.history, 1):
-        print("%-5d %-23.16e %-10.3e %g" % (k, energy, residual, step))
+    print("step  energy                  decrement  step_length")
+    for k, (energy, decrement, step) in enumerate(field.history, 1):
+        print("%-5d %-23.16e %-10.3e %g" % (k, energy, decrement, step))
     lo, hi = field.w_range()
     ts = np.linspace(lo + 0.2 * (hi - lo), lo + 0.8 * (hi - lo), 6)
     print("t        area       willmore   sc_top/8pi  hring^2")

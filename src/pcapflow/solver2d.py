@@ -28,7 +28,9 @@ convex energy
 over the interior nodal values; Newton's method with backtracking on E finds
 it, each step one banded Cholesky solve with the symmetric positive definite
 Hessian (Barrett & Liu, "Finite element approximation of the p-Laplacian",
-Math. Comp. 61 (1993)).
+Math. Comp. 61 (1993)).  Newton starts from the radial p-harmonic profile of
+the inner radius rho(theta) and stops on the relative Newton decrement
+(Boyd & Vandenberghe, "Convex Optimization" (2004), 9.5).
 
 Levels of w are extracted per polar ray (star-shapedness makes w monotone
 along rays), and each extracted curve carries the full second-order data:
@@ -230,7 +232,9 @@ class Field2D:
 
     ``u`` is (Nsigma+1, Ntheta+1); derived fields are nodal arrays computed
     by mapped finite differences the first time they are needed.  ``history``
-    holds one (energy, residual_rel, step_length) tuple per Newton step.
+    holds one (energy, decrement, step_length) tuple per Newton step: the
+    energy after the step and the relative Newton decrement before it, the
+    last of which is ``residual_rel``.
     """
 
     domain: AxisymmetricDomain
@@ -239,12 +243,15 @@ class Field2D:
     u_R: float
     u: np.ndarray
     converged: bool
-    outer_iterations: int
     residual_rel: float
     history: list = field(default_factory=list)
     _stiffness: Optional[np.ndarray] = field(default=None, repr=False)  # nodal K(u) u
     _derived: Optional[dict] = field(default=None, repr=False)
     _levels: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def outer_iterations(self) -> int:  # Newton steps
+        return len(self.history)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -288,12 +295,10 @@ class Field2D:
         p, eps = self.p, self.eps
         r = self.r
         w = -(p - 1.0) * np.log(self.u)
-        du_r, du_t = self._grad(self.u, r)
-        Gu2 = du_r**2 + du_t**2
-        theta_eps = eps * eps / (Gu2 + eps * eps) if eps > 0.0 else np.zeros_like(Gu2)
-        Wr = -(p - 1.0) * du_r / self.u
-        Wt = -(p - 1.0) * du_t / self.u
+        Wr, Wt = self._grad(w, r)
         G = np.hypot(Wr, Wt)
+        Gu2 = (self.u * G / (p - 1.0)) ** 2  # |grad u| = u |grad w| / (p - 1)
+        theta_eps = eps * eps / (Gu2 + eps * eps) if eps > 0.0 else np.zeros_like(Gu2)
         Gsafe = np.where(G > 0.0, G, 1.0)
         nur = Wr / Gsafe
         nut = Wt / Gsafe
@@ -476,16 +481,16 @@ def solve_2d(
 ) -> Field2D:
     """Newton solve of the regularized p-Laplace problem.
 
-    Each step solves the Hessian system of the discrete energy and
+    Newton starts from the radial p-harmonic profile of each ray.  Each step
+    solves the Hessian system H d = -g of the discrete energy E and
     backtracks on the energy (Armijo); a step that changes the energy by no
     more than a few ulps is accepted, since rounding hides any decrease
-    there.  Iteration stops when the relative residual ||(K(u) u)_I|| /
-    ||K(u)_ID u_D|| -- the energy gradient over the interior nodes I, scaled
-    by the Dirichlet load -- drops below tol.  Exhausting max_outer, or a
-    line search that cannot decrease the energy, returns the field flagged
-    non-converged rather than raising.  The solve runs on one BLAS thread
-    (``single_threaded_blas``): its banded Cholesky and vector products are
-    too small to gain from more.
+    there.  Once the step's relative Newton decrement sqrt(g.H^-1 g / (2 E)),
+    about sqrt((E - min E) / E), is below tol, the full step is taken and
+    iteration stops.  Exhausting max_outer, or a line search that cannot
+    decrease the energy, returns the field flagged non-converged rather than
+    raising.  The solve runs on one BLAS thread (``single_threaded_blas``):
+    its banded Cholesky and vector products are too small to gain from more.
     """
     Nsigma, Ntheta = shape
     if Nsigma < 16 or Ntheta < 16:
@@ -499,55 +504,50 @@ def solve_2d(
     if eps < 1e-8:
         raise Solver2DError(f"eps={eps} below 1e-8: the p->1 coefficient would overflow")
 
-    # harmonic-like initial profile, exact boundary values (row 0 of r is rho)
+    # the radial p-harmonic profile of each ray, exact boundary values (row 0 of r is rho)
     sigma, theta = _nodes(shape)
     r = _map(domain, sigma[:, None], theta[None, :])[0]
-    u = ((1.0 / r - 1.0 / domain.R) / (1.0 / r[:1] - 1.0 / domain.R)) * (1.0 - u_R) + u_R
+    k = (3.0 - p) / (p - 1.0)
+    tail = (r[:1] / domain.R) ** k
+    u = ((r[:1] / r) ** k - tail) / (1.0 - tail) * (1.0 - u_R) + u_R
 
     mesh = _Mesh(domain, Nsigma, Ntheta)
     inner = mesh.inner
     u_flat = u.ravel()
-    u_dir = u_flat.copy()
-    u_dir[inner] = 0.0
-    dir_r, dir_t = mesh.grad(u_dir)
 
     def energy(v):
-        """E(v) and the gradient (v_r, v_theta) it was computed from."""
+        """E(v) and, at v, the load coefficient vol s^((p-2)/2), the gradient
+        (v_r, v_theta) and s = |grad v|^2 + eps^2: the arguments of the kernels."""
         vr, vt = mesh.grad(v)
-        return float(np.sum(mesh.vol * (vr * vr + vt * vt + eps * eps) ** (p / 2.0))) / p, vr, vt
+        s = vr * vr + vt * vt + eps * eps
+        coef = mesh.vol * s ** ((p - 2.0) / 2.0)
+        return float(np.sum(coef * s)) / p, (coef, vr, vt, s)
 
     history = []
-    E, ur, ut = energy(u_flat)
-    step = 0.0
+    E, at_u = energy(u_flat)
+    decrement = math.inf
     converged = False
-    it = 0
-    for it in range(max_outer + 1):
-        s = ur * ur + ut * ut + eps * eps
-        coef = mesh.vol * s ** ((p - 2.0) / 2.0)
-        Ku = mesh.load(coef, ur, ut)
-        dirichlet_load = mesh.load(coef, dir_r, dir_t)[inner]
-        res_rel = float(np.linalg.norm(Ku[inner])) / float(np.linalg.norm(dirichlet_load))
-        if it:
-            history.append((E, res_rel, step))
-        if res_rel < tol:
-            converged = True
-            break
-        if it == max_outer:
-            break
-        direction = -solve_spd(mesh.hessian_band(coef, ur, ut, s, p), Ku[inner]).x
-        slope = float(Ku[inner] @ direction)
+    for _ in range(max_outer):
+        grad = mesh.load(*at_u[:3])[inner]
+        direction = -solve_spd(mesh.hessian_band(*at_u, p), grad).x
+        slope = float(grad @ direction)
+        decrement = math.sqrt(max(-slope, 0.0) / (2.0 * E))
+        converged = decrement < tol
         step = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = u_flat.copy()
             trial[inner] += step * direction
-            E_trial, *grad_trial = energy(trial)
+            E_trial, at_trial = energy(trial)
             change = E_trial - E
-            if change <= 1e-4 * step * slope or abs(change) <= 4.0 * np.spacing(E):
+            if converged or change <= 1e-4 * step * slope or abs(change) <= 4.0 * np.spacing(E):
                 break
             step *= 0.5
         else:
             break  # the energy does not decrease along the Newton direction
-        u_flat, E, (ur, ut) = trial, E_trial, grad_trial
+        u_flat, E, at_u = trial, E_trial, at_trial
+        history.append((E, decrement, step))
+        if converged:
+            break
 
     u = u_flat.reshape(Nsigma + 1, Ntheta + 1)
     if np.any(u <= 0.0) or np.max(u) > 1.0 + 1e-6:
@@ -559,10 +559,9 @@ def solve_2d(
         u_R=float(u_R),
         u=u,
         converged=converged,
-        outer_iterations=it,
-        residual_rel=res_rel,
+        residual_rel=decrement,
         history=history,
-        _stiffness=Ku,
+        _stiffness=mesh.load(*at_u[:3]),
     )
 
 
@@ -586,7 +585,6 @@ def field_from_radial(domain: AxisymmetricDomain, shape: tuple[int, int], pot) -
         u_R=float(pot.u(domain.R)),
         u=u,
         converged=True,
-        outer_iterations=0,
         residual_rel=0.0,
     )
 

@@ -591,8 +591,8 @@ def solve_2d_suite(
     (or of ``levels``).  Returns the report, the field table and one table
     per level."""
     dom = _domain(domain)
-    # tol drives the flux spread (conservation holds up to the nonlinear
-    # residual), so the default sits two decades under the 1e-6 gate
+    # tol bounds the relative Newton decrement of the last step, which is then
+    # taken in full; at 1e-10 the flux spread ends far under its 1e-6 gate
     tol = 1e-10 if tol is None else tol
     fieldv = solver2d.solve_2d(dom, p, u_R, shape=grid, eps=eps, tol=tol)
     values = {

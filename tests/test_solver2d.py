@@ -60,7 +60,9 @@ class TestHarmonicClosedForm:
     def _error(shape):
         f = solve_2d(sphere_domain(1.0, 2.0), p=2.0, u_R=0.5, shape=shape, eps=1e-3)
         assert f.converged
-        assert f.outer_iterations == 1  # the energy is quadratic at p = 2: one Newton step
+        # the energy is quadratic at p = 2: the first step solves it, and the
+        # second step's decrement shows that
+        assert f.outer_iterations == 2 and f.history[1][1] < 1e-13
         return float(np.max(np.abs(f.u - 1.0 / f.r)))
 
     def test_second_order_convergence(self):
@@ -81,7 +83,7 @@ class TestMap:
     @pytest.mark.parametrize("R", [4.0, 7.3])
     def test_boundary_rows(self, R):
         dom = ellipsoid_domain(1.3, 1.0, R=R)
-        f = Field2D(dom, 1.5, 1e-3, 0.5, np.ones((33, 17)), True, 0, 0.0)
+        f = Field2D(dom, 1.5, 1e-3, 0.5, np.ones((33, 17)), True, 0.0)
         assert np.array_equal(f.r[0], dom.rho(f.theta))
         assert np.all(f.r[-1] == R)
 
@@ -200,10 +202,9 @@ class TestNewtonNearOne:
     def test_converges(self, field):
         assert field.converged
         assert field.residual_rel < 1e-9
-        assert field.outer_iterations == len(field.history)
         assert field.history[-1][1] == field.residual_rel
         flux = flux_profile(field)
-        assert (flux.max() - flux.min()) / abs(flux.mean()) < 1e-6
+        assert (flux.max() - flux.min()) / abs(flux.mean()) < 1e-10
         assert np.all(field.u > 0.0) and np.all(field.u <= 1.0)
 
     def test_energy_never_increases(self, field):
@@ -212,20 +213,26 @@ class TestNewtonNearOne:
         assert all(0.0 < step <= 1.0 for _, _, step in field.history)
 
     def test_one_gradient_per_energy_evaluation(self, monkeypatch):
-        calls = 0
-        grad = solver2d._Mesh.grad
+        calls = {"grad": 0, "load": 0}
 
-        def counted(mesh, v):
-            nonlocal calls
-            calls += 1
-            return grad(mesh, v)
+        def counted(name):
+            method = getattr(solver2d._Mesh, name)
 
-        monkeypatch.setattr(solver2d._Mesh, "grad", counted)
+            def wrapper(mesh, *args):
+                calls[name] += 1
+                return method(mesh, *args)
+
+            monkeypatch.setattr(solver2d._Mesh, name, wrapper)
+
+        counted("grad")
+        counted("load")
         field = solve_2d(ellipsoid_domain(1.3, 1.0, R=4.0), p=1.1, u_R=0.05, shape=(64, 32), tol=1e-9)
         assert field.converged
-        # the Dirichlet gradient, the initial energy, then one per line-search trial
+        # the initial energy, then one per line-search trial
         trials = sum(1 + round(math.log2(1.0 / step)) for _, _, step in field.history)
-        assert calls == 2 + trials
+        assert calls["grad"] == 1 + trials
+        # one load per Newton step, one at the returned iterate for the flux
+        assert calls["load"] == field.outer_iterations + 1
 
 
 class TestSphereField:
@@ -287,6 +294,15 @@ class TestEllipsoidField:
             assert worst[shape] < 0.01
         assert worst[(256, 128)] < worst[(128, 64)]
 
+    def test_gauss_bonnet_near_one(self):
+        """p = 1.1 on 192 x 96 at the solve_2d suite's five levels, 20% to 80%
+        of the w range: needs the derived fields differentiated through w."""
+        f = solve_2d(ellipsoid_domain(1.3, 1.0, R=4.0), p=1.1, u_R=0.05, shape=(192, 96), tol=1e-10)
+        assert f.converged
+        hi = f.w_range()[1]
+        for t in np.linspace(0.2 * hi, 0.8 * hi, 5):
+            assert abs(f.level(t).chi_proxy / 2.0 - 1.0) < 0.01
+
     def test_nested_grid_agreement(self, ellipsoid_fields):
         coarse = ellipsoid_fields[(128, 64)]
         fine = ellipsoid_fields[(256, 128)]
@@ -321,7 +337,7 @@ class TestLevelExtraction:
         dom = sphere_domain(1.0, 3.0)
         sig = np.linspace(0.0, 1.0, 17)
         u = 1.0 - 0.5 * sig + 0.3 * np.sin(2.0 * math.pi * sig)
-        field = Field2D(dom, 1.5, 1e-3, 0.5, np.tile(u[:, None], (1, 17)), True, 1, 0.0)
+        field = Field2D(dom, 1.5, 1e-3, 0.5, np.tile(u[:, None], (1, 17)), True, 0.0)
         lo, hi = field.w_range()
         with pytest.raises(NonMonotoneRayError):
             extract_level(field, 0.5 * (lo + hi))
