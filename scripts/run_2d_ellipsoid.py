@@ -35,14 +35,11 @@ def main():
         print("%-5d %-23.16e %-10.3e %g" % (k, energy, decrement, step))
     lo, hi = field.w_range()
     ts = np.linspace(lo + 0.2 * (hi - lo), lo + 0.8 * (hi - lo), 6)
+    curves = field.level(ts)  # the six levels in one extraction
+    gb = curves.sc_top_integral / (8 * np.pi)
     print("t        area       willmore   sc_top/8pi  hring^2")
-    for t in ts:
-        curve = field.level(t)
-        gb = curve.sc_top_integral / (8 * np.pi)
-        print(
-            "%-8.4f %-10.5f %-10.5f %-11.6f %.3e"
-            % (curve.t, curve.area, curve.willmore, gb, curve.integrate(curve.hring_sq))
-        )
+    for row in zip(curves.t, curves.area, curves.willmore, gb, curves.integrate(curves.hring_sq)):
+        print("%-8.4f %-10.5f %-10.5f %-11.6f %.3e" % row)
     res = solver2d.divergence_residuals(field, alpha=args.alpha)
     print("divergence residuals: J rms=%.3e  Y rms=%.3e" % (res["J"]["rms"], res["Y"]["rms"]))
     return 0 if field.converged else 1

@@ -22,11 +22,12 @@ iff its p is ``params.p``.
 
 A level is a ``RadialLevel`` (round, from ``radial_level``) or a
 ``solver2d.LevelCurve`` (extracted from a 2-D field).  Both expose
-``integrate`` and the same per-point data, so each functional has one body
-for radial potentials and 2-D fields alike.  A series builds the levels of
-its grid once and the levels of its central-difference stencil once, and
-evaluates its value, right side and bulk term on them; on radial potentials
-each build is one ``radial_level`` call on an array of levels.
+``integrate`` and the same per-point data, and both hold one level or an
+array of levels, so each functional has one body for radial potentials and
+2-D fields, one level or many.  A series builds the levels of its grid once
+and the levels of its central-difference stencil once, and evaluates its
+value, right side and bulk term on them: each build is one ``radial_level``
+or one ``field.level`` call on an array of levels.
 """
 
 from __future__ import annotations
@@ -221,14 +222,9 @@ def _validate(solution, params: FunctionalParams, what: str) -> str:
 
 
 def _over_levels(solution, t, *fns):
-    """[fn(levels) for fn in fns] on one build of the levels {w = t}: the
-    radial levels all at once, the 2-D levels one extracted curve at a time."""
-    if isinstance(solution, radial.RadialPotential):
-        lev = radial_level(solution, t)
-        return [fn(lev) for fn in fns]
-    ts = np.asarray(t, dtype=float)
-    levs = [solution.level(s) for s in ts.ravel()]
-    return [np.array([fn(lev) for lev in levs]).reshape(ts.shape)[()] for fn in fns]
+    """[fn(levels) for fn in fns] on one build of the levels {w = t}."""
+    lev = radial_level(solution, t) if isinstance(solution, radial.RadialPotential) else solution.level(t)
+    return [fn(lev) for fn in fns]
 
 
 def _boundary(level, params: FunctionalParams):

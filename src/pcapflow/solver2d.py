@@ -33,14 +33,15 @@ the inner radius rho(theta) and stops on the relative Newton decrement
 (Boyd & Vandenberghe, "Convex Optimization" (2004), 9.5).
 
 Levels of w are extracted per polar ray (star-shapedness makes w monotone
-along rays), and each extracted curve carries the full second-order data:
-|grad w|, the PDE-consistent mean curvature
+along rays), a whole array of levels in one pass, and each extracted curve
+carries the full second-order data: |grad w|, the PDE-consistent mean curvature
 
     H = (|grad w| - (p-1) <grad|grad w|, grad w>/|grad w|^2) (1 + (2-p)/(p-1) theta_eps),
 
 the parallel-circle curvature kappa_phi = nu_cyl/(r sin theta), the meridian
-curvature kappa_m = H - kappa_phi, |h-ring|^2 = (kappa_m - kappa_phi)^2/2 and
-the tangential derivatives of |grad w| and H along the meridian.
+curvature kappa_m = H - kappa_phi, |h-ring|^2 = (kappa_m - kappa_phi)^2/2 (all
+three from ``_curvatures``, which ``divergence_residuals`` applies to the
+nodes) and the tangential derivatives of |grad w| and H along the meridian.
 """
 
 from __future__ import annotations
@@ -247,7 +248,6 @@ class Field2D:
     history: list = field(default_factory=list)
     _stiffness: Optional[np.ndarray] = field(default=None, repr=False)  # nodal K(u) u
     _derived: Optional[dict] = field(default=None, repr=False)
-    _levels: dict = field(default_factory=dict, repr=False)
 
     @property
     def outer_iterations(self) -> int:  # Newton steps
@@ -287,7 +287,7 @@ class Field2D:
         return F_s / r_s, F_t
 
     def derived(self) -> dict:
-        """Nodal w, gradient components, |grad w|, theta_eps, H, curvatures."""
+        """Nodal r, w, |grad w|, theta_eps and H, and the gradients of w, |grad w| and H."""
         if self._derived is not None:
             return self._derived
         if np.any(self.u <= 0.0):
@@ -300,15 +300,11 @@ class Field2D:
         Gu2 = (self.u * G / (p - 1.0)) ** 2  # |grad u| = u |grad w| / (p - 1)
         theta_eps = eps * eps / (Gu2 + eps * eps) if eps > 0.0 else np.zeros_like(Gu2)
         Gsafe = np.where(G > 0.0, G, 1.0)
-        nur = Wr / Gsafe
-        nut = Wt / Gsafe
         Qr, Qt = self._grad(G, r)
         ip_GW = Qr * Wr + Qt * Wt
         factor = 1.0 + (2.0 - p) / (p - 1.0) * theta_eps
         H = (G - (p - 1.0) * ip_GW / Gsafe**2) * factor
         Hr, Ht = self._grad(H, r)
-        kphi = _kappa_phi(nur, nut, r, H, self.theta)
-        km = H - kphi
         self._derived = {
             "r": r,
             "w": w,
@@ -316,16 +312,11 @@ class Field2D:
             "Wt": Wt,
             "G": G,
             "theta_eps": theta_eps,
-            "nur": nur,
-            "nut": nut,
             "Qr": Qr,
             "Qt": Qt,
             "H": H,
             "Hr": Hr,
             "Ht": Ht,
-            "kappa_phi": kphi,
-            "kappa_m": km,
-            "hring_sq": 0.5 * (km - kphi) ** 2,
         }
         return self._derived
 
@@ -333,11 +324,9 @@ class Field2D:
         w = self.derived()["w"]
         return 0.0, float(np.min(w[-1, :]))
 
-    def level(self, t: float) -> "LevelCurve":
-        key = round(float(t), 12)
-        if key not in self._levels:
-            self._levels[key] = extract_level(self, t)
-        return self._levels[key]
+    def level(self, t) -> "LevelCurve":
+        """The level {w = t}, or the levels of an array t (``extract_level``)."""
+        return extract_level(self, t)
 
     def table(self):
         """(header, rows) with one row sigma, theta, u per node, sigma-major."""
@@ -348,10 +337,12 @@ class Field2D:
 
 @dataclass
 class LevelCurve:
-    """One extracted level {w = t}: an axisymmetric curve theta -> r(theta)
-    with per-sample first- and second-order geometry."""
+    """Extracted levels {w = t}: axisymmetric curves theta -> r(theta) with
+    per-sample first- and second-order geometry.  For one level t is a float
+    and each per-sample array has shape (Ntheta+1,); for an array of m levels
+    t has shape (m,) and the arrays (m, Ntheta+1).  ``theta`` is shared."""
 
-    t: float
+    t: float | np.ndarray
     theta: np.ndarray
     r: np.ndarray
     grad: np.ndarray
@@ -368,61 +359,74 @@ class LevelCurve:
     n = 3
     scalar = 0.0
 
-    def integrate(self, values) -> float:
-        """Surface integral over the level (azimuthal factor included)."""
+    def integrate(self, values):
+        """Surface integral over each level (azimuthal factor included): a
+        float for one level, an array for many."""
         from scipy.integrate import simpson
 
-        return float(simpson(np.asarray(values, dtype=float) * self.measure, x=self.theta))
+        return simpson(np.asarray(values, dtype=float) * self.measure, x=self.theta, axis=-1)
 
     @property
-    def area(self) -> float:
-        return self.integrate(np.ones_like(self.theta))
+    def area(self):
+        return self.integrate(1.0)
 
     @property
-    def willmore(self) -> float:
+    def willmore(self):
         return self.integrate(self.H**2)
 
     @property
-    def sc_top_integral(self) -> float:
+    def sc_top_integral(self):
         """int Sc^T: Gauss equation in flat ambient gives Sc^T = 2 k_m k_phi."""
         return self.integrate(2.0 * self.kappa_m * self.kappa_phi)
 
     @property
-    def chi_proxy(self) -> float:
+    def chi_proxy(self):
         return self.sc_top_integral / (4.0 * math.pi)
 
     def table(self):
-        """(header, rows) with one row theta, r, grad_w, H, kappa_m, kappa_phi per sample."""
+        """(header, rows) with one row theta, r, grad_w, H, kappa_m, kappa_phi
+        per sample of one level."""
+        if np.ndim(self.t):
+            raise ValueError("a level table needs a single level, not an array of levels")
         header = ["theta", "r", "grad_w", "H", "kappa_m", "kappa_phi"]
         return header, list(zip(self.theta, self.r, self.grad, self.H, self.kappa_m, self.kappa_phi))
 
 
-def _kappa_phi(nur, nut, r, H, theta):
-    """Parallel-circle curvature nu_cyl/(r sin theta) over theta on the last
-    axis; on the axis the level is umbilic, and it is H/2 there."""
+def _curvatures(Wr, Wt, G, H, r, theta):
+    """The unit normal (nu_r, nu_theta) = grad w/|grad w|, the parallel-circle
+    curvature kappa_phi = nu_cyl/(r sin theta), the meridian curvature
+    kappa_m = H - kappa_phi and |h-ring|^2 = (kappa_m - kappa_phi)^2/2, with
+    theta on the last axis; on the axis the level is umbilic and kappa_phi
+    is H/2 there."""
+    nur, nut = Wr / G, Wt / G
     sin = np.sin(theta)
     with np.errstate(divide="ignore", invalid="ignore"):
         kphi = (nur * sin + nut * np.cos(theta)) / (r * sin)
     kphi[..., [0, -1]] = 0.5 * H[..., [0, -1]]
-    return kphi
+    km = H - kphi
+    return nur, nut, kphi, km, 0.5 * (km - kphi) ** 2
 
 
-def extract_level(fieldv: Field2D, t: float) -> LevelCurve:
+def extract_level(fieldv: Field2D, t) -> LevelCurve:
+    """The level {w = t}, or the levels of an array t in one pass: each
+    per-sample array has the shape of t followed by Ntheta+1."""
     der = fieldv.derived()
     w = der["w"]
+    t = np.asarray(t, dtype=float)
     lo, hi = fieldv.w_range()
-    if not (lo < t < hi):
-        raise LevelRangeError(f"level t={t} outside the covered range ({lo}, {hi})")
-    diffs = np.diff(w, axis=0)
-    if np.any(diffs <= 0.0):
-        j = int(np.argmin(np.min(diffs, axis=0)))
+    t_lo, t_hi = t.min(), t.max()
+    if not (lo < t_lo and t_hi < hi):
+        raise LevelRangeError(f"level t={t_hi if lo < t_lo else t_lo} outside the covered range ({lo}, {hi})")
+    if (w[1:] <= w[:-1]).any():
+        j = int(np.argmin(np.min(np.diff(w, axis=0), axis=0)))
         raise NonMonotoneRayError(
             f"w is not strictly increasing along the ray theta={fieldv.theta[j]:.6f}"
         )
-    # rays increase strictly, so the count of nodes below t is the insertion index
-    k = np.clip((w < t).sum(axis=0), 1, w.shape[0] - 1)
+    # rays increase strictly, so the count of nodes below t is the insertion
+    # index; the levels come first and theta last
+    k = np.clip((w < t[..., None, None]).sum(axis=-2), 1, w.shape[0] - 1)
     cols = np.arange(w.shape[1])
-    frac = (t - w[k - 1, cols]) / (w[k, cols] - w[k - 1, cols])
+    frac = (t[..., None] - w[k - 1, cols]) / (w[k, cols] - w[k - 1, cols])
 
     def interp(F: np.ndarray) -> np.ndarray:
         lo_v = F[k - 1, cols]
@@ -431,30 +435,20 @@ def extract_level(fieldv: Field2D, t: float) -> LevelCurve:
     theta = fieldv.theta
     r = interp(der["r"])
     G = interp(der["G"])
-    if np.min(G) < 10.0 * fieldv.eps:
+    if G.min() < 10.0 * fieldv.eps:
         raise LevelRangeError(
-            f"min |grad w| = {np.min(G):.3e} on level t={t} is below 10*eps; "
-            "the curvature formulas are unreliable there"
+            f"min |grad w| = {G.min():.3e} on level t={np.ravel(t)[np.argmin(G.min(axis=-1))]} "
+            "is below 10*eps; the curvature formulas are unreliable there"
         )
-    Wr = interp(der["Wr"])
-    Wt = interp(der["Wt"])
-    nur = Wr / G
-    nut = Wt / G
-    Qr = interp(der["Qr"])
-    Qt = interp(der["Qt"])
-    Hr = interp(der["Hr"])
-    Ht = interp(der["Ht"])
-    H = interp(der["H"])
-    theta_eps = interp(der["theta_eps"])
+    Wr, Wt, H = interp(der["Wr"]), interp(der["Wt"]), interp(der["H"])
+    nur, nut, kphi, km, hring_sq = _curvatures(Wr, Wt, G, H, r, theta)
     dr = -r * Wt / Wr  # implicit differentiation of w(r(theta), theta) = t
-    kphi = _kappa_phi(nur, nut, r, H, theta)
-    km = H - kphi
     # meridian unit tangent is nu rotated by 90 degrees in the (r, theta) plane
-    grad_tan = np.abs(-Qr * nut + Qt * nur)
-    H_tan = np.abs(-Hr * nut + Ht * nur)
+    grad_tan = np.abs(-interp(der["Qr"]) * nut + interp(der["Qt"]) * nur)
+    H_tan = np.abs(-interp(der["Hr"]) * nut + interp(der["Ht"]) * nur)
     measure = 2.0 * math.pi * r * np.sin(theta) * np.sqrt(r * r + dr * dr)
     return LevelCurve(
-        t=float(t),
+        t=t[()],
         theta=theta,
         r=r,
         grad=G,
@@ -463,8 +457,8 @@ def extract_level(fieldv: Field2D, t: float) -> LevelCurve:
         H_tangential=H_tan,
         kappa_m=km,
         kappa_phi=kphi,
-        hring_sq=0.5 * (km - kphi) ** 2,
-        theta_eps=theta_eps,
+        hring_sq=hring_sq,
+        theta_eps=interp(der["theta_eps"]),
         measure=measure,
     )
 
@@ -621,8 +615,8 @@ def divergence_residuals(fieldv: Field2D, alpha: float, margin: float = 0.15) ->
     th = der["theta_eps"]
     Wr, Wt = der["Wr"], der["Wt"]
     Qr, Qt = der["Qr"], der["Qt"]
-    nur, nut = der["nur"], der["nut"]
     r = der["r"]
+    nur, nut, _, _, hring_sq = _curvatures(Wr, Wt, G, der["H"], r, fieldv.theta)
     sin = np.sin(fieldv.theta)[None, :]
 
     def fd_div(Xr: np.ndarray, Xt: np.ndarray) -> np.ndarray:
@@ -645,7 +639,7 @@ def divergence_residuals(fieldv: Field2D, alpha: float, margin: float = 0.15) ->
     d_plus = (
         (p - 1.0) ** 2 * c * ((alpha + p - 2.0) / (p - 1.0) - (n - 2.0) / (n - 1.0) * c) * perp2 / G**2
         + (alpha + p - 2.0) * tang2 / G**2
-        + der["hring_sq"]
+        + hring_sq
     )
     d_sigma = (
         (c**2 / (n - 1.0) + 2.0 * (2.0 - p) / (p - 1.0) ** 2 * (1.0 - th) * th) * G**2

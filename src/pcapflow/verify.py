@@ -409,7 +409,8 @@ def inequality_suite():
 def _model(name: str, params: Optional[dict] = None) -> geometry.RadialManifold:
     try:
         return geometry.build_model(name, **(params or {}))
-    except TypeError as exc:
+    except (TypeError, OSError) as exc:
+        # a missing parameter, or a tabulated model file that cannot be read
         raise ConfigError(str(exc), "model.params") from exc
     except ValueError as exc:
         # unknown catalog name or out-of-range parameters are config problems,
@@ -474,7 +475,9 @@ def functional_series_suite(
     """F_p or G_p on a level grid: monotone up to a normalized drop of 1e-8,
     the G_p derivative identity, an optional expected constant.  p = 1 is
     F_p on the flow potential of ``radial.solve_w1``, the series F_1.
-    Returns the report and the series table."""
+    Monotonicity is guaranteed iff ``params.monotonicity_guaranteed`` on
+    every model (on round levels dF_p/dt is a sum of squares once the Ricci
+    bulk is subtracted).  Returns the report and the series table."""
     if functional not in ("F_p", "G_p"):
         raise ConfigError(f"unknown functional '{functional}'; known: F_p, G_p", "functional")
     if not 1.0 <= p <= 2.0:
@@ -491,7 +494,6 @@ def functional_series_suite(
     else:
         pot = radial.solve_wp(model, r0, R, p, phi_R=_phi_for(phi_mode, model, r0, R, p))
     params = functionals.FunctionalParams(model.n, p, alpha, tuple(_series_grid(pot, t_grid)))
-    guaranteed = params.monotonicity_guaranteed and (model.nonneg_ricci or "schwarzschild" in model.label)
     if functional == "F_p":
         series = functionals.F_p(pot, params)
     else:
@@ -499,7 +501,7 @@ def functional_series_suite(
         # 1e-6 identity threshold without hitting rounding noise
         series = functionals.G_p(pot, params, derivative_step=2.5e-4)
     anchor = "F1-monotone-nondecreasing" if p == 1.0 else "Fp-monotone-nondecreasing"
-    checks = [_monotone_check(f"{series.name} monotone", anchor, series, guaranteed)]
+    checks = [_monotone_check(f"{series.name} monotone", anchor, series, params.monotonicity_guaranteed)]
     if functional == "G_p":
         checks.append(_gp_identity_check(series))
     if expect:

@@ -14,6 +14,11 @@ from pcapflow.geometry import MODEL_NAMES
 from pcapflow.verify import artifact_prefix
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# subprocesses import the package from the source tree, installed or not
+SRC_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join([str(CONFIGS.parent / "src"), os.environ.get("PYTHONPATH", "")]),
+}
 
 FAST_CFG = {
     "experiment": "functional_series",
@@ -91,6 +96,17 @@ class TestRun:
         rc = main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path / "out")])
         assert rc == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    def test_unreadable_model_table(self, tmp_path, capsys):
+        table = {"name": "tabulated", "params": {"path": str(tmp_path / "no_table.json")}}
+        bad = write_cfg(tmp_path, "bad.json", model=table, out_prefix="bad")
+        good = write_cfg(tmp_path, "good.json", out_prefix="good")
+        out = tmp_path / "out"
+        assert main(["run", str(bad), str(good), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {bad}: model.params:" in err
+        assert (out / "good_report.json").exists()
+        assert not (out / "bad_report.json").exists()
 
     def test_invalid_json_reports_position(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -261,6 +277,7 @@ class TestModuleEntry:
             capture_output=True,
             text=True,
             timeout=120,
+            env=SRC_ENV,
         )
         assert proc.returncode == 0
         assert "euclidean" in proc.stdout
@@ -272,14 +289,13 @@ class TestScipyStaysUnloaded:
 
     @staticmethod
     def _scipy_modules(code):
-        src = str(Path(__file__).resolve().parents[1] / "src")
         probe = code + "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         proc = subprocess.run(
             [sys.executable, "-c", "import sys\n" + probe],
             capture_output=True,
             text=True,
             timeout=120,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+            env=SRC_ENV,
         )
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()[-1]

@@ -224,6 +224,21 @@ class TestLevelBuilds:
             run()
             assert builds == [20, 36]  # the grid, then t +- d at the 18 inner levels
 
+    def test_two_extractions_per_2d_series(self, monkeypatch, euclid3):
+        sizes = []
+        extract = solver2d.extract_level
+
+        def counted(fieldv, t):
+            sizes.append(np.size(t))
+            return extract(fieldv, t)
+
+        monkeypatch.setattr(solver2d, "extract_level", counted)
+        pot = radial.solve_wp(euclid3, 1.0, 4.0, 1.5)
+        field = solver2d.field_from_radial(solver2d.sphere_domain(1.0, 4.0), (32, 16), pot)
+        ts = tuple(np.linspace(0.2, 0.8, 10) * field.w_range()[1])
+        F_p(field, FunctionalParams(3, 1.5, 2.0, ts))
+        assert sizes == [10, 16]  # the grid, then t +- d at the 8 inner levels
+
 
 class TestMinkowski:
     @pytest.mark.parametrize("aperture", [0.25, 0.5, 0.75])
@@ -302,11 +317,9 @@ class TestLevelData:
         ts = np.linspace(0.2, 0.8, 5) * field.w_range()[1]
         params = FunctionalParams(3, p, 2.0, tuple(ts))
         assert np.max(np.abs(G_p(field, params).values / G_p(pot, params).values - 1.0)) < 1e-2
-        curves = [field.level(t) for t in ts]
-        mink = np.array([minkowski_M(c, 2.0) for c in curves])
-        assert np.max(np.abs(mink / minkowski_M(radial_level(pot, ts), 2.0) - 1.0)) < 1e-2
-        geroch = np.array([geroch_rhs(c) for c in curves])
-        assert np.max(np.abs(geroch - geroch_rhs(radial_level(pot, ts)))) < 3e-3
+        curves = field.level(ts)
+        assert np.max(np.abs(minkowski_M(curves, 2.0) / minkowski_M(radial_level(pot, ts), 2.0) - 1.0)) < 1e-2
+        assert np.max(np.abs(geroch_rhs(curves) - geroch_rhs(radial_level(pot, ts)))) < 3e-3
         four = FunctionalParams(4, p, 2.0, tuple(ts))
         with pytest.raises(ValueError, match="three dimensional"):
             G_p(field, four)

@@ -31,7 +31,9 @@ def test_radial_quick_start():
 
 def test_2d_quick_start():
     ns = _run(1)
-    field, curve = ns["field"], ns["curve"]
+    field, curve, curves = ns["field"], ns["curve"], ns["curves"]
     assert field.converged
     assert curve.chi_proxy == pytest.approx(2.0, abs=0.01)
+    assert curves.r.shape == (5, 65)
+    assert np.all(np.abs(curves.chi_proxy - 2.0) < 0.01)
     assert field.r.shape == field.u.shape == (129, 65)

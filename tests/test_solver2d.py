@@ -264,13 +264,6 @@ class TestSphereField:
         for t in midband(sphere_field, num=3):
             assert sphere_field.level(t).theta_eps.max() < 1e-6
 
-    def test_level_cache(self, sphere_field):
-        t = float(midband(sphere_field, num=3)[1])
-        assert sphere_field.level(t) is sphere_field.level(t)
-        fresh = extract_level(sphere_field, t)
-        assert fresh is not sphere_field.level(t)
-        assert np.array_equal(fresh.r, sphere_field.level(t).r)
-
 
 class TestEllipsoidField:
     def test_poles_are_umbilic(self, ellipsoid_128):
@@ -321,6 +314,20 @@ class TestLevelExtraction:
             extract_level(sphere_field, lo - 0.1)
         with pytest.raises(LevelRangeError):
             extract_level(sphere_field, hi + 0.1)
+        # in a batch, the error names the level outside the range
+        with pytest.raises(LevelRangeError, match=f"t={hi + 0.1}"):
+            extract_level(sphere_field, [0.5 * (lo + hi), hi + 0.1])
+
+    def test_batch_equals_single_levels(self, ellipsoid_128):
+        ts = midband(ellipsoid_128, num=7)
+        batch = ellipsoid_128.level(ts)
+        assert batch.t.shape == (7,) and batch.r.shape == (7, 65)
+        for k, t in enumerate(ts):
+            one = extract_level(ellipsoid_128, t)
+            assert one.t == t and np.array_equal(one.theta, batch.theta)
+            for name in ("r", "grad", "grad_tangential", "H", "H_tangential", "kappa_m", "kappa_phi",
+                         "hring_sq", "theta_eps", "measure", "area", "willmore", "chi_proxy"):
+                assert np.array_equal(getattr(one, name), getattr(batch, name)[k]), name
 
     def test_ray_search_matches_searchsorted(self, sphere_field):
         der = sphere_field.derived()
@@ -380,3 +387,5 @@ class TestCsvWriters:
         lines = path.read_text().splitlines()
         assert lines[0] == "theta,r,grad_w,H,kappa_m,kappa_phi"
         assert len(lines) == 1 + len(curve.theta)
+        with pytest.raises(ValueError, match="single level"):
+            sphere_field.level(midband(sphere_field, num=3)).table()

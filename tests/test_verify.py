@@ -317,6 +317,28 @@ class TestFunctionalSeriesSchema:
         assert [row[2] for row in rows] == pytest.approx(bulk, rel=1e-13, abs=1e-15)
         assert [row[1] for row in rows] == pytest.approx([-2.2847946571562145] * 8, rel=1e-13)
 
+    def test_model_label_does_not_decide_the_guarantee(self, tmp_path):
+        # hyperbolic space (f = 1, h = sinh r) at p = 1.5: the exponent
+        # condition alpha > (n-p)/(n-1) = 0.75 is the whole hypothesis
+        table = tmp_path / "hyperbolic.json"
+        rs = np.linspace(1.0, 4.5, 141).tolist()
+        table.write_text(json.dumps([{"r": r, "f": 1.0, "h": math.sinh(r)} for r in rs]))
+        for alpha, guaranteed, verdict in ((2.0, True, "pass"), (0.7, False, "not-guaranteed")):
+            checks = []
+            for label in ("hyperbolic", "schwarzschild-like"):
+                cfg = {
+                    "experiment": "functional_series",
+                    "model": {"name": "tabulated", "params": {"path": str(table), "label": label}},
+                    "r0": 1.0,
+                    "R": 4.5,
+                    "p": 1.5,
+                    "alpha": alpha,
+                }
+                checks.append(run_experiment(cfg, tmp_path / label).to_dict()["checks"])
+            assert checks[0] == checks[1]
+            (check,) = checks[0]
+            assert check["values"]["guaranteed"] is guaranteed and check["verdict"] == verdict
+
 
 class TestSuites:
     def test_p_to_1_smoke(self, euclid3):
