@@ -1,7 +1,8 @@
 """Solve the axisymmetric problem outside an ellipsoid and report level-set functionals.
 
-Prints the Newton history (per step: the energy after it, the relative Newton
-decrement before it and the step length), per-level area, Willmore energy and
+Prints the Newton steps of each grid of the sequenced solve, the finest grid's
+Newton history (per step: the energy after it, the relative Newton decrement
+before it and the step length), per-level area, Willmore energy and
 the Gauss-Bonnet ratio, then the divergence-identity residuals used for the
 discretization-order check.
 """
@@ -27,8 +28,8 @@ def main():
     domain = solver2d.ellipsoid_domain(args.a_ax, args.b_eq, args.R)
     field = solver2d.solve_2d(domain, args.p, args.u_R, shape=tuple(args.grid))
     print(
-        "solve: converged=%s newton_steps=%d decrement=%.3e"
-        % (field.converged, field.outer_iterations, field.residual_rel)
+        "solve: converged=%s newton_steps=%s decrement=%.3e"
+        % (field.converged, field.newton_steps, field.residual_rel)
     )
     print("step  energy                  decrement  step_length")
     for k, (energy, decrement, step) in enumerate(field.history, 1):

@@ -592,6 +592,8 @@ def solve_2d_suite(
     discrete flux conservation and the Gauss-Bonnet ratio of five levels
     (or of ``levels``).  Returns the report, the field table and one table
     per level."""
+    if levels is not None and not levels:
+        raise ConfigError("need at least one level, or leave levels out for the default five", "levels")
     dom = _domain(domain)
     # tol bounds the relative Newton decrement of the last step, which is then
     # taken in full; at 1e-10 the flux spread ends far under its 1e-6 gate
@@ -600,6 +602,7 @@ def solve_2d_suite(
     values = {
         "residual_rel": fieldv.residual_rel,
         "outer_iterations": fieldv.outer_iterations,
+        "newton_steps": fieldv.newton_steps,
         "min_step": min((step for _, _, step in fieldv.history), default=None),
     }
     residual = fieldv.residual_rel if fieldv.converged else math.inf

@@ -151,6 +151,14 @@ class TestRun:
         assert f"config error: {bad}: domain" in capsys.readouterr().err
         assert (out / "good_report.json").exists()
 
+    def test_empty_level_list(self, tmp_path, capsys):
+        # an empty list would leave the report without a Gauss-Bonnet check
+        bad = tmp_path / "bad.json"
+        domain = {"shape": "sphere", "r0": 1.0, "R": 4.0}
+        bad.write_text(json.dumps({"experiment": "solve_2d", "domain": domain, "p": 1.5, "levels": []}))
+        assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"config error: {bad}: levels" in capsys.readouterr().err
+
     def test_flow_from_cone_tip(self, tmp_path, capsys):
         # h(0) = 0 on the cone: the flow potential has no annulus there
         tip = tmp_path / "tip.json"

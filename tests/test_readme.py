@@ -33,6 +33,7 @@ def test_2d_quick_start():
     ns = _run(1)
     field, curve, curves = ns["field"], ns["curve"], ns["curves"]
     assert field.converged
+    assert [steps[:2] for steps in field.newton_steps] == [[32, 16], [64, 32], [128, 64]]
     assert curve.chi_proxy == pytest.approx(2.0, abs=0.01)
     assert curves.r.shape == (5, 65)
     assert np.all(np.abs(curves.chi_proxy - 2.0) < 0.01)

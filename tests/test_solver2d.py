@@ -228,11 +228,56 @@ class TestNewtonNearOne:
         counted("load")
         field = solve_2d(ellipsoid_domain(1.3, 1.0, R=4.0), p=1.1, u_R=0.05, shape=(64, 32), tol=1e-9)
         assert field.converged
-        # the initial energy, then one per line-search trial
-        trials = sum(1 + round(math.log2(1.0 / step)) for _, _, step in field.history)
-        assert calls["grad"] == 1 + trials
-        # one load per Newton step, one at the returned iterate for the flux
-        assert calls["load"] == field.outer_iterations + 1
+        grids = (*field.coarse, field)
+        assert len(grids) == 2
+        # on each grid the initial energy, then one per line-search trial
+        trials = sum(1 + round(math.log2(1.0 / step)) for f in grids for _, _, step in f.history)
+        assert calls["grad"] == len(grids) + trials
+        # on each grid one load per Newton step, one at the returned iterate for the flux
+        assert calls["load"] == sum(f.outer_iterations + 1 for f in grids)
+
+
+class TestGridSequence:
+    """solve_2d solves the half grids first and starts each finer grid from
+    the coarser solution, prolonged by cubic interpolation of w."""
+
+    @pytest.mark.parametrize("p, shape", [(1.1, (64, 32)), (1.25, (96, 48))])
+    def test_matches_the_profile_start(self, p, shape):
+        dom = ellipsoid_domain(1.3, 1.0, R=4.0)
+        sequenced = solve_2d(dom, p=p, u_R=0.05, shape=shape)
+        cold = solver2d._newton(dom, p, 0.05, shape, min(1e-3, 1.0 / shape[0]), 1e-9, 80)
+        assert sequenced.converged and cold.converged
+        assert np.max(np.abs(sequenced.u - cold.u) / cold.u) <= 1e-13
+        half = sequenced.coarse[0]
+        assert len(sequenced.coarse) == 1 and half.coarse == ()
+        assert sequenced.newton_steps == [[*half.shape, half.outer_iterations], [*shape, sequenced.outer_iterations]]
+        assert half.shape == (shape[0] // 2, shape[1] // 2)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (30, 64), (48, 30), (63, 32)])
+    def test_grids_that_cannot_be_halved_solve_alone(self, shape):
+        f = solve_2d(sphere_domain(1.0, 2.0), p=1.5, u_R=0.5, shape=shape, max_outer=1)
+        assert f.coarse == () and f.newton_steps == [[*shape, 1]]
+
+    def test_warm_start_at_small_p_on_a_fine_grid(self):
+        """384 x 192 at p = 1.05: the cold start takes 24 steps on this grid."""
+        tol = 1e-10
+        f = solve_2d(ellipsoid_domain(1.3, 1.0, R=4.0), p=1.05, u_R=0.05, shape=(384, 192), tol=tol)
+        assert f.converged and f.residual_rel < tol
+        assert f.outer_iterations <= 5
+        flux = flux_profile(f)
+        assert (flux.max() - flux.min()) / abs(flux.mean()) < 1e-10
+
+    def test_prolongation_is_exact_for_cubics(self):
+        sigma, theta = solver2d._nodes((32, 16))
+        fine_sigma, fine_theta = solver2d._nodes((64, 32))
+        for f in (lambda s, t: 2.0 - s + 3.0 * s**2 - 5.0 * s**3 + 0.0 * t,
+                  lambda s, t: 0.5 + t - 0.7 * t**2 + 0.2 * t**3 + 0.0 * s,
+                  lambda s, t: (1.0 + s - s**3) * (t - t**3 / 9.0)):
+            coarse = f(sigma[:, None], theta[None, :])
+            fine = solver2d._prolong(coarse)
+            exact = f(fine_sigma[:, None], fine_theta[None, :])
+            assert np.max(np.abs(fine - exact)) < 1e-12 * np.max(np.abs(exact))
+            assert np.array_equal(fine[::2, ::2], coarse)
 
 
 class TestSphereField:

@@ -421,6 +421,7 @@ class TestSuites:
         assert check.threshold == 1e-10  # the tol the solve ran at, not a looser one
         assert check.verdict == "pass" and check.values["residual_rel"] < check.threshold
         assert check.values["outer_iterations"] >= 1 and 0.0 < check.values["min_step"] <= 1.0
+        assert check.values["newton_steps"] == [[32, 16, check.values["outer_iterations"]]]
         report, _ = solve_2d_suite(domain, 1.5, grid=(32, 16), tol=1e-30, levels=[0.5])
         check = report.checks[0]
         assert check.threshold == 1e-30 and check.verdict == "fail"
