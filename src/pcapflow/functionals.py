@@ -244,6 +244,10 @@ def _ricci_bulk(solution, params: FunctionalParams):
     """level -> int_0^t e^{lam s} int_{w=s} G^{a+p-3} Ric(nu,nu) ds, as the
     radial integral of e^{lam w} |S^{n-1}| h^{n-1} G^{a+p-2} f Ric from r0
     to the level radius (one cumulative table).
+    The integrand evaluates Ric first and the potential (w and G from one
+    tail evaluation) only where Ric is nonzero; elsewhere it is Ric itself,
+    the signed zero the full product would give.  On flat space and cones
+    Ric is zero everywhere and no potential is evaluated at all.
     The 2-D solver's ambient space is flat, so there the term is zero."""
     if not isinstance(solution, radial.RadialPotential):
         return _no_bulk
@@ -256,14 +260,15 @@ def _ricci_bulk(solution, params: FunctionalParams):
     sphere = geometry.unit_sphere_area(n)
 
     def integrand(r):
-        return (
-            np.exp(lam * pot.w(r))
-            * sphere
-            * model.h(r) ** (n - 1.0)
-            * pot.grad_norm(r) ** (alpha + p - 2.0)
-            * model.f(r)
-            * geometry.ricci_radial(model, r)
-        )
+        ric = geometry.ricci_radial(model, r)
+        live = ric != 0.0
+        if np.any(live):
+            s = r[live]
+            w, grad = pot._w_grad(pot._check(s))
+            ric[live] = (
+                np.exp(lam * w) * sphere * model.h(s) ** (n - 1.0) * grad ** (alpha + p - 2.0) * model.f(s) * ric[live]
+            )
+        return ric
 
     cum = CumulativeIntegral(integrand, pot.r0, (pot.r0, pot.R), 1e-11)
     return lambda lev: cum(lev.r)

@@ -1,18 +1,21 @@
 """Shared numerical kernels.
 
 Adaptive panel Gauss-Legendre quadrature on array integrands (one-shot
-integrals and cumulative tables), bracketed scalar root finding, natural
-cubic splines, a banded Cholesky solve for symmetric positive definite
-systems, and a context that runs BLAS on one thread.  Every radial and
-level-set integral in the package routes through :func:`integrate` or
-:class:`CumulativeIntegral` so that accuracy budgets live in one place.
-The budget is one relative tolerance plus a rounding floor: a panel passes
-when its error estimate is below ``rel_tol`` of the integral or below 64 eps
-times its integral of |fn|, so integrals that cancel to zero still end.
+integrals and cumulative tables), bracketed scalar root finding by Brent's
+method, natural cubic splines, a banded Cholesky solve for symmetric
+positive definite systems, and a context that runs BLAS on one thread.
+Every radial and level-set integral in the package routes through
+:func:`integrate` or :class:`CumulativeIntegral` so that accuracy budgets
+live in one place.  The budget is one relative tolerance plus a rounding
+floor: a panel passes when its error estimate is below ``rel_tol`` of the
+integral or below 64 eps times its integral of |fn|, so integrals that
+cancel to zero still end.
 
 SciPy is imported inside the functions that call it (the spline and the
 banded Cholesky here, Simpson's rule in ``solver2d``): its import outlasts
-most configs' runs, and a radial-only run never needs it.
+most configs' runs, and a radial-only run never needs it.  For the same
+reason :func:`find_root` is written here rather than taken from
+``scipy.optimize``.
 
 Each panel carries a 20-point and a 10-point Gauss-Legendre sum of the
 same integrand; their difference bounds the error of the 10-point sum, so
@@ -255,11 +258,19 @@ class CumulativeIntegral:
 
 
 def find_root(fn: Callable[[float], float], lo: float, hi: float, tol: float = 1e-13) -> float:
-    """Bracketed root of a scalar function: bisection refined by secant steps.
+    """Bracketed root of a scalar function by Brent's method (zeroin).
 
-    Stops when the bracket is no wider than tol*(1 + |midpoint|).
-    Alternating secant/bisection guarantees the bracket at least halves every
-    other iteration.  Raises BracketError when fn(lo), fn(hi) share a sign.
+    Each step is an inverse quadratic or secant step, or a bisection where
+    the interpolated step would leave the bracket or shrink it too slowly.
+    The bracket always holds a sign change of fn, and the safeguard bounds
+    the number of steps by about the square of the bisection count (Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4); on a
+    smooth fn the steps converge superlinearly.
+    The search stops once the bracket is no wider than
+    max(tol*(1 + |x|), 4 eps |x|) at its better end x, and returns the
+    secant root of that bracket, which lies inside it; a point where fn is
+    exactly zero is returned at once.  Raises BracketError when fn(lo) and
+    fn(hi) share a sign.
     """
     lo = float(lo)
     hi = float(hi)
@@ -273,26 +284,45 @@ def find_root(fn: Callable[[float], float], lo: float, hi: float, tol: float = 1
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise BracketError(f"no sign change on [{lo}, {hi}]: f(lo)={flo:.3e}, f(hi)={fhi:.3e}")
-    use_secant = True
-    for _ in range(_ROOT_STEPS):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol + tol * abs(mid):
+    # b is the best estimate, c the other end of the bracket, a the previous b
+    a, fa, b, fb = lo, flo, hi, fhi
+    c, fc = a, fa
+    step = last = b - a
+    for count in range(_ROOT_STEPS + 1):
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            step = last = b - a
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        slack = max(0.5 * tol * (1.0 + abs(b)), 2.0 * _EPS * abs(b))
+        half = 0.5 * (c - b)
+        if abs(half) <= slack or fb == 0.0 or count == _ROOT_STEPS:
             break
-        x = mid
-        if use_secant and fhi != flo:
-            cand = hi - fhi * (hi - lo) / (fhi - flo)
-            pad = 1e-3 * (hi - lo)
-            if lo + pad < cand < hi - pad:
-                x = cand
-        use_secant = not use_secant
-        fx = fn(x)
-        if fx == 0.0:
-            return x
-        if (fx > 0.0) == (flo > 0.0):
-            lo, flo = x, fx
+        if abs(last) >= slack and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * half * s, 1.0 - s
+            else:  # inverse quadratic through a, b, c
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            # accept the interpolated step only if it lands well inside the
+            # bracket and is shorter than half the step before last
+            if 2.0 * p < min(3.0 * half * q - abs(slack * q), abs(last * q)):
+                last, step = step, p / q
+            else:
+                last = step = half
         else:
-            hi, fhi = x, fx
-    return lo if abs(flo) <= abs(fhi) else hi
+            last = step = half
+        a, fa = b, fb
+        b += step if abs(step) > slack else math.copysign(slack, half)
+        fb = fn(b)
+    # the secant root of the final bracket: fb and fc differ in sign
+    return b if fb == 0.0 else b - fb * (c - b) / (fc - fb)
 
 
 @dataclass

@@ -315,7 +315,10 @@ def solve_wp_eps(
     """Regularized radial potential: shooting on the flux constant C.
 
     u(R; C) is strictly decreasing in C, so the boundary condition pins C by
-    a log-parametrized bracketed root find.
+    a log-parametrized bracketed root find.  Each evaluation of u(R; C) is
+    one adaptive quadrature of the drop 1 - u(R; C): one per step of the
+    bracketing from the unregularized flux and of ``find_root`` (Brent's
+    method), 8 or 9 in all on the flat annulus [1, 3] at p = 1.5.
     """
     _check_annulus(model, r0, R, p)
     if not (1.0 < p <= 2.0):

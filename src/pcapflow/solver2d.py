@@ -353,8 +353,8 @@ class Field2D:
 
     def table(self):
         """(header, rows) with one row sigma, theta, u per node, sigma-major."""
-        theta = self.theta
-        rows = [(s, th, self.u[i, j]) for i, s in enumerate(self.sigma) for j, th in enumerate(theta)]
+        ns, nt = self.u.shape
+        rows = np.column_stack([np.repeat(self.sigma, nt), np.tile(self.theta, ns), self.u.ravel()]).tolist()
         return ["sigma", "theta", "u"], rows
 
 

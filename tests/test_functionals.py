@@ -19,6 +19,7 @@ from pcapflow.functionals import (
     q_p_pointwise,
     radial_level,
 )
+from pcapflow.numerics import CumulativeIntegral
 from pcapflow.verify import write_csv
 
 TS20 = tuple(np.linspace(0.0, 2.0, 20))
@@ -240,6 +241,42 @@ class TestLevelBuilds:
         assert sizes == [10, 16]  # the grid, then t +- d at the 8 inner levels
 
 
+class TestRicciBulk:
+    """The bulk integrand evaluates the potential only where Ric(nu, nu) is
+    nonzero, and there it is the full product of the F_p bulk term."""
+
+    @pytest.mark.parametrize("model_name", ["euclid3", "cone_half"])
+    def test_no_potential_under_zero_ricci(self, request, monkeypatch, model_name):
+        pot = radial.solve_wp(request.getfixturevalue(model_name), 1.0, 8.0, 1.5)
+        params = FunctionalParams(3, 1.5, 2.0, TS20)
+        assert np.all(F_p(pot, params).bulk == 0.0)
+        levels = radial_level(pot, np.asarray(TS20))
+        calls = []
+        monkeypatch.setattr(pot, "_w_grad", lambda r: calls.append(r))
+        bulk = functionals._ricci_bulk(pot, params)(levels)
+        assert np.all(bulk == 0.0) and calls == []
+
+    def test_curved_bulk_is_the_full_product(self, schw1):
+        pot = radial.solve_wp(schw1, 2.2, 12.0, 1.5)
+        params = FunctionalParams(3, 1.5, 2.0, TS20)
+        series = F_p(pot, params)
+        lam = params.alpha / (3.0 - params.p) - 1.0
+
+        def product(r):
+            return (
+                np.exp(lam * pot.w(r))
+                * geometry.unit_sphere_area(3)
+                * schw1.h(r) ** 2.0
+                * pot.grad_norm(r) ** (params.alpha + params.p - 2.0)
+                * schw1.f(r)
+                * geometry.ricci_radial(schw1, r)
+            )
+
+        reference = CumulativeIntegral(product, pot.r0, (pot.r0, pot.R), 1e-11)(pot.level_radius(series.t))
+        assert np.all(reference[1:] < 0.0)
+        np.testing.assert_allclose(series.bulk, reference, rtol=1e-15, atol=0.0)
+
+
 class TestMinkowski:
     @pytest.mark.parametrize("aperture", [0.25, 0.5, 0.75])
     def test_cone_value(self, aperture):
@@ -348,3 +385,9 @@ class TestCsv:
         back = np.array([[float(x) for x in ln.split(",")[:2]] for ln in lines[1:]])
         assert np.array_equal(back[:, 0], series.t)
         assert np.array_equal(back[:, 1], series.values)
+
+    def test_cell_formats(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        row = (0.1, np.float64(1.0 / 3.0), np.float32(0.5), -0.0, math.nan, -math.inf, 3, np.int64(7), True, "x")
+        write_csv(path, list("abcdefghij"), [row])
+        assert path.read_bytes() == b"a,b,c,d,e,f,g,h,i,j\n0.10000000000000001,0.33333333333333331,0.5,-0,nan,-inf,3,7,True,x\n"

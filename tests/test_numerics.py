@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcapflow import numerics, solver2d
+from pcapflow import numerics, radial, solver2d
 from pcapflow.numerics import (
     BracketError,
     CumulativeIntegral,
@@ -233,6 +233,39 @@ class TestFindRoot:
         fn = lambda x: x**3 + a * x + b
         root = find_root(fn, -10.0, 10.0)
         assert abs(fn(root)) < 1e-8 * (1.0 + abs(b) + 300.0 + 10.0 * a)
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-9, 1e-5])
+    @pytest.mark.parametrize(
+        "fn, lo, hi",
+        [
+            (lambda x: x**3 + x - 1.0, -10.0, 10.0),
+            (lambda x: math.exp(x) - 2.0, -3.0, 5.0),
+            (lambda x: (x - 1.0 / 3.0) ** 3, -1.0, 2.0),  # triple root: interpolation stalls
+            (lambda x: math.tanh(50.0 * (x - 0.3)), -1.0, 1.0),  # steep step
+            (lambda x: x - 1e3, 0.0, 4e3),
+        ],
+    )
+    def test_root_is_within_tol_of_a_sign_change(self, fn, lo, hi, tol):
+        x = find_root(fn, lo, hi, tol)
+        d = tol * (1.0 + abs(x))
+        assert lo <= x <= hi
+        assert fn(x) == 0.0 or (fn(x - d) > 0.0) != (fn(x + d) > 0.0)
+
+    def test_flat_eps_shooting_takes_few_quadratures(self, monkeypatch, euclid3):
+        # every evaluation of the shooting defect of solve_wp_eps, bracketing
+        # included, is one adaptive quadrature of the drop 1 - u(R; C)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return integrate(*args)
+
+        monkeypatch.setattr(radial, "integrate", counted)
+        for eps in (1e-2, 1e-3, 1e-4):
+            calls.clear()
+            pot = radial.solve_wp_eps(euclid3, 1.0, 3.0, 1.5, eps)
+            assert 2 <= len(calls) <= 12
+            assert abs(pot.w(1.0)) < 1e-12  # the shot lands: u(r0) = 1
 
 
 class TestSolveSpd:

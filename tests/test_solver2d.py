@@ -423,6 +423,9 @@ class TestCsvWriters:
         lines = path.read_text().splitlines()
         assert lines[0] == "sigma,theta,u"
         assert len(lines) == 1 + 17 * 17
+        back = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]]).reshape(17, 17, 3)
+        assert np.array_equal(back[:, 0, 0], f.sigma) and np.array_equal(back[0, :, 1], f.theta)
+        assert np.array_equal(back[..., 2], f.u)  # sigma-major, round-trip exact
 
     def test_level_csv(self, sphere_field, tmp_path):
         t = float(midband(sphere_field, num=3)[0])

@@ -427,6 +427,63 @@ class TestSuites:
         assert check.threshold == 1e-30 and check.verdict == "fail"
 
 
+class TestAreaSplit:
+    """The p -> 1 area defect |1 - (h0/h)^2 e^{w_p}| |grad w_p| has a kink
+    where w_p = w_1; the shell integral is split there when a sample of the
+    signed gap brackets it, and taken whole otherwise."""
+
+    @staticmethod
+    def _window(model, r0, R, p, phi_mode="imcf"):
+        """The potential, its area gap and density, and r_T as the suite builds them."""
+        pot = radial.solve_wp(model, r0, R, p, phi_R=verify._phi_for(phi_mode, model, r0, R, p))
+        w1 = radial.solve_w1(model, r0, R)
+        rmid = 0.5 * (r0 + R)
+        r_T = pot.level_radius(min(2.0, 0.8 * pot.w(rmid), 0.8 * w1.w(rmid)))
+        h0 = model.h(r0)
+
+        def gap(r):
+            return 1.0 - (h0 / model.h(r)) ** 2 * np.exp(pot.w(r))
+
+        return pot, w1, gap, lambda r: np.abs(gap(r)) * pot.grad_norm(r), r_T
+
+    def test_schwarzschild_split_at_the_crossing(self, schw1):
+        pot, w1, gap, density, r_T = self._window(schw1, 2.2, 12.0, 1.1)
+        breaks = verify._sign_changes(gap, 2.2, r_T)
+        assert len(breaks) == 1 and 2.2 < breaks[0] < r_T
+        assert abs(pot.w(breaks[0]) - w1.w(breaks[0])) < 1e-12
+        calls = []
+
+        def counted(r):
+            calls.append(np.size(r))
+            return density(r)
+
+        split = verify._shell_integral(pot, counted, r_T, breaks)
+        assert len(calls) <= 12
+        whole = verify._shell_integral(pot, density, r_T)
+        assert split == pytest.approx(whole, rel=1e-12, abs=0.0)
+        _, tables = p_to_1_suite(schw1, 2.2, 12.0, [1.2, 1.1])
+        p, *_, a_def = tables["table"][1][1]
+        assert p == 1.1 and a_def == split
+
+    def test_no_crossing_integrates_one_interval(self, monkeypatch, euclid3):
+        # scale-invariant flat datum: w_p - w_1 = (1 - p) ln r < 0, no kink
+        pot, _, gap, density, r_T = self._window(euclid3, 1.0, 4.0, 1.1, "scale-invariant")
+        assert verify._sign_changes(gap, 1.0, r_T) == []
+        spans = []
+        quad = verify._quad
+
+        def counted(fn, a, b):
+            spans.append((a, b))
+            return quad(fn, a, b)
+
+        monkeypatch.setattr(verify, "_quad", counted)
+        whole = verify._shell_integral(pot, density, r_T, [])
+        assert spans == [(1.0, r_T)]
+        assert whole == verify._shell_integral(pot, density, r_T)
+        # a break where nothing kinks changes nothing beyond the tolerance
+        assert verify._shell_integral(pot, density, r_T, [2.0]) == pytest.approx(whole, rel=1e-12, abs=0.0)
+
+
 class TestGpIdentityCheck:
     def _series(self, residual_frac):
         ts = np.linspace(0.0, 1.0, 5)
