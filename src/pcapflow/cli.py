@@ -7,7 +7,9 @@ Exit codes: 0 all checks pass (or are flagged not-guaranteed), 1 at least
 one check fails, 2 a solver broke down, 64 malformed config or unreadable
 file.  Each config runs on its own: one that breaks prints its error and the
 others still write their reports; the exit code is the worst over all
-configs.  All artifacts (CSV tables, report JSON) are written under --out.
+configs.  Only the solver breakdowns of ``SOLVER_ERRORS`` exit 2; any other
+exception is a bug and propagates with its traceback.  All artifacts (CSV
+tables, report JSON) are written under --out.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import argparse
 import json
 import os
 import sys
+
+import numpy as np
 
 from . import geometry, numerics, radial, solver2d, verify
 
@@ -32,10 +36,11 @@ SOLVER_ERRORS = (
     solver2d.NonMonotoneRayError,
     numerics.QuadratureError,
     geometry.AvrUndefinedError,
-    # the numerics also reject impossible inputs (an annulus reaching the
-    # horizon, say) with ValueError; BracketError, DomainError and
-    # LevelRangeError are subclasses of it
-    ValueError,
+    # a radius outside the model or annulus (the horizon, a cone tip, r0 >= R)
+    geometry.DomainError,
+    numerics.BracketError,
+    solver2d.LevelRangeError,
+    np.linalg.LinAlgError,
 )
 
 

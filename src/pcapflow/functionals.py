@@ -96,10 +96,6 @@ class FunctionalParams:
         # at p = 1 the threshold is 1 and alpha >= 1 is enforced above
         return self.p == 1.0 or self.alpha > self.monotone_threshold
 
-    @property
-    def termwise_nonnegative(self) -> bool:
-        return self.alpha >= self.termwise_threshold - 1e-12
-
 
 @dataclass
 class MonotoneSeries:
@@ -207,18 +203,17 @@ def q_p_pointwise(
     return q + (alpha - (n - p) / (n - 1.0)) / (p - 1.0) * (H - (n - 1.0) / (n - p) * grad) ** 2
 
 
-def _validate(solution, params: FunctionalParams, what: str) -> str:
+def _validate(solution, params: FunctionalParams, what: str) -> None:
     """Reject a solution whose p is not ``params.p`` (the flow potential of
-    ``radial.solve_w1`` has p = 1); return its model label."""
+    ``radial.solve_w1`` has p = 1)."""
     if isinstance(solution, radial.RadialPotential):
-        label, kind = solution.manifold.label, solution.kind
+        kind = solution.kind
     else:
         if params.n != 3:
             raise ValueError("2-D fields are three dimensional")
-        label, kind = solution.domain.label, "2-D field"
+        kind = "2-D field"
     if solution.p != params.p:
         raise ValueError(f"{what} at p = {params.p} got a solution of kind '{kind}' with p = {solution.p}")
-    return label
 
 
 def _over_levels(solution, t, *fns):
@@ -312,13 +307,7 @@ def _series(name, solution, t_grid, value, rhs, step, meta, bulk=_no_bulk) -> Mo
 
 def F_p(solution, params: FunctionalParams, derivative_step: float = 1e-3) -> MonotoneSeries:
     """The level-set functional F_p on the grid, with identity diagnostics."""
-    meta = {
-        "p": params.p,
-        "alpha": params.alpha,
-        "monotonicity_guaranteed": params.monotonicity_guaranteed,
-        "termwise_nonnegative": params.termwise_nonnegative,
-        "model": _validate(solution, params, "F_p"),
-    }
+    _validate(solution, params, "F_p")
     lam = params.alpha / (params.n - params.p) - 1.0
 
     def rhs(lev):
@@ -328,7 +317,8 @@ def F_p(solution, params: FunctionalParams, derivative_step: float = 1e-3) -> Mo
         return _boundary(lev, params)
 
     name = "F_1" if params.p == 1.0 else "F_p"
-    return _series(name, solution, params.t_grid, boundary, rhs, derivative_step, meta, _ricci_bulk(solution, params))
+    bulk = _ricci_bulk(solution, params)
+    return _series(name, solution, params.t_grid, boundary, rhs, derivative_step, {"p": params.p}, bulk)
 
 
 def G_p(solution, params: FunctionalParams, derivative_step: float = 1e-3) -> MonotoneSeries:
@@ -337,8 +327,8 @@ def G_p(solution, params: FunctionalParams, derivative_step: float = 1e-3) -> Mo
     n, p, alpha = params.n, params.p, params.alpha
     if p == 1.0:
         raise ValueError("G_p requires p > 1")
+    _validate(solution, params, "G_p")
     lam = alpha / (n - p) - 1.0
-    meta = {"p": p, "alpha": alpha, "model": _validate(solution, params, "G_p")}
 
     def gval(lev):
         return np.exp(lam * lev.t) * lev.integrate(lev.grad ** (alpha + p - 1.0))
@@ -346,7 +336,7 @@ def G_p(solution, params: FunctionalParams, derivative_step: float = 1e-3) -> Mo
     def rhs(lev):
         return (gval(lev) + alpha * _boundary(lev, params)) / (p - 1.0)
 
-    return _series("G_p", solution, params.t_grid, gval, rhs, derivative_step, meta)
+    return _series("G_p", solution, params.t_grid, gval, rhs, derivative_step, {"p": p})
 
 
 # the flow functional F_1 is F_p at p = 1; the name stays for its callers
@@ -370,7 +360,7 @@ def hawking_series(pot: radial.RadialPotential, t_grid, derivative_step: float =
     def mass(lev):
         return hawking_mass(lev.area, lev.willmore)
 
-    return _series("hawking_mass", pot, t_grid, mass, geroch_rhs, derivative_step, {"model": pot.manifold.label})
+    return _series("hawking_mass", pot, t_grid, mass, geroch_rhs, derivative_step, {})
 
 
 def minkowski_M(level, alpha: float) -> float:

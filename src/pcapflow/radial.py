@@ -169,7 +169,7 @@ def _check_annulus(model: geometry.RadialManifold, r0: float, R: float, p: float
     model.check_radius(r0)
     model.check_radius(R)
     if not r0 < R:
-        raise ValueError(f"need r0 < R, got [{r0}, {R}]")
+        raise geometry.DomainError(f"need r0 < R, got [{r0}, {R}]")
     if p > 1.0 and not math.isfinite(model.f(r0)):
         raise geometry.DomainError(
             f"f({r0}) is not finite; start the annulus strictly inside the working range"
@@ -316,9 +316,10 @@ def solve_wp_eps(
 
     u(R; C) is strictly decreasing in C, so the boundary condition pins C by
     a log-parametrized bracketed root find.  Each evaluation of u(R; C) is
-    one adaptive quadrature of the drop 1 - u(R; C): one per step of the
-    bracketing from the unregularized flux and of ``find_root`` (Brent's
-    method), 8 or 9 in all on the flat annulus [1, 3] at p = 1.5.
+    one adaptive quadrature of the drop 1 - u(R; C), made once per C: one
+    per step of the bracketing from the unregularized flux and of
+    ``find_root`` (Brent's method), 5 or 6 in all on the flat annulus [1, 3]
+    at p = 1.5.
     """
     _check_annulus(model, r0, R, p)
     if not (1.0 < p <= 2.0):
@@ -334,11 +335,14 @@ def solve_wp_eps(
     def log_q(r, log_C):
         return _regularized_log_slope(log_C - (n - 1.0) * np.log(model.h(r)), p, eps)
 
+    # the bracketing and find_root evaluate the ends of the bracket again
+    @functools.cache
     def u_end_defect(log_C: float) -> float:
         drop = integrate(lambda s: model.f(s) * np.exp(log_q(s, log_C)), r0, R, _TAIL_TOL)
         return (1.0 - drop) - u_R
 
-    # u(R; C0) <= u_R for the regularized slope, so C0 brackets from above
+    # u(R; C0) <= u_R for the regularized slope in exact arithmetic, but at
+    # p = 2 or a tiny eps the defect at C0 is quadrature noise of either sign
     lo_exp, hi_exp = math.log(C0), math.log(C0)
     for _ in range(80):
         if u_end_defect(lo_exp) >= 0.0:

@@ -55,6 +55,9 @@ _KINK_SAMPLES = 64
 _SLACK = 1e-8
 # levels of each monotonicity sweep series
 _SWEEP_LEVELS = 40
+# relative Newton decrement at which the 2-D solve stops; at 1e-10 the flux
+# spread ends far under its 1e-6 gate
+_TOL_2D = 1e-10
 
 
 class ConfigError(ValueError):
@@ -226,9 +229,8 @@ def p_to_1_suite(
     R: float,
     p_list: list[float],
     phi_mode: str = "imcf",
-    thresholds: Optional[dict] = None,
+    sup_w_threshold: float = 5e-3,
     expect_sup: Optional[list[float]] = None,
-    expect_rel: float = 1e-6,
 ):
     """Convergence table of the p-potentials toward the flow potential.
 
@@ -245,11 +247,11 @@ def p_to_1_suite(
     decreasing along the (descending) p list with final value below its
     threshold.
 
-    The sup_w threshold is the acceptance gate; the other defaults are
+    ``sup_w_threshold`` is the acceptance gate; the other columns have fixed
     calibration gates sized with ~2x headroom on the reference sweeps
     (schwarzschild(1) on [2.2, 12] and euclidean(3) on [1, 4], p down to
     1.01), so they trip on regressions, not on the theory.  ``expect_sup``
-    pins each sup_w row to an analytic value (rel tol ``expect_rel``).
+    pins each sup_w row to an analytic value (rel tol 1e-6).
     Returns the report and the per-p table.
     """
     if len(p_list) < 2 or any(not (1.0 < p <= 2.0) for p in p_list):
@@ -260,18 +262,14 @@ def p_to_1_suite(
         raise ConfigError("expect_sup must match p_list in length", "expect_sup")
     if expect_sup is not None and not all(math.isfinite(e) and e != 0.0 for e in expect_sup):
         raise ConfigError("expect_sup entries must be finite and nonzero", "expect_sup")
-    defaults = {
-        "sup_w": 5e-3,
+    thr = {
+        "sup_w": sup_w_threshold,
         "l2_grad": 1e-1,
         "l4_grad": 5e-2,
         "cap_gap": 2e-1,
         "h_defect": 5e-3,
         "area_defect": 1.5,
     }
-    unknown = set(thresholds or ()) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown threshold keys {sorted(unknown)}", "thresholds")
-    thr = {**defaults, **(thresholds or {})}
     phi_for = {p: _phi_for(phi_mode, model, r0, R, p) for p in p_list}
     w1 = radial.solve_w1(model, r0, R)
     rmid = 0.5 * (r0 + R)
@@ -314,7 +312,7 @@ def p_to_1_suite(
     if expect_sup is not None:
         worst = max(abs(s - e) / abs(e) for s, e in zip(cols["sup_w"], expect_sup))
         values = {"measured": cols["sup_w"], "expected": list(expect_sup), "worst_rel": worst}
-        checks.append(_gate("p-to-1 sup_w analytic values", "p-to-1-strong-convergence", values, worst, expect_rel))
+        checks.append(_gate("p-to-1 sup_w analytic values", "p-to-1-strong-convergence", values, worst, 1e-6))
     report = Report(
         experiment="p_to_1",
         checks=checks,
@@ -334,6 +332,8 @@ def eps_to_0_suite(
     """sup|w^eps - w_p| and sup theta_eps on the inner half [r0, (r0+R)/2],
     per eps; they must decrease and end below 1e-4 and 1e-6.  Returns the
     report and the per-eps table."""
+    if not 1.0 < p <= 2.0:
+        raise ConfigError(f"p={p} outside (1, 2]", "p")
     if len(eps_list) < 2 or any(e <= 0.0 for e in eps_list):
         raise ConfigError("eps_list must have >= 2 positive entries", "eps_list")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -434,14 +434,6 @@ def _model(name: str, params: Optional[dict] = None) -> geometry.RadialManifold:
         raise ConfigError(str(exc), "model") from exc
 
 
-def _level_grid(pot, stop: float, start: float = 0.0, num: int = 20) -> np.ndarray:
-    if not (0.0 <= start < stop and num >= 3):
-        raise ConfigError("need 0 <= start < stop and num >= 3", "t_grid")
-    if stop > pot.phi_R:
-        raise ConfigError(f"stop={stop} exceeds the solution range {pot.phi_R}", "t_grid.stop")
-    return np.linspace(start, stop, num)
-
-
 def _phi_for(mode: str, model, r0, R, p) -> Optional[float]:
     if mode == "imcf":
         return None
@@ -470,11 +462,13 @@ def _gp_identity_check(series) -> Check:
     return _gate("G_p derivative identity", "Gp-derivative-identity", values, res, 1e-6 * scale + floor)
 
 
-def _series_grid(pot, t_grid: Optional[dict]) -> np.ndarray:
-    """The config's level grid, else 20 levels up to min(2, 0.8 w(mid-annulus))."""
-    if t_grid is None:
-        return np.linspace(0.0, min(2.0, 0.8 * pot.w(0.5 * (pot.r0 + pot.R))), 20)
-    return _call(_level_grid, t_grid, "t_grid", pot)
+def _series_grid(pot, t_max: Optional[float]) -> np.ndarray:
+    """20 levels from 0 to ``t_max``, by default min(2, 0.8 w(mid-annulus))."""
+    if t_max is None:
+        t_max = min(2.0, 0.8 * pot.w(0.5 * (pot.r0 + pot.R)))
+    elif not 0.0 < t_max <= pot.phi_R:
+        raise ConfigError(f"need 0 < t_max <= {pot.phi_R}, the solution range", "t_max")
+    return np.linspace(0.0, t_max, 20)
 
 
 def functional_series_suite(
@@ -485,7 +479,7 @@ def functional_series_suite(
     alpha: float,
     functional: str = "F_p",
     phi_mode: str = "imcf",
-    t_grid: Optional[dict] = None,
+    t_max: Optional[float] = None,
     expect: Optional[dict] = None,
 ):
     """F_p or G_p on a level grid: monotone up to a normalized drop of 1e-8,
@@ -509,7 +503,7 @@ def functional_series_suite(
         pot = radial.solve_w1(model, r0, R)
     else:
         pot = radial.solve_wp(model, r0, R, p, phi_R=_phi_for(phi_mode, model, r0, R, p))
-    params = functionals.FunctionalParams(model.n, p, alpha, tuple(_series_grid(pot, t_grid)))
+    params = functionals.FunctionalParams(model.n, p, alpha, tuple(_series_grid(pot, t_max)))
     if functional == "F_p":
         series = functionals.F_p(pot, params)
     else:
@@ -530,15 +524,17 @@ def hawking_suite(
     model: geometry.RadialManifold,
     r0: float,
     R: float,
-    t_grid: Optional[dict] = None,
+    t_max: Optional[float] = None,
     expect: Optional[dict] = None,
 ):
     """Hawking mass along the flow of one model, optional expected constant.
     Geroch monotonicity is guaranteed where the scalar curvature is
     nonnegative (down to -1e-8) at every level radius.  Returns the report
     and the series table."""
+    if model.n != 3:
+        raise ConfigError(f"the Hawking mass is defined for n = 3, not on {model.label}", "model")
     pot = radial.solve_w1(model, r0, R)
-    series = functionals.hawking_series(pot, _series_grid(pot, t_grid))
+    series = functionals.hawking_series(pot, _series_grid(pot, t_max))
     guaranteed = bool(np.all(geometry.scalar_curvature(model, pot.level_radius(series.t)) >= -1e-8))
     checks = [_monotone_check("hawking mass monotone", "geroch-hawking-monotone", series, guaranteed)]
     if expect:
@@ -600,21 +596,14 @@ def solve_2d_suite(
     p: float,
     u_R: float = 0.05,
     grid: tuple[int, int] = (96, 48),
-    eps: Optional[float] = None,
-    tol: Optional[float] = None,
-    levels: Optional[list[float]] = None,
 ):
-    """Axisymmetric solve on a sphere or ellipsoid annulus: convergence,
+    """Axisymmetric solve on a sphere or ellipsoid annulus, at the solver's
+    default eps and the relative Newton decrement 1e-10: convergence,
     discrete flux conservation and the Gauss-Bonnet ratio of five levels
-    (or of ``levels``).  Returns the report, the field table and one table
-    per level."""
-    if levels is not None and not levels:
-        raise ConfigError("need at least one level, or leave levels out for the default five", "levels")
+    spread over 20-80% of the w range.  Returns the report, the field table
+    and one table per level."""
     dom = _domain(domain)
-    # tol bounds the relative Newton decrement of the last step, which is then
-    # taken in full; at 1e-10 the flux spread ends far under its 1e-6 gate
-    tol = 1e-10 if tol is None else tol
-    fieldv = solver2d.solve_2d(dom, p, u_R, shape=grid, eps=eps, tol=tol)
+    fieldv = solver2d.solve_2d(dom, p, u_R, shape=grid, tol=_TOL_2D)
     values = {
         "residual_rel": fieldv.residual_rel,
         "outer_iterations": fieldv.outer_iterations,
@@ -622,16 +611,14 @@ def solve_2d_suite(
         "min_step": min((step for _, _, step in fieldv.history), default=None),
     }
     residual = fieldv.residual_rel if fieldv.converged else math.inf
-    checks = [_gate("nonlinear solve converged", "newton-energy-convergence", values, residual, tol)]
+    checks = [_gate("nonlinear solve converged", "newton-energy-convergence", values, residual, _TOL_2D)]
     flux = solver2d.flux_profile(fieldv)
     spread = float((np.max(flux) - np.min(flux)) / abs(np.mean(flux)))
     values = {"relative_spread": spread, "mean_flux": float(np.mean(flux))}
     checks.append(_gate("discrete flux conservation", "flux-conservation", values, spread, 1e-6))
     tables = {"field": fieldv.table()}
-    if levels is None:
-        lo, hi = fieldv.w_range()
-        levels = list(np.linspace(0.2 * hi, 0.8 * hi, 5))
-    for k, t in enumerate(levels):
+    _, hi = fieldv.w_range()
+    for k, t in enumerate(np.linspace(0.2 * hi, 0.8 * hi, 5)):
         curve = fieldv.level(float(t))
         gb = curve.sc_top_integral / (8.0 * math.pi)
         values = {"sc_top_over_8pi": gb, "area": curve.area}

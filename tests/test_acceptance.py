@@ -117,9 +117,8 @@ def test_07_p_to_1_convergence(tmp_path):
         "R": 4.0,
         "p_list": [1.2, 1.1, 1.05, 1.01],
         "phi_mode": "scale-invariant",
-        "thresholds": {"sup_w": 8e-3},
+        "sup_w_threshold": 8e-3,
         "expect_sup": [(p - 1.0) * math.log(2.0) for p in (1.2, 1.1, 1.05, 1.01)],
-        "expect_rel": 1e-6,
     }
     flat = verify.run_experiment(flat_cfg, tmp_path)
     assert flat.worst == "pass", [c.name for c in flat.checks if c.verdict != "pass"]

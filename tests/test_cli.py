@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from pcapflow import radial
 from pcapflow.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, EXIT_SOLVER, main
 from pcapflow.geometry import MODEL_NAMES
 from pcapflow.verify import artifact_prefix
@@ -29,7 +30,7 @@ FAST_CFG = {
     "phi_mode": "scale-invariant",
     "r0": 1.0,
     "R": 8.0,
-    "t_grid": {"start": 0.0, "stop": 2.0, "num": 8},
+    "t_max": 2.0,
     "expect": {"constant": -2.0 * math.pi, "rel_tol": 1e-8},
     "out_prefix": "fast",
 }
@@ -151,13 +152,40 @@ class TestRun:
         assert f"config error: {bad}: domain" in capsys.readouterr().err
         assert (out / "good_report.json").exists()
 
-    def test_empty_level_list(self, tmp_path, capsys):
-        # an empty list would leave the report without a Gauss-Bonnet check
+    @staticmethod
+    def _run_edited(tmp_path, config, **overrides):
+        """Exit code of a shipped config run with some keys replaced, and its path."""
         bad = tmp_path / "bad.json"
-        domain = {"shape": "sphere", "r0": 1.0, "R": 4.0}
-        bad.write_text(json.dumps({"experiment": "solve_2d", "domain": domain, "p": 1.5, "levels": []}))
-        assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert f"config error: {bad}: levels" in capsys.readouterr().err
+        bad.write_text(json.dumps({**json.loads((CONFIGS / f"{config}.json").read_text()), **overrides}))
+        return main(["run", str(bad), "--out", str(tmp_path / "out")]), bad
+
+    @pytest.mark.parametrize(
+        "config, key, value",
+        [
+            ("euclidean_fp", "t_grid", {"start": 0.0, "stop": 2.0, "num": 20}),
+            ("schwarzschild_geroch", "t_grid", {"start": 0.0, "stop": 4.0, "num": 20}),
+            ("euclidean_p_to_1", "thresholds", {"sup_w": 8e-3}),
+            ("euclidean_p_to_1", "expect_rel", 1e-6),
+            ("sphere_2d", "eps", 1e-3),
+            ("sphere_2d", "tol", 1e-10),
+            ("sphere_2d", "levels", [0.5]),
+        ],
+        ids=[
+            "functional_series-t_grid",
+            "hawking_series-t_grid",
+            "p_to_1-thresholds",
+            "p_to_1-expect_rel",
+            "solve_2d-eps",
+            "solve_2d-tol",
+            "solve_2d-levels",
+        ],
+    )
+    def test_removed_keys_are_config_errors(self, tmp_path, capsys, config, key, value):
+        # fixed in the suites: 20 levels from 0 to t_max, the p -> 1 gates
+        # after sup_w and its analytic tolerance, the 2-D eps rule, tol and levels
+        code, bad = self._run_edited(tmp_path, config, **{key: value})
+        assert code == EXIT_CONFIG
+        assert f"config error: {bad}: config: unknown keys ['{key}']" in capsys.readouterr().err
 
     def test_flow_from_cone_tip(self, tmp_path, capsys):
         # h(0) = 0 on the cone: the flow potential has no annulus there
@@ -215,6 +243,12 @@ class TestRun:
             ("sphere_2d", "grid", [True, 16]),
             ("euclidean_eps_to_0", "p", "1.5"),
             ("euclidean_eps_to_0", "eps_list", ["1e-2", "1e-3", "1e-4"]),
+            ("euclidean_eps_to_0", "p", 3.0),
+            ("schwarzschild_geroch", "model", {"name": "euclidean", "params": {"n": 4}}),
+            ("euclidean_fp", "t_max", 0.0),
+            ("euclidean_fp", "t_max", -1.0),
+            ("euclidean_fp", "t_max", 50.0),
+            ("schwarzschild_geroch", "t_max", 50.0),
         ],
         ids=[
             "expect_sup-zero",
@@ -228,6 +262,12 @@ class TestRun:
             "grid-bool",
             "p-numeric-string",
             "eps_list-numeric-strings",
+            "eps_to_0-p-outside-range",
+            "hawking_series-model-n4",
+            "t_max-zero",
+            "t_max-negative",
+            "t_max-beyond-phi_R",
+            "hawking_series-t_max-beyond-phi_R",
         ],
     )
     def test_list_entries_are_checked(self, tmp_path, capsys, config, field, value):
@@ -240,12 +280,33 @@ class TestRun:
 
     def test_integer_field_takes_integral_floats_only(self, tmp_path, capsys):
         out = tmp_path / "out"
-        cfg = write_cfg(tmp_path, t_grid={"start": 0.0, "stop": 2.0, "num": 8.0})
+        cfg = tmp_path / "cfg.json"
+        sphere = {"experiment": "solve_2d", "domain": {"shape": "sphere", "r0": 1.0, "R": 4.0}, "p": 1.5}
+        cfg.write_text(json.dumps({**sphere, "grid": [32.0, 16.0]}))
         assert main(["run", str(cfg), "--out", str(out)]) == EXIT_PASS
-        assert len((out / "fast_F_p.csv").read_text().splitlines()) == 9
-        cfg = write_cfg(tmp_path, t_grid={"start": 0.0, "stop": 2.0, "num": 8.5})
+        report = json.loads((out / "solve_2d_report.json").read_text())
+        assert report["environment"]["grid"] == [32, 16]
+        assert len((out / "solve_2d_field.csv").read_text().splitlines()) == 1 + 33 * 17
+        cfg.write_text(json.dumps({**sphere, "grid": [32.5, 16]}))
         assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
-        assert f"config error: {cfg}: t_grid.num: expected an integer" in capsys.readouterr().err
+        assert f"config error: {cfg}: grid: expected an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config", ["euclidean_fp", "euclidean_eps_to_0", "euclidean_p_to_1", "schwarzschild_geroch"]
+    )
+    def test_empty_annulus_is_a_domain_error(self, tmp_path, capsys, config):
+        code, bad = self._run_edited(tmp_path, config, r0=4.0, R=4.0)
+        assert code == EXIT_SOLVER
+        assert f"solver error: {bad}: DomainError: need r0 < R" in capsys.readouterr().err
+
+    def test_value_error_from_a_bug_propagates(self, tmp_path, monkeypatch):
+        # only the listed solver breakdowns exit 2; anything else is a bug
+        def broken(*args, **kwargs):
+            raise ValueError("injected bug")
+
+        monkeypatch.setattr(radial, "solve_wp", broken)
+        with pytest.raises(ValueError, match="injected bug"):
+            main(["run", str(CONFIGS / "euclidean_eps_to_0.json"), "--out", str(tmp_path / "out")])
 
     def test_hawking_monotonicity_needs_nonnegative_scalar_curvature(self, tmp_path):
         # hyperbolic space, f = 1 and h = sinh r, has Sc = -6: Geroch

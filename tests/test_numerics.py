@@ -253,7 +253,8 @@ class TestFindRoot:
 
     def test_flat_eps_shooting_takes_few_quadratures(self, monkeypatch, euclid3):
         # every evaluation of the shooting defect of solve_wp_eps, bracketing
-        # included, is one adaptive quadrature of the drop 1 - u(R; C)
+        # included, is one adaptive quadrature of the drop 1 - u(R; C), and
+        # find_root does not redo the two at the ends of its bracket
         calls = []
 
         def counted(*args):
@@ -264,8 +265,20 @@ class TestFindRoot:
         for eps in (1e-2, 1e-3, 1e-4):
             calls.clear()
             pot = radial.solve_wp_eps(euclid3, 1.0, 3.0, 1.5, eps)
-            assert 2 <= len(calls) <= 12
+            assert 2 <= len(calls) <= 6
             assert abs(pot.w(1.0)) < 1e-12  # the shot lands: u(r0) = 1
+
+    @pytest.mark.parametrize("p, eps", [(2.0, 1e-2), (2.0, 1e-7), (1.5, 1e-7)])
+    def test_eps_shooting_brackets_when_the_regularization_vanishes(self, euclid3, p, eps):
+        # at p = 2 the regularized slope is the unregularized one, and at a
+        # tiny eps it differs by ~eps^2: the defect at the unregularized flux
+        # is then quadrature noise of either sign, and the shot must still
+        # bracket and land on the unregularized potential
+        pot = radial.solve_wp_eps(euclid3, 1.0, 3.0, p, eps)
+        base = radial.solve_wp(euclid3, 1.0, 3.0, p)
+        rs = np.linspace(1.0, 3.0, 101)[:-1]
+        assert pot.flux == pytest.approx(base.flux, rel=1e-12)
+        assert np.max(np.abs(pot.w(rs) - base.w(rs))) < 1e-11
 
 
 class TestSolveSpd:

@@ -1,5 +1,7 @@
-"""The Python examples of README.md run and give what their comments state."""
+"""The Python examples of README.md run and give what their comments state,
+and its example config runs and passes."""
 
+import json
 import math
 import re
 from pathlib import Path
@@ -7,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcapflow import capacity
+from pcapflow import capacity, verify
 
-README = Path(__file__).resolve().parents[1] / "README.md"
-BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+BLOCKS = re.findall(r"```python\n(.*?)```", README, flags=re.S)
+JSON_BLOCKS = re.findall(r"```json\n(.*?)```", README, flags=re.S)
 
 
 def _run(index):
@@ -38,3 +41,10 @@ def test_2d_quick_start():
     assert curves.r.shape == (5, 65)
     assert np.all(np.abs(curves.chi_proxy - 2.0) < 0.01)
     assert field.r.shape == field.u.shape == (129, 65)
+
+
+def test_example_config_passes(tmp_path):
+    (cfg,) = [json.loads(block) for block in JSON_BLOCKS if '"experiment": "p_to_1"' in block]
+    report = verify.run_experiment(cfg, tmp_path)
+    assert report.worst == "pass", [c.name for c in report.checks if c.verdict != "pass"]
+    assert len(report.checks) == 7  # six vanishing columns and the analytic sup_w values
