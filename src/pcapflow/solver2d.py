@@ -84,6 +84,7 @@ __all__ = [
 
 _GP = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
 _MAX_HALVINGS = 40  # line-search step lengths down to 2^-39
+_DIV_MARGIN = 0.15  # share of the sigma and theta ranges divergence_residuals drops at each end
 
 
 class Solver2DError(RuntimeError):
@@ -660,7 +661,7 @@ def flux_profile(fieldv: Field2D) -> np.ndarray:
     return -2.0 * math.pi * np.cumsum(row_sums)[:-1]
 
 
-def divergence_residuals(fieldv: Field2D, alpha: float, margin: float = 0.15) -> dict:
+def divergence_residuals(fieldv: Field2D, alpha: float) -> dict:
     """Residuals of the two divergence identities on the interior window.
 
     J = G^(a+p-2) grad w and Y = G^(a+p-3)(grad G + (p-2)(1-theta) grad^perp G)
@@ -670,11 +671,12 @@ def divergence_residuals(fieldv: Field2D, alpha: float, margin: float = 0.15) ->
       div J = [a-(2-p)theta] G^(a+p-3) <grad G, grad w> + (1+(2-p)theta/(p-1)) G^(a+p)
       div Y = G^(a+p-2) (D_plus + D_sigma)
 
-    Returns max and rms residuals over sigma in [margin, 1-margin], theta in
-    [margin*pi, (1-margin)*pi], plus the field scales for normalization.
+    Returns ``{"J": stats, "Y": stats}``: the max and rms of each residual over
+    sigma in [m, 1-m], theta in [m pi, (1-m) pi], m = 0.15, and its ``scale``,
+    the max |right side| there.
     """
     der = fieldv.derived()
-    p, eps = fieldv.p, fieldv.eps
+    p = fieldv.p
     n = 3.0
     G = der["G"]
     th = der["theta_eps"]
@@ -718,8 +720,8 @@ def divergence_residuals(fieldv: Field2D, alpha: float, margin: float = 0.15) ->
     rhs_Y = G ** (alpha + p - 2.0) * (d_plus + d_sigma)
     res_Y = fd_div(Yr, Yt) - rhs_Y
 
-    smask = (fieldv.sigma >= margin) & (fieldv.sigma <= 1.0 - margin)
-    tmask = (fieldv.theta >= margin * math.pi) & (fieldv.theta <= (1.0 - margin) * math.pi)
+    smask = (fieldv.sigma >= _DIV_MARGIN) & (fieldv.sigma <= 1.0 - _DIV_MARGIN)
+    tmask = (fieldv.theta >= _DIV_MARGIN * math.pi) & (fieldv.theta <= (1.0 - _DIV_MARGIN) * math.pi)
     win = np.ix_(smask, tmask)
 
     def stats(res, scale):
@@ -727,5 +729,5 @@ def divergence_residuals(fieldv: Field2D, alpha: float, margin: float = 0.15) ->
         s = float(np.max(np.abs(scale[win])))
         return {"max": float(np.max(v)), "rms": float(np.sqrt(np.mean(v**2))), "scale": s}
 
-    return {"J": stats(res_J, rhs_J), "Y": stats(res_Y, rhs_Y), "eps": eps, "alpha": alpha}
+    return {"J": stats(res_J, rhs_J), "Y": stats(res_Y, rhs_Y)}
 

@@ -258,6 +258,9 @@ def p_to_1_suite(
         raise ConfigError("p_list must have >= 2 entries inside (1, 2]", "p_list")
     if any(b >= a for a, b in zip(p_list, p_list[1:])):
         raise ConfigError("p_list must decrease toward 1", "p_list")
+    # r0 >= R is an empty annulus, which the solvers reject as a DomainError
+    if 0.5 * R <= r0 < R:
+        raise ConfigError(f"need r0 < R/2 to sample [r0, R/2], got r0={r0}, R={R}", "R")
     if expect_sup is not None and len(expect_sup) != len(p_list):
         raise ConfigError("expect_sup must match p_list in length", "expect_sup")
     if expect_sup is not None and not all(math.isfinite(e) and e != 0.0 for e in expect_sup):
@@ -600,8 +603,10 @@ def solve_2d_suite(
     """Axisymmetric solve on a sphere or ellipsoid annulus, at the solver's
     default eps and the relative Newton decrement 1e-10: convergence,
     discrete flux conservation and the Gauss-Bonnet ratio of five levels
-    spread over 20-80% of the w range.  Returns the report, the field table
-    and one table per level."""
+    spread over 20-80% of the w range.  Returns the report, the field table,
+    one table per level, ``newton`` (each Newton step of every grid, coarsest
+    first), ``levels`` (each level's area, Willmore energy, Gauss-Bonnet ratio
+    and int |h-ring|^2) and ``divergence`` (``divergence_residuals`` at 2)."""
     dom = _domain(domain)
     fieldv = solver2d.solve_2d(dom, p, u_R, shape=grid, tol=_TOL_2D)
     values = {
@@ -617,6 +622,7 @@ def solve_2d_suite(
     values = {"relative_spread": spread, "mean_flux": float(np.mean(flux))}
     checks.append(_gate("discrete flux conservation", "flux-conservation", values, spread, 1e-6))
     tables = {"field": fieldv.table()}
+    levels = []
     _, hi = fieldv.w_range()
     for k, t in enumerate(np.linspace(0.2 * hi, 0.8 * hi, 5)):
         curve = fieldv.level(float(t))
@@ -625,6 +631,13 @@ def solve_2d_suite(
         name = f"gauss-bonnet level t={float(t):.6g}"
         checks.append(_gate(name, "gauss-bonnet-quantization", values, abs(gb - 1.0), 0.01))
         tables[f"level{k}"] = curve.table()
+        levels.append((float(t), curve.area, curve.willmore, gb, curve.integrate(curve.hring_sq)))
+    newton = [(*f.shape, k, *entry) for f in (*fieldv.coarse, fieldv) for k, entry in enumerate(f.history, 1)]
+    tables["newton"] = (["Nsigma", "Ntheta", "step", "energy", "decrement", "step_length"], newton)
+    tables["levels"] = (["t", "area", "willmore", "sc_top_over_8pi", "hring_sq_integral"], levels)
+    res = solver2d.divergence_residuals(fieldv, 2.0)
+    rows = [(key, res[key]["rms"], res[key]["max"], res[key]["scale"]) for key in ("J", "Y")]
+    tables["divergence"] = (["identity", "rms", "max", "scale"], rows)
     return Report("solve_2d", checks, {"domain": dom.label, "grid": list(grid)}), tables
 
 

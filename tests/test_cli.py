@@ -236,6 +236,8 @@ class TestRun:
             ("euclidean_p_to_1", "expect_sup", ["a", 0.1, 0.1, 0.1]),
             ("euclidean_p_to_1", "expect_sup", [0.1, 0.1, 0.1, math.inf]),
             ("euclidean_p_to_1", "p_list", ["a", 1.1]),
+            ("euclidean_p_to_1", "R", 2.0),  # r0 = 1: p_to_1 samples [r0, R/2]
+            ("euclidean_p_to_1", "R", 1.5),
             ("sphere_2d", "grid", ["a", 48]),
             ("sphere_2d", "grid", [96]),
             ("sphere_2d", "grid", [32.7, 16]),
@@ -255,6 +257,8 @@ class TestRun:
             "expect_sup-string",
             "expect_sup-inf",
             "p_list-string",
+            "p_to_1-R-at-2r0",
+            "p_to_1-R-below-2r0",
             "grid-string",
             "grid-short",
             "grid-fraction",
@@ -298,6 +302,17 @@ class TestRun:
         code, bad = self._run_edited(tmp_path, config, r0=4.0, R=4.0)
         assert code == EXIT_SOLVER
         assert f"solver error: {bad}: DomainError: need r0 < R" in capsys.readouterr().err
+
+    def test_artifacts_list_every_table(self, tmp_path):
+        # each report lists exactly the tables its run wrote, no more, no fewer
+        cfg = tmp_path / "ellipsoid_2d.json"
+        cfg.write_text(json.dumps({**json.loads((CONFIGS / "ellipsoid_2d.json").read_text()), "grid": [32, 16]}))
+        out = tmp_path / "out"
+        assert main(["run", str(CONFIGS / "euclidean_fp.json"), str(cfg), "--out", str(out)]) == EXIT_PASS
+        for prefix in ("euclidean_fp", "ellipsoid_2d"):
+            artifacts = json.loads((out / f"{prefix}_report.json").read_text())["environment"]["artifacts"]
+            assert all(os.path.isfile(path) for path in artifacts)
+            assert sorted(map(Path, artifacts)) == sorted(out.glob(f"{prefix}_*.csv"))
 
     def test_value_error_from_a_bug_propagates(self, tmp_path, monkeypatch):
         # only the listed solver breakdowns exit 2; anything else is a bug

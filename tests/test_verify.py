@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pcapflow import functionals, geometry, numerics, radial, verify
+from pcapflow import functionals, geometry, numerics, radial, solver2d, verify
 from pcapflow.verify import (
     EXPERIMENTS,
     Check,
@@ -418,6 +418,37 @@ class TestSuites:
         report, _ = solve_2d_suite(domain, 1.5, grid=(32, 16))
         check = report.checks[0]
         assert check.threshold == 1e-30 and check.verdict == "fail"
+
+    def test_solve_2d_summary_tables(self):
+        # the newton, levels and divergence tables hold what the solve, the
+        # checked levels and divergence_residuals give, cell for cell; 64x32
+        # is solved after 32x16, so the newton table spans two grids
+        report, tables = solve_2d_suite({"shape": "sphere", "r0": 1.0, "R": 4.0}, 1.5, grid=(64, 32))
+        fieldv = solver2d.solve_2d(solver2d.sphere_domain(1.0, 4.0), 1.5, 0.05, shape=(64, 32), tol=verify._TOL_2D)
+        converged = report.checks[0].values
+
+        header, rows = tables["newton"]
+        assert header == ["Nsigma", "Ntheta", "step", "energy", "decrement", "step_length"]
+        assert [grid[:2] for grid in converged["newton_steps"]] == [[32, 16], [64, 32]]
+        assert len(rows) == sum(steps for *_, steps in converged["newton_steps"])
+        steps = [(ns, nt, k) for ns, nt, n in converged["newton_steps"] for k in range(1, n + 1)]
+        assert [tuple(row[:3]) for row in rows] == steps
+        assert rows[-1][4] == converged["residual_rel"]
+        assert all(0.0 < row[5] <= 1.0 for row in rows)
+
+        header, rows = tables["levels"]
+        assert header == ["t", "area", "willmore", "sc_top_over_8pi", "hring_sq_integral"]
+        gauss_bonnet = [c.values for c in report.checks if c.anchor == "gauss-bonnet-quantization"]
+        assert len(rows) == len(gauss_bonnet) == 5
+        assert [(row[3], row[1]) for row in rows] == [(v["sc_top_over_8pi"], v["area"]) for v in gauss_bonnet]
+        for t, _, willmore, _, hring_sq in rows:
+            curve = fieldv.level(t)
+            assert (willmore, hring_sq) == (curve.willmore, curve.integrate(curve.hring_sq))
+
+        header, rows = tables["divergence"]
+        assert header == ["identity", "rms", "max", "scale"]
+        res = solver2d.divergence_residuals(fieldv, 2.0)
+        assert rows == [(key, res[key]["rms"], res[key]["max"], res[key]["scale"]) for key in ("J", "Y")]
 
 
 class TestAreaSplit:
