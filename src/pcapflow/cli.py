@@ -44,20 +44,20 @@ SOLVER_ERRORS = (
 )
 
 
-def _load_config(path: str) -> dict:
-    if not os.path.isfile(path):
-        raise verify.ConfigError(f"no such file: {path}", "config")
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+def _load_config(path: str):
+    """The parsed JSON of ``path``; ``run_experiment`` checks its root."""
     try:
-        cfg = json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise verify.ConfigError(f"cannot read {path}: {reason}", "config") from exc
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise verify.ConfigError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}", "config"
         ) from exc
-    if not isinstance(cfg, dict):
-        raise verify.ConfigError("config root must be a JSON object", "config")
-    return cfg
 
 
 def _run_one(path: str, out_dir: str) -> int:

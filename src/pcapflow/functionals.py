@@ -142,7 +142,6 @@ class RadialLevel:
     area: float
     grad: float
     H: float
-    ricci: float
     scalar: float
     scalar_induced: float
 
@@ -176,7 +175,6 @@ def radial_level(pot: radial.RadialPotential, t) -> RadialLevel:
         area=area,
         grad=pot.grad_norm(r),
         H=geometry.mean_curvature_sphere(model, r),
-        ricci=geometry.ricci_radial(model, r),
         scalar=geometry.scalar_curvature(model, r),
         scalar_induced=scal_ind,
     )

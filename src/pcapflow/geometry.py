@@ -58,6 +58,9 @@ __all__ = [
 ]
 
 
+_VALIDATION_SAMPLES = 128  # radii at which a model's constructor checks h, f, h' and Ric
+
+
 class DomainError(ValueError):
     """Radius outside the model's working range."""
 
@@ -184,8 +187,8 @@ def proper_distance(model: RadialManifold, a: float, b: float) -> float:
     return integrate(regularized, 0.0, math.sqrt(b - a))
 
 
-def _validate_samples(model: RadialManifold, lo: float, hi: float, samples: int = 128) -> None:
-    rs = np.linspace(lo, hi, samples)
+def _validate_samples(model: RadialManifold, lo: float, hi: float) -> None:
+    rs = np.linspace(lo, hi, _VALIDATION_SAMPLES)
     h = model.h(rs)
     f = model.f(rs)
     checks = [

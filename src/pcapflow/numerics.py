@@ -4,12 +4,12 @@ Adaptive panel Gauss-Legendre quadrature on array integrands (one-shot
 integrals and cumulative tables), bracketed scalar root finding by Brent's
 method, natural cubic splines, a banded Cholesky solve for symmetric
 positive definite systems, and a context that runs BLAS on one thread.
-Every radial and level-set integral in the package routes through
-:func:`integrate` or :class:`CumulativeIntegral` so that accuracy budgets
-live in one place.  The budget is one relative tolerance plus a rounding
-floor: a panel passes when its error estimate is below ``rel_tol`` of the
-integral or below 64 eps times its integral of |fn|, so integrals that
-cancel to zero still end.
+Every radial integral in the package routes through :func:`integrate` or
+:class:`CumulativeIntegral` so that accuracy budgets live in one place
+(a 2-D level integral is a Simpson sum, ``solver2d.LevelCurve.integrate``).
+The budget is one relative tolerance plus a rounding floor: a panel passes
+when its error estimate is below ``rel_tol`` of the integral or below 64
+eps times its integral of |fn|, so integrals that cancel to zero still end.
 
 SciPy is imported inside the functions that call it (the spline and the
 banded Cholesky here, Simpson's rule in ``solver2d``): its import outlasts

@@ -266,7 +266,6 @@ class Field2D:
     history: list = field(default_factory=list)
     coarse: tuple = ()
     _stiffness: Optional[np.ndarray] = field(default=None, repr=False)  # nodal K(u) u
-    _derived: Optional[dict] = field(default=None, repr=False)
 
     @property
     def outer_iterations(self) -> int:  # Newton steps
@@ -312,8 +311,10 @@ class Field2D:
 
     def derived(self) -> dict:
         """Nodal r, w, |grad w|, theta_eps and H, and the gradients of w, |grad w| and H."""
-        if self._derived is not None:
-            return self._derived
+        return self._derived
+
+    @functools.cached_property
+    def _derived(self) -> dict:
         if np.any(self.u <= 0.0):
             raise Solver2DError("u must stay positive to define w = -(p-1) ln u")
         p, eps = self.p, self.eps
@@ -329,7 +330,7 @@ class Field2D:
         factor = 1.0 + (2.0 - p) / (p - 1.0) * theta_eps
         H = (G - (p - 1.0) * ip_GW / Gsafe**2) * factor
         Hr, Ht = self._grad(H, r)
-        self._derived = {
+        return {
             "r": r,
             "w": w,
             "Wr": Wr,
@@ -342,7 +343,6 @@ class Field2D:
             "Hr": Hr,
             "Ht": Ht,
         }
-        return self._derived
 
     def w_range(self) -> tuple[float, float]:
         w = self.derived()["w"]
@@ -407,13 +407,14 @@ class LevelCurve:
     def chi_proxy(self):
         return self.sc_top_integral / (4.0 * math.pi)
 
-    def table(self):
+    def table(self, k: Optional[int] = None):
         """(header, rows) with one row theta, r, grad_w, H, kappa_m, kappa_phi
-        per sample of one level."""
-        if np.ndim(self.t):
-            raise ValueError("a level table needs a single level, not an array of levels")
+        per sample of one level, or of the level of index ``k`` in an array."""
+        if (k is None) != (np.ndim(self.t) == 0):
+            raise ValueError("a level table needs a single level, or an array of levels and the index k of one")
+        i = () if k is None else k
         header = ["theta", "r", "grad_w", "H", "kappa_m", "kappa_phi"]
-        return header, list(zip(self.theta, self.r, self.grad, self.H, self.kappa_m, self.kappa_phi))
+        return header, list(zip(self.theta, self.r[i], self.grad[i], self.H[i], self.kappa_m[i], self.kappa_phi[i]))
 
 
 def _curvatures(Wr, Wt, G, H, r, theta):

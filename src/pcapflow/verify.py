@@ -31,7 +31,6 @@ __all__ = [
     "Check",
     "Report",
     "ConfigError",
-    "check_monotone",
     "write_csv",
     "functional_series_suite",
     "monotonicity_suite",
@@ -140,13 +139,6 @@ def _drops(values):
     return drops, [(int(k), float(v[k + 1] - v[k])) for k in np.flatnonzero(~(drops < _SLACK))]
 
 
-def check_monotone(values):
-    """Nondecreasing up to a normalized drop below 1e-8 per step (a NaN is a
-    violation); returns (verdict, violations)."""
-    _, violations = _drops(values)
-    return ("pass" if not violations else "fail"), violations
-
-
 def _gate(name: str, anchor: str, values: dict, measured: float, threshold: float, lower: bool = False) -> Check:
     """Pass iff ``measured < threshold``, or ``measured > threshold`` when
     ``lower``; NaN fails."""
@@ -156,8 +148,8 @@ def _gate(name: str, anchor: str, values: dict, measured: float, threshold: floa
 
 def _monotone_check(name: str, anchor: str, series, guaranteed: bool) -> Check:
     """Gate the largest normalized drop max_k (v_k - v_{k+1}) / (1 + |v_k|)
-    against the slack, under the rule ``check_monotone`` applies per step; a
-    failure without the hypothesis of the theorem is ``not-guaranteed``."""
+    against the slack, the rule ``_drops`` applies per step; a failure
+    without the hypothesis of the theorem is ``not-guaranteed``."""
     v = series.values
     drops, violations = _drops(v)
     worst = float(np.max(drops))
@@ -275,7 +267,6 @@ def p_to_1_suite(
     }
     phi_for = {p: _phi_for(phi_mode, model, r0, R, p) for p in p_list}
     w1 = radial.solve_w1(model, r0, R)
-    rmid = 0.5 * (r0 + R)
     rs = np.linspace(r0, 0.5 * R, _SUP_SAMPLES)
     n = model.n
     h0 = model.h(r0)
@@ -301,7 +292,7 @@ def p_to_1_suite(
         l4 = _shell_integral(pot, lambda r: grad_gap(r) ** 4, 0.5 * R) ** 0.25
         cap_gap = abs(radial.capacity(pot, 0.0, min(_T_CAP, 0.9 * pot.phi_R)) - h0 ** (n - 1))
         # the levels 0 <= t <= T fill the shell r0 < r < r_T
-        T = min(2.0, 0.8 * pot.w(rmid), 0.8 * w1.w(rmid))
+        T = _default_t_max(pot, w1)
         r_T = pot.level_radius(T)
         h_def = _shell_integral(pot, h_density, r_T)
         # |gap| has a kink where w_p = w_1; integrate up to it and on from it
@@ -370,16 +361,16 @@ def inequality_suite():
     """Minkowski lower bound/equality, Hawking mass, Geroch and area growth
     checks on flat space, three cones and Schwarzschild(1).  Returns the
     report and no tables."""
-    models = [
-        geometry.euclidean(3),
-        geometry.cone(3, 0.25),
-        geometry.cone(3, 0.5),
-        geometry.cone(3, 0.75),
-        geometry.schwarzschild(1.0),
+    # (model, r0, R, the Hawking mass of its round spheres where it is checked)
+    cases = [
+        (geometry.euclidean(3), 1.0, 10.0, 0.0),
+        (geometry.cone(3, 0.25), 1.0, 10.0, None),
+        (geometry.cone(3, 0.5), 1.0, 10.0, None),
+        (geometry.cone(3, 0.75), 1.0, 10.0, None),
+        (geometry.schwarzschild(1.0), 2.2, 18.0, 1.0),
     ]
     checks = []
-    for model in models:
-        r0, R = (2.2, 18.0) if "schwarzschild" in model.label else (1.0, 10.0)
+    for model, r0, R, mass in cases:
         w1 = radial.solve_w1(model, r0, R)
         T = min(4.0, 0.9 * w1.phi_R)
         ts = np.linspace(0.0, T, 40)
@@ -403,23 +394,21 @@ def inequality_suite():
         if model.n == 3:
             hawking = functionals.hawking_series(w1, ts, derivative_step=1e-4)
             masses = hawking.values
-            if "schwarzschild" in model.label:
-                # recover the mass parameter from the metric itself
-                m = 0.5 * r0 * (1.0 - model.f(r0) ** -2)
-                spread = float(np.max(np.abs(masses - m)))
-                values = {"max_abs_defect": spread, "mass": m}
-                name = f"hawking mass constancy [{model.label}]"
-                checks.append(_gate(name, "hawking-constancy-schwarzschild", values, spread, 1e-9))
-            if "euclidean" in model.label:
+            if mass == 0.0:
                 worst = float(np.max(np.abs(masses)))
                 name = "hawking mass vanishes [euclidean]"
                 checks.append(_gate(name, "hawking-flat-space-zero", {"max_abs": worst}, worst, 1e-10))
+            elif mass is not None:
+                spread = float(np.max(np.abs(masses - mass)))
+                values = {"max_abs_defect": spread, "mass": mass}
+                name = f"hawking mass constancy [{model.label}]"
+                checks.append(_gate(name, "hawking-constancy-schwarzschild", values, spread, 1e-9))
             # round levels turn the Geroch inequality into an identity
             geroch_defect = float(np.nanmax(hawking.residual))
             values = {"max_abs_dmdt_minus_rhs": geroch_defect}
             name = f"geroch monotonicity [{model.label}]"
             checks.append(_gate(name, "geroch-hawking-monotone", values, geroch_defect, 1e-6))
-    return Report(experiment="inequalities", checks=checks, environment={"models": [m.label for m in models]}), {}
+    return Report(experiment="inequalities", checks=checks, environment={"models": [m.label for m, *_ in cases]}), {}
 
 
 # ------------------------------------------------------------- experiments
@@ -465,10 +454,15 @@ def _gp_identity_check(series) -> Check:
     return _gate("G_p derivative identity", "Gp-derivative-identity", values, res, 1e-6 * scale + floor)
 
 
+def _default_t_max(*pots) -> float:
+    """The default top of a level grid: min(2, 0.8 w(mid-annulus)) over the potentials of one annulus."""
+    return min(2.0, *(0.8 * pot.w(0.5 * (pot.r0 + pot.R)) for pot in pots))
+
+
 def _series_grid(pot, t_max: Optional[float]) -> np.ndarray:
-    """20 levels from 0 to ``t_max``, by default min(2, 0.8 w(mid-annulus))."""
+    """20 levels from 0 to ``t_max``, by default ``_default_t_max``."""
     if t_max is None:
-        t_max = min(2.0, 0.8 * pot.w(0.5 * (pot.r0 + pot.R)))
+        t_max = _default_t_max(pot)
     elif not 0.0 < t_max <= pot.phi_R:
         raise ConfigError(f"need 0 < t_max <= {pot.phi_R}, the solution range", "t_max")
     return np.linspace(0.0, t_max, 20)
@@ -560,7 +554,7 @@ def monotonicity_suite():
     for model, r0, R in annuli:
         for p in (1.1, 1.5, 2.0):
             pot = radial.solve_wp(model, r0, R, p)
-            T = min(2.0, 0.8 * pot.w(0.5 * (r0 + R)))
+            T = _default_t_max(pot)
             base = functionals.FunctionalParams(model.n, p, 2.0, tuple(np.linspace(0.0, T, _SWEEP_LEVELS)))
             for alpha in dict.fromkeys((base.termwise_threshold + 0.1, 2.0, model.n - 1.0)):
                 params = replace(base, alpha=alpha)
@@ -622,16 +616,15 @@ def solve_2d_suite(
     values = {"relative_spread": spread, "mean_flux": float(np.mean(flux))}
     checks.append(_gate("discrete flux conservation", "flux-conservation", values, spread, 1e-6))
     tables = {"field": fieldv.table()}
-    levels = []
     _, hi = fieldv.w_range()
-    for k, t in enumerate(np.linspace(0.2 * hi, 0.8 * hi, 5)):
-        curve = fieldv.level(float(t))
-        gb = curve.sc_top_integral / (8.0 * math.pi)
-        values = {"sc_top_over_8pi": gb, "area": curve.area}
-        name = f"gauss-bonnet level t={float(t):.6g}"
+    curves = fieldv.level(np.linspace(0.2 * hi, 0.8 * hi, 5))
+    gbs = curves.sc_top_integral / (8.0 * math.pi)
+    levels = list(zip(curves.t.tolist(), curves.area, curves.willmore, gbs, curves.integrate(curves.hring_sq)))
+    for k, (t, area, _, gb, _) in enumerate(levels):
+        values = {"sc_top_over_8pi": gb, "area": area}
+        name = f"gauss-bonnet level t={t:.6g}"
         checks.append(_gate(name, "gauss-bonnet-quantization", values, abs(gb - 1.0), 0.01))
-        tables[f"level{k}"] = curve.table()
-        levels.append((float(t), curve.area, curve.willmore, gb, curve.integrate(curve.hring_sq)))
+        tables[f"level{k}"] = curves.table(k)
     newton = [(*f.shape, k, *entry) for f in (*fieldv.coarse, fieldv) for k, entry in enumerate(f.history, 1)]
     tables["newton"] = (["Nsigma", "Ntheta", "step", "energy", "decrement", "step_length"], newton)
     tables["levels"] = (["t", "area", "willmore", "sc_top_over_8pi", "hring_sq_integral"], levels)

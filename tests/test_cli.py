@@ -219,15 +219,22 @@ class TestRun:
     def test_broken_config_does_not_hide_the_others(self, tmp_path, capsys):
         good = write_cfg(tmp_path, "good.json", out_prefix="good")
         missing = tmp_path / "missing.json"
+        latin1 = tmp_path / "latin1.json"  # not valid UTF-8
+        latin1.write_bytes('{"experiment": "caf\u00e9"}'.encode("latin-1"))
+        directory = tmp_path / "directory.json"
+        directory.mkdir()
         bad = write_cfg(
             tmp_path, "bad.json", out_prefix="bad", expect={"constant": -6.0, "rel_tol": 1e-8}
         )
         out = tmp_path / "out"
-        rc = main(["run", str(good), str(missing), str(bad), "--out", str(out)])
+        rc = main(["run", str(good), str(missing), str(latin1), str(directory), str(bad), "--out", str(out)])
         assert rc == EXIT_CONFIG
         assert (out / "good_report.json").exists()
         assert (out / "bad_report.json").exists()
-        assert str(missing) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        for broken in (missing, latin1, directory):
+            assert f"config error: {broken}: config: cannot read {broken}" in err
+            assert main(["run", str(broken), "--out", str(out)]) == EXIT_CONFIG
 
     @pytest.mark.parametrize(
         "config, field, value",

@@ -367,7 +367,7 @@ class TestLevelData:
         lev = radial_level(radial.solve_w1(euclid3, 1.0, 8.0), 0.5)
         bad = functionals.RadialLevel(
             t=lev.t, r=lev.r, n=3, area=lev.area, grad=lev.grad,
-            H=0.0, ricci=0.0, scalar=0.0, scalar_induced=lev.scalar_induced,
+            H=0.0, scalar=0.0, scalar_induced=lev.scalar_induced,
         )
         with pytest.raises(ValueError):
             geroch_rhs(bad)

@@ -435,5 +435,13 @@ class TestCsvWriters:
         lines = path.read_text().splitlines()
         assert lines[0] == "theta,r,grad_w,H,kappa_m,kappa_phi"
         assert len(lines) == 1 + len(curve.theta)
+        # a level of a batch needs its index, and then has the single level's table, bit for bit
+        batch = sphere_field.level(midband(sphere_field, num=3))
         with pytest.raises(ValueError, match="single level"):
-            sphere_field.level(midband(sphere_field, num=3)).table()
+            batch.table()
+        with pytest.raises(ValueError, match="single level"):
+            curve.table(0)
+        for k, t in enumerate(batch.t):
+            header, rows = sphere_field.level(float(t)).table()
+            assert batch.table(k)[0] == header
+            assert np.asarray(batch.table(k)[1]).tobytes() == np.asarray(rows).tobytes()

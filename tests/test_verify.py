@@ -14,7 +14,6 @@ from pcapflow.verify import (
     Check,
     ConfigError,
     Report,
-    check_monotone,
     eps_to_0_suite,
     p_to_1_suite,
     run_experiment,
@@ -52,30 +51,31 @@ def fp_config(**overrides):
 
 
 class TestCheckMonotone:
+    """The per-step rule of ``_drops``: a series is monotone iff it has no
+    violations."""
+
     def test_increasing_passes(self):
-        verdict, violations = check_monotone([0.0, 1.0, 2.0])
-        assert verdict == "pass" and violations == []
+        _, violations = verify._drops([0.0, 1.0, 2.0])
+        assert violations == []
 
     def test_rounding_dip_within_slack(self):
-        verdict, _ = check_monotone([0.0, -1e-12, 0.0])
-        assert verdict == "pass"
+        _, violations = verify._drops([0.0, -1e-12, 0.0])
+        assert violations == []
 
     def test_real_dip_reported_with_index(self):
-        verdict, violations = check_monotone([0.0, -1.0, 0.0])
-        assert verdict == "fail"
+        _, violations = verify._drops([0.0, -1.0, 0.0])
         assert violations == [(0, -1.0)]
 
     def test_slack_scales_with_magnitude(self):
-        verdict, _ = check_monotone([1e8, 1e8 - 1.0, 1e8])
-        assert verdict == "pass"
+        _, violations = verify._drops([1e8, 1e8 - 1.0, 1e8])
+        assert violations == []
 
     def test_needs_three_samples(self):
         with pytest.raises(ValueError):
-            check_monotone([0.0, 1.0])
+            verify._drops([0.0, 1.0])
 
     def test_nan_is_a_violation(self):
-        verdict, violations = check_monotone([0.0, math.nan, 1.0])
-        assert verdict == "fail"
+        _, violations = verify._drops([0.0, math.nan, 1.0])
         assert [k for k, _ in violations] == [0, 1]
 
 
@@ -441,9 +441,13 @@ class TestSuites:
         gauss_bonnet = [c.values for c in report.checks if c.anchor == "gauss-bonnet-quantization"]
         assert len(rows) == len(gauss_bonnet) == 5
         assert [(row[3], row[1]) for row in rows] == [(v["sc_top_over_8pi"], v["area"]) for v in gauss_bonnet]
-        for t, _, willmore, _, hring_sq in rows:
+        for k, (t, _, willmore, _, hring_sq) in enumerate(rows):
             curve = fieldv.level(t)
             assert (willmore, hring_sq) == (curve.willmore, curve.integrate(curve.hring_sq))
+            # the levelK table of the batch is the single level's, bit for bit
+            header, level_rows = curve.table()
+            assert tables[f"level{k}"][0] == header
+            assert np.asarray(tables[f"level{k}"][1]).tobytes() == np.asarray(level_rows).tobytes()
 
         header, rows = tables["divergence"]
         assert header == ["identity", "rms", "max", "scale"]
