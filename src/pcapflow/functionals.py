@@ -72,8 +72,6 @@ class FunctionalParams:
             raise ValueError("dimension must be at least 3")
         if not (1.0 <= self.p <= 2.0):
             raise ValueError(f"p={self.p} outside [1, 2]")
-        if self.p >= self.n:
-            raise ValueError("need p < n")
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
         if self.p == 1.0 and self.alpha < 1.0:

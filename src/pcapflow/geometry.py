@@ -232,15 +232,13 @@ def euclidean(n: int = 3) -> RadialManifold:
     return model
 
 
-def schwarzschild(mass: float, n: int = 3) -> RadialManifold:
+def schwarzschild(mass: float) -> RadialManifold:
     """Spatial Schwarzschild slice of mass m > 0 (n = 3), r >= 2m.
 
     f = (1 - 2m/r)^(-1/2) diverges at the horizon.  The warped-product
     formulas give H = (2/r) sqrt(1 - 2m/r), which is 0 at the horizon,
     Ric(nu,nu) = -2m/r^3 and Scal = 0 outside it.
     """
-    if n != 3:
-        raise ValueError("the Schwarzschild model is implemented for n = 3")
     if not mass > 0.0:
         raise ValueError("mass must be positive")
     m = float(mass)
@@ -287,6 +285,8 @@ def tabulated(
     rows = []
     for entry in table:
         if isinstance(entry, dict):
+            if set(entry) != {"r", "f", "h"}:
+                raise ValueError(f"tabulated row {entry} must have exactly the keys r, f and h")
             rows.append((float(entry["r"]), float(entry["f"]), float(entry["h"])))
         else:
             r, f, h = entry
@@ -362,7 +362,7 @@ MODELS = {
         {"n": 3, "aperture": 0.5},
     ),
     "schwarzschild": CatalogEntry(
-        "schwarzschild", "mass, n=3", "spatial Schwarzschild slice outside the horizon", {"mass": 1.0}
+        "schwarzschild", "mass", "spatial Schwarzschild slice outside the horizon", {"mass": 1.0}
     ),
     "tabulated": CatalogEntry(
         "tabulated_from_json", "path, n=3", "natural cubic splines through sampled (r, f, h)"

@@ -84,18 +84,18 @@ class RadialPotential:
     w increases from w(r0) = 0 to w(R) = phi_R; grad_norm is |grad w|;
     u = e^{-w/(p-1)} for p > 1 (the flow potential has p = 1 and no u);
     theta is the regularization weight eps^2 / (|grad u|^2 + eps^2) for the
-    eps kind.
+    eps kind.  ``kind`` is read from p and eps: p = 1 is the flow, an eps
+    marks the regularized potential, and anything else is a p-potential.
     ``_w_grad`` returns w and |grad w| together, from one evaluation of the
     tail where there is one.  ``_seed`` holds increasing radii and the values of w there, which
     bracket the Newton steps of ``level_radius``.
     """
 
     manifold: geometry.RadialManifold
-    kind: str
     r0: float
     R: float
     phi_R: float
-    p: Optional[float] = None
+    p: float
     eps: Optional[float] = None
     flux: Optional[float] = None
     _w: Callable[[np.ndarray], np.ndarray] = field(default=None, repr=False)
@@ -103,6 +103,12 @@ class RadialPotential:
     _u: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
     _theta: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
     _seed: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
+
+    @property
+    def kind(self) -> str:
+        if self.p == 1.0:
+            return KIND_IMCF
+        return KIND_P if self.eps is None else KIND_EPS
 
     def _check(self, r: np.ndarray) -> np.ndarray:
         pad = 1e-9 * (self.R - self.r0)
@@ -163,14 +169,14 @@ def _default_phi(model: geometry.RadialManifold, r0: float, R: float) -> float:
     return (model.n - 1) * math.log(model.h(R) / model.h(r0))
 
 
-def _check_annulus(model: geometry.RadialManifold, r0: float, R: float, p: float) -> None:
-    """[r0, R] inside the working range with h(r0) > 0, and f(r0) finite for the
-    p-potentials (p > 1); the flow potential may start on the horizon, where H = 0."""
+def _check_annulus(model: geometry.RadialManifold, r0: float, R: float) -> None:
+    """[r0, R] inside the working range with f(r0) finite and h(r0) > 0, for
+    every potential: none may start on a horizon (f infinite, H = 0) or a tip."""
     model.check_radius(r0)
     model.check_radius(R)
     if not r0 < R:
         raise geometry.DomainError(f"need r0 < R, got [{r0}, {R}]")
-    if p > 1.0 and not math.isfinite(model.f(r0)):
+    if not math.isfinite(model.f(r0)):
         raise geometry.DomainError(
             f"f({r0}) is not finite; start the annulus strictly inside the working range"
         )
@@ -188,7 +194,7 @@ def _tail_edges(model: geometry.RadialManifold, r0: float, R: float, kappa: floa
     return edges
 
 
-def _log_tail_potential(model, r0, R, p, phi_R, tail, shift, log_slope, kind, **extra) -> RadialPotential:
+def _log_tail_potential(model, r0, R, p, phi_R, tail, shift, log_slope, **extra) -> RadialPotential:
     """Potential with u = u_R + int_r^R f q, where log q = log_slope(r) and
     the log of the tail is shift + tail(r) (``tail`` a log-mode
     CumulativeIntegral anchored at R).  w, u and |grad w| = (p-1) q / u come
@@ -204,7 +210,6 @@ def _log_tail_potential(model, r0, R, p, phi_R, tail, shift, log_slope, kind, **
 
     return RadialPotential(
         manifold=model,
-        kind=kind,
         r0=float(r0),
         R=float(R),
         phi_R=float(phi_R),
@@ -225,7 +230,7 @@ def solve_wp(
     phi_R: Optional[float] = None,
 ) -> RadialPotential:
     """Radial p-capacitary potential on the annulus [r0, R], p in (1, 2]."""
-    _check_annulus(model, r0, R, p)
+    _check_annulus(model, r0, R)
     if not (1.0 < p <= 2.0):
         raise ValueError(f"p={p} outside (1, 2]")
     if phi_R is None:
@@ -246,7 +251,7 @@ def solve_wp(
     def log_slope(r):
         return log_B - kappa * np.log(model.h(r))
 
-    return _log_tail_potential(model, r0, R, p, phi_R, tail, log_B, log_slope, KIND_P, flux=math.exp((p - 1.0) * log_B))
+    return _log_tail_potential(model, r0, R, p, phi_R, tail, log_B, log_slope, flux=math.exp((p - 1.0) * log_B))
 
 
 def solve_w1(model: geometry.RadialManifold, r0: float, R: float) -> RadialPotential:
@@ -256,7 +261,7 @@ def solve_w1(model: geometry.RadialManifold, r0: float, R: float) -> RadialPoten
     minimizing); |grad w1| equals the sphere mean curvature.  Its p is 1,
     the limit of the p-potentials.
     """
-    _check_annulus(model, r0, R, 1.0)
+    _check_annulus(model, r0, R)
     n = model.n
     rs = np.linspace(r0, R, 256)
     slopes = model.dh(rs)
@@ -272,7 +277,6 @@ def solve_w1(model: geometry.RadialManifold, r0: float, R: float) -> RadialPoten
 
     return RadialPotential(
         manifold=model,
-        kind=KIND_IMCF,
         r0=float(r0),
         R=float(R),
         phi_R=_default_phi(model, r0, R),
@@ -319,18 +323,15 @@ def solve_wp_eps(
     one adaptive quadrature of the drop 1 - u(R; C), made once per C: one
     per step of the bracketing from the unregularized flux and of
     ``find_root`` (Brent's method), 5 or 6 in all on the flat annulus [1, 3]
-    at p = 1.5.
+    at p = 1.5.  The annulus, p and phi_R (its default too) are checked by
+    the unregularized ``solve_wp``, whose flux starts the bracketing.
     """
-    _check_annulus(model, r0, R, p)
-    if not (1.0 < p <= 2.0):
-        raise ValueError(f"p={p} outside (1, 2]")
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    if phi_R is None:
-        phi_R = _default_phi(model, r0, R)
+    base = solve_wp(model, r0, R, p, phi_R)
+    phi_R, C0 = base.phi_R, base.flux
     n = model.n
     u_R = math.exp(-phi_R / (p - 1.0))
-    C0 = solve_wp(model, r0, R, p, phi_R).flux
 
     def log_q(r, log_C):
         return _regularized_log_slope(log_C - (n - 1.0) * np.log(model.h(r)), p, eps)
@@ -371,7 +372,7 @@ def solve_wp_eps(
         return np.exp(2.0 * math.log(eps) - np.logaddexp(2.0 * y, 2.0 * math.log(eps)))
 
     return _log_tail_potential(
-        model, r0, R, p, phi_R, tail, 0.0, log_slope, KIND_EPS,
+        model, r0, R, p, phi_R, tail, 0.0, log_slope,
         eps=float(eps), flux=math.exp(log_C), _theta=theta,
     )
 
@@ -404,8 +405,6 @@ def capacity(
     if taus is None:
         taus = (0.0, 0.5 * T, 0.75 * T)
     taus = np.asarray(taus, dtype=float)
-    if np.any(taus < 0.0) or np.any(taus > pot.phi_R + 1e-12):
-        raise ValueError(f"taus {taus.tolist()} outside [0, phi_R]")
     r_tau = pot.level_radius(taus)
     flux = np.exp(-taus) * pot.manifold.h(r_tau) ** (n - 1.0) * (pot.grad_norm(r_tau) / (n - p)) ** (p - 1.0)
     # (e^{-t/(p-1)} - e^{-T/(p-1)})^{p-1}, through logs so p near 1 cannot underflow

@@ -601,6 +601,12 @@ def solve_2d_suite(
     one table per level, ``newton`` (each Newton step of every grid, coarsest
     first), ``levels`` (each level's area, Willmore energy, Gauss-Bonnet ratio
     and int |h-ring|^2) and ``divergence`` (``divergence_residuals`` at 2)."""
+    if not 1.0 < p <= 2.0:
+        raise ConfigError(f"p={p} outside (1, 2]", "p")
+    if not 0.0 < u_R < 1.0:
+        raise ConfigError(f"u_R={u_R} outside (0, 1)", "u_R")
+    if min(grid) < 16:
+        raise ConfigError(f"grid {list(grid)} too coarse; need at least 16x16", "grid")
     dom = _domain(domain)
     fieldv = solver2d.solve_2d(dom, p, u_R, shape=grid, tol=_TOL_2D)
     values = {

@@ -83,15 +83,17 @@ class TestRun:
         assert "FAIL" in capsys.readouterr().out
 
     def test_solver_breakdown(self, tmp_path, capsys):
-        # inner radius on the Schwarzschild horizon: the annulus is invalid
-        cfg = write_cfg(
-            tmp_path,
-            model={"name": "schwarzschild", "params": {"mass": 1.0}},
-            r0=2.0,
-            R=8.0,
-        )
-        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_SOLVER
-        assert "solver error" in capsys.readouterr().err
+        # inner radius on the Schwarzschild horizon: the annulus is invalid,
+        # for the p-potentials and the flow alike
+        horizon = {"model": {"name": "schwarzschild", "params": {"mass": 1.0}}, "r0": 2.0, "R": 8.0}
+        flow = {"p": 1.0, "phi_mode": "imcf"}
+        geroch = json.loads((CONFIGS / "schwarzschild_geroch.json").read_text())
+        for k, cfg in enumerate(({**FAST_CFG, **horizon}, {**FAST_CFG, **horizon, **flow}, {**geroch, "r0": 2.0})):
+            bad, out = tmp_path / f"horizon{k}.json", tmp_path / f"out{k}"
+            bad.write_text(json.dumps(cfg))
+            assert main(["run", str(bad), str(CONFIGS / "euclidean_fp.json"), "--out", str(out)]) == EXIT_SOLVER
+            assert f"solver error: {bad}: DomainError: f(2.0) is not finite" in capsys.readouterr().err
+            assert (out / "euclidean_fp_report.json").exists()
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path / "out")])
@@ -99,15 +101,18 @@ class TestRun:
         assert "config error" in capsys.readouterr().err
 
     def test_unreadable_model_table(self, tmp_path, capsys):
-        table = {"name": "tabulated", "params": {"path": str(tmp_path / "no_table.json")}}
-        bad = write_cfg(tmp_path, "bad.json", model=table, out_prefix="bad")
+        # a missing file, and a file whose rows lack h
+        rows = tmp_path / "no_h.json"
+        rows.write_text(json.dumps([{"r": 1.0 + k, "f": 1.0} for k in range(6)]))
         good = write_cfg(tmp_path, "good.json", out_prefix="good")
-        out = tmp_path / "out"
-        assert main(["run", str(bad), str(good), "--out", str(out)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"config error: {bad}: model.params:" in err
-        assert (out / "good_report.json").exists()
-        assert not (out / "bad_report.json").exists()
+        for path, error in ((tmp_path / "no_table.json", "model.params:"), (rows, "model: tabulated row")):
+            table = {"name": "tabulated", "params": {"path": str(path)}}
+            bad = write_cfg(tmp_path, "bad.json", model=table, out_prefix="bad")
+            out = tmp_path / path.stem
+            assert main(["run", str(bad), str(good), "--out", str(out)]) == EXIT_CONFIG
+            assert f"config error: {bad}: {error}" in capsys.readouterr().err
+            assert (out / "good_report.json").exists()
+            assert not (out / "bad_report.json").exists()
 
     def test_invalid_json_reports_position(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -258,6 +263,9 @@ class TestRun:
             ("euclidean_fp", "t_max", -1.0),
             ("euclidean_fp", "t_max", 50.0),
             ("schwarzschild_geroch", "t_max", 50.0),
+            ("sphere_2d", "p", 3.0),
+            ("sphere_2d", "u_R", 2.0),
+            ("sphere_2d", "grid", [8, 8]),
         ],
         ids=[
             "expect_sup-zero",
@@ -279,6 +287,9 @@ class TestRun:
             "t_max-negative",
             "t_max-beyond-phi_R",
             "hawking_series-t_max-beyond-phi_R",
+            "solve_2d-p-outside-range",
+            "solve_2d-u_R-outside-range",
+            "solve_2d-grid-too-coarse",
         ],
     )
     def test_list_entries_are_checked(self, tmp_path, capsys, config, field, value):

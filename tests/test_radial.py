@@ -214,8 +214,17 @@ class TestRegularized:
         assert pot.u(8.0) == pytest.approx(math.exp(-pot.phi_R / 0.3), rel=1e-9)
 
     def test_eps_validation(self, euclid3):
-        with pytest.raises(ValueError):
-            solve_wp_eps(euclid3, 1.0, 3.0, 1.5, 0.0)
+        # one bad value each; the annulus, p and phi_R are checked by the
+        # p-solve that the shooting starts from
+        for args, error in (
+            ((1.0, 3.0, 1.5, 0.0), ValueError),
+            ((3.0, 3.0, 1.5, 1e-3), geometry.DomainError),
+            ((1.0, 3.0, 2.5, 1e-3), ValueError),
+            ((1.0, 3.0, 1.5, 1e-3, -1.0), ValueError),
+        ):
+            with pytest.raises(ValueError) as info:
+                solve_wp_eps(euclid3, *args)
+            assert info.type is error, args
 
     def test_theta_requires_eps_kind(self, euclid3):
         pot = solve_wp(euclid3, 1.0, 3.0, 1.5)
@@ -280,6 +289,9 @@ class TestCapacity:
         pot = solve_wp(euclid3, 1.0, 8.0, 1.5)
         with pytest.raises(ValueError):
             capacity(pot, 1.0, 0.5)
+        # a cross section beyond phi_R is a level that level_radius rejects
+        with pytest.raises(ValueError, match="outside"):
+            capacity(pot, taus=(0.0, 1.01 * pot.phi_R))
 
 
 class TestPotentialProperties:

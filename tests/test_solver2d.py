@@ -252,6 +252,9 @@ class TestGridSequence:
         assert len(sequenced.coarse) == 1 and half.coarse == ()
         assert sequenced.newton_steps == [[*half.shape, half.outer_iterations], [*shape, sequenced.outer_iterations]]
         assert half.shape == (shape[0] // 2, shape[1] // 2)
+        # the coarse grid of a sequence is its standalone solve, bit for bit
+        alone = solve_2d(dom, p=p, u_R=0.05, shape=half.shape)
+        assert np.array_equal(half.u, alone.u) and half.history == alone.history
 
     @pytest.mark.parametrize("shape", [(16, 16), (30, 64), (48, 30), (63, 32)])
     def test_grids_that_cannot_be_halved_solve_alone(self, shape):
