@@ -27,7 +27,8 @@ array of levels, so each functional has one body for radial potentials and
 2-D fields, one level or many.  A series builds the levels of its grid once
 and the levels of its central-difference stencil once, and evaluates its
 value, right side and bulk term on them: each build is one ``radial_level``
-or one ``field.level`` call on an array of levels.
+or one ``field.level`` call on an array of levels.  A radial potential
+keeps its builds, so a later series on the same levels reuses them.
 """
 
 from __future__ import annotations
@@ -213,8 +214,16 @@ def _validate(solution, params: FunctionalParams, what: str) -> None:
 
 
 def _over_levels(solution, t, *fns):
-    """[fn(levels) for fn in fns] on one build of the levels {w = t}."""
-    lev = radial_level(solution, t) if isinstance(solution, radial.RadialPotential) else solution.level(t)
+    """[fn(levels) for fn in fns] on one build of the levels {w = t}, taken
+    from the potential's earlier builds where it has one."""
+    if isinstance(solution, radial.RadialPotential):
+        t = np.asarray(t, dtype=float)
+        key = (t.shape, t.tobytes())
+        lev = solution._levels.get(key)
+        if lev is None:
+            lev = solution._levels[key] = radial_level(solution, t)
+    else:
+        lev = solution.level(t)
     return [fn(lev) for fn in fns]
 
 

@@ -11,11 +11,11 @@ The budget is one relative tolerance plus a rounding floor: a panel passes
 when its error estimate is below ``rel_tol`` of the integral or below 64
 eps times its integral of |fn|, so integrals that cancel to zero still end.
 
-SciPy is imported inside the functions that call it (the spline and the
-banded Cholesky here, Simpson's rule in ``solver2d``): its import outlasts
-most configs' runs, and a radial-only run never needs it.  For the same
-reason :func:`find_root` is written here rather than taken from
-``scipy.optimize``.
+SciPy is imported only for the banded Cholesky and the spline, inside the
+functions that call them: its import outlasts most configs' runs, and a
+radial-only run never needs it.  For the same reason :func:`find_root` is
+written here rather than taken from ``scipy.optimize``, and the Simpson sum
+of ``solver2d`` is NumPy rather than ``scipy.integrate``.
 
 Each panel carries a 20-point and a 10-point Gauss-Legendre sum of the
 same integrand; their difference bounds the error of the 10-point sum, so

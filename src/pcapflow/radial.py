@@ -88,7 +88,9 @@ class RadialPotential:
     marks the regularized potential, and anything else is a p-potential.
     ``_w_grad`` returns w and |grad w| together, from one evaluation of the
     tail where there is one.  ``_seed`` holds increasing radii and the values of w there, which
-    bracket the Newton steps of ``level_radius``.
+    bracket the Newton steps of ``level_radius``.  ``_levels`` keeps the level
+    builds of ``functionals``, keyed by the levels, so each array of levels is
+    built once per potential.
     """
 
     manifold: geometry.RadialManifold
@@ -103,6 +105,7 @@ class RadialPotential:
     _u: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
     _theta: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
     _seed: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
+    _levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def kind(self) -> str:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, model listing, artifacts."""
 
+import ast
 import json
 import math
 import os
@@ -387,7 +388,7 @@ class TestModuleEntry:
 
 class TestScipyStaysUnloaded:
     """Radial work never needs SciPy, so it is imported only by the 2-D
-    solver and the tabulated model."""
+    solver, which loads ``scipy.linalg`` alone, and the tabulated model."""
 
     @staticmethod
     def _scipy_modules(code):
@@ -410,3 +411,12 @@ class TestScipyStaysUnloaded:
         code = f"from pcapflow import cli\nassert cli.main(['run', {str(config)!r}, '--out', {str(tmp_path)!r}]) == 0"
         assert self._scipy_modules(code) == "[]"
         assert (tmp_path / "euclidean_fp_report.json").exists()
+
+    def test_2d_run(self, tmp_path):
+        config = CONFIGS / "sphere_2d.json"
+        code = f"from pcapflow import cli\nassert cli.main(['run', {str(config)!r}, '--out', {str(tmp_path)!r}]) == 0"
+        loaded = ast.literal_eval(self._scipy_modules(code))
+        assert "scipy.linalg" in loaded
+        unwanted = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.special", "scipy.interpolate")
+        assert [m for m in loaded if m.startswith(unwanted)] == []
+        assert (tmp_path / "sphere_2d_report.json").exists()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcapflow import functionals, geometry, radial, solver2d
+from pcapflow import functionals, geometry, radial, solver2d, verify
 from pcapflow.functionals import (
     F_p,
     G_p,
@@ -197,7 +197,8 @@ class TestHawking:
 
 class TestLevelBuilds:
     """A series builds the levels of its grid once and those of its
-    central-difference stencil once."""
+    central-difference stencil once, and a later series on the same
+    potential and levels reuses both builds."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -212,18 +213,42 @@ class TestLevelBuilds:
         return sizes
 
     def test_two_builds_per_series(self, builds, schw1):
-        wp = radial.solve_wp(schw1, 2.2, 12.0, 1.5)
-        w1 = radial.solve_w1(schw1, 2.2, 12.0)
+        def wp():
+            return radial.solve_wp(schw1, 2.2, 12.0, 1.5)
+
+        def w1():
+            return radial.solve_w1(schw1, 2.2, 12.0)
+
         runs = [
-            lambda: F_p(wp, FunctionalParams(3, 1.5, 2.0, TS20)),
-            lambda: G_p(wp, FunctionalParams(3, 1.5, 2.0, TS20)),
-            lambda: F_p(w1, FunctionalParams(3, 1.0, 2.0, TS20)),
-            lambda: hawking_series(w1, TS20),
+            (wp, lambda pot: F_p(pot, FunctionalParams(3, 1.5, 2.0, TS20))),
+            (wp, lambda pot: G_p(pot, FunctionalParams(3, 1.5, 2.0, TS20))),
+            (w1, lambda pot: F_p(pot, FunctionalParams(3, 1.0, 2.0, TS20))),
+            (w1, lambda pot: hawking_series(pot, TS20)),
         ]
-        for run in runs:
+        for solve, run in runs:
+            pot = solve()
             builds.clear()
-            run()
+            run(pot)
             assert builds == [20, 36]  # the grid, then t +- d at the 18 inner levels
+            run(pot)
+            assert builds == [20, 36]  # the second series reuses both builds
+
+    def test_sweep_builds_once_per_potential(self, builds, monkeypatch):
+        """The monotonicity sweep runs F_p at up to three alpha per potential
+        on one level grid: two builds per potential, and the same table, bit
+        for bit, as when each alpha gets a freshly solved potential."""
+        _, tables = verify.monotonicity_suite()
+        assert builds == [40, 76] * 9  # nine potentials: the grid, then the stencil
+        fp = functionals.F_p
+
+        def fresh(pot, params):
+            return fp(radial.solve_wp(pot.manifold, pot.r0, pot.R, pot.p), params)
+
+        monkeypatch.setattr(functionals, "F_p", fresh)
+        builds.clear()
+        _, unshared = verify.monotonicity_suite()
+        assert len(builds) == 2 * len(tables["sweep"][1])  # one grid and one stencil build per alpha
+        assert unshared == tables
 
     def test_two_extractions_per_2d_series(self, monkeypatch, euclid3):
         sizes = []

@@ -1,6 +1,7 @@
 """Axisymmetric solver: closed forms, level extraction, conservation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -396,6 +397,49 @@ class TestLevelExtraction:
         lo, hi = field.w_range()
         with pytest.raises(NonMonotoneRayError):
             extract_level(field, 0.5 * (lo + hi))
+
+
+class TestLevelIntegral:
+    """``LevelCurve.integrate`` is the composite Simpson sum of
+    ``scipy.integrate.simpson`` on the uniform theta grid, with its end
+    correction for an odd number of intervals."""
+
+    @pytest.fixture(scope="class", params=[16, 17, 35, 48])
+    def field(self, request):
+        dom = ellipsoid_domain(1.3, 1.0, R=4.0)
+        return solve_2d(dom, p=1.5, u_R=0.05, shape=(24, request.param), tol=1e-10)
+
+    def test_matches_scipy_simpson(self, field):
+        from scipy.integrate import simpson
+
+        ts = midband(field, num=3)
+        for lev in (field.level(ts[1]), field.level(ts)):
+            for values in (1.0, lev.H**2, 1.0 + np.cos(lev.theta) ** 3):
+                got = lev.integrate(values)
+                want = simpson(np.asarray(values) * lev.measure, x=lev.theta, axis=-1)
+                assert np.shape(got) == np.shape(want) == np.shape(lev.t)
+                assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    def test_exact_on_polynomials(self, field):
+        """Exact to rounding on cubics in theta at even Ntheta; at odd Ntheta
+        the end correction is exact on quadratics."""
+        lev = field.level(midband(field, num=3))
+        lev = replace(lev, measure=np.ones_like(lev.measure))
+        coeffs = [(1.0, 0.0, 0.0, 0.0), (0.5, -1.0, 2.0, 0.0)]
+        if field.shape[1] % 2 == 0:
+            coeffs.append((2.0, 0.5, 0.0, -1.0))
+        for c in coeffs:
+            got = lev.integrate(sum(ck * lev.theta**k for k, ck in enumerate(c)))
+            want = sum(ck * math.pi ** (k + 1) / (k + 1) for k, ck in enumerate(c))
+            assert np.all(np.abs(got - want) <= 8.0 * np.finfo(float).eps * abs(want)), c
+
+    def test_batch_equals_single_levels(self, field):
+        ts = midband(field, num=3)
+        batch = field.level(ts)
+        for k, t in enumerate(ts):
+            one = field.level(t)
+            for name in ("area", "willmore", "sc_top_integral"):
+                assert getattr(one, name) == getattr(batch, name)[k], name
 
 
 class TestFieldFromRadial:
