@@ -4,12 +4,12 @@
     pcapflow list-models [--json] [--verbose]
 
 Exit codes: 0 all checks pass (or are flagged not-guaranteed), 1 at least
-one check fails, 2 a solver broke down, 64 malformed config or unreadable
-file.  Each config runs on its own: one that breaks prints its error and the
-others still write their reports; the exit code is the worst over all
-configs.  Only the solver breakdowns of ``SOLVER_ERRORS`` exit 2; any other
-exception is a bug and propagates with its traceback.  All artifacts (CSV
-tables, report JSON) are written under --out.
+one check fails, 2 a solver broke down (a ``numerics.SolverError`` or a
+``numpy.linalg.LinAlgError``), 64 a malformed config or an unreadable file
+(a ``verify.ConfigError``).  Any other exception is a bug and propagates
+with its traceback.  Each config runs on its own: one that breaks prints its
+error and the others still write their reports; the exit code is the worst
+over all configs.  All artifacts (CSV tables, report JSON) go under --out.
 """
 
 from __future__ import annotations
@@ -21,27 +21,14 @@ import sys
 
 import numpy as np
 
-from . import geometry, numerics, radial, solver2d, verify
+from . import geometry, numerics, verify
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_SOLVER = 2
 EXIT_CONFIG = 64
 
-SOLVER_ERRORS = (
-    radial.ShootingError,
-    radial.NotOutwardMinimizing,
-    radial.CapacityConsistencyError,
-    solver2d.Solver2DError,
-    solver2d.NonMonotoneRayError,
-    numerics.QuadratureError,
-    geometry.AvrUndefinedError,
-    # a radius outside the model or annulus (the horizon, a cone tip, r0 >= R)
-    geometry.DomainError,
-    numerics.BracketError,
-    solver2d.LevelRangeError,
-    np.linalg.LinAlgError,
-)
+SOLVER_ERRORS = (numerics.SolverError, np.linalg.LinAlgError)
 
 
 def _load_config(path: str):
@@ -80,7 +67,11 @@ def _run_one(path: str, out_dir: str) -> int:
 
 
 def _cmd_run(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
     # the exit codes are ordered by severity: 64 > 2 > 1 > 0
     return max(_run_one(path, args.out) for path in args.config)
 

@@ -28,7 +28,7 @@ array of levels, so each functional has one body for radial potentials and
 and the levels of its central-difference stencil once, and evaluates its
 value, right side and bulk term on them: each build is one ``radial_level``
 or one ``field.level`` call on an array of levels.  A radial potential
-keeps its builds, so a later series on the same levels reuses them.
+keeps its builds, so a later series or ``levels`` call reuses them.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ __all__ = [
     "MonotoneSeries",
     "RadialLevel",
     "radial_level",
+    "levels",
     "F_p",
     "G_p",
     "Q_p_integral",
@@ -213,18 +214,17 @@ def _validate(solution, params: FunctionalParams, what: str) -> None:
         raise ValueError(f"{what} at p = {params.p} got a solution of kind '{kind}' with p = {solution.p}")
 
 
-def _over_levels(solution, t, *fns):
-    """[fn(levels) for fn in fns] on one build of the levels {w = t}, taken
-    from the potential's earlier builds where it has one."""
-    if isinstance(solution, radial.RadialPotential):
-        t = np.asarray(t, dtype=float)
-        key = (t.shape, t.tobytes())
-        lev = solution._levels.get(key)
-        if lev is None:
-            lev = solution._levels[key] = radial_level(solution, t)
-    else:
-        lev = solution.level(t)
-    return [fn(lev) for fn in fns]
+def levels(solution, t):
+    """The levels {w = t} of a radial potential or a 2-D field; a radial
+    potential keeps each ``radial_level`` build for later calls on the same t."""
+    if not isinstance(solution, radial.RadialPotential):
+        return solution.level(t)
+    t = np.asarray(t, dtype=float)
+    key = (t.shape, t.tobytes())
+    lev = solution._levels.get(key)
+    if lev is None:
+        lev = solution._levels[key] = radial_level(solution, t)
+    return lev
 
 
 def _boundary(level, params: FunctionalParams):
@@ -285,7 +285,7 @@ def Q_p_integral(solution, params: FunctionalParams, t):
     """int_{w=t} |grad w|^{alpha+p-3} Q_p  (no exponential prefactor);
     the levels may come as an array."""
     _validate(solution, params, "Q_p_integral")
-    return _over_levels(solution, t, lambda lev: _qp_integral(lev, params))[0]
+    return _qp_integral(levels(solution, t), params)
 
 
 def _series(name, solution, t_grid, value, rhs, step, meta, bulk=_no_bulk) -> MonotoneSeries:
@@ -297,14 +297,15 @@ def _series(name, solution, t_grid, value, rhs, step, meta, bulk=_no_bulk) -> Mo
     cut to 0.45 of the smaller neighbouring gap, and meta["derivative_step"]
     is the smallest d used."""
     ts = np.asarray(t_grid, dtype=float)
-    vals, bulks, rhs_col = _over_levels(solution, ts, value, bulk, rhs)
+    lev = levels(solution, ts)
+    vals, bulks, rhs_col = value(lev), bulk(lev), rhs(lev)
     residual = np.full(len(ts), np.nan)
     if len(ts) > 2:
         gaps = np.diff(ts)
         d = np.minimum(step, 0.45 * np.minimum(gaps[:-1], gaps[1:]))
         inner = ts[1:-1]
-        vals_st, bulks_st = _over_levels(solution, np.concatenate([inner + d, inner - d]), value, bulk)
-        above, below = np.split(vals_st - bulks_st, 2)
+        stencil = levels(solution, np.concatenate([inner + d, inner - d]))
+        above, below = np.split(value(stencil) - bulk(stencil), 2)
         residual[1:-1] = np.abs((above - below) / (2.0 * d) - rhs_col[1:-1])
         meta["derivative_step"] = float(np.min(d))
     return MonotoneSeries(name, ts, vals - bulks, bulks, rhs_col, residual, meta)

@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numerics import integrate, natural_cubic_spline
+from .numerics import SolverError, integrate, natural_cubic_spline
 
 __all__ = [
     "RadialManifold",
@@ -61,11 +62,11 @@ __all__ = [
 _VALIDATION_SAMPLES = 128  # radii at which a model's constructor checks h, f, h' and Ric
 
 
-class DomainError(ValueError):
+class DomainError(SolverError, ValueError):
     """Radius outside the model's working range."""
 
 
-class AvrUndefinedError(RuntimeError):
+class AvrUndefinedError(SolverError):
     """The normalized area ratio (h/r)^(n-1) does not stabilize at large r."""
 
 
@@ -188,6 +189,8 @@ def proper_distance(model: RadialManifold, a: float, b: float) -> float:
 
 
 def _validate_samples(model: RadialManifold, lo: float, hi: float) -> None:
+    if model.n < 3:
+        raise ValueError("dimension must be at least 3")
     rs = np.linspace(lo, hi, _VALIDATION_SAMPLES)
     h = model.h(rs)
     f = model.f(rs)
@@ -205,8 +208,6 @@ def _validate_samples(model: RadialManifold, lo: float, hi: float) -> None:
 
 def cone(n: int = 3, aperture: float = 1.0) -> RadialManifold:
     """Metric cone dr^2 + (a r)^2 g_{S^{n-1}} over the round sphere of radius a <= 1."""
-    if n < 3:
-        raise ValueError("dimension must be at least 3")
     if not (0.0 < aperture <= 1.0):
         raise ValueError("aperture must lie in (0, 1]")
     a = float(aperture)
@@ -279,23 +280,21 @@ def tabulated(
 ) -> RadialManifold:
     """Model interpolated from (r, f, h) triples with natural cubic splines.
 
-    ``table`` holds dicts with keys r/f/h or plain triples, strictly
-    increasing in r.  Evaluators raise DomainError outside the table range.
+    ``table`` holds dicts with keys r/f/h or plain triples of numbers,
+    strictly increasing in r.  Evaluators raise DomainError outside the range.
     """
     rows = []
     for entry in table:
-        if isinstance(entry, dict):
-            if set(entry) != {"r", "f", "h"}:
-                raise ValueError(f"tabulated row {entry} must have exactly the keys r, f and h")
-            rows.append((float(entry["r"]), float(entry["f"]), float(entry["h"])))
-        else:
-            r, f, h = entry
-            rows.append((float(r), float(f), float(h)))
+        row = [entry.get(key) for key in "rfh"] if isinstance(entry, dict) and len(entry) == 3 else entry
+        # numbers only: float() would also take "1.5" and True
+        if not isinstance(row, (list, tuple, np.ndarray)) or len(row) != 3 or not all(
+            isinstance(x, numbers.Real) and not isinstance(x, bool) for x in row
+        ):
+            raise ValueError(f"tabulated row {entry} must hold three numbers r, f and h")
+        rows.append(row)
     if len(rows) < 4:
         raise ValueError("tabulated model needs at least 4 samples")
-    rs = np.array([row[0] for row in rows])
-    fs = np.array([row[1] for row in rows])
-    hs = np.array([row[2] for row in rows])
+    rs, fs, hs = np.array(rows, dtype=float).T
     if not np.all(np.diff(rs) > 0.0):
         raise ValueError("tabulated radii must be strictly increasing")
     if np.any(hs <= 0.0) or np.any(fs <= 0.0):
@@ -331,13 +330,19 @@ def tabulated(
     return model
 
 
-def tabulated_from_json(path, **kwargs) -> RadialManifold:
+def tabulated_from_json(
+    path: str,
+    n: int = 3,
+    label: str = "tabulated",
+    nonneg_ricci: bool = False,
+    avr_hint: Optional[float] = None,
+) -> RadialManifold:
     """Load a tabulated model from a JSON array of {r, f, h} objects."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, list):
         raise ValueError("tabulated model file must contain a JSON array")
-    return tabulated(kwargs.pop("n", 3), data, **kwargs)
+    return tabulated(n, data, label, nonneg_ricci, avr_hint)
 
 
 @dataclass(frozen=True)
@@ -377,6 +382,4 @@ def build_model(name: str, **params) -> RadialManifold:
     entry = MODELS.get(name)
     if entry is None:
         raise ValueError(f"unknown model '{name}'; available: {', '.join(MODEL_NAMES)}")
-    if "n" in params:
-        params["n"] = int(params["n"])  # the dimension of every catalog model
     return globals()[entry.constructor](**params)

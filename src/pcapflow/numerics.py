@@ -36,6 +36,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "SolverError",
     "QuadratureError",
     "BracketError",
     "SpdResult",
@@ -59,7 +60,11 @@ _SQRT_EPS = math.sqrt(_EPS)
 _CHUNK = 8192
 
 
-class QuadratureError(RuntimeError):
+class SolverError(RuntimeError):
+    """A solver broke down on valid input; ``pcapflow run`` exits 2."""
+
+
+class QuadratureError(SolverError):
     """Refinement could not meet the error test: panels reached rounding
     width, or too many failed at once.  Carries the best estimate."""
 
@@ -68,7 +73,7 @@ class QuadratureError(RuntimeError):
         self.best_estimate = best_estimate
 
 
-class BracketError(ValueError):
+class BracketError(SolverError, ValueError):
     """Root finder called on a bracket without a sign change."""
 
 

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import geometry
-from .numerics import CumulativeIntegral, find_root, integrate
+from .numerics import CumulativeIntegral, SolverError, find_root, integrate
 
 __all__ = [
     "RadialPotential",
@@ -54,15 +54,15 @@ _TAIL_TOL = 1e-12
 _EFOLDS_PER_PANEL = 4.0
 
 
-class NotOutwardMinimizing(RuntimeError):
+class NotOutwardMinimizing(SolverError):
     """h' <= 0 somewhere: coordinate spheres fail to flow outward."""
 
 
-class ShootingError(RuntimeError):
+class ShootingError(SolverError):
     """The shooting iteration for the regularized flux constant failed."""
 
 
-class CapacityConsistencyError(RuntimeError):
+class CapacityConsistencyError(SolverError):
     """The capacity read off at several cross sections disagrees."""
 
 

@@ -64,7 +64,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import single_threaded_blas, solve_spd
+from .numerics import SolverError, single_threaded_blas, solve_spd
 
 __all__ = [
     "AxisymmetricDomain",
@@ -87,15 +87,15 @@ _MAX_HALVINGS = 40  # line-search step lengths down to 2^-39
 _DIV_MARGIN = 0.15  # share of the sigma and theta ranges divergence_residuals drops at each end
 
 
-class Solver2DError(RuntimeError):
-    """Parameter validation or state errors of the 2-D solver."""
+class Solver2DError(SolverError):
+    """A 2-D solution left 0 < u <= 1, where w = -(p-1) ln u is defined."""
 
 
-class NonMonotoneRayError(RuntimeError):
+class NonMonotoneRayError(SolverError):
     """w fails to increase along some polar ray; extraction is ill-posed there."""
 
 
-class LevelRangeError(ValueError):
+class LevelRangeError(SolverError, ValueError):
     """Requested level outside the range covered by every ray."""
 
 
@@ -112,10 +112,10 @@ class AxisymmetricDomain:
         th = np.linspace(0.0, math.pi, 181)
         rr = np.asarray(self.rho(th), dtype=float)
         if np.any(rr <= 0.0) or np.any(rr >= self.R):
-            raise Solver2DError(f"need 0 < rho(theta) < R={self.R} everywhere")
+            raise ValueError(f"need 0 < rho(theta) < R={self.R} everywhere")
         dr = np.asarray(self.drho(th), dtype=float)
         if abs(dr[0]) > 1e-10 or abs(dr[-1]) > 1e-10:
-            raise Solver2DError("rho'(0) and rho'(pi) must vanish (axis regularity)")
+            raise ValueError("rho'(0) and rho'(pi) must vanish (axis regularity)")
 
 
 def sphere_domain(r0: float = 1.0, R: float = 4.0) -> AxisymmetricDomain:
@@ -531,15 +531,15 @@ def solve_2d(
     """
     Nsigma, Ntheta = shape
     if Nsigma < 16 or Ntheta < 16:
-        raise Solver2DError(f"grid {shape} too coarse; need at least 16x16")
+        raise ValueError(f"grid {shape} too coarse; need at least 16x16")
     if not (1.0 < p <= 2.0):
-        raise Solver2DError(f"p={p} outside (1, 2]")
+        raise ValueError(f"p={p} outside (1, 2]")
     if not (0.0 < u_R < 1.0):
-        raise Solver2DError(f"u_R={u_R} outside (0, 1)")
+        raise ValueError(f"u_R={u_R} outside (0, 1)")
     if eps is None:
         eps = min(1e-3, 1.0 / Nsigma)
     if eps < 1e-8:
-        raise Solver2DError(f"eps={eps} below 1e-8: the p->1 coefficient would overflow")
+        raise ValueError(f"eps={eps} below 1e-8: the p->1 coefficient would overflow")
     # the grids of the sequence, coarsest first: halve while both halves are >= 16
     grids = [tuple(shape)]
     while all(n % 2 == 0 and n >= 32 for n in grids[0]):
@@ -647,7 +647,7 @@ def field_from_radial(domain: AxisymmetricDomain, shape: tuple[int, int], pot) -
     r = _map(domain, sigma[:, None], theta[None, :])[0]
     r_min = float(np.min(r[0]))
     if pot.r0 > r_min + 1e-12 or pot.R < domain.R - 1e-12:
-        raise Solver2DError(f"radial annulus [{pot.r0}, {pot.R}] does not cover the domain [{r_min}, {domain.R}]")
+        raise ValueError(f"radial annulus [{pot.r0}, {pot.R}] does not cover the domain [{r_min}, {domain.R}]")
     u = pot.u(r)
     return Field2D(
         domain=domain,
@@ -667,7 +667,7 @@ def flux_profile(fieldv: Field2D) -> np.ndarray:
     to the nonlinear residual: the discrete conservation law of the scheme.
     """
     if fieldv._stiffness is None:
-        raise Solver2DError("flux profile needs the nodal K(u) u of a solve")
+        raise ValueError("flux profile needs the nodal K(u) u of a solve")
     row_sums = fieldv._stiffness.reshape(fieldv.u.shape).sum(axis=1)
     return -2.0 * math.pi * np.cumsum(row_sums)[:-1]
 

@@ -374,7 +374,7 @@ def inequality_suite():
         w1 = radial.solve_w1(model, r0, R)
         T = min(4.0, 0.9 * w1.phi_R)
         ts = np.linspace(0.0, T, 40)
-        levels = functionals.radial_level(w1, ts)
+        levels = functionals.levels(w1, ts)  # the Hawking series reuses this build
         areas = levels.area
         growth = np.max(np.abs(areas * np.exp(-ts) / areas[0] - 1.0))
         values = {"max_rel_defect": float(growth), "T": float(T)}
@@ -415,15 +415,11 @@ def inequality_suite():
 
 
 def _model(name: str, params: Optional[dict] = None) -> geometry.RadialManifold:
-    try:
-        return geometry.build_model(name, **(params or {}))
-    except (TypeError, OSError) as exc:
-        # a missing parameter, or a tabulated model file that cannot be read
-        raise ConfigError(str(exc), "model.params") from exc
-    except ValueError as exc:
-        # unknown catalog name or out-of-range parameters are config problems,
-        # not solver breakdowns
-        raise ConfigError(str(exc), "model") from exc
+    """A model object: ``params`` of the catalog constructor ``name`` picks."""
+    entry = geometry.MODELS.get(name)
+    if entry is None:
+        raise ConfigError(f"unknown model {name!r}; known: {', '.join(geometry.MODEL_NAMES)}", "model.name")
+    return _call(getattr(geometry, entry.constructor), params or {}, "model.params", constructor=True)
 
 
 def _phi_for(mode: str, model, r0, R, p) -> Optional[float]:
@@ -532,7 +528,7 @@ def hawking_suite(
         raise ConfigError(f"the Hawking mass is defined for n = 3, not on {model.label}", "model")
     pot = radial.solve_w1(model, r0, R)
     series = functionals.hawking_series(pot, _series_grid(pot, t_max))
-    guaranteed = bool(np.all(geometry.scalar_curvature(model, pot.level_radius(series.t)) >= -1e-8))
+    guaranteed = bool(np.all(functionals.levels(pot, series.t).scalar >= -1e-8))
     checks = [_monotone_check("hawking mass monotone", "geroch-hawking-monotone", series, guaranteed)]
     if expect:
         checks.append(_call(_constancy_check, expect, "expect", series))
@@ -578,14 +574,11 @@ _DOMAINS = {"sphere": solver2d.sphere_domain, "ellipsoid": solver2d.ellipsoid_do
 
 def _domain(spec: dict) -> solver2d.AxisymmetricDomain:
     """A domain object: ``shape`` names the constructor, whose parameters are
-    the other keys; the constructor's own validation errors are config errors."""
+    the other keys."""
     shape = spec.get("shape")
     if not isinstance(shape, str) or shape not in _DOMAINS:
         raise ConfigError(f"unknown domain shape {shape!r}; known: {', '.join(_DOMAINS)}", "domain.shape")
-    try:
-        return _call(_DOMAINS[shape], {k: v for k, v in spec.items() if k != "shape"}, "domain")
-    except solver2d.Solver2DError as exc:
-        raise ConfigError(str(exc), "domain") from exc
+    return _call(_DOMAINS[shape], {k: v for k, v in spec.items() if k != "shape"}, "domain", constructor=True)
 
 
 def solve_2d_suite(
@@ -680,10 +673,11 @@ def _coerce(key: str, value, kind):
     return value
 
 
-def _call(fn, spec, field: str, *args):
+def _call(fn, spec, field: str, *args, constructor: bool = False):
     """``fn(*args, **spec)``: the parameters of ``fn`` after ``args`` are the
     schema of the config object ``spec``.  Unknown and missing keys, and
-    values that do not convert to their annotation, are config errors."""
+    values that do not convert to their annotation, are config errors, and so
+    is a ``ValueError`` or ``OSError`` of a model or domain ``constructor``."""
     if not isinstance(spec, dict):
         raise ConfigError(f"expected an object, got {type(spec).__name__}", field)
     params = list(inspect.signature(fn, eval_str=True).parameters.values())[len(args):]
@@ -698,13 +692,20 @@ def _call(fn, spec, field: str, *args):
             kwargs[param.name] = _coerce(prefix + param.name, spec[param.name], param.annotation)
         elif param.default is param.empty:
             raise ConfigError("missing required field", prefix + param.name)
-    return fn(*args, **kwargs)
+    errors = (ValueError, OSError) if constructor else ()
+    try:
+        return fn(*args, **kwargs)
+    except errors as exc:
+        raise ConfigError(str(exc), field) from exc
 
 
 def artifact_prefix(cfg: dict) -> str:
     """File-name prefix of a config's tables and report: ``out_prefix``,
-    else the experiment name."""
-    return cfg.get("out_prefix", cfg["experiment"])
+    else the experiment name, which must name a file in the output directory."""
+    prefix = cfg.get("out_prefix", cfg["experiment"])
+    if not isinstance(prefix, str) or prefix in ("", ".", "..") or os.path.basename(prefix) != prefix or "\0" in prefix:
+        raise ConfigError(f"expected a file name inside the output directory, got {prefix!r}", "out_prefix")
+    return prefix
 
 
 def run_experiment(cfg: dict, out_dir) -> Report:
@@ -719,10 +720,10 @@ def run_experiment(cfg: dict, out_dir) -> Report:
     name = cfg.get("experiment")
     if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; known: {sorted(EXPERIMENTS)}", "experiment")
+    prefix = artifact_prefix(cfg)
     os.makedirs(out_dir, exist_ok=True)
     spec = {k: v for k, v in cfg.items() if k not in ("experiment", "out_prefix")}
     report, tables = _call(EXPERIMENTS[name], spec, "config")
-    prefix = artifact_prefix(cfg)
     artifacts = []
     for suffix, (header, rows) in tables.items():
         path = f"{out_dir}/{prefix}_{suffix}.csv"

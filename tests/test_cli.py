@@ -1,16 +1,21 @@
 """Command-line interface: exit codes, model listing, artifacts."""
 
 import ast
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pcapflow import radial
+import pcapflow
+from pcapflow import cli, numerics, radial, verify
 from pcapflow.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, EXIT_SOLVER, main
 from pcapflow.geometry import MODEL_NAMES
 from pcapflow.verify import artifact_prefix
@@ -102,11 +107,19 @@ class TestRun:
         assert "config error" in capsys.readouterr().err
 
     def test_unreadable_model_table(self, tmp_path, capsys):
-        # a missing file, and a file whose rows lack h
-        rows = tmp_path / "no_h.json"
-        rows.write_text(json.dumps([{"r": 1.0 + k, "f": 1.0} for k in range(6)]))
+        # a missing file, and files whose rows lack h, hold a string or hold a boolean
+        rows = [{"r": 1.0 + k, "f": 1.0, "h": 1.0 + k} for k in range(6)]
+        broken = {
+            "no_h": [{"r": row["r"], "f": 1.0} for row in rows],
+            "string": [{**rows[0], "r": "1.0"}, *rows[1:]],
+            "boolean": [*rows[:-1], {**rows[-1], "f": True}],
+        }
+        cases = [(tmp_path / "no_table.json", "model.params:")]
+        for stem, table in broken.items():
+            (tmp_path / f"{stem}.json").write_text(json.dumps(table))
+            cases.append((tmp_path / f"{stem}.json", "model.params: tabulated row"))
         good = write_cfg(tmp_path, "good.json", out_prefix="good")
-        for path, error in ((tmp_path / "no_table.json", "model.params:"), (rows, "model: tabulated row")):
+        for path, error in cases:
             table = {"name": "tabulated", "params": {"path": str(path)}}
             bad = write_cfg(tmp_path, "bad.json", model=table, out_prefix="bad")
             out = tmp_path / path.stem
@@ -267,6 +280,13 @@ class TestRun:
             ("sphere_2d", "p", 3.0),
             ("sphere_2d", "u_R", 2.0),
             ("sphere_2d", "grid", [8, 8]),
+            ("euclidean_fp", "out_prefix", "nodir/x"),
+            ("euclidean_fp", "out_prefix", ["a", "b"]),
+            ("euclidean_fp", "out_prefix", ""),
+            ("euclidean_fp", "out_prefix", "."),
+            ("euclidean_fp", "out_prefix", ".."),
+            ("euclidean_fp", "out_prefix", None),
+            ("euclidean_fp", "out_prefix", "a\0b"),
         ],
         ids=[
             "expect_sup-zero",
@@ -291,6 +311,13 @@ class TestRun:
             "solve_2d-p-outside-range",
             "solve_2d-u_R-outside-range",
             "solve_2d-grid-too-coarse",
+            "out_prefix-subdir",
+            "out_prefix-list",
+            "out_prefix-empty",
+            "out_prefix-dot",
+            "out_prefix-dotdot",
+            "out_prefix-null",
+            "out_prefix-nul-byte",
         ],
     )
     def test_list_entries_are_checked(self, tmp_path, capsys, config, field, value):
@@ -358,6 +385,35 @@ class TestRun:
         schwarzschild = json.loads((out / "schwarzschild_geroch_report.json").read_text())["checks"]
         assert [(c["verdict"], c["values"].get("guaranteed")) for c in schwarzschild] == [("pass", True), ("pass", None)]
 
+    @pytest.mark.parametrize(
+        "model, error",
+        [
+            ({"name": "euclidean", "params": {"n": 3.7}}, "model.params.n: expected an integer, got 3.7"),
+            ({"name": "euclidean", "params": {"n": "3"}}, "model.params.n: expected a number, got '3'"),
+            ({"name": "cone", "params": {"aperture": True}}, "model.params.aperture: expected a number"),
+            ({"name": "cone", "params": {"aperture": 1.5}}, "model.params: aperture must lie in (0, 1]"),
+            ({"name": "cone", "params": {"apex": 0.5}}, "model.params: unknown keys ['apex']"),
+            ({"name": "torus", "params": {}}, "model.name: unknown model 'torus'"),
+        ],
+        ids=["n-fraction", "n-string", "aperture-bool", "aperture-out-of-range", "unknown-parameter", "unknown-name"],
+    )
+    def test_model_parameters_are_checked(self, tmp_path, capsys, model, error):
+        # the constructor's signature is the schema of "params"; its own
+        # range checks name the object once
+        bad = write_cfg(tmp_path, "bad.json", model=model, out_prefix="bad")
+        out = tmp_path / "out"
+        assert main(["run", str(bad), str(CONFIGS / "euclidean_fp.json"), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {bad}: {error}")
+        assert (out / "euclidean_fp_report.json").exists()
+
+    def test_out_naming_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["run", str(CONFIGS / "euclidean_fp.json"), "--out", str(taken)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: --out {taken}: File exists\n"
+        assert captured.out == ""
+
     def test_removed_options_are_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path)
         for option in ("--jobs", "--seed"):
@@ -371,6 +427,25 @@ def test_shipped_config_passes(config, tmp_path):
     prefix = artifact_prefix(json.loads(config.read_text()))
     names = [c["name"] for c in json.loads((tmp_path / f"{prefix}_report.json").read_text())["checks"]]
     assert len(names) == len(set(names))
+
+
+class TestExitCodeRule:
+    """A failure's type decides its exit code: every exception class of the
+    package is a config error (64) or a solver breakdown (2)."""
+
+    def test_solver_errors_are_one_base(self):
+        assert cli.SOLVER_ERRORS == (numerics.SolverError, np.linalg.LinAlgError)
+
+    def test_every_exception_class_has_a_code(self):
+        classes = []
+        for name in ("pcapflow", *(f"pcapflow.{m.name}" for m in pkgutil.iter_modules(pcapflow.__path__))):
+            module = importlib.import_module(name)
+            for _, obj in inspect.getmembers(module, inspect.isclass):
+                if issubclass(obj, BaseException) and obj.__module__ == name:
+                    classes.append(obj)
+        assert {verify.ConfigError, numerics.SolverError, radial.ShootingError} <= set(classes)
+        assert [c.__name__ for c in classes if not issubclass(c, (verify.ConfigError, numerics.SolverError))] == []
+        assert not issubclass(verify.ConfigError, numerics.SolverError)
 
 
 class TestModuleEntry:

@@ -250,6 +250,25 @@ class TestLevelBuilds:
         assert len(builds) == 2 * len(tables["sweep"][1])  # one grid and one stencil build per alpha
         assert unshared == tables
 
+    def test_inequality_suite_builds_each_grid_once(self, builds):
+        """The area, Minkowski and Hawking checks of a model share one build
+        of its 40 levels."""
+        verify.inequality_suite()
+        assert builds == [40, 76] * 5  # five models: the grid, then the Hawking stencil
+
+    def test_hawking_suite_reads_its_scalar_curvature_off_the_series(self, monkeypatch, schw1):
+        sizes = []
+        level_radius = radial.RadialPotential.level_radius
+
+        def counted(pot, t):
+            sizes.append(np.size(t))
+            return level_radius(pot, t)
+
+        monkeypatch.setattr(radial.RadialPotential, "level_radius", counted)
+        report, _ = verify.hawking_suite(schw1, 2.2, 12.0)
+        assert sizes == [20, 36]  # the grid, then the stencil
+        assert report.checks[0].values["guaranteed"] is True
+
     def test_two_extractions_per_2d_series(self, monkeypatch, euclid3):
         sizes = []
         extract = solver2d.extract_level

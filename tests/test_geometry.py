@@ -168,6 +168,19 @@ class TestTabulated:
         with pytest.raises(ValueError, match="h'"):
             tabulated(3, rows)
 
+    def test_rows_take_numbers_only(self):
+        good = [(r, 1.0, r) for r in (1.0, 2.0, 3.0, 4.0)]
+        bad_rows = [("1.5", 1.0, 1.0), (2.0, True, 2.0), {"r": 3.0, "f": 1.0, "h": "3"}, (4.0, 1.0), 4.0]
+        for k, bad in zip((0, 1, 2, 3, 3), bad_rows):
+            rows = list(good)
+            rows[k] = bad
+            with pytest.raises(ValueError, match="tabulated row .* must hold three numbers r, f and h"):
+                tabulated(3, rows)
+
+    def test_dimension_at_least_three(self):
+        with pytest.raises(ValueError, match="dimension must be at least 3"):
+            tabulated(2, [(r, 1.0, r) for r in (1.0, 2.0, 3.0, 4.0)])
+
     def test_dict_rows_accepted(self):
         rows = [{"r": r, "f": 1.0, "h": r} for r in (1.0, 2.0, 3.0, 4.0)]
         tab = tabulated(3, rows)

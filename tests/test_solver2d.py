@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from pcapflow import geometry, radial, solver2d
+from pcapflow.numerics import SolverError
 from pcapflow.solver2d import (
     Field2D,
     LevelRangeError,
     NonMonotoneRayError,
-    Solver2DError,
     ellipsoid_domain,
     extract_level,
     field_from_radial,
@@ -50,8 +50,9 @@ class TestDomains:
             assert dom.drho(np.array([th]))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_shell_must_enclose_inner_boundary(self):
-        with pytest.raises(Solver2DError):
+        with pytest.raises(ValueError) as err:
             ellipsoid_domain(1.3, 1.0, R=1.2)
+        assert not isinstance(err.value, SolverError)  # a bad argument, not a breakdown
 
 
 class TestHarmonicClosedForm:
@@ -173,17 +174,18 @@ class TestNewtonKernels:
 
 class TestSolveValidation:
     def test_parameter_guards(self):
+        # a bad argument is a ValueError, not a solver breakdown
         dom = sphere_domain(1.0, 2.0)
-        with pytest.raises(Solver2DError, match="too coarse"):
-            solve_2d(dom, p=1.5, u_R=0.5, shape=(8, 8))
-        with pytest.raises(Solver2DError, match="p="):
-            solve_2d(dom, p=2.5, u_R=0.5)
-        with pytest.raises(Solver2DError, match="u_R"):
-            solve_2d(dom, p=1.5, u_R=0.0)
-        with pytest.raises(Solver2DError, match="u_R"):
-            solve_2d(dom, p=1.5, u_R=1.0)
-        with pytest.raises(Solver2DError, match="eps"):
-            solve_2d(dom, p=1.5, u_R=0.5, eps=1e-12)
+        for kwargs, match in (
+            ({"p": 1.5, "u_R": 0.5, "shape": (8, 8)}, "too coarse"),
+            ({"p": 2.5, "u_R": 0.5}, "p="),
+            ({"p": 1.5, "u_R": 0.0}, "u_R"),
+            ({"p": 1.5, "u_R": 1.0}, "u_R"),
+            ({"p": 1.5, "u_R": 0.5, "eps": 1e-12}, "eps"),
+        ):
+            with pytest.raises(ValueError, match=match) as err:
+                solve_2d(dom, **kwargs)
+            assert not isinstance(err.value, SolverError)
 
     def test_iteration_cap_flags_not_converged(self):
         f = solve_2d(

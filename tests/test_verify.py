@@ -216,7 +216,7 @@ class TestRunExperiment:
         cfg = fp_config(model={"name": "schwarzschild", "params": {}})
         with pytest.raises(ConfigError) as err:
             run_experiment(cfg, tmp_path)
-        assert err.value.fieldname == "model.params"
+        assert err.value.fieldname == "model.params.mass"
 
     def test_t_max_must_be_a_number(self, tmp_path):
         cfg = fp_config(t_max={"start": 0.0, "stop": 2.0, "num": 8})
