@@ -5,11 +5,12 @@
 
 Exit codes: 0 all checks pass (or are flagged not-guaranteed), 1 at least
 one check fails, 2 a solver broke down (a ``numerics.SolverError`` or a
-``numpy.linalg.LinAlgError``), 64 a malformed config or an unreadable file
-(a ``verify.ConfigError``).  Any other exception is a bug and propagates
-with its traceback.  Each config runs on its own: one that breaks prints its
-error and the others still write their reports; the exit code is the worst
-over all configs.  All artifacts (CSV tables, report JSON) go under --out.
+``numpy.linalg.LinAlgError``), 64 a malformed config, an unreadable file
+(a ``verify.ConfigError``) or a table or report that cannot be written (an
+``OSError``, such as a file name too long for the platform).  Any other
+exception is a bug and propagates with its traceback.  Each config runs on
+its own: one that breaks prints its error and the others still write their
+reports; the exit code is the worst over all configs.  All artifacts (CSV tables, report JSON) go under --out.
 """
 
 from __future__ import annotations
@@ -52,14 +53,17 @@ def _run_one(path: str, out_dir: str) -> int:
     try:
         cfg = _load_config(path)
         report = verify.run_experiment(cfg, out_dir)
+        report_path = os.path.join(out_dir, f"{verify.artifact_prefix(cfg)}_report.json")
+        report.write(report_path)
     except verify.ConfigError as exc:
         print(f"config error: {path}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SOLVER_ERRORS as exc:
         print(f"solver error: {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    report_path = os.path.join(out_dir, f"{verify.artifact_prefix(cfg)}_report.json")
-    report.write(report_path)
+    except OSError as exc:  # a table or the report could not be written
+        print(f"config error: {path}: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
     for line in report.summary_lines():
         print(line)
     print(f"report: {report_path}")

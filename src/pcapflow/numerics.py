@@ -345,12 +345,16 @@ def solve_spd(band: np.ndarray, rhs: np.ndarray) -> SpdResult:
     A[i, j]`` for ``0 <= i - j < band.shape[0]``.  A Fortran-ordered float
     array is factored in place, so its contents are lost; any other is
     copied first.  A matrix that is not positive definite raises
-    ``numpy.linalg.LinAlgError`` (a ``ValueError``).
+    ``numpy.linalg.LinAlgError`` (a ``ValueError``); a band or right side
+    holding an inf or NaN raises ``ValueError``.  Each input is scanned for
+    them once: the factor, LAPACK's own output, is not scanned again.
     """
     from scipy.linalg import cho_solve_banded, cholesky_banded
 
     factor = cholesky_banded(band, lower=True, overwrite_ab=True)
-    return SpdResult(cho_solve_banded((factor, True), rhs), iterations=1)
+    if not np.isfinite(rhs).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return SpdResult(cho_solve_banded((factor, True), rhs, check_finite=False), iterations=1)
 
 
 # thread-count entry points of an OpenBLAS build, tried in order: the
@@ -387,11 +391,12 @@ def single_threaded_blas():
     """Run the block with every OpenBLAS library of NumPy and SciPy on one
     thread, and give each its previous thread count back on exit.
 
-    The banded Cholesky of the 2-D solve (bandwidth about 100) and the
-    vector products around it are too small to split: a second thread makes
-    them slower, and idle threads spin on a core while they run.  The
-    thread count is process-wide, so BLAS calls on other threads are capped
-    too while the block runs.  A no-op where no OpenBLAS library is found.
+    The banded Cholesky of the 2-D solve (bandwidth Ntheta/2 + 3 on a
+    mirror-symmetric domain, 35 on the shipped 128 x 64 ellipsoid, and
+    Ntheta + 3 otherwise) and the vector products around it are too small
+    to split: a second thread makes them slower, and idle threads spin on a
+    core while they run.  The thread count is process-wide, so BLAS calls on
+    other threads are capped too while the block runs.  A no-op where no OpenBLAS library is found.
     """
     controls = _openblas_thread_controls()
     saved = [get() for get, _ in controls]

@@ -31,6 +31,19 @@ Hessian (Barrett & Liu, "Finite element approximation of the p-Laplacian",
 Math. Comp. 61 (1993)).  Newton stops on the relative Newton decrement
 (Boyd & Vandenberghe, "Convex Optimization" (2004), 9.5).
 
+A domain symmetric about the equator (rho(pi - theta) = rho(theta)) has an
+energy that is even under theta -> pi - theta, so from a symmetric start
+every Newton iterate is symmetric.  On such a domain with Ntheta even,
+``_newton`` solves on the element columns theta in [0, pi/2] only, with the
+volume weight doubled for the mirror image; the equator needs no boundary
+condition, as it is the natural one of the Galerkin form.  The energy, the
+Newton directions, the decrements and the line search are the full grid's
+restricted to symmetric vectors, and u and the nodal load are mirrored back
+to the full grid.  The band is Ntheta/2 + 3 wide with half the rows, so a
+Cholesky factorization costs about an eighth of the full grid's.
+``_mirrored`` decides it from rho and rho' at every theta the mesh samples;
+any other domain, and any odd Ntheta, solves on the full grid.
+
 ``solve_2d`` sequences the grids: while both dimensions are even and halve
 to at least 16, it solves the half grid first, coarsest first, and starts
 each finer grid from the coarser w = -(p-1) ln u prolonged by 2:1 cubic
@@ -85,6 +98,7 @@ __all__ = [
 _GP = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
 _MAX_HALVINGS = 40  # line-search step lengths down to 2^-39
 _DIV_MARGIN = 0.15  # share of the sigma and theta ranges divergence_residuals drops at each end
+_MIRROR_ULPS = 8  # mirror-symmetry tolerance of rho and rho' in ulps of max rho (_mirrored)
 
 
 class Solver2DError(SolverError):
@@ -182,17 +196,25 @@ _PAIRS = np.hstack([_XK * _XL, _XK * _EL + _EK * _XL, _EK * _EL]).T
 class _Mesh:
     """Mapped-grid geometry: the map scalars alpha, beta, gamma of the factored
     gradient (alpha xi_k, beta eta_k + gamma xi_k) and the volume weight, (ne, gp)
-    each, and where each element entry lands in the lower band of the interior block."""
+    each, and where each element entry lands in the lower band of the interior block.
 
-    def __init__(self, domain: AxisymmetricDomain, Nsigma: int, Ntheta: int):
+    With ``half`` the mesh covers the element columns theta in [0, pi/2] of the
+    (Nsigma, Ntheta) grid, Ntheta even, and its volume weight counts each
+    element twice, once for its mirror image across the equator.  At a
+    mirror-symmetric nodal vector its energy is the full mesh's, and its load
+    and Hessian are the full mesh's folded onto the half: an off-equator node
+    gathers its own row and its mirror's, an equator node its own."""
+
+    def __init__(self, domain: AxisymmetricDomain, Nsigma: int, Ntheta: int, half: bool = False):
         dsig, dth = 1.0 / Nsigma, math.pi / Ntheta
-        self.n_nodes = (Nsigma + 1) * (Ntheta + 1)
-        idx = np.arange(self.n_nodes).reshape(Nsigma + 1, Ntheta + 1)
+        cols = Ntheta // 2 if half else Ntheta
+        self.n_nodes = (Nsigma + 1) * (cols + 1)
+        idx = np.arange(self.n_nodes).reshape(Nsigma + 1, cols + 1)
         # local node order (sigma, theta): (0,0), (1,0), (0,1), (1,1)
         self.conn = np.stack([idx[:-1, :-1], idx[1:, :-1], idx[:-1, 1:], idx[1:, 1:]], axis=-1).reshape(-1, 4)
-        # the map at the Gauss points (Nsigma, Ntheta, gp) from sigma (Nsigma, 1, gp)
-        # and theta (Ntheta, gp), so rho is evaluated 4 Ntheta times, not 4 ne
-        tg = (np.arange(Ntheta)[:, None] + _ETA_G) * dth
+        # the map at the Gauss points (Nsigma, cols, gp) from sigma (Nsigma, 1, gp)
+        # and theta (cols, gp), so rho is evaluated 4 cols times, not 4 ne
+        tg = (np.arange(cols)[:, None] + _ETA_G) * dth
         r_g, rs_g, rt_g = _map(domain, (np.arange(Nsigma)[:, None, None] + _XI_G) * dsig, tg)
 
         def per_element(a):
@@ -201,15 +223,16 @@ class _Mesh:
         self.alpha = per_element(1.0 / (dsig * rs_g))
         self.beta = per_element(1.0 / (dth * r_g))
         self.gamma = per_element(-rt_g / rs_g / (dsig * r_g))
-        self.vol = per_element(r_g**2 * np.sin(tg) * rs_g * dsig * dth * 0.25)
+        # the Gauss weight 1/4, doubled on the half mesh: an exact scaling
+        self.vol = per_element(r_g**2 * np.sin(tg) * rs_g * dsig * dth * (0.5 if half else 0.25))
 
         # the unknowns are the nodes of sigma rows 1..Nsigma-1, numbered
-        # naturally, so the interior block has Ntheta+2 subdiagonals
-        self.inner = slice(Ntheta + 1, self.n_nodes - (Ntheta + 1))
-        self.n_inner = (Nsigma - 1) * (Ntheta + 1)
-        self.band_rows = Ntheta + 3
-        gi = self.conn[:, _LOWER_K] - (Ntheta + 1)
-        gj = self.conn[:, _LOWER_L] - (Ntheta + 1)
+        # naturally, so the interior block has cols+2 subdiagonals
+        self.inner = slice(cols + 1, self.n_nodes - (cols + 1))
+        self.n_inner = (Nsigma - 1) * (cols + 1)
+        self.band_rows = cols + 3
+        gi = self.conn[:, _LOWER_K] - (cols + 1)
+        gj = self.conn[:, _LOWER_L] - (cols + 1)
         self.band_keep = (gj >= 0) & (gi < self.n_inner)
         # entry (gi, gj) is band[gi - gj, gj]: flat index of the transpose
         self.band_pos = (gi - gj + self.band_rows * gj)[self.band_keep]
@@ -568,21 +591,40 @@ def _prolong(w: np.ndarray) -> np.ndarray:
     return w
 
 
+def _mirrored(domain: AxisymmetricDomain, Ntheta: int) -> bool:
+    """Whether the (., Ntheta) grid of ``domain`` is mirror-symmetric about the
+    equator: Ntheta is even, and at every theta the mesh samples (the nodes
+    and the Gauss points) rho equals its mirror value and rho' its negative
+    to within _MIRROR_ULPS ulps of max rho."""
+    if Ntheta % 2:
+        return False
+    theta = np.append((np.arange(Ntheta)[:, None] + (0.0, *_GP)) * (math.pi / Ntheta), math.pi)
+    rho = np.asarray(domain.rho(theta), dtype=float)
+    drho = np.asarray(domain.drho(theta), dtype=float)
+    tol = _MIRROR_ULPS * np.spacing(np.max(rho))
+    return bool(np.max(np.abs(rho - rho[::-1])) <= tol and np.max(np.abs(drho + drho[::-1])) <= tol)
+
+
 def _newton(domain, p, u_R, shape, eps, tol, max_outer, u0=None) -> Field2D:
     """Newton's method on one grid, from the nodal u0 or, without it, from the
     radial p-harmonic profile of each ray; the boundary rows are set to
-    exactly 1 and u_R."""
+    exactly 1 and u_R.  On a mirror-symmetric grid (``_mirrored``) it runs on
+    the columns theta in [0, pi/2] of the half mesh, whose energy, Newton
+    directions, decrements and line search are the full grid's restricted to
+    symmetric vectors, and mirrors u and the nodal load back to the full grid."""
     Nsigma, Ntheta = shape
+    half = _mirrored(domain, Ntheta)
+    cols = Ntheta // 2 if half else Ntheta
     if u0 is None:
         sigma, theta = _nodes(shape)
-        r = _map(domain, sigma[:, None], theta[None, :])[0]  # row 0 of r is rho
+        r = _map(domain, sigma[:, None], theta[None, : cols + 1])[0]  # row 0 of r is rho
         k = (3.0 - p) / (p - 1.0)
         tail = (r[:1] / domain.R) ** k
         u0 = ((r[:1] / r) ** k - tail) / (1.0 - tail) * (1.0 - u_R) + u_R
-    u = np.array(u0, dtype=float)
+    u = np.array(u0[:, : cols + 1], dtype=float)
     u[0], u[-1] = 1.0, u_R
 
-    mesh = _Mesh(domain, Nsigma, Ntheta)
+    mesh = _Mesh(domain, Nsigma, Ntheta, half)
     inner = mesh.inner
     u_flat = u.ravel()
 
@@ -620,9 +662,14 @@ def _newton(domain, p, u_R, shape, eps, tol, max_outer, u0=None) -> Field2D:
         if converged:
             break
 
-    u = u_flat.reshape(Nsigma + 1, Ntheta + 1)
+    u = u_flat.reshape(Nsigma + 1, cols + 1)
     if np.any(u <= 0.0) or np.max(u) > 1.0 + 1e-6:
         raise Solver2DError("solution violates the maximum principle 0 < u <= 1")
+    stiffness = mesh.load(*at_u[:3]).reshape(u.shape)
+    if half:
+        # unfold the folded load: an off-equator node holds its own row and its mirror's
+        stiffness[:, :-1] *= 0.5
+        u, stiffness = (np.hstack([a, a[:, -2::-1]]) for a in (u, stiffness))
     return Field2D(
         domain=domain,
         p=float(p),
@@ -632,7 +679,7 @@ def _newton(domain, p, u_R, shape, eps, tol, max_outer, u0=None) -> Field2D:
         converged=converged,
         residual_rel=decrement,
         history=history,
-        _stiffness=mesh.load(*at_u[:3]),
+        _stiffness=stiffness.ravel(),
     )
 
 

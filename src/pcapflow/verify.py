@@ -167,12 +167,21 @@ def _monotone_check(name: str, anchor: str, series, guaranteed: bool) -> Check:
 
 
 def write_csv(path, header, rows) -> None:
-    """Deterministic CSV: floats in round-trip ``.17g`` form, other cells via str."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(["%.17g" % x if isinstance(x, (float, np.floating)) else str(x) for x in row]))
+    """Deterministic CSV: floats in round-trip ``.17g`` form, other cells via
+    str.  A table of floats only, in rows of one length, is formatted by one
+    ``%`` over a repeated row template rather than cell by cell."""
+    rows = list(rows)
+    cells = [x for row in rows for x in row]
+    widths = set(map(len, rows))
+    if len(widths) == 1 and all(issubclass(kind, (float, np.floating)) for kind in set(map(type, cells))):
+        body = (",".join(["%.17g"] * widths.pop()) + "\n") * len(rows) % tuple(cells)
+    else:
+        body = "".join(
+            ",".join(["%.17g" % x if isinstance(x, (float, np.floating)) else str(x) for x in row]) + "\n"
+            for row in rows
+        )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n" + body)
 
 
 # ----------------------------------------------------------------- suites

@@ -406,6 +406,16 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"config error: {bad}: {error}")
         assert (out / "euclidean_fp_report.json").exists()
 
+    def test_unwritable_artifact_is_a_config_error(self, tmp_path, capsys):
+        # no platform check can tell ahead that a 300-character name is too long
+        bad = write_cfg(tmp_path, "bad.json", out_prefix="x" * 300)
+        good = write_cfg(tmp_path, "good.json", out_prefix="good")
+        out = tmp_path / "out"
+        assert main(["run", str(bad), str(good), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {bad}: cannot write {out}/{'x' * 300}_")
+        assert (out / "good_report.json").exists()
+
     def test_out_naming_a_file(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("")

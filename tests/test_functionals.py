@@ -435,3 +435,29 @@ class TestCsv:
         row = (0.1, np.float64(1.0 / 3.0), np.float32(0.5), -0.0, math.nan, -math.inf, 3, np.int64(7), True, "x")
         write_csv(path, list("abcdefghij"), [row])
         assert path.read_bytes() == b"a,b,c,d,e,f,g,h,i,j\n0.10000000000000001,0.33333333333333331,0.5,-0,nan,-inf,3,7,True,x\n"
+
+    @staticmethod
+    def _cell_by_cell(header, rows):
+        """The per-cell rule: ``%.17g`` for floats and ``np.floating``, str for the rest."""
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(",".join("%.17g" % x if isinstance(x, (float, np.floating)) else str(x) for x in row))
+        return ("\n".join(lines) + "\n").encode()
+
+    def test_float_table_matches_the_cell_rule(self, tmp_path):
+        rng = np.random.default_rng(5)
+        floats = rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-300, 300, (40, 3))
+        floats[0] = [math.nan, math.inf, -0.0]
+        rows = floats.tolist() + [(np.float64(0.1), np.float32(0.5), -math.inf)]
+        mixed = rows + [(3, np.int64(7), "x"), (True, np.float64(math.nan), 0.25)]
+        for table in (rows, mixed):
+            path = tmp_path / "table.csv"
+            write_csv(path, ["a", "b", "c"], table)
+            assert path.read_bytes() == self._cell_by_cell(["a", "b", "c"], table)
+        assert path.read_bytes().startswith(self._cell_by_cell(["a", "b", "c"], rows))
+
+    def test_rows_of_other_lengths(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        for rows in ([], [(1.5,), (2.5, 3.5)]):
+            write_csv(path, ["a", "b"], rows)
+            assert path.read_bytes() == self._cell_by_cell(["a", "b"], rows)

@@ -316,6 +316,17 @@ class TestSolveSpd:
         with pytest.raises(ValueError, match="positive definite"):
             solve_spd(band, np.ones(3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        band = np.array([[2.0] * 3, [-1.0, -1.0, 0.0]])
+        rhs = np.ones(3)
+        rhs[1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_spd(band, rhs)
+        band[0, 2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_spd(band, np.ones(3))
+
 
 _BLAS = numerics._openblas_thread_controls()
 

@@ -137,6 +137,15 @@ class TestNewtonKernels:
         s = ur * ur + ut * ut + self.EPS**2
         return mesh.vol * s ** ((p - 2.0) / 2.0), ur, ut, s
 
+    @staticmethod
+    def _dense(band, n):
+        """The symmetric matrix of the lower band ``band`` (LAPACK storage)."""
+        dense = np.zeros((n, n))
+        for d in range(band.shape[0]):
+            j = np.arange(n - d)
+            dense[j + d, j] = band[d, : n - d]
+        return np.tril(dense) + np.tril(dense, -1).T
+
     def _central(self, f, v, nodes):
         """Central differences of f at v in each of the given nodal values."""
         cols = []
@@ -160,16 +169,41 @@ class TestNewtonKernels:
     def test_hessian_is_the_load_jacobian(self, setup, p):
         mesh, v = setup
         coef, ur, ut, s = self._kernels(mesh, v, p)
-        band = mesh.hessian_band(coef, ur, ut, s, p)
-        n = mesh.n_inner
-        dense = np.zeros((n, n))
-        for d in range(band.shape[0]):
-            j = np.arange(n - d)
-            dense[j + d, j] = band[d, : n - d]
-        dense = np.tril(dense) + np.tril(dense, -1).T
+        dense = self._dense(mesh.hessian_band(coef, ur, ut, s, p), mesh.n_inner)
         nodes = range(mesh.inner.start, mesh.inner.stop)
         fd = self._central(lambda x: mesh.load(*self._kernels(mesh, x, p)[:3])[mesh.inner], v, nodes)
         assert np.max(np.abs(fd - dense)) < 1e-6 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 2.0])
+    def test_half_mesh_is_the_folded_full_mesh(self, p):
+        """At a symmetric nodal vector the weighted half mesh's energy equals
+        the full mesh's, and its load and Hessian are the full ones folded
+        onto the half: S^T g and S^T H S, S the mirror extension."""
+        dom = ellipsoid_domain(1.3, 1.0, R=4.0)
+        Nsigma, Ntheta, c = 16, 16, 8
+        full = solver2d._Mesh(dom, Nsigma, Ntheta)
+        half = solver2d._Mesh(dom, Nsigma, Ntheta, half=True)
+        sigma, theta = solver2d._nodes((Nsigma, Ntheta))
+        r = solver2d._map(dom, sigma[:, None], theta[None, :])[0]
+        noise = np.random.default_rng(3).standard_normal(r.shape)
+        v = 1.0 / r + 0.05 * noise
+        v[:, c + 1 :] = v[:, c - 1 :: -1]  # symmetric to the last bit
+        # S maps the half grid's nodes to the full grid's: column j and its mirror
+        S = np.zeros((v.size, (Nsigma + 1) * (c + 1)))
+        for i in range(Nsigma + 1):
+            for j in range(Ntheta + 1):
+                S[i * (Ntheta + 1) + j, i * (c + 1) + min(j, Ntheta - j)] = 1.0
+        S = S[full.inner, half.inner]
+        v_half = v[:, : c + 1].ravel()
+        assert self._energy(half, v_half, p) == pytest.approx(self._energy(full, v.ravel(), p), rel=1e-14)
+        at_full, at_half = self._kernels(full, v.ravel(), p), self._kernels(half, v_half, p)
+        load_full = full.load(*at_full[:3])[full.inner]
+        load_half = half.load(*at_half[:3])[half.inner]
+        assert np.max(np.abs(load_half - S.T @ load_full)) <= 1e-13 * np.max(np.abs(load_full))
+        hess_full = self._dense(full.hessian_band(*at_full, p), full.n_inner)
+        hess_half = self._dense(half.hessian_band(*at_half, p), half.n_inner)
+        assert half.band_rows == c + 3
+        assert np.max(np.abs(hess_half - S.T @ hess_full @ S)) <= 1e-13 * np.max(np.abs(hess_full))
 
 
 class TestSolveValidation:
@@ -284,6 +318,64 @@ class TestGridSequence:
             exact = f(fine_sigma[:, None], fine_theta[None, :])
             assert np.max(np.abs(fine - exact)) < 1e-12 * np.max(np.abs(exact))
             assert np.array_equal(fine[::2, ::2], coarse)
+
+
+def _egg():
+    """rho = 1 + 0.1 cos(theta): star-shaped and axis-regular, not mirror-symmetric."""
+    return solver2d.AxisymmetricDomain(
+        rho=lambda th: 1.0 + 0.1 * np.cos(th), drho=lambda th: -0.1 * np.sin(th), R=4.0, label="egg"
+    )
+
+
+class TestMirrorReduction:
+    """On a mirror-symmetric grid Newton runs on the half mesh theta in
+    [0, pi/2] and takes the full grid's steps, to rounding."""
+
+    @pytest.fixture
+    def meshes(self, monkeypatch):
+        """Record the half flag of every mesh a solve builds."""
+        halves = []
+
+        class Recording(solver2d._Mesh):
+            def __init__(self, domain, Nsigma, Ntheta, half=False):
+                halves.append(half)
+                super().__init__(domain, Nsigma, Ntheta, half)
+
+        monkeypatch.setattr(solver2d, "_Mesh", Recording)
+        return halves
+
+    @pytest.mark.parametrize("p", [1.5, 1.1])
+    def test_half_solve_takes_the_full_solves_steps(self, p, monkeypatch, meshes):
+        dom = ellipsoid_domain(1.3, 1.0, R=4.0)
+        half = solve_2d(dom, p=p, u_R=0.05, shape=(64, 32))
+        monkeypatch.setattr(solver2d, "_mirrored", lambda domain, Ntheta: False)
+        full = solve_2d(dom, p=p, u_R=0.05, shape=(64, 32))
+        assert meshes == [True, True, False, False]
+        assert half.converged and full.converged
+        assert half.newton_steps == full.newton_steps
+        assert np.max(np.abs(half.u - full.u) / full.u) <= 1e-13
+        for h, f in zip((*half.coarse, half), (*full.coarse, full)):
+            energies = np.array([[a[0], b[0]] for a, b in zip(h.history, f.history, strict=True)])
+            assert np.max(np.abs(energies[:, 0] - energies[:, 1]) / energies[:, 1]) <= 1e-14
+        flux_h, flux_f = flux_profile(half), flux_profile(full)
+        assert np.max(np.abs(flux_h - flux_f)) <= 1e-12 * np.max(np.abs(flux_f))
+
+    @pytest.mark.parametrize("dom", [ellipsoid_domain(1.3, 1.0, R=4.0), sphere_domain(1.0, 4.0)])
+    def test_solution_is_mirror_symmetric(self, dom, meshes):
+        f = solve_2d(dom, p=1.5, u_R=0.05, shape=(64, 32))
+        assert all(meshes)
+        assert np.array_equal(f.u, f.u[:, ::-1])
+        assert all(np.array_equal(c.u, c.u[:, ::-1]) for c in f.coarse)
+        assert f._stiffness.shape == (f.u.size,)
+
+    def test_asymmetric_domain_takes_the_full_grid(self, meshes):
+        f = solve_2d(_egg(), p=1.5, u_R=0.05, shape=(64, 32))
+        assert f.converged and meshes == [False, False]
+        assert np.max(np.abs(f.u - f.u[:, ::-1])) > 1e-2
+
+    def test_odd_grid_takes_the_full_grid(self, meshes):
+        f = solve_2d(ellipsoid_domain(1.3, 1.0, R=4.0), p=1.5, u_R=0.05, shape=(24, 17))
+        assert f.converged and meshes == [False]
 
 
 class TestSphereField:
