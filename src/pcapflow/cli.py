@@ -89,10 +89,8 @@ def _cmd_list_models(args) -> int:
             if entry.example is not None:
                 model = geometry.build_model(name, **entry.example)
                 row["r_min"] = f"{model.r_min:.17g}"
-                try:
-                    row["avr"] = f"{geometry.avr(model):.17g}"
-                except geometry.AvrUndefinedError:
-                    pass
+                if model.avr is not None:
+                    row["avr"] = f"{model.avr:.17g}"
         rows.append(row)
     if args.json:
         print(json.dumps(rows, indent=2, sort_keys=True))

@@ -18,7 +18,8 @@ p = 1 is a case of F_p, not a separate functional: on the flow potential of
 ``radial.solve_w1`` (whose p is 1) F_p is the functional F_1 of the inverse
 mean curvature flow, and Q_p drops its last term, which vanishes there since
 H = |grad w|.  ``F_1`` is another name for ``F_p``.  A solution is accepted
-iff its p is ``params.p``.
+iff its dimension is ``params.n`` (3 for a 2-D field) and its p is
+``params.p``.
 
 A level is a ``RadialLevel`` (round, from ``radial_level``) or a
 ``solver2d.LevelCurve`` (extracted from a 2-D field).  Both expose
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
 
 import numpy as np
 
@@ -103,29 +103,26 @@ class MonotoneSeries:
 
     ``bulk`` is the accumulated Ricci integral subtracted from the boundary
     term; ``rhs_qp`` the derivative-identity right side; ``residual`` the
-    central-difference defect |dF/dt - rhs| (nan where not computed).
+    central-difference defect |dF/dt - rhs| (nan at the end levels).
     """
 
     name: str
     t: np.ndarray
     values: np.ndarray
     bulk: np.ndarray
-    rhs_qp: Optional[np.ndarray] = None
-    residual: Optional[np.ndarray] = None
+    rhs_qp: np.ndarray
+    residual: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         m = len(self.t)
-        if len(self.values) != m or len(self.bulk) != m:
+        if any(len(col) != m for col in (self.values, self.bulk, self.rhs_qp, self.residual)):
             raise ValueError("series columns must share the grid length")
 
     def table(self):
         """(header, rows) with columns t, value, bulk_term, rhs_Qp, residual."""
-        missing = np.full(len(self.t), np.nan)
-        rhs = self.rhs_qp if self.rhs_qp is not None else missing
-        res = self.residual if self.residual is not None else missing
         header = ["t", "value", "bulk_term", "rhs_Qp", "residual"]
-        return header, list(zip(self.t, self.values, self.bulk, rhs, res))
+        return header, list(zip(self.t, self.values, self.bulk, self.rhs_qp, self.residual))
 
 
 @dataclass(frozen=True)
@@ -202,14 +199,15 @@ def q_p_pointwise(
 
 
 def _validate(solution, params: FunctionalParams, what: str) -> None:
-    """Reject a solution whose p is not ``params.p`` (the flow potential of
+    """Reject a solution whose dimension is not ``params.n`` (a 2-D field is
+    three dimensional) or whose p is not ``params.p`` (the flow potential of
     ``radial.solve_w1`` has p = 1)."""
     if isinstance(solution, radial.RadialPotential):
-        kind = solution.kind
+        kind, n = solution.kind, solution.manifold.n
     else:
-        if params.n != 3:
-            raise ValueError("2-D fields are three dimensional")
-        kind = "2-D field"
+        kind, n = "2-D field", 3
+    if n != params.n:
+        raise ValueError(f"{what} at n = {params.n} got a solution of kind '{kind}' in dimension {n}")
     if solution.p != params.p:
         raise ValueError(f"{what} at p = {params.p} got a solution of kind '{kind}' with p = {solution.p}")
 
@@ -254,8 +252,6 @@ def _ricci_bulk(solution, params: FunctionalParams):
     pot = solution
     model = pot.manifold
     n, p, alpha = params.n, params.p, params.alpha
-    if model.n != n:
-        raise ValueError(f"params.n={n} does not match the model dimension {model.n}")
     lam = alpha / (n - p) - 1.0
     sphere = geometry.unit_sphere_area(n)
 
@@ -360,8 +356,6 @@ def hawking_series(pot: radial.RadialPotential, t_grid, derivative_step: float =
     """Hawking mass along the flow; rhs column is the Geroch right side."""
     if pot.kind != radial.KIND_IMCF:
         raise ValueError(f"hawking_series requires a solution of kind '{radial.KIND_IMCF}', got '{pot.kind}'")
-    if pot.manifold.n != 3:
-        raise ValueError("the Hawking mass is defined for n = 3")
 
     def mass(lev):
         return hawking_mass(lev.area, lev.willmore)

@@ -22,6 +22,12 @@ tangential-tangential sectional curvature:
 
 They serve every model and are finite wherever f is; at the Schwarzschild
 horizon, where f is infinite, H is exactly 0.
+
+Each constructor states its model's asymptotic volume ratio ``avr`` (None
+where it is not known) and checks the model once, where it is built:
+f > 0, h > 0, and h' > 0 above r_min, so coordinate spheres flow outward
+(r_min itself may be a throat, h' = 0).  ``tabulated`` tests h' at its
+spline's knots and the roots of h'', which is exact.
 """
 
 from __future__ import annotations
@@ -39,7 +45,6 @@ from .numerics import SolverError, integrate, natural_cubic_spline
 __all__ = [
     "RadialManifold",
     "DomainError",
-    "AvrUndefinedError",
     "unit_sphere_area",
     "euclidean",
     "cone",
@@ -54,7 +59,6 @@ __all__ = [
     "ricci_radial",
     "scalar_curvature",
     "cross_section",
-    "avr",
     "proper_distance",
 ]
 
@@ -66,10 +70,6 @@ class DomainError(SolverError, ValueError):
     """Radius outside the model's working range."""
 
 
-class AvrUndefinedError(SolverError):
-    """The normalized area ratio (h/r)^(n-1) does not stabilize at large r."""
-
-
 def unit_sphere_area(n: int) -> float:
     """Area of the unit (n-1)-sphere in R^n: 2 pi^(n/2) / Gamma(n/2)."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
@@ -77,7 +77,12 @@ def unit_sphere_area(n: int) -> float:
 
 @dataclass(frozen=True)
 class RadialManifold:
-    """Warped-product model g = f^2 dr^2 + h^2 g_{S^{n-1}} on r >= r_min."""
+    """Warped-product model g = f^2 dr^2 + h^2 g_{S^{n-1}} on r >= r_min.
+
+    ``avr`` is the asymptotic volume ratio, lim |B_s| / (|B^n| s^n) over
+    geodesic balls of radius s, as the constructor states it; None where it
+    is not known.  It is not lim (h/r)^(n-1) unless f tends to 1.
+    """
 
     n: int
     f: Callable[[float], float]
@@ -88,7 +93,7 @@ class RadialManifold:
     r_min: float
     label: str
     r_max: float = math.inf
-    avr_hint: Optional[float] = None
+    avr: Optional[float] = None
     nonneg_ricci: bool = False
 
     def check_radius(self, r):
@@ -132,33 +137,6 @@ def cross_section(model: RadialManifold, r) -> tuple:
     return area, induced_scalar
 
 
-def avr(model: RadialManifold) -> float:
-    """Asymptotic volume ratio lim (h(r)/r)^(n-1).
-
-    Uses the constructor hint when available, otherwise samples at four
-    doubling radii and requires a relative spread below 1e-4 before
-    Richardson-extrapolating the tail.
-    """
-    if model.avr_hint is not None:
-        return model.avr_hint
-    if math.isfinite(model.r_max):
-        base = model.r_max / 8.0
-        if base <= model.r_min:
-            raise AvrUndefinedError(f"tabulated range of {model.label} too short for extrapolation")
-    else:
-        base = max(8.0, 4.0 * (model.r_min + 1.0))
-    radii = [base, 2.0 * base, 4.0 * base, 8.0 * base]
-    vals = [(model.h(r) / r) ** (model.n - 1) for r in radii]
-    mean = sum(vals) / len(vals)
-    spread = (max(vals) - min(vals)) / max(abs(mean), 1e-300)
-    if spread > 1e-4:
-        raise AvrUndefinedError(
-            f"(h/r)^(n-1) not stable for {model.label}: values {vals}, relative spread {spread:.3e}"
-        )
-    # one Richardson step assuming O(1/r) convergence of the tail
-    return vals[-1] + (vals[-1] - vals[-2])
-
-
 def proper_distance(model: RadialManifold, a: float, b: float) -> float:
     """Arc length of the radial geodesic between radii a and b.
 
@@ -188,16 +166,21 @@ def proper_distance(model: RadialManifold, a: float, b: float) -> float:
     return integrate(regularized, 0.0, math.sqrt(b - a))
 
 
-def _validate_samples(model: RadialManifold, lo: float, hi: float) -> None:
+def _validate_samples(model: RadialManifold, lo: float, hi: float, critical=()) -> None:
+    """The one check of a model's warping functions, made where it is built:
+    f > 0, h > 0 and, where the model is flagged nonneg-Ricci, Ric(nu,nu) >= 0
+    at _VALIDATION_SAMPLES radii spread over [lo, hi] and at the radii
+    ``critical``; and h' > 0 at each of them above r_min, so coordinate
+    spheres flow outward.  r_min itself may have h' = 0, a throat."""
     if model.n < 3:
         raise ValueError("dimension must be at least 3")
-    rs = np.linspace(lo, hi, _VALIDATION_SAMPLES)
+    rs = np.concatenate([np.linspace(lo, hi, _VALIDATION_SAMPLES), critical])
     h = model.h(rs)
     f = model.f(rs)
     checks = [
         (~(h > 0.0), "h(r) <= 0"),
         (~(f > 0.0), "f(r) <= 0"),
-        (model.dh(rs) < -1e-12 * np.maximum(1.0, np.abs(h)), "h'(r) < 0"),
+        (~(model.dh(rs) > 0.0) & (rs > model.r_min), "h'(r) <= 0"),
     ]
     if model.nonneg_ricci:
         checks.append((np.isfinite(f) & (ricci_radial(model, rs) < -1e-8), "flagged nonneg-Ricci but Ric(nu,nu) < 0"))
@@ -220,7 +203,7 @@ def cone(n: int = 3, aperture: float = 1.0) -> RadialManifold:
         d2h=lambda r: 0.0 * r,
         r_min=0.0,
         label=f"cone(n={n}, a={a:g})",
-        avr_hint=a ** (n - 1),
+        avr=a ** (n - 1),
         nonneg_ricci=True,
     )
     _validate_samples(model, 1e-6, 100.0)
@@ -264,7 +247,7 @@ def schwarzschild(mass: float) -> RadialManifold:
         d2h=lambda r: 0.0 * r,
         r_min=2.0 * m,
         label=f"schwarzschild(m={m:g})",
-        avr_hint=1.0,
+        avr=1.0,
         nonneg_ricci=False,
     )
     _validate_samples(model, 2.0 * m * 1.001, 2.0 * m * 50.0)
@@ -276,12 +259,14 @@ def tabulated(
     table: Sequence,
     label: str = "tabulated",
     nonneg_ricci: bool = False,
-    avr_hint: Optional[float] = None,
+    avr: Optional[float] = None,
 ) -> RadialManifold:
     """Model interpolated from (r, f, h) triples with natural cubic splines.
 
     ``table`` holds dicts with keys r/f/h or plain triples of numbers,
     strictly increasing in r.  Evaluators raise DomainError outside the range.
+    ``avr`` is the asymptotic volume ratio of the model the table samples;
+    the table cannot tell it.
     """
     rows = []
     for entry in table:
@@ -322,11 +307,15 @@ def tabulated(
         r_min=r_lo,
         r_max=r_hi,
         label=label,
-        avr_hint=avr_hint,
+        avr=avr,
         nonneg_ricci=nonneg_ricci,
     )
+    # h' is piecewise quadratic: its minima lie at the knots and at the roots
+    # of h'', so testing it there is exact (roots() gives nan where h'' = 0)
+    roots = h_spl.derivative(2).roots(extrapolate=False)
+    critical = np.concatenate([rs, roots[~np.isnan(roots)]])
     span = r_hi - r_lo
-    _validate_samples(model, r_lo + 1e-3 * span, r_hi - 1e-3 * span)
+    _validate_samples(model, r_lo + 1e-3 * span, r_hi - 1e-3 * span, critical)
     return model
 
 
@@ -335,14 +324,14 @@ def tabulated_from_json(
     n: int = 3,
     label: str = "tabulated",
     nonneg_ricci: bool = False,
-    avr_hint: Optional[float] = None,
+    avr: Optional[float] = None,
 ) -> RadialManifold:
     """Load a tabulated model from a JSON array of {r, f, h} objects."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, list):
         raise ValueError("tabulated model file must contain a JSON array")
-    return tabulated(n, data, label, nonneg_ricci, avr_hint)
+    return tabulated(n, data, label, nonneg_ricci, avr)
 
 
 @dataclass(frozen=True)

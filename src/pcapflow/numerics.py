@@ -358,45 +358,43 @@ def solve_spd(band: np.ndarray, rhs: np.ndarray) -> SpdResult:
 
 
 # thread-count entry points of an OpenBLAS build, tried in order: the
-# 64-bit-integer copy in NumPy's wheel, the 32-bit one in SciPy's, plain builds
-_OPENBLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads", "openblas_{}_num_threads")
+# 64-bit-integer copy in NumPy's wheel, then a plain build
+_OPENBLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads")
 
 
 @functools.cache
 def _openblas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of each OpenBLAS library that NumPy
-    and SciPy ship in their wheels; empty for other BLAS builds."""
+    """(get, set) thread-count functions of the OpenBLAS library that NumPy
+    ships in its wheel; empty for other BLAS builds."""
     import ctypes
     import glob
 
-    import scipy
-
     controls = []
-    for package in (np, scipy):
-        libs = os.path.join(os.path.dirname(package.__file__), os.pardir, f"{package.__name__}.libs")
-        for path in glob.glob(os.path.join(libs, "*openblas*")):
-            lib = ctypes.CDLL(path)
-            for symbol in _OPENBLAS_SYMBOLS:
-                get, set_ = (getattr(lib, symbol.format(verb), None) for verb in ("get", "set"))
-                if get is not None and set_ is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    controls.append((get, set_))
-                    break
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for symbol in _OPENBLAS_SYMBOLS:
+            get, set_ = (getattr(lib, symbol.format(verb), None) for verb in ("get", "set"))
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
     return tuple(controls)
 
 
 @contextlib.contextmanager
 def single_threaded_blas():
-    """Run the block with every OpenBLAS library of NumPy and SciPy on one
-    thread, and give each its previous thread count back on exit.
+    """Run the block with NumPy's OpenBLAS library on one thread, and give
+    it its previous thread count back on exit.
 
-    The banded Cholesky of the 2-D solve (bandwidth Ntheta/2 + 3 on a
-    mirror-symmetric domain, 35 on the shipped 128 x 64 ellipsoid, and
-    Ntheta + 3 otherwise) and the vector products around it are too small
-    to split: a second thread makes them slower, and idle threads spin on a
-    core while they run.  The thread count is process-wide, so BLAS calls on
-    other threads are capped too while the block runs.  A no-op where no OpenBLAS library is found.
+    The vector and matrix products of the 2-D solve (the ``_Mesh``
+    matmuls) are too small to split: a second thread makes them no faster,
+    and idle threads spin on a core while they run.  SciPy's OpenBLAS,
+    which runs the banded Cholesky, is left alone: capping it saves no CPU
+    time.  The thread count is process-wide, so NumPy BLAS calls on other
+    threads are capped too while the block runs.  A no-op where no OpenBLAS
+    library is found.
     """
     controls = _openblas_thread_controls()
     saved = [get() for get, _ in controls]

@@ -12,7 +12,9 @@ from log-sum-exp.  The regularized problem replaces |s|^{p-2} s by
 (s^2 + eps^2)^{(p-2)/2} s and is solved by shooting on C, recovering the
 slope from the (monotone) regularized flux relation at every radius.  The
 inverse-mean-curvature potential is explicit: w1 = (n-1) ln(h(r)/h(r0)),
-and its |grad w1| is the sphere mean curvature of ``geometry``.
+and its |grad w1| is the sphere mean curvature of ``geometry``.  That the
+coordinate spheres flow outward (h' > 0) is checked once, where the model
+is built, and no solver here checks it again.
 
 Every evaluator takes a radius or an array of radii (a level or an array of
 levels for ``level_radius``).
@@ -32,7 +34,6 @@ from .numerics import CumulativeIntegral, SolverError, find_root, integrate
 
 __all__ = [
     "RadialPotential",
-    "NotOutwardMinimizing",
     "ShootingError",
     "CapacityConsistencyError",
     "solve_wp",
@@ -52,10 +53,6 @@ _TAIL_TOL = 1e-12
 
 # e-folds of h^{-kappa} per initial tail panel
 _EFOLDS_PER_PANEL = 4.0
-
-
-class NotOutwardMinimizing(SolverError):
-    """h' <= 0 somewhere: coordinate spheres fail to flow outward."""
 
 
 class ShootingError(SolverError):
@@ -260,17 +257,14 @@ def solve_wp(
 def solve_w1(model: geometry.RadialManifold, r0: float, R: float) -> RadialPotential:
     """Inverse-mean-curvature potential w1 = (n-1) ln(h(r)/h(r0)).
 
-    Requires h' > 0 on [r0, R] (coordinate spheres strictly outward
-    minimizing); |grad w1| equals the sphere mean curvature.  Its p is 1,
-    the limit of the p-potentials.
+    Coordinate spheres flow outward, h' > 0 above r_min, by the model's
+    construction (``geometry``), so r0 may be a throat with h'(r0) = 0;
+    |grad w1| equals the sphere mean curvature.  Its p is 1, the limit of
+    the p-potentials.
     """
     _check_annulus(model, r0, R)
     n = model.n
     rs = np.linspace(r0, R, 256)
-    slopes = model.dh(rs)
-    if np.any(slopes <= 0.0):
-        bad = rs[np.argmax(slopes <= 0.0)]
-        raise NotOutwardMinimizing(f"h'(r) <= 0 at r={bad}: flow is not outward minimizing")
     h0 = model.h(r0)
 
     def w(r):

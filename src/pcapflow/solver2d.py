@@ -549,8 +549,8 @@ def solve_2d(
     decrease the energy, returns the field flagged non-converged rather than
     raising.  This grid alone decides ``converged``, ``history`` and
     ``residual_rel``; the coarse solves are kept in ``coarse``.  The solve
-    runs on one BLAS thread (``single_threaded_blas``): its banded Cholesky
-    and vector products are too small to gain from more.
+    runs with NumPy's BLAS on one thread (``single_threaded_blas``): its
+    vector and matrix products are too small to gain from more.
     """
     Nsigma, Ntheta = shape
     if Nsigma < 16 or Ntheta < 16:

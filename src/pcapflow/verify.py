@@ -389,9 +389,8 @@ def inequality_suite():
         values = {"max_rel_defect": float(growth), "T": float(T)}
         checks.append(_gate(f"area growth [{model.label}]", "area-exponential-growth", values, growth, 1e-10))
         if model.nonneg_ricci:
-            avr = geometry.avr(model)
             for alpha in (1.0, 2.0):
-                bound = (avr * geometry.unit_sphere_area(model.n)) ** (alpha / (model.n - 1.0))
+                bound = (model.avr * geometry.unit_sphere_area(model.n)) ** (alpha / (model.n - 1.0))
                 vals = functionals.minkowski_M(levels, alpha)
                 worst = float(np.min(vals - bound))
                 label = f"[{model.label}] alpha={alpha}"

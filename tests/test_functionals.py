@@ -105,6 +105,17 @@ class TestFp:
         with pytest.raises(ValueError, match="p = 1.5"):
             functionals.Q_p_integral(pot, params, 0.5)
 
+    def test_rejects_mismatched_n_radial(self, euclid3):
+        # each functional reads n from its solution, not only F_p: G_p and
+        # Q_p_integral would otherwise compute with n = 4 on this potential
+        pot = radial.solve_wp(euclid3, 1.0, 8.0, 1.5)
+        params = FunctionalParams(4, 1.5, 2.0, TS20)
+        for series in (F_p, G_p):
+            with pytest.raises(ValueError, match="'p-potential' in dimension 3"):
+                series(pot, params)
+        with pytest.raises(ValueError, match="'p-potential' in dimension 3"):
+            functionals.Q_p_integral(pot, params, 0.5)
+
     def test_rejects_mismatched_p_field(self, euclid3):
         pot = radial.solve_wp(euclid3, 1.0, 4.0, 1.5)
         field = solver2d.field_from_radial(solver2d.sphere_domain(1.0, 4.0), (32, 16), pot)
@@ -193,6 +204,11 @@ class TestHawking:
         wp = radial.solve_wp(euclid3, 1.0, 8.0, 1.5)
         with pytest.raises(ValueError, match="kind"):
             hawking_series(wp, TS20)
+
+    def test_series_requires_three_dimensions(self):
+        w1 = radial.solve_w1(geometry.euclidean(4), 1.0, 8.0)
+        with pytest.raises(ValueError, match="defined for n = 3"):
+            hawking_series(w1, TS20)
 
 
 class TestLevelBuilds:
@@ -339,7 +355,7 @@ class TestMinkowski:
     def test_flat_space_saturates_volume_ratio_bound(self, euclid3):
         pot = radial.solve_w1(euclid3, 1.0, 8.0)
         lev = radial_level(pot, 0.7)
-        bound_scale = geometry.avr(euclid3) * geometry.unit_sphere_area(3)
+        bound_scale = euclid3.avr * geometry.unit_sphere_area(3)
         for alpha in (1.0, 2.0):
             assert minkowski_M(lev, alpha) == pytest.approx(
                 bound_scale ** (alpha / 2.0), rel=1e-12
@@ -402,9 +418,9 @@ class TestLevelData:
         assert np.max(np.abs(minkowski_M(curves, 2.0) / minkowski_M(radial_level(pot, ts), 2.0) - 1.0)) < 1e-2
         assert np.max(np.abs(geroch_rhs(curves) - geroch_rhs(radial_level(pot, ts)))) < 3e-3
         four = FunctionalParams(4, p, 2.0, tuple(ts))
-        with pytest.raises(ValueError, match="three dimensional"):
+        with pytest.raises(ValueError, match="'2-D field' in dimension 3"):
             G_p(field, four)
-        with pytest.raises(ValueError, match="three dimensional"):
+        with pytest.raises(ValueError, match="'2-D field' in dimension 3"):
             functionals.Q_p_integral(field, four, ts[0])
 
     def test_geroch_rhs_requires_positive_h(self, euclid3):

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from pcapflow import geometry
 from pcapflow.geometry import (
-    AvrUndefinedError,
     DomainError,
-    avr,
     build_model,
     cone,
     euclidean,
@@ -54,7 +52,7 @@ class TestEuclidean:
         assert proper_distance(m, 1.0, 5.0) == pytest.approx(4.0, rel=1e-12)
 
     def test_avr_is_one(self):
-        assert avr(euclidean(3)) == pytest.approx(1.0, rel=1e-14)
+        assert euclidean(3).avr == pytest.approx(1.0, rel=1e-14)
 
 
 class TestCone:
@@ -67,8 +65,8 @@ class TestCone:
         assert m.nonneg_ricci
 
     def test_avr_is_aperture_power(self):
-        assert avr(cone(3, 0.5)) == pytest.approx(0.25, rel=1e-14)
-        assert avr(cone(3, 0.75)) == pytest.approx(0.5625, rel=1e-14)
+        assert cone(3, 0.5).avr == pytest.approx(0.25, rel=1e-14)
+        assert cone(3, 0.75).avr == pytest.approx(0.5625, rel=1e-14)
 
     def test_aperture_validation(self):
         with pytest.raises(ValueError):
@@ -119,7 +117,7 @@ class TestSchwarzschild:
         assert got == pytest.approx(anti(6.0) - anti(3.0), rel=1e-10)
 
     def test_avr_is_one(self):
-        assert avr(schwarzschild(1.0)) == pytest.approx(1.0, rel=1e-12)
+        assert schwarzschild(1.0).avr == pytest.approx(1.0, rel=1e-12)
 
     def test_mass_validation(self):
         with pytest.raises(ValueError):
@@ -147,14 +145,21 @@ class TestTabulated:
         with pytest.raises(DomainError):
             tab.h(25.0)
 
-    def test_avr_needs_enough_range(self):
-        tab = tabulated(3, schwarzschild_table(hi=8.0))
-        with pytest.raises(AvrUndefinedError):
-            avr(tab)
+    def test_avr_is_stated_not_sampled(self):
+        # f = 2, h = r: (h/r)^2 is 1 at every radius, but geodesic spheres of
+        # radius s = 2r have area 4 pi (s/2)^2, so the AVR is 0.25
+        rows = [(r, 2.0, r) for r in np.linspace(1.0, 100.0, 200)]
+        assert tabulated(3, rows).avr is None
+        assert tabulated(3, rows, avr=0.25).avr == 0.25
 
-    def test_avr_extrapolates_stable_tail(self):
-        tab = tabulated(3, schwarzschild_table(hi=40.0))
-        assert avr(tab) == pytest.approx(1.0, rel=1e-6)
+    def test_rejects_a_dip_between_samples(self):
+        # one row 0.002 below its predecessor: h' reaches -0.61 between the
+        # knots, while 128 evenly spread samples all see h' > 0
+        rs = np.linspace(1.0, 5.0, 401)
+        hs = rs.copy()
+        hs[200] = hs[199] - 0.002
+        with pytest.raises(ValueError, match="h'"):
+            tabulated(3, [(r, 1.0, h) for r, h in zip(rs, hs)])
 
     def test_rejects_bad_tables(self):
         with pytest.raises(ValueError, match="at least 4"):

@@ -337,7 +337,7 @@ def _blas_threads():
 
 @contextlib.contextmanager
 def _caller_threads(count):
-    """Run the block with every OpenBLAS library on ``count`` threads."""
+    """Run the block with NumPy's OpenBLAS library on ``count`` threads."""
     saved = _blas_threads()
     for _, set_threads in _BLAS:
         set_threads(count)
@@ -348,7 +348,7 @@ def _caller_threads(count):
             set_threads(n)
 
 
-@pytest.mark.skipif(not _BLAS, reason="no OpenBLAS library in the NumPy or SciPy wheels")
+@pytest.mark.skipif(not _BLAS, reason="no OpenBLAS library in the NumPy wheel")
 class TestSingleThreadedBlas:
     def test_caps_every_library_nests_and_restores(self):
         with _caller_threads(2):

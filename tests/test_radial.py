@@ -14,7 +14,6 @@ from pcapflow.radial import (
     KIND_EPS,
     KIND_IMCF,
     KIND_P,
-    NotOutwardMinimizing,
     capacity,
     solve_w1,
     solve_wp,
@@ -180,12 +179,30 @@ class TestSolveW1:
 
     def test_rejects_inward_flow(self):
         # a dip in h means coordinate spheres are not outward minimizing;
-        # rejected either by table validation or by the flow solver itself
+        # the table is rejected where it is built, before any flow runs
         rs = np.linspace(1.0, 4.0, 60)
         hs = rs + 0.5 * np.sin(2.5 * (rs - 1.0))
-        with pytest.raises((NotOutwardMinimizing, ValueError)):
-            tab = geometry.tabulated(3, [(r, 1.0, h) for r, h in zip(rs, hs)])
-            solve_w1(tab, 1.1, 3.9)
+        with pytest.raises(ValueError, match="h'"):
+            geometry.tabulated(3, [(r, 1.0, h) for r, h in zip(rs, hs)])
+
+    def test_starts_at_a_throat(self):
+        # f = 1, h = 1 + (r-1)^2: h'(r0) = 0 at r0 = r_min, and h' > 0 above
+        model = geometry.RadialManifold(
+            n=3,
+            f=lambda r: 1.0 + 0.0 * r,
+            h=lambda r: 1.0 + (r - 1.0) ** 2,
+            df=lambda r: 0.0 * r,
+            dh=lambda r: 2.0 * (r - 1.0),
+            d2h=lambda r: 2.0 + 0.0 * r,
+            r_min=1.0,
+            label="throat",
+        )
+        pot = solve_w1(model, 1.0, 4.0)
+        rs = np.linspace(1.0, 4.0, 31)
+        assert np.array_equal(pot.w(rs), 2.0 * np.log(1.0 + (rs - 1.0) ** 2))
+        assert pot.grad_norm(1.0) == 0.0
+        ts = np.linspace(0.0, pot.phi_R, 7)
+        assert np.allclose(pot.w(pot.level_radius(ts)), ts, rtol=0.0, atol=1e-12)
 
 
 class TestRegularized:

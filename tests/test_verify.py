@@ -82,7 +82,9 @@ class TestCheckMonotone:
 class TestMonotoneCheck:
     @staticmethod
     def _check(values, guaranteed=True):
-        series = functionals.MonotoneSeries("G_p", np.arange(3.0), np.array(values), np.zeros(3))
+        zeros = np.zeros(3)
+        residual = np.array([np.nan, 0.0, np.nan])
+        series = functionals.MonotoneSeries("G_p", np.arange(3.0), np.array(values), zeros, zeros, residual)
         return verify._monotone_check("G_p monotone", "Fp-monotone-nondecreasing", series, guaranteed)
 
     def test_reports_the_normalized_drop_it_gates(self):
