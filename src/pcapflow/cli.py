@@ -4,13 +4,14 @@
     pcapflow list-models [--json] [--verbose]
 
 Exit codes: 0 all checks pass (or are flagged not-guaranteed), 1 at least
-one check fails, 2 a solver broke down (a ``numerics.SolverError`` or a
-``numpy.linalg.LinAlgError``), 64 a malformed config, an unreadable file
-(a ``verify.ConfigError``) or a table or report that cannot be written (an
-``OSError``, such as a file name too long for the platform).  Any other
-exception is a bug and propagates with its traceback.  Each config runs on
-its own: one that breaks prints its error and the others still write their
-reports; the exit code is the worst over all configs.  All artifacts (CSV tables, report JSON) go under --out.
+one check fails, 2 a solver broke down on valid input (a
+``numerics.SolverError`` or a ``numpy.linalg.LinAlgError``), 64 bad input (a
+``numerics.ConfigError``, which names the field at fault) or a table or
+report that cannot be written (an ``OSError``, such as a file name too long
+for the platform).  Any other exception is a bug and propagates with its
+traceback.  Each config runs on its own: one that breaks prints its error
+and the others still write their reports; the exit code is the worst over
+all configs.  All artifacts (CSV tables, report JSON) go under --out.
 """
 
 from __future__ import annotations
@@ -39,13 +40,12 @@ def _load_config(path: str):
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc
-        raise verify.ConfigError(f"cannot read {path}: {reason}", "config") from exc
+        raise numerics.ConfigError(f"cannot read {path}: {reason}", "config") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise verify.ConfigError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}", "config"
-        ) from exc
+        where = f"line {exc.lineno}, column {exc.colno}"
+        raise numerics.ConfigError(f"invalid JSON at {where}: {exc.msg}", "config") from exc
 
 
 def _run_one(path: str, out_dir: str) -> int:
@@ -55,7 +55,7 @@ def _run_one(path: str, out_dir: str) -> int:
         report = verify.run_experiment(cfg, out_dir)
         report_path = os.path.join(out_dir, f"{verify.artifact_prefix(cfg)}_report.json")
         report.write(report_path)
-    except verify.ConfigError as exc:
+    except numerics.ConfigError as exc:
         print(f"config error: {path}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SOLVER_ERRORS as exc:

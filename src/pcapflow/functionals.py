@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, radial
-from .numerics import CumulativeIntegral
+from .numerics import ConfigError, CumulativeIntegral
 
 __all__ = [
     "FunctionalParams",
@@ -71,16 +71,15 @@ class FunctionalParams:
 
     def __post_init__(self):
         if self.n < 3:
-            raise ValueError("dimension must be at least 3")
+            raise ConfigError(f"dimension {self.n} must be at least 3", "n")
         if not (1.0 <= self.p <= 2.0):
-            raise ValueError(f"p={self.p} outside [1, 2]")
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
-        if self.p == 1.0 and self.alpha < 1.0:
-            raise ValueError("alpha must be at least 1 at p = 1")
+            raise ConfigError(f"p={self.p} outside [1, 2]", "p")
+        if not (self.alpha >= 1.0 if self.p == 1.0 else self.alpha > 0.0):
+            bound = "at least 1 at p = 1" if self.p == 1.0 else "positive"
+            raise ConfigError(f"alpha={self.alpha} must be {bound}", "alpha")
         ts = np.asarray(self.t_grid, dtype=float)
         if ts.size < 2 or np.any(np.diff(ts) <= 0.0) or ts[0] < 0.0:
-            raise ValueError("t_grid must be strictly increasing and nonnegative")
+            raise ConfigError("t_grid must be strictly increasing and nonnegative", "t_grid")
         object.__setattr__(self, "t_grid", tuple(float(t) for t in ts))
 
     @property

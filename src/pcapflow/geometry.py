@@ -40,7 +40,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numerics import SolverError, integrate, natural_cubic_spline
+from .numerics import ConfigError, integrate, natural_cubic_spline
 
 __all__ = [
     "RadialManifold",
@@ -66,8 +66,8 @@ __all__ = [
 _VALIDATION_SAMPLES = 128  # radii at which a model's constructor checks h, f, h' and Ric
 
 
-class DomainError(SolverError, ValueError):
-    """Radius outside the model's working range."""
+class DomainError(ConfigError):
+    """Radius outside the range of a model, a table or an annulus."""
 
 
 def unit_sphere_area(n: int) -> float:

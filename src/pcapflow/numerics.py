@@ -15,7 +15,10 @@ SciPy is imported only for the banded Cholesky and the spline, inside the
 functions that call them: its import outlasts most configs' runs, and a
 radial-only run never needs it.  For the same reason :func:`find_root` is
 written here rather than taken from ``scipy.optimize``, and the Simpson sum
-of ``solver2d`` is NumPy rather than ``scipy.integrate``.
+of ``solver2d`` is NumPy rather than ``scipy.integrate``.  Every other
+exception class of the package derives from exactly one of two bases:
+:class:`ConfigError`, bad input named by the code that uses it (exit 64),
+and :class:`SolverError`, a breakdown on valid input (exit 2).
 
 Each panel carries a 20-point and a 10-point Gauss-Legendre sum of the
 same integrand; their difference bounds the error of the 10-point sum, so
@@ -31,11 +34,12 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 __all__ = [
+    "ConfigError",
     "SolverError",
     "QuadratureError",
     "BracketError",
@@ -60,6 +64,14 @@ _SQRT_EPS = math.sqrt(_EPS)
 _CHUNK = 8192
 
 
+class ConfigError(ValueError):
+    """Bad input, named by the code that uses it; ``pcapflow run`` exits 64."""
+
+    def __init__(self, message: str, fieldname: Optional[str] = None):
+        super().__init__(message if fieldname is None else f"{fieldname}: {message}")
+        self.fieldname = fieldname
+
+
 class SolverError(RuntimeError):
     """A solver broke down on valid input; ``pcapflow run`` exits 2."""
 
@@ -73,7 +85,7 @@ class QuadratureError(SolverError):
         self.best_estimate = best_estimate
 
 
-class BracketError(SolverError, ValueError):
+class BracketError(SolverError):
     """Root finder called on a bracket without a sign change."""
 
 
@@ -271,11 +283,11 @@ def find_root(fn: Callable[[float], float], lo: float, hi: float, tol: float = 1
     the number of steps by about the square of the bisection count (Brent,
     Algorithms for Minimization without Derivatives, 1973, ch. 4); on a
     smooth fn the steps converge superlinearly.
-    The search stops once the bracket is no wider than
-    max(tol*(1 + |x|), 4 eps |x|) at its better end x, and returns the
-    secant root of that bracket, which lies inside it; a point where fn is
-    exactly zero is returned at once.  Raises BracketError when fn(lo) and
-    fn(hi) share a sign.
+    The search stops once the bracket is no wider than max(tol*(1 + |x|),
+    4 eps |x|) at its better end x, and returns the secant root of that
+    bracket, which lies inside it; a point where fn is exactly zero is
+    returned at once.  Raises BracketError when fn(lo) and fn(hi) share a
+    sign, and SolverError when _ROOT_STEPS steps end on a wider bracket.
     """
     lo = float(lo)
     hi = float(hi)
@@ -301,8 +313,10 @@ def find_root(fn: Callable[[float], float], lo: float, hi: float, tol: float = 1
             a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
         slack = max(0.5 * tol * (1.0 + abs(b)), 2.0 * _EPS * abs(b))
         half = 0.5 * (c - b)
-        if abs(half) <= slack or fb == 0.0 or count == _ROOT_STEPS:
+        if abs(half) <= slack or fb == 0.0:
             break
+        if count == _ROOT_STEPS:
+            raise SolverError(f"find_root: bracket [{min(b, c)}, {max(b, c)}] {abs(c - b):.3e} wide after {count} steps")
         if abs(last) >= slack and abs(fa) > abs(fb):
             s = fb / fa
             if a == c:  # secant

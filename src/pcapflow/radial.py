@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import geometry
-from .numerics import CumulativeIntegral, SolverError, find_root, integrate
+from .numerics import ConfigError, CumulativeIntegral, SolverError, find_root, integrate
 
 __all__ = [
     "RadialPotential",
@@ -172,16 +172,17 @@ def _default_phi(model: geometry.RadialManifold, r0: float, R: float) -> float:
 def _check_annulus(model: geometry.RadialManifold, r0: float, R: float) -> None:
     """[r0, R] inside the working range with f(r0) finite and h(r0) > 0, for
     every potential: none may start on a horizon (f infinite, H = 0) or a tip."""
-    model.check_radius(r0)
-    model.check_radius(R)
+    for name, r in (("r0", r0), ("R", R)):
+        try:
+            model.check_radius(r)
+        except geometry.DomainError as exc:
+            raise geometry.DomainError(str(exc), name) from None
     if not r0 < R:
-        raise geometry.DomainError(f"need r0 < R, got [{r0}, {R}]")
+        raise geometry.DomainError(f"need r0 < R, got [{r0}, {R}]", "R")
     if not math.isfinite(model.f(r0)):
-        raise geometry.DomainError(
-            f"f({r0}) is not finite; start the annulus strictly inside the working range"
-        )
+        raise geometry.DomainError(f"f({r0}) is not finite; start the annulus strictly inside the working range", "r0")
     if not model.h(r0) > 0.0:
-        raise geometry.DomainError(f"h({r0}) = 0; start the annulus away from the tip")
+        raise geometry.DomainError(f"h({r0}) = 0; start the annulus away from the tip", "r0")
 
 
 def _tail_edges(model: geometry.RadialManifold, r0: float, R: float, kappa: float) -> np.ndarray:
@@ -232,11 +233,11 @@ def solve_wp(
     """Radial p-capacitary potential on the annulus [r0, R], p in (1, 2]."""
     _check_annulus(model, r0, R)
     if not (1.0 < p <= 2.0):
-        raise ValueError(f"p={p} outside (1, 2]")
+        raise ConfigError(f"p={p} outside (1, 2]", "p")
     if phi_R is None:
         phi_R = _default_phi(model, r0, R)
     if not phi_R > 0.0:
-        raise ValueError(f"phi_R={phi_R} must be positive")
+        raise ConfigError(f"phi_R={phi_R} must be positive", "phi_R")
     kappa = (model.n - 1.0) / (p - 1.0)
     tail = CumulativeIntegral(
         lambda s: np.log(model.f(s)) - kappa * np.log(model.h(s)),
@@ -324,7 +325,7 @@ def solve_wp_eps(
     the unregularized ``solve_wp``, whose flux starts the bracketing.
     """
     if not eps > 0.0:
-        raise ValueError("eps must be positive")
+        raise ConfigError(f"eps={eps} must be positive", "eps")
     base = solve_wp(model, r0, R, p, phi_R)
     phi_R, C0 = base.phi_R, base.flux
     n = model.n

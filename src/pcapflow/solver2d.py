@@ -77,7 +77,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import SolverError, single_threaded_blas, solve_spd
+from .numerics import ConfigError, SolverError, single_threaded_blas, solve_spd
 
 __all__ = [
     "AxisymmetricDomain",
@@ -109,7 +109,7 @@ class NonMonotoneRayError(SolverError):
     """w fails to increase along some polar ray; extraction is ill-posed there."""
 
 
-class LevelRangeError(SolverError, ValueError):
+class LevelRangeError(SolverError):
     """Requested level outside the range covered by every ray."""
 
 
@@ -554,15 +554,15 @@ def solve_2d(
     """
     Nsigma, Ntheta = shape
     if Nsigma < 16 or Ntheta < 16:
-        raise ValueError(f"grid {shape} too coarse; need at least 16x16")
+        raise ConfigError(f"grid {shape} too coarse; need at least 16x16", "shape")
     if not (1.0 < p <= 2.0):
-        raise ValueError(f"p={p} outside (1, 2]")
+        raise ConfigError(f"p={p} outside (1, 2]", "p")
     if not (0.0 < u_R < 1.0):
-        raise ValueError(f"u_R={u_R} outside (0, 1)")
+        raise ConfigError(f"u_R={u_R} outside (0, 1)", "u_R")
     if eps is None:
         eps = min(1e-3, 1.0 / Nsigma)
     if eps < 1e-8:
-        raise ValueError(f"eps={eps} below 1e-8: the p->1 coefficient would overflow")
+        raise ConfigError(f"eps={eps} below 1e-8: the p->1 coefficient would overflow", "eps")
     # the grids of the sequence, coarsest first: halve while both halves are >= 16
     grids = [tuple(shape)]
     while all(n % 2 == 0 and n >= 32 for n in grids[0]):

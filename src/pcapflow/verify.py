@@ -26,6 +26,7 @@ from typing import Optional, Union, get_args, get_origin
 import numpy as np
 
 from . import __version__, functionals, geometry, numerics, radial, solver2d
+from .numerics import ConfigError
 
 __all__ = [
     "Check",
@@ -57,14 +58,6 @@ _SWEEP_LEVELS = 40
 # relative Newton decrement at which the 2-D solve stops; at 1e-10 the flux
 # spread ends far under its 1e-6 gate
 _TOL_2D = 1e-10
-
-
-class ConfigError(ValueError):
-    """Malformed experiment config; carries the offending field."""
-
-    def __init__(self, message: str, fieldname: Optional[str] = None):
-        super().__init__(message if fieldname is None else f"{fieldname}: {message}")
-        self.fieldname = fieldname
 
 
 @dataclass
@@ -167,19 +160,17 @@ def _monotone_check(name: str, anchor: str, series, guaranteed: bool) -> Check:
 
 
 def write_csv(path, header, rows) -> None:
-    """Deterministic CSV: floats in round-trip ``.17g`` form, other cells via
-    str.  A table of floats only, in rows of one length, is formatted by one
-    ``%`` over a repeated row template rather than cell by cell."""
+    """Deterministic CSV by one ``%`` over a row template read from the
+    columns: ``%.17g`` (round trip) for a float column, ``%s`` otherwise.
+    Unequal rows, or a column mixing floats and other cells, raise ValueError."""
     rows = list(rows)
-    cells = [x for row in rows for x in row]
-    widths = set(map(len, rows))
-    if len(widths) == 1 and all(issubclass(kind, (float, np.floating)) for kind in set(map(type, cells))):
-        body = (",".join(["%.17g"] * widths.pop()) + "\n") * len(rows) % tuple(cells)
-    else:
-        body = "".join(
-            ",".join(["%.17g" % x if isinstance(x, (float, np.floating)) else str(x) for x in row]) + "\n"
-            for row in rows
-        )
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("rows of unequal length")
+    floats = [{issubclass(kind, (float, np.floating)) for kind in set(map(type, column))} for column in zip(*rows)]
+    if any(len(kinds) > 1 for kinds in floats):
+        raise ValueError("a column mixes float and non-float cells")
+    template = ",".join("%.17g" if True in kinds else "%s" for kinds in floats) + "\n"
+    body = template * len(rows) % tuple(x for row in rows for x in row)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n" + body)
 
@@ -335,8 +326,6 @@ def eps_to_0_suite(
     """sup|w^eps - w_p| and sup theta_eps on the inner half [r0, (r0+R)/2],
     per eps; they must decrease and end below 1e-4 and 1e-6.  Returns the
     report and the per-eps table."""
-    if not 1.0 < p <= 2.0:
-        raise ConfigError(f"p={p} outside (1, 2]", "p")
     if len(eps_list) < 2 or any(e <= 0.0 for e in eps_list):
         raise ConfigError("eps_list must have >= 2 positive entries", "eps_list")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -439,7 +428,11 @@ def _phi_for(mode: str, model, r0, R, p) -> Optional[float]:
 
 
 def _constancy_check(series, constant: float, rel_tol: float = 1e-8) -> Check:
-    defect = float(np.max(np.abs(series.values - constant))) / max(abs(constant), 1e-300)
+    if not (math.isfinite(constant) and constant != 0.0):
+        raise ConfigError(f"constant={constant} must be finite and nonzero", "expect.constant")
+    if not rel_tol > 0.0:
+        raise ConfigError(f"rel_tol={rel_tol} must be positive", "expect.rel_tol")
+    defect = float(np.max(np.abs(series.values - constant))) / abs(constant)
     values = {"target": constant, "max_rel_defect": defect}
     return _gate(f"{series.name} constant = {constant:.17g}", "equality-case-constancy", values, defect, rel_tol)
 
@@ -491,11 +484,6 @@ def functional_series_suite(
     bulk is subtracted).  Returns the report and the series table."""
     if functional not in ("F_p", "G_p"):
         raise ConfigError(f"unknown functional '{functional}'; known: F_p, G_p", "functional")
-    if not 1.0 <= p <= 2.0:
-        raise ConfigError(f"p={p} outside [1, 2]", "p")
-    if not (alpha >= 1.0 if p == 1.0 else alpha > 0.0):
-        bound = "at least 1 at p = 1" if p == 1.0 else "positive"
-        raise ConfigError(f"alpha={alpha} must be {bound}", "alpha")
     if p == 1.0:
         if functional == "G_p":
             raise ConfigError("G_p requires p > 1", "functional")
@@ -602,10 +590,6 @@ def solve_2d_suite(
     one table per level, ``newton`` (each Newton step of every grid, coarsest
     first), ``levels`` (each level's area, Willmore energy, Gauss-Bonnet ratio
     and int |h-ring|^2) and ``divergence`` (``divergence_residuals`` at 2)."""
-    if not 1.0 < p <= 2.0:
-        raise ConfigError(f"p={p} outside (1, 2]", "p")
-    if not 0.0 < u_R < 1.0:
-        raise ConfigError(f"u_R={u_R} outside (0, 1)", "u_R")
     if min(grid) < 16:
         raise ConfigError(f"grid {list(grid)} too coarse; need at least 16x16", "grid")
     dom = _domain(domain)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import pcapflow
-from pcapflow import cli, numerics, radial, verify
+from pcapflow import cli, geometry, numerics, radial, verify
 from pcapflow.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, EXIT_SOLVER, main
 from pcapflow.geometry import MODEL_NAMES
 from pcapflow.verify import artifact_prefix
@@ -88,7 +88,16 @@ class TestRun:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_FAIL
         assert "FAIL" in capsys.readouterr().out
 
-    def test_solver_breakdown(self, tmp_path, capsys):
+    def test_solver_breakdown(self, tmp_path, capsys, monkeypatch):
+        # valid input on which a solver breaks down: the eps-shooting's root
+        # find runs out of steps; the config after it still runs
+        monkeypatch.setattr(numerics, "_ROOT_STEPS", 2)
+        bad, out = CONFIGS / "euclidean_eps_to_0.json", tmp_path / "out"
+        assert main(["run", str(bad), str(CONFIGS / "euclidean_fp.json"), "--out", str(out)]) == EXIT_SOLVER
+        assert f"solver error: {bad}: SolverError: find_root: bracket" in capsys.readouterr().err
+        assert (out / "euclidean_fp_report.json").exists()
+
+    def test_horizon_annulus_is_a_config_error(self, tmp_path, capsys):
         # inner radius on the Schwarzschild horizon: the annulus is invalid,
         # for the p-potentials and the flow alike
         horizon = {"model": {"name": "schwarzschild", "params": {"mass": 1.0}}, "r0": 2.0, "R": 8.0}
@@ -97,8 +106,8 @@ class TestRun:
         for k, cfg in enumerate(({**FAST_CFG, **horizon}, {**FAST_CFG, **horizon, **flow}, {**geroch, "r0": 2.0})):
             bad, out = tmp_path / f"horizon{k}.json", tmp_path / f"out{k}"
             bad.write_text(json.dumps(cfg))
-            assert main(["run", str(bad), str(CONFIGS / "euclidean_fp.json"), "--out", str(out)]) == EXIT_SOLVER
-            assert f"solver error: {bad}: DomainError: f(2.0) is not finite" in capsys.readouterr().err
+            assert main(["run", str(bad), str(CONFIGS / "euclidean_fp.json"), "--out", str(out)]) == EXIT_CONFIG
+            assert f"config error: {bad}: r0: f(2.0) is not finite" in capsys.readouterr().err
             assert (out / "euclidean_fp_report.json").exists()
 
     def test_missing_file(self, tmp_path, capsys):
@@ -145,13 +154,17 @@ class TestRun:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
     def test_out_of_range_exponents(self, tmp_path, capsys):
-        for field, overrides in (
-            ("alpha", {"p": 1, "alpha": 0.5}),
-            ("p", {"p": 2.5}),
+        # each range is checked where the value is used: by solve_wp, solve_2d or FunctionalParams
+        for config, field, overrides in (
+            ("euclidean_fp", "alpha", {"p": 1, "alpha": 0.5, "phi_mode": "imcf"}),
+            ("euclidean_fp", "p", {"p": 2.5}),
+            ("euclidean_eps_to_0", "p", {"p": 2.5}),
+            ("sphere_2d", "p", {"p": 2.5}),
+            ("sphere_2d", "u_R", {"u_R": 2.0}),
         ):
-            cfg = write_cfg(tmp_path, **overrides)
-            assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-            assert f"config error: {cfg}: {field}:" in capsys.readouterr().err
+            code, bad = self._run_edited(tmp_path, config, **overrides)
+            assert code == EXIT_CONFIG, (config, overrides)
+            assert f"config error: {bad}: {field}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "domain",
@@ -220,8 +233,8 @@ class TestRun:
             )
         )
         out = tmp_path / "out"
-        assert main(["run", str(tip), str(CONFIGS / "euclidean_fp.json"), "--out", str(out)]) == EXIT_SOLVER
-        assert f"solver error: {tip}: DomainError" in capsys.readouterr().err
+        assert main(["run", str(tip), str(CONFIGS / "euclidean_fp.json"), "--out", str(out)]) == EXIT_CONFIG
+        assert f"config error: {tip}: r0: h(0.0) = 0" in capsys.readouterr().err
         assert (out / "euclidean_fp_report.json").exists()
 
     def test_worst_exit_wins_across_configs(self, tmp_path):
@@ -345,9 +358,21 @@ class TestRun:
         "config", ["euclidean_fp", "euclidean_eps_to_0", "euclidean_p_to_1", "schwarzschild_geroch"]
     )
     def test_empty_annulus_is_a_domain_error(self, tmp_path, capsys, config):
-        code, bad = self._run_edited(tmp_path, config, r0=4.0, R=4.0)
-        assert code == EXIT_SOLVER
-        assert f"solver error: {bad}: DomainError: need r0 < R" in capsys.readouterr().err
+        # a DomainError is a config error naming the annulus field; the next config still runs
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**json.loads((CONFIGS / f"{config}.json").read_text()), "r0": 4.0, "R": 4.0}))
+        good, out = write_cfg(tmp_path, "good.json", out_prefix="good"), tmp_path / "out"
+        assert main(["run", str(bad), str(good), "--out", str(out)]) == EXIT_CONFIG
+        assert f"config error: {bad}: R: need r0 < R" in capsys.readouterr().err
+        assert (out / "good_report.json").exists()
+
+    def test_zero_expected_constant_is_a_config_error(self, tmp_path, capsys):
+        # the flat Hawking mass is 0, but a relative defect against 0 is undefined
+        flat = {"model": {"name": "euclidean", "params": {"n": 3}}, "r0": 1.0, "R": 8.0}
+        for field, expect in (("constant", {"constant": 0.0}), ("rel_tol", {"constant": 1.0, "rel_tol": 0.0})):
+            code, bad = self._run_edited(tmp_path, "schwarzschild_geroch", **flat, expect=expect)
+            assert code == EXIT_CONFIG
+            assert f"config error: {bad}: expect.{field}: {field}=0.0 must be" in capsys.readouterr().err
 
     def test_artifacts_list_every_table(self, tmp_path):
         # each report lists exactly the tables its run wrote, no more, no fewer
@@ -441,7 +466,8 @@ def test_shipped_config_passes(config, tmp_path):
 
 class TestExitCodeRule:
     """A failure's type decides its exit code: every exception class of the
-    package is a config error (64) or a solver breakdown (2)."""
+    package has one base and is a config error (64) or a solver breakdown (2),
+    never both."""
 
     def test_solver_errors_are_one_base(self):
         assert cli.SOLVER_ERRORS == (numerics.SolverError, np.linalg.LinAlgError)
@@ -453,9 +479,12 @@ class TestExitCodeRule:
             for _, obj in inspect.getmembers(module, inspect.isclass):
                 if issubclass(obj, BaseException) and obj.__module__ == name:
                     classes.append(obj)
-        assert {verify.ConfigError, numerics.SolverError, radial.ShootingError} <= set(classes)
-        assert [c.__name__ for c in classes if not issubclass(c, (verify.ConfigError, numerics.SolverError))] == []
-        assert not issubclass(verify.ConfigError, numerics.SolverError)
+        bases = (numerics.ConfigError, numerics.SolverError)
+        assert verify.ConfigError is numerics.ConfigError
+        assert {*bases, radial.ShootingError, geometry.DomainError} <= set(classes)
+        assert [c.__name__ for c in classes if len(c.__bases__) != 1] == []
+        others = [c for c in classes if c not in bases]
+        assert [c.__name__ for c in others if sum(issubclass(c, base) for base in bases) != 1] == []
 
 
 class TestModuleEntry:

@@ -3,6 +3,7 @@ the BLAS thread cap."""
 
 import contextlib
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -219,6 +220,14 @@ class TestFindRoot:
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
             find_root(lambda x: x * x + 1.0, 0.0, 1.0)
+
+    def test_running_out_of_steps_is_a_breakdown(self, monkeypatch):
+        # the root of a bracket still wider than tol is not returned quietly
+        monkeypatch.setattr(numerics, "_ROOT_STEPS", 2)
+        with pytest.raises(numerics.SolverError, match="after 2 steps") as info:
+            find_root(lambda x: math.cos(x) - x, 0.0, 1.0)
+        lo, hi = map(float, re.search(r"\[(\S+), (\S+)\]", str(info.value)).groups())
+        assert lo < 0.7390851332151607 < hi
 
     def test_bracket_out_of_order(self):
         with pytest.raises(ValueError):

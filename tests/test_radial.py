@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from pcapflow import geometry, radial
 from pcapflow.geometry import cone, euclidean, mean_curvature_sphere, schwarzschild
+from pcapflow.numerics import ConfigError
 from pcapflow.radial import (
     KIND_EPS,
     KIND_IMCF,
@@ -233,15 +234,15 @@ class TestRegularized:
     def test_eps_validation(self, euclid3):
         # one bad value each; the annulus, p and phi_R are checked by the
         # p-solve that the shooting starts from
-        for args, error in (
-            ((1.0, 3.0, 1.5, 0.0), ValueError),
-            ((3.0, 3.0, 1.5, 1e-3), geometry.DomainError),
-            ((1.0, 3.0, 2.5, 1e-3), ValueError),
-            ((1.0, 3.0, 1.5, 1e-3, -1.0), ValueError),
+        for args, error, field in (
+            ((1.0, 3.0, 1.5, 0.0), ConfigError, "eps"),
+            ((3.0, 3.0, 1.5, 1e-3), geometry.DomainError, "R"),
+            ((1.0, 3.0, 2.5, 1e-3), ConfigError, "p"),
+            ((1.0, 3.0, 1.5, 1e-3, -1.0), ConfigError, "phi_R"),
         ):
-            with pytest.raises(ValueError) as info:
+            with pytest.raises(ConfigError) as info:
                 solve_wp_eps(euclid3, *args)
-            assert info.type is error, args
+            assert (info.type, info.value.fieldname) == (error, field), args
 
     def test_theta_requires_eps_kind(self, euclid3):
         pot = solve_wp(euclid3, 1.0, 3.0, 1.5)
