@@ -51,8 +51,10 @@ KIND_EPS = "eps-regularized"
 # absolute floor would accept tail panels at garbage relative accuracy
 _TAIL_TOL = 1e-12
 
-# e-folds of h^{-kappa} per initial tail panel
+# bounds per initial tail panel: e-folds of h^{-kappa}, and ln of the ratio
+# of h across it
 _EFOLDS_PER_PANEL = 4.0
+_LOG_H_PER_PANEL = 0.25
 
 
 class ShootingError(SolverError):
@@ -140,27 +142,34 @@ class RadialPotential:
     @_scalar_or_array
     def level_radius(self, t):
         """Radius of the level set {w = t}: safeguarded Newton steps with
-        dw/dr = f |grad w|, inside the seed bracket around t."""
+        dw/dr = f |grad w|, inside the seed bracket around t.  An entry stops
+        once its step is below tolerance, so its radius does not depend on
+        the other levels of the call."""
         if np.any(t < -1e-12) or np.any(t > self.phi_R + 1e-12):
             bad = t[(t < -1e-12) | (t > self.phi_R + 1e-12)].flat[0]
             raise ValueError(f"level t={bad} outside [0, {self.phi_R}]")
         rs, ws = self._seed
-        k = np.clip(np.searchsorted(ws, t) - 1, 0, len(rs) - 2)
+        t_flat = t.ravel()
+        k = np.clip(np.searchsorted(ws, t_flat) - 1, 0, len(rs) - 2)
         lo, hi, wlo, whi = rs[k], rs[k + 1], ws[k], ws[k + 1]
-        r = lo + (hi - lo) * np.clip((t - wlo) / np.where(whi > wlo, whi - wlo, 1.0), 0.0, 1.0)
+        r = lo + (hi - lo) * np.clip((t_flat - wlo) / np.where(whi > wlo, whi - wlo, 1.0), 0.0, 1.0)
         step_tol = 1e-14 * max(1.0, self.R)
+        live = np.arange(r.size)  # the entries still stepping
         for _ in range(100):
-            w, grad = self._w_grad(r)
-            below = w < t
-            lo = np.where(below, r, lo)
-            hi = np.where(below, hi, r)
+            x, target = r[live], t_flat[live]
+            w, grad = self._w_grad(x)
+            below = w < target
+            a = np.where(below, x, lo[live])
+            b = np.where(below, hi[live], x)
+            lo[live], hi[live] = a, b
             with np.errstate(divide="ignore", invalid="ignore"):
-                nxt = r - (w - t) / (self.manifold.f(r) * grad)
-            nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
-            done = np.abs(nxt - r) <= step_tol
-            r = nxt
-            if np.all(done):
+                nxt = x - (w - target) / (self.manifold.f(x) * grad)
+            nxt = np.where((nxt >= a) & (nxt <= b), nxt, 0.5 * (a + b))
+            r[live] = nxt
+            live = live[np.abs(nxt - x) > step_tol]
+            if not live.size:
                 break
+        r = r.reshape(t.shape)
         return np.where(t <= 0.0, self.r0, np.where(t >= self.phi_R, self.R, r))
 
 
@@ -186,10 +195,13 @@ def _check_annulus(model: geometry.RadialManifold, r0: float, R: float) -> None:
 
 
 def _tail_edges(model: geometry.RadialManifold, r0: float, R: float, kappa: float) -> np.ndarray:
-    """Initial tail panels on [r0, R], geometric in r, about
-    _EFOLDS_PER_PANEL e-folds of h^{-kappa} each."""
-    efolds = kappa * math.log(model.h(R) / model.h(r0))
-    count = max(2, math.ceil(efolds / _EFOLDS_PER_PANEL))
+    """Initial tail panels on [r0, R], geometric in r, each about
+    _EFOLDS_PER_PANEL e-folds of h^{-kappa} and _LOG_H_PER_PANEL of ln h at
+    most.  The queries of a tail evaluate its panels' interpolants, and the
+    second bound makes them resolve a low-kappa tail (p near 2) to rounding;
+    for kappa >= 16 (p <= 1.125 at n = 3) the first bound is the tighter."""
+    log_ratio = math.log(model.h(R) / model.h(r0))
+    count = max(2, math.ceil(kappa * log_ratio / _EFOLDS_PER_PANEL), math.ceil(log_ratio / _LOG_H_PER_PANEL))
     edges = np.geomspace(r0, R, count + 1) if r0 > 0.0 else np.linspace(r0, R, count + 1)
     edges[0], edges[-1] = r0, R
     return edges

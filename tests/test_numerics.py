@@ -150,21 +150,54 @@ class TestCumulativeIntegral:
         cum = CumulativeIntegral(np.exp, 1.0, (1.0, 2.0))
         assert cum(1.0) == 0.0
 
-    def test_repeat_query_is_cached(self):
-        # the panel table is built once; a query adds one partial panel
+    @pytest.mark.parametrize("log", [False, True])
+    def test_queries_call_no_integrand(self, log):
+        # the build is the only call of fn; a query evaluates the stored
+        # panel interpolants
         calls = []
 
         def fn(x):
             calls.append(x.size)
-            return x * x
+            return 2.0 * np.log(x) if log else x * x
 
-        cum = CumulativeIntegral(fn, 0.0, (0.0, 3.0))
+        cum = CumulativeIntegral(fn, 0.0, (0.0, 3.0), log=log)
         built = len(calls)
-        first = cum(2.0)
-        assert cum(2.0) == first == pytest.approx(8.0 / 3.0, rel=1e-14)
-        assert calls[built:] == [20, 20]
-        assert cum(np.array([1.0, 2.0, 3.0])) == pytest.approx([1.0 / 3.0, 8.0 / 3.0, 9.0], rel=1e-14)
-        assert calls[-1] == 60
+        xs = np.array([1.0, 2.0, 3.0])
+        values = np.exp(cum(xs)) if log else cum(xs)
+        assert cum(2.0) == cum(2.0)
+        assert built > 0 and len(calls) == built
+        assert values == pytest.approx(xs**3 / 3.0, rel=1e-14)
+
+    @pytest.mark.parametrize("log", [False, True])
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_next_to_the_anchor_against_mpmath(self, side, log):
+        # a point t half-widths from a panel's anchor-side edge adds
+        # half * t * G(t - 1), so partial integrals down to 1e-12 of the
+        # table width keep their relative accuracy on either side of x0; the
+        # panels span a quarter e-fold in s, as the radial tails do, so their
+        # interpolants resolve s^-3 to rounding
+        edges = np.exp(np.arange(-3, 5) / 4.0)
+        x0, width = 1.0, edges[-1] - edges[0]
+        cum = CumulativeIntegral(lambda s: -3.0 * np.log(s) if log else s**-3.0, x0, edges, 1e-12, log=log)
+        for offset in (1e-12, 3.7e-9, 2e-6, 1e-3):
+            x = x0 + side * offset * width
+            value = cum(x)
+            with mpmath.workdps(40):
+                exact = (1 - mpmath.mpf(x) ** -2) / 2  # the integral of s^-3 from 1 to x
+                got = mpmath.sign(exact) * mpmath.exp(value) if log else mpmath.mpf(value)
+                assert abs(got / exact - 1) <= 1e-14, (x, value)
+
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=30), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_batch_equals_single_queries(self, xs, log):
+        # a query is elementwise: its value does not depend on the batch, also
+        # across the chunks of a long array
+        fn = (lambda s: -s * s) if log else np.cos
+        cum = CumulativeIntegral(fn, 0.5, np.linspace(-3.0, 3.0, 5), TIGHT, log=log)
+        single = np.array([cum(x) for x in xs])
+        assert np.array_equal(cum(np.array(xs)), single)
+        reps = 1 + 1000 // len(xs)
+        assert np.array_equal(cum(np.tile(xs, reps)), np.tile(single, reps))
 
     def test_outside_the_table(self):
         cum = CumulativeIntegral(np.exp, 1.0, (1.0, 2.0))

@@ -144,6 +144,18 @@ class TestNearOne:
         ts = np.linspace(0.0, pot.phi_R, 257)
         assert np.allclose(pot.w(pot.level_radius(ts)), ts, rtol=0.0, atol=1e-13)
 
+    @pytest.mark.parametrize(("model", "r0", "R", "p"), [("schw1", 2.2, 12.0, 1.1), ("schw1", 2.2, 12.0, 1.5), ("euclid3", 1.0, 8.0, 1.01)])
+    def test_level_radius_does_not_depend_on_the_batch(self, request, model, r0, R, p):
+        # each entry stops at its own converged Newton step, and the table
+        # behind w is elementwise, so a level's radius is the same bit for bit
+        # in one call, in pairs and one by one
+        pot = solve_wp(request.getfixturevalue(model), r0, R, p)
+        ts = np.linspace(0.0, 0.95 * pot.phi_R, 33)
+        whole = pot.level_radius(ts)
+        pairs = np.concatenate([pot.level_radius(ts[i : i + 2]) for i in range(0, ts.size, 2)])
+        assert np.array_equal(whole, pairs)
+        assert np.array_equal(whole, [pot.level_radius(t) for t in ts])
+
     def test_array_calls_equal_scalar_calls(self, schw1):
         pots = [solve_wp(schw1, 2.2, 8.0, 1.3), solve_w1(schw1, 2.2, 8.0), solve_wp_eps(schw1, 2.2, 8.0, 1.3, 1e-3)]
         rs = np.linspace(2.2, 8.0, 7)

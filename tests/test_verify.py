@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +19,7 @@ from pcapflow.verify import (
     p_to_1_suite,
     run_experiment,
     solve_2d_suite,
+    write_csv,
 )
 
 # every key each experiment accepts, besides "experiment" and "out_prefix"
@@ -127,6 +129,23 @@ class TestCheckAndReport:
         assert data["checks"][0]["values"]["arr"] == [0.0, 1.0, 2.0]
         assert "version" in data["environment"]
 
+    @pytest.mark.parametrize(
+        "write",
+        [lambda path, k: write_csv(path, ["k"], [(k,)]), lambda path, k: Report(f"run {k}", []).write(path)],
+        ids=["csv", "report"],
+    )
+    def test_rewrite_replaces_the_file(self, tmp_path, write):
+        # an artifact is unlinked before it is written again, never truncated
+        # in place: a hard link to the old file keeps the old bytes
+        path, link, fresh = tmp_path / "artifact", tmp_path / "link", tmp_path / "fresh"
+        write(path, 1)
+        old = path.read_bytes()
+        os.link(path, link)
+        write(path, 2)
+        write(fresh, 2)
+        assert link.read_bytes() == old
+        assert path.read_bytes() == fresh.read_bytes() != old
+
     def test_summary_lines(self):
         rep = Report("smoke", [Check("a", "anc", {}, None, "pass")])
         lines = rep.summary_lines()
@@ -164,10 +183,10 @@ class TestGate:
 
     def test_constancy_defect_equal_to_rel_tol_fails(self):
         series = SimpleNamespace(name="F_p", values=np.array([2.0, 2.5]))
-        chk = verify._constancy_check(series, 2.0, rel_tol=0.25)
+        chk = verify._constancy_check(2.0, rel_tol=0.25)(series)
         assert chk.values["max_rel_defect"] == chk.threshold == 0.25
         assert chk.verdict == "fail"
-        assert verify._constancy_check(series, 2.0, rel_tol=0.5).verdict == "pass"
+        assert verify._constancy_check(2.0, rel_tol=0.5)(series).verdict == "pass"
 
 
 class TestRunExperiment:
@@ -194,6 +213,29 @@ class TestRunExperiment:
         cfg = fp_config(expect={"constant": -6.0, "rel_tol": 1e-8})
         report = run_experiment(cfg, tmp_path)
         assert report.worst == "fail"
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            fp_config(expect={"constant": 0.0}),
+            {
+                "experiment": "hawking_series",
+                "model": {"name": "schwarzschild", "params": {"mass": 1.0}},
+                "r0": 2.2,
+                "R": 12.0,
+                "expect": {"constant": 0.0},
+            },
+        ],
+        ids=["functional_series", "hawking_series"],
+    )
+    def test_bad_expectation_stops_before_the_solve(self, tmp_path, monkeypatch, cfg):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solved before the expectation was checked")
+
+        for name in ("solve_wp", "solve_w1"):
+            monkeypatch.setattr(radial, name, unreachable)
+        with pytest.raises(ConfigError, match="expect.constant"):
+            run_experiment(cfg, tmp_path)
 
     def test_unknown_experiment(self, tmp_path):
         with pytest.raises(ConfigError):
