@@ -3,7 +3,8 @@
 Adaptive panel Gauss-Legendre quadrature on array integrands (one-shot
 integrals and cumulative tables), bracketed scalar root finding by Brent's
 method, natural cubic splines, a banded Cholesky solve for symmetric
-positive definite systems, and a context that runs BLAS on one thread.
+positive definite systems whose result keeps its factor for further right
+sides, and a context that runs BLAS on one thread.
 Every radial integral in the package routes through :func:`integrate` or
 :class:`CumulativeIntegral` so that accuracy budgets live in one place
 (a 2-D level integral is a Simpson sum, ``solver2d.LevelCurve.integrate``).
@@ -36,7 +37,7 @@ import contextlib
 import functools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -413,17 +414,36 @@ def find_root(fn: Callable[[float], float], lo: float, hi: float, tol: float = 1
     return b if fb == 0.0 else b - fb * (c - b) / (fc - fb)
 
 
+def _back_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve with a lower banded Cholesky factor: two triangular solves."""
+    from scipy.linalg import cho_solve_banded
+
+    if not np.isfinite(rhs).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return cho_solve_banded((factor, True), rhs, check_finite=False)
+
+
 @dataclass
 class SpdResult:
-    """Outcome of a banded SPD solve: one Cholesky factorization."""
+    """Outcome of a banded SPD solve: one Cholesky factorization, whose
+    lower factor is kept for further right sides."""
 
     x: np.ndarray
     iterations: int
+    factor: np.ndarray = field(repr=False)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve A y = rhs with the kept factor, without factoring again.  A
+        right side holding an inf or NaN raises ``ValueError``, as in
+        :func:`solve_spd`."""
+        return _back_solve(self.factor, rhs)
 
 
 def solve_spd(band: np.ndarray, rhs: np.ndarray) -> SpdResult:
     """Solve A x = rhs for a symmetric positive definite band matrix A.
 
+    This is the one place that factors: the result keeps the lower
+    Cholesky factor, and its ``solve`` answers further right sides.
     ``band`` holds the lower band in LAPACK storage, ``band[i - j, j] =
     A[i, j]`` for ``0 <= i - j < band.shape[0]``.  A Fortran-ordered float
     array is factored in place, so its contents are lost; any other is
@@ -432,12 +452,10 @@ def solve_spd(band: np.ndarray, rhs: np.ndarray) -> SpdResult:
     holding an inf or NaN raises ``ValueError``.  Each input is scanned for
     them once: the factor, LAPACK's own output, is not scanned again.
     """
-    from scipy.linalg import cho_solve_banded, cholesky_banded
+    from scipy.linalg import cholesky_banded
 
     factor = cholesky_banded(band, lower=True, overwrite_ab=True)
-    if not np.isfinite(rhs).all():
-        raise ValueError("array must not contain infs or NaNs")
-    return SpdResult(cho_solve_banded((factor, True), rhs, check_finite=False), iterations=1)
+    return SpdResult(_back_solve(factor, rhs), iterations=1, factor=factor)
 
 
 # thread-count entry points of an OpenBLAS build, tried in order: the

@@ -303,19 +303,26 @@ def _regularized_log_slope(log_m: np.ndarray, p: float, eps: float) -> np.ndarra
     In y = log q the defect F(y) = (p-2)/2 log(e^{2y} + eps^2) + y - log m
     is increasing (F' in [p-1, 1]) and concave, so Newton steps from the
     unregularized start y0 = log m / (p-1), where F <= 0 for p <= 2, rise
-    monotonically to the root.
+    monotonically to the root.  An entry stops once its step is below
+    tolerance, so its value does not depend on the other entries of the call.
     """
-    y = log_m / (p - 1.0)
+    log_m = np.asarray(log_m, dtype=float)
+    y = np.array(log_m / (p - 1.0))
+    y_flat, log_m = y.reshape(-1), log_m.ravel()
     log_eps2 = 2.0 * math.log(eps)
+    live = np.arange(y_flat.size)  # the entries still stepping
     for _ in range(100):
-        s = np.logaddexp(2.0 * y, log_eps2)
-        defect = 0.5 * (p - 2.0) * s + y - log_m
-        slope = 1.0 - (2.0 - p) * np.exp(2.0 * y - s)
+        x, target = y_flat[live], log_m[live]
+        s = np.logaddexp(2.0 * x, log_eps2)
+        defect = 0.5 * (p - 2.0) * s + x - target
+        slope = 1.0 - (2.0 - p) * np.exp(2.0 * x - s)
         step = defect / slope
-        y = y - step
-        if np.all(np.abs(step) <= 1e-14 * np.maximum(1.0, np.abs(y))):
+        nxt = x - step
+        y_flat[live] = nxt
+        live = live[np.abs(step) > 1e-14 * np.maximum(1.0, np.abs(nxt))]
+        if not live.size:
             break
-    return y
+    return y[()]
 
 
 def solve_wp_eps(

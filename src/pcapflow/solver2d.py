@@ -31,6 +31,18 @@ Hessian (Barrett & Liu, "Finite element approximation of the p-Laplacian",
 Math. Comp. 61 (1993)).  Newton stops on the relative Newton decrement
 (Boyd & Vandenberghe, "Convex Optimization" (2004), 9.5).
 
+A step first back-solves its gradient with the last step's Cholesky factor
+(a chord step; Kelley, "Iterative Methods for Linear and Nonlinear
+Equations" (1995), 5.4) and measures that direction's decrement.  Below
+tol/2 it ends the solve: if the Hessian there is within a factor 1 +- 3/4
+of the factored one, the true decrement is below tol.  At most the square
+of the previous step's decrement, the contraction of a Newton step, it is
+line-searched as a Newton direction is.  Otherwise the old factor is
+dropped before the new Hessian is assembled and factored.  Near the
+solution, where a finer grid of a sequence starts, the Hessian barely
+moves, so most fine-grid steps factor nothing; ``Field2D.factorizations``
+lists the factorizations per grid.
+
 A domain symmetric about the equator (rho(pi - theta) = rho(theta)) has an
 energy that is even under theta -> pi - theta, so from a symmetric start
 every Newton iterate is symmetric.  On such a domain with Ntheta even,
@@ -274,9 +286,11 @@ class Field2D:
     ``u`` is (Nsigma+1, Ntheta+1); derived fields are nodal arrays computed
     by mapped finite differences the first time they are needed.  ``history``
     holds one (energy, decrement, step_length) tuple per Newton step: the
-    energy after the step and the relative Newton decrement before it, the
-    last of which is ``residual_rel``.  ``coarse`` holds the solves of the
-    coarser grids that ``solve_2d`` started this one from, coarsest first.
+    energy after the step and the relative Newton decrement before it,
+    measured with the Cholesky factor the step used, the last of which is
+    ``residual_rel``.  ``factor_count`` is the number of Hessians this grid
+    factored.  ``coarse`` holds the solves of the coarser grids that
+    ``solve_2d`` started this one from, coarsest first.
     """
 
     domain: AxisymmetricDomain
@@ -287,6 +301,7 @@ class Field2D:
     converged: bool
     residual_rel: float
     history: list = field(default_factory=list)
+    factor_count: int = 0
     coarse: tuple = ()
     _stiffness: Optional[np.ndarray] = field(default=None, repr=False)  # nodal K(u) u
 
@@ -298,6 +313,11 @@ class Field2D:
     def newton_steps(self) -> list:
         """[Nsigma, Ntheta, Newton steps] of each grid of the solve, coarsest first."""
         return [[*f.shape, f.outer_iterations] for f in (*self.coarse, self)]
+
+    @property
+    def factorizations(self) -> list:
+        """[Nsigma, Ntheta, Hessian factorizations] of each grid of the solve, coarsest first."""
+        return [[*f.shape, f.factor_count] for f in (*self.coarse, self)]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -543,14 +563,18 @@ def solve_2d(
     Each Newton step solves the Hessian system H d = -g of the discrete
     energy E and backtracks on the energy (Armijo); a step that changes the
     energy by no more than a few ulps is accepted, since rounding hides any
-    decrease there.  Once the step's relative Newton decrement sqrt(g.H^-1 g / (2 E)),
-    about sqrt((E - min E) / E), is below tol, the full step is taken and
-    iteration stops.  Exhausting max_outer, or a line search that cannot
-    decrease the energy, returns the field flagged non-converged rather than
-    raising.  This grid alone decides ``converged``, ``history`` and
-    ``residual_rel``; the coarse solves are kept in ``coarse``.  The solve
-    runs with NumPy's BLAS on one thread (``single_threaded_blas``): its
-    vector and matrix products are too small to gain from more.
+    decrease there.  The step first tries the last step's Cholesky factor of
+    H: its chord direction is kept when its relative decrement
+    sqrt(g.H^-1 g / (2 E)), about sqrt((E - min E) / E), is at most the
+    square of the previous step's, and otherwise H is factored afresh.  Once
+    a fresh factor's decrement is below tol, or a kept factor's below tol/2,
+    the full step is taken and iteration stops.  Exhausting max_outer, or a
+    line search that cannot decrease the energy, returns the field flagged
+    non-converged rather than raising.  This grid alone decides
+    ``converged``, ``history`` and ``residual_rel``; the coarse solves are
+    kept in ``coarse``.  The solve runs with NumPy's BLAS on one thread
+    (``single_threaded_blas``): its vector and matrix products are too
+    small to gain from more.
     """
     Nsigma, Ntheta = shape
     if Nsigma < 16 or Ntheta < 16:
@@ -636,16 +660,33 @@ def _newton(domain, p, u_R, shape, eps, tol, max_outer, u0=None) -> Field2D:
         coef = mesh.vol * s ** ((p - 2.0) / 2.0)
         return float(np.sum(coef * s)) / p, (coef, vr, vt, s)
 
+    def descent(grad, direction):
+        """The slope grad.direction and the relative decrement
+        sqrt(-slope / (2 E)) at the current energy E."""
+        slope = float(grad @ direction)
+        return slope, math.sqrt(max(-slope, 0.0) / (2.0 * E))
+
     history = []
     E, at_u = energy(u_flat)
     decrement = math.inf
     converged = False
+    spd = None  # the last factorization, kept while its chord steps contract like Newton's
+    factor_count = 0
     for _ in range(max_outer):
         grad = mesh.load(*at_u[:3])[inner]
-        direction = -solve_spd(mesh.hessian_band(*at_u, p), grad).x
-        slope = float(grad @ direction)
-        decrement = math.sqrt(max(-slope, 0.0) / (2.0 * E))
-        converged = decrement < tol
+        previous = decrement
+        if spd is not None:
+            direction = -spd.solve(grad)
+            slope, decrement = descent(grad, direction)
+            converged = decrement < 0.5 * tol
+            if not (converged or decrement <= previous * previous):
+                spd = None  # freed before the new Hessian is assembled
+        if spd is None:
+            spd = solve_spd(mesh.hessian_band(*at_u, p), grad)
+            factor_count += 1
+            direction = -spd.x
+            slope, decrement = descent(grad, direction)
+            converged = decrement < tol
         step = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = u_flat.copy()
@@ -679,6 +720,7 @@ def _newton(domain, p, u_R, shape, eps, tol, max_outer, u0=None) -> Field2D:
         converged=converged,
         residual_rel=decrement,
         history=history,
+        factor_count=factor_count,
         _stiffness=stiffness.ravel(),
     )
 

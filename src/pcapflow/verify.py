@@ -620,6 +620,7 @@ def solve_2d_suite(
         "residual_rel": fieldv.residual_rel,
         "outer_iterations": fieldv.outer_iterations,
         "newton_steps": fieldv.newton_steps,
+        "factorizations": fieldv.factorizations,
         "min_step": min((step for _, _, step in fieldv.history), default=None),
     }
     residual = fieldv.residual_rel if fieldv.converged else math.inf

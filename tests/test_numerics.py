@@ -353,6 +353,21 @@ class TestSolveSpd:
             x = solve_spd(band, b).x
             assert np.linalg.norm(x - np.linalg.solve(a, b)) < 1e-12 * np.linalg.norm(x)
 
+    def test_kept_factor_solves_a_second_right_side(self):
+        rng = np.random.default_rng(12)
+        for n, bands in ((3, 1), (17, 4), (64, 10), (200, 35)):
+            band = np.asfortranarray(rng.standard_normal((bands + 1, n)))
+            band[0] = 0.0
+            band[0] = np.abs(self._dense(band)).sum(axis=1) + 1.0  # diagonally dominant
+            a = self._dense(band)
+            res = solve_spd(band, rng.standard_normal(n))
+            b = rng.standard_normal(n)
+            y = res.solve(b)
+            assert np.linalg.norm(y - np.linalg.solve(a, b)) < 1e-12 * np.linalg.norm(y)
+            b[n // 2] = math.nan
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                res.solve(b)
+
     def test_indefinite_operator_rejected(self):
         band = np.array([[2.0, -1.0, 2.0], [1.0, 1.0, 0.0]])
         with pytest.raises(ValueError, match="positive definite"):
@@ -408,19 +423,26 @@ class TestSingleThreadedBlas:
             assert _blas_threads() == [2] * len(_BLAS)
 
     def test_solve_2d_runs_on_one_thread(self, monkeypatch):
-        seen = []
+        seen = {"factor": [], "back-solve": []}
 
         def recording_solve_spd(band, rhs):
-            seen.append(_blas_threads())
+            seen["factor"].append(_blas_threads())
             return solve_spd(band, rhs)
 
+        def recording_back_solve(result, rhs):
+            seen["back-solve"].append(_blas_threads())
+            return back_solve(result, rhs)
+
+        back_solve = numerics.SpdResult.solve
         monkeypatch.setattr(solver2d, "solve_spd", recording_solve_spd)
+        monkeypatch.setattr(numerics.SpdResult, "solve", recording_back_solve)
         dom = solver2d.ellipsoid_domain(1.3, 1.0, R=4.0)
         with _caller_threads(2):
             fieldv = solver2d.solve_2d(dom, p=1.5, u_R=0.05, shape=(32, 16))
             assert _blas_threads() == [2] * len(_BLAS)
         assert fieldv.converged
-        assert seen and all(counts == [1] * len(_BLAS) for counts in seen)
+        for kind, counts in seen.items():
+            assert counts and all(c == [1] * len(_BLAS) for c in counts), kind
 
     def test_solve_2d_ignores_the_callers_thread_count(self):
         # 143 x 129 unknowns: OpenBLAS splits dot products this long between

@@ -243,6 +243,17 @@ class TestRegularized:
         assert pot.u(2.2) == pytest.approx(1.0, rel=1e-10)
         assert pot.u(8.0) == pytest.approx(math.exp(-pot.phi_R / 0.3), rel=1e-9)
 
+    @pytest.mark.parametrize(("model", "r0", "R", "p", "eps"), [("schw1", 2.2, 12.0, 1.5, 1e-3), ("euclid3", 1.0, 3.0, 1.2, 1e-2)])
+    def test_slope_does_not_depend_on_the_batch(self, request, model, r0, R, p, eps):
+        # each radius stops at its own converged Newton step on the slope,
+        # so grad_norm and theta are the same bit for bit in one call and
+        # one by one
+        pot = solve_wp_eps(request.getfixturevalue(model), r0, R, p, eps)
+        rs = np.linspace(r0, R, 33)
+        for name in ("grad_norm", "theta"):
+            fn = getattr(pot, name)
+            assert np.array_equal(fn(rs), [fn(r) for r in rs]), name
+
     def test_eps_validation(self, euclid3):
         # one bad value each; the annulus, p and phi_R are checked by the
         # p-solve that the shooting starts from

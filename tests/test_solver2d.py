@@ -378,6 +378,57 @@ class TestMirrorReduction:
         assert f.converged and meshes == [False]
 
 
+class TestFactorReuse:
+    """Newton back-solves each new gradient with the last Cholesky factor and
+    factors again only when that chord step would contract less than a
+    Newton step; a chord decrement below tol/2 ends the solve."""
+
+    DOMAIN = ellipsoid_domain(1.3, 1.0, R=4.0)
+    TOL = 1e-10
+
+    @staticmethod
+    def fresh_decrement(f: Field2D) -> float:
+        """The relative Newton decrement at f.u from a freshly factored
+        Hessian of the full (not mirrored) mesh."""
+        mesh = solver2d._Mesh(f.domain, *f.shape)
+        u = f.u.ravel()
+        ur, ut = mesh.grad(u)
+        s = ur * ur + ut * ut + f.eps**2
+        coef = mesh.vol * s ** ((f.p - 2.0) / 2.0)
+        energy = float(np.sum(coef * s)) / f.p
+        grad = mesh.load(coef, ur, ut)[mesh.inner]
+        x = solver2d.solve_spd(mesh.hessian_band(coef, ur, ut, s, f.p), grad).x
+        return math.sqrt(float(grad @ x) / (2.0 * energy))
+
+    @pytest.mark.parametrize("p", [1.5, 1.1, 1.05])
+    def test_the_newton_decrement_is_below_tol(self, p):
+        f = solve_2d(self.DOMAIN, p=p, u_R=0.05, shape=(96, 48), tol=self.TOL)
+        assert f.converged
+        for grid in (*f.coarse, f):
+            assert self.fresh_decrement(grid) < self.TOL, grid.shape
+
+    def test_fine_grids_factor_fewer_times_than_they_step(self):
+        f = solve_2d(self.DOMAIN, p=1.5, u_R=0.05, shape=(192, 96), tol=self.TOL)
+        assert f.converged and f.residual_rel < self.TOL
+        for (*shape, steps), (*_, factored) in list(zip(f.newton_steps, f.factorizations))[1:]:
+            assert 1 <= factored < steps, shape
+
+    @pytest.mark.parametrize(
+        "p, shape, steps",
+        [
+            (1.5, (96, 48), [[48, 24, 5], [96, 48, 3]]),
+            (1.1, (96, 48), [[48, 24, 16], [96, 48, 4]]),
+            (1.05, (96, 48), [[48, 24, 15], [96, 48, 7]]),
+            (1.5, (192, 96), [[48, 24, 5], [96, 48, 3], [192, 96, 3]]),
+        ],
+    )
+    def test_takes_as_many_steps_as_fresh_factors(self, p, shape, steps):
+        # the steps per grid of a solve that factors at every step
+        f = solve_2d(self.DOMAIN, p=p, u_R=0.05, shape=shape, tol=self.TOL)
+        assert f.newton_steps == steps
+        assert [grid[:2] for grid in f.factorizations] == [grid[:2] for grid in steps]
+
+
 class TestSphereField:
     """128 x 64 regularized solve on [1, 3] against the radial oracle."""
 
