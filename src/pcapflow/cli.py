@@ -17,6 +17,7 @@ all configs.  All artifacts (CSV tables, report JSON) go under --out.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -81,13 +82,18 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_list_models(args) -> int:
+    """One row per catalog model.  Its parameters are its constructor's
+    signature, the schema a config's ``model.params`` is checked against,
+    and --verbose builds its example as a config would."""
     rows = []
     for name, entry in geometry.MODELS.items():
-        row = {"name": name, "parameters": entry.parameters, "description": entry.description}
+        sig = inspect.signature(getattr(geometry, entry.constructor), eval_str=True)
+        params = str(sig.replace(return_annotation=sig.empty))
+        row = {"name": name, "parameters": params, "description": entry.description}
         if args.verbose:
             row.update(r_min="-", avr="-")
             if entry.example is not None:
-                model = geometry.build_model(name, **entry.example)
+                model = verify._model(name, entry.example)
                 row["r_min"] = f"{model.r_min:.17g}"
                 if model.avr is not None:
                     row["avr"] = f"{model.avr:.17g}"

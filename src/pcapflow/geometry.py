@@ -18,15 +18,16 @@ tangential-tangential sectional curvature:
     K1         = -(h''/(f^2 h) - h' f'/(f^3 h))
     K2         = (1 - (h'/f)^2) / h^2
     Ric(nu,nu) = (n-1) K1
+    Ric(e,e)   = K1 + (n-2) K2      for a unit e tangent to the sphere
     Scal       = 2 Ric(nu,nu) + (n-1)(n-2) K2
 
 They serve every model and are finite wherever f is; at the Schwarzschild
 horizon, where f is infinite, H is exactly 0.
 
 Each constructor states its model's asymptotic volume ratio ``avr`` (None
-where it is not known) and checks the model once, where it is built:
-f > 0, h > 0, and h' > 0 above r_min, so coordinate spheres flow outward
-(r_min itself may be a throat, h' = 0).  ``tabulated`` tests h' at its
+for a table, which cannot tell it) and checks the model once, where it is
+built: f > 0, h > 0, and h' > 0 above r_min, so coordinate spheres flow
+outward (r_min itself may be a throat, h' = 0).  ``tabulated`` tests h' at its
 spline's knots and the roots of h'', which is exact.
 """
 
@@ -51,10 +52,8 @@ __all__ = [
     "schwarzschild",
     "tabulated",
     "tabulated_from_json",
-    "build_model",
     "CatalogEntry",
     "MODELS",
-    "MODEL_NAMES",
     "mean_curvature_sphere",
     "ricci_radial",
     "scalar_curvature",
@@ -119,12 +118,16 @@ def ricci_radial(model: RadialManifold, r):
     return -(model.n - 1) * (model.d2h(r) / (f * f * h) - model.dh(r) * model.df(r) / (f**3 * h))
 
 
+def _tangential_sectional(model: RadialManifold, r):
+    """K2, the sectional curvature of a plane tangent to the sphere {r}."""
+    h = model.h(r)
+    return (1.0 - (model.dh(r) / model.f(r)) ** 2) / (h * h)
+
+
 def scalar_curvature(model: RadialManifold, r):
     """Scalar curvature of the ambient warped product at radius r."""
     r = model.check_radius(r)
-    h = model.h(r)
-    k2 = (1.0 - (model.dh(r) / model.f(r)) ** 2) / (h * h)
-    return 2.0 * ricci_radial(model, r) + (model.n - 1) * (model.n - 2) * k2
+    return 2.0 * ricci_radial(model, r) + (model.n - 1) * (model.n - 2) * _tangential_sectional(model, r)
 
 
 def cross_section(model: RadialManifold, r) -> tuple:
@@ -168,7 +171,8 @@ def proper_distance(model: RadialManifold, a: float, b: float) -> float:
 
 def _validate_samples(model: RadialManifold, lo: float, hi: float, critical=()) -> None:
     """The one check of a model's warping functions, made where it is built:
-    f > 0, h > 0 and, where the model is flagged nonneg-Ricci, Ric(nu,nu) >= 0
+    f > 0, h > 0 and, where the model is flagged nonneg-Ricci, both Ricci
+    eigenvalues >= 0, the radial (n-1) K1 and the tangential K1 + (n-2) K2,
     at _VALIDATION_SAMPLES radii spread over [lo, hi] and at the radii
     ``critical``; and h' > 0 at each of them above r_min, so coordinate
     spheres flow outward.  r_min itself may have h' = 0, a throat."""
@@ -183,7 +187,10 @@ def _validate_samples(model: RadialManifold, lo: float, hi: float, critical=()) 
         (~(model.dh(rs) > 0.0) & (rs > model.r_min), "h'(r) <= 0"),
     ]
     if model.nonneg_ricci:
-        checks.append((np.isfinite(f) & (ricci_radial(model, rs) < -1e-8), "flagged nonneg-Ricci but Ric(nu,nu) < 0"))
+        radial = ricci_radial(model, rs)
+        tangential = radial / (model.n - 1) + (model.n - 2) * _tangential_sectional(model, rs)
+        for ric, which in ((radial, "Ric(nu,nu)"), (tangential, "tangential Ric")):
+            checks.append((np.isfinite(f) & (ric < -1e-8), f"flagged nonneg-Ricci but {which} < 0"))
     for bad, what in checks:
         if np.any(bad):
             raise ValueError(f"{model.label}: {what} at r={rs[np.argmax(bad)]}")
@@ -254,19 +261,12 @@ def schwarzschild(mass: float) -> RadialManifold:
     return model
 
 
-def tabulated(
-    n: int,
-    table: Sequence,
-    label: str = "tabulated",
-    nonneg_ricci: bool = False,
-    avr: Optional[float] = None,
-) -> RadialManifold:
+def tabulated(n: int, table: Sequence, label: str = "tabulated") -> RadialManifold:
     """Model interpolated from (r, f, h) triples with natural cubic splines.
 
     ``table`` holds dicts with keys r/f/h or plain triples of numbers,
     strictly increasing in r.  Evaluators raise DomainError outside the range.
-    ``avr`` is the asymptotic volume ratio of the model the table samples;
-    the table cannot tell it.
+    Its ``avr`` is None: a table cannot tell the asymptotic volume ratio.
     """
     rows = []
     for entry in table:
@@ -307,8 +307,6 @@ def tabulated(
         r_min=r_lo,
         r_max=r_hi,
         label=label,
-        avr=avr,
-        nonneg_ricci=nonneg_ricci,
     )
     # h' is piecewise quadratic: its minima lie at the knots and at the roots
     # of h'', so testing it there is exact (roots() gives nan where h'' = 0)
@@ -319,56 +317,31 @@ def tabulated(
     return model
 
 
-def tabulated_from_json(
-    path: str,
-    n: int = 3,
-    label: str = "tabulated",
-    nonneg_ricci: bool = False,
-    avr: Optional[float] = None,
-) -> RadialManifold:
+def tabulated_from_json(path: str, n: int = 3, label: str = "tabulated") -> RadialManifold:
     """Load a tabulated model from a JSON array of {r, f, h} objects."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, list):
         raise ValueError("tabulated model file must contain a JSON array")
-    return tabulated(n, data, label, nonneg_ricci, avr)
+    return tabulated(n, data, label)
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
     """One builtin model: the name of its constructor in this module (looked
-    up when a model is built), its parameters and an example for listings."""
+    up when a model is built; its signature is the schema of the model's
+    parameters), a description and an example for listings."""
 
     constructor: str
-    parameters: str
     description: str
     example: Optional[dict] = None
 
 
 MODELS = {
-    "euclidean": CatalogEntry(
-        "euclidean", "n=3", "flat space; every bound is an equality case", {"n": 3}
-    ),
+    "euclidean": CatalogEntry("euclidean", "flat space; every bound is an equality case", {"n": 3}),
     "cone": CatalogEntry(
-        "cone",
-        "n=3, aperture in (0,1]",
-        "metric cone over a shrunk sphere; AVR = aperture^(n-1)",
-        {"n": 3, "aperture": 0.5},
+        "cone", "metric cone over a shrunk sphere; AVR = aperture^(n-1)", {"n": 3, "aperture": 0.5}
     ),
-    "schwarzschild": CatalogEntry(
-        "schwarzschild", "mass", "spatial Schwarzschild slice outside the horizon", {"mass": 1.0}
-    ),
-    "tabulated": CatalogEntry(
-        "tabulated_from_json", "path, n=3", "natural cubic splines through sampled (r, f, h)"
-    ),
+    "schwarzschild": CatalogEntry("schwarzschild", "spatial Schwarzschild slice outside the horizon", {"mass": 1.0}),
+    "tabulated": CatalogEntry("tabulated_from_json", "natural cubic splines through sampled (r, f, h)"),
 }
-
-MODEL_NAMES = tuple(MODELS)
-
-
-def build_model(name: str, **params) -> RadialManifold:
-    """Construct a catalog model from its name and its constructor's parameters."""
-    entry = MODELS.get(name)
-    if entry is None:
-        raise ValueError(f"unknown model '{name}'; available: {', '.join(MODEL_NAMES)}")
-    return globals()[entry.constructor](**params)

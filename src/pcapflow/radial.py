@@ -56,6 +56,10 @@ _TAIL_TOL = 1e-12
 _EFOLDS_PER_PANEL = 4.0
 _LOG_H_PER_PANEL = 0.25
 
+# Newton steps after which an entry of level_radius or of the regularized
+# slope that still moves is a SolverError
+_NEWTON_STEPS = 100
+
 
 class ShootingError(SolverError):
     """The shooting iteration for the regularized flux constant failed."""
@@ -144,7 +148,8 @@ class RadialPotential:
         """Radius of the level set {w = t}: safeguarded Newton steps with
         dw/dr = f |grad w|, inside the seed bracket around t.  An entry stops
         once its step is below tolerance, so its radius does not depend on
-        the other levels of the call."""
+        the other levels of the call; one still moving after _NEWTON_STEPS
+        steps raises SolverError."""
         if np.any(t < -1e-12) or np.any(t > self.phi_R + 1e-12):
             bad = t[(t < -1e-12) | (t > self.phi_R + 1e-12)].flat[0]
             raise ValueError(f"level t={bad} outside [0, {self.phi_R}]")
@@ -155,7 +160,7 @@ class RadialPotential:
         r = lo + (hi - lo) * np.clip((t_flat - wlo) / np.where(whi > wlo, whi - wlo, 1.0), 0.0, 1.0)
         step_tol = 1e-14 * max(1.0, self.R)
         live = np.arange(r.size)  # the entries still stepping
-        for _ in range(100):
+        for _ in range(_NEWTON_STEPS):
             x, target = r[live], t_flat[live]
             w, grad = self._w_grad(x)
             below = w < target
@@ -169,6 +174,8 @@ class RadialPotential:
             live = live[np.abs(nxt - x) > step_tol]
             if not live.size:
                 break
+        else:
+            raise SolverError(f"level_radius: {live.size} entries still moving after {_NEWTON_STEPS} Newton steps")
         r = r.reshape(t.shape)
         return np.where(t <= 0.0, self.r0, np.where(t >= self.phi_R, self.R, r))
 
@@ -304,14 +311,15 @@ def _regularized_log_slope(log_m: np.ndarray, p: float, eps: float) -> np.ndarra
     is increasing (F' in [p-1, 1]) and concave, so Newton steps from the
     unregularized start y0 = log m / (p-1), where F <= 0 for p <= 2, rise
     monotonically to the root.  An entry stops once its step is below
-    tolerance, so its value does not depend on the other entries of the call.
+    tolerance, so its value does not depend on the other entries of the call;
+    one still moving after _NEWTON_STEPS steps raises SolverError.
     """
     log_m = np.asarray(log_m, dtype=float)
     y = np.array(log_m / (p - 1.0))
     y_flat, log_m = y.reshape(-1), log_m.ravel()
     log_eps2 = 2.0 * math.log(eps)
     live = np.arange(y_flat.size)  # the entries still stepping
-    for _ in range(100):
+    for _ in range(_NEWTON_STEPS):
         x, target = y_flat[live], log_m[live]
         s = np.logaddexp(2.0 * x, log_eps2)
         defect = 0.5 * (p - 2.0) * s + x - target
@@ -322,17 +330,12 @@ def _regularized_log_slope(log_m: np.ndarray, p: float, eps: float) -> np.ndarra
         live = live[np.abs(step) > 1e-14 * np.maximum(1.0, np.abs(nxt))]
         if not live.size:
             break
+    else:
+        raise SolverError(f"regularized slope: {live.size} entries still moving after {_NEWTON_STEPS} Newton steps")
     return y[()]
 
 
-def solve_wp_eps(
-    model: geometry.RadialManifold,
-    r0: float,
-    R: float,
-    p: float,
-    eps: float,
-    phi_R: Optional[float] = None,
-) -> RadialPotential:
+def solve_wp_eps(model: geometry.RadialManifold, r0: float, R: float, p: float, eps: float) -> RadialPotential:
     """Regularized radial potential: shooting on the flux constant C.
 
     u(R; C) is strictly decreasing in C, so the boundary condition pins C by
@@ -340,12 +343,13 @@ def solve_wp_eps(
     one adaptive quadrature of the drop 1 - u(R; C), made once per C: one
     per step of the bracketing from the unregularized flux and of
     ``find_root`` (Brent's method), 5 or 6 in all on the flat annulus [1, 3]
-    at p = 1.5.  The annulus, p and phi_R (its default too) are checked by
-    the unregularized ``solve_wp``, whose flux starts the bracketing.
+    at p = 1.5.  The annulus and p are checked by the unregularized
+    ``solve_wp``, whose flux starts the bracketing and whose default datum
+    phi_R is the outer datum here.
     """
     if not eps > 0.0:
         raise ConfigError(f"eps={eps} must be positive", "eps")
-    base = solve_wp(model, r0, R, p, phi_R)
+    base = solve_wp(model, r0, R, p)
     phi_R, C0 = base.phi_R, base.flux
     n = model.n
     u_R = math.exp(-phi_R / (p - 1.0))

@@ -59,6 +59,8 @@ _SWEEP_LEVELS = 40
 # relative Newton decrement at which the 2-D solve stops; at 1e-10 the flux
 # spread ends far under its 1e-6 gate
 _TOL_2D = 1e-10
+# value of u = e^{-w/(p-1)} on the outer boundary of the 2-D solve
+_U_R_2D = 0.05
 
 
 @dataclass
@@ -425,10 +427,12 @@ def inequality_suite():
 
 
 def _model(name: str, params: Optional[dict] = None) -> geometry.RadialManifold:
-    """A model object: ``params`` of the catalog constructor ``name`` picks."""
+    """A model object: ``params`` of the catalog constructor ``name`` picks.
+    The one way a model is built by name, for configs and for the examples
+    of ``pcapflow list-models --verbose``."""
     entry = geometry.MODELS.get(name)
     if entry is None:
-        raise ConfigError(f"unknown model {name!r}; known: {', '.join(geometry.MODEL_NAMES)}", "model.name")
+        raise ConfigError(f"unknown model {name!r}; known: {', '.join(geometry.MODELS)}", "model.name")
     return _call(getattr(geometry, entry.constructor), params or {}, "model.params", constructor=True)
 
 
@@ -599,23 +603,19 @@ def _domain(spec: dict) -> solver2d.AxisymmetricDomain:
     return _call(_DOMAINS[shape], {k: v for k, v in spec.items() if k != "shape"}, "domain", constructor=True)
 
 
-def solve_2d_suite(
-    domain: dict,
-    p: float,
-    u_R: float = 0.05,
-    grid: tuple[int, int] = (96, 48),
-):
-    """Axisymmetric solve on a sphere or ellipsoid annulus, at the solver's
-    default eps and the relative Newton decrement 1e-10: convergence,
-    discrete flux conservation and the Gauss-Bonnet ratio of five levels
-    spread over 20-80% of the w range.  Returns the report, the field table,
-    one table per level, ``newton`` (each Newton step of every grid, coarsest
-    first), ``levels`` (each level's area, Willmore energy, Gauss-Bonnet ratio
-    and int |h-ring|^2) and ``divergence`` (``divergence_residuals`` at 2)."""
+def solve_2d_suite(domain: dict, p: float, grid: tuple[int, int] = (96, 48)):
+    """Axisymmetric solve on a sphere or ellipsoid annulus, at the outer
+    value u_R = 0.05, the solver's default eps and the relative Newton
+    decrement 1e-10: convergence, discrete flux conservation and the
+    Gauss-Bonnet ratio of five levels spread over 20-80% of the w range.
+    Returns the report, the field table, one table per level, ``newton``
+    (each Newton step of every grid, coarsest first), ``levels`` (each
+    level's area, Willmore energy, Gauss-Bonnet ratio and int |h-ring|^2)
+    and ``divergence`` (``divergence_residuals`` at 2)."""
     if min(grid) < 16:
         raise ConfigError(f"grid {list(grid)} too coarse; need at least 16x16", "grid")
     dom = _domain(domain)
-    fieldv = solver2d.solve_2d(dom, p, u_R, shape=grid, tol=_TOL_2D)
+    fieldv = solver2d.solve_2d(dom, p, _U_R_2D, shape=grid, tol=_TOL_2D)
     values = {
         "residual_rel": fieldv.residual_rel,
         "outer_iterations": fieldv.outer_iterations,

@@ -48,8 +48,8 @@ def radial_model_set(euclid3, cone_half, schw1):
 @pytest.fixture(scope="session")
 def sphere_field():
     """Regularized 2-D solve on the round annulus [1, 3], checked against
-    the radial oracle; u_R matches the exact p-harmonic boundary value so
-    the eps-perturbation is the only source of profile error."""
+    the radial oracle; u_R = 1/3 is the oracle's outer value, e^{-phi_R/(p-1)}
+    at phi_R = 0.5 ln 3, so both solve one boundary value problem."""
     dom = solver2d.sphere_domain(1.0, 3.0)
     return solver2d.solve_2d(dom, p=1.5, u_R=1.0 / 3.0, shape=(128, 64), eps=1e-4, tol=1e-10)
 

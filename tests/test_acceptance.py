@@ -145,9 +145,7 @@ def test_08_eps_to_0_convergence(euclid3):
 
 def test_09_two_dimensional_oracle(sphere_field, ellipsoid_128):
     """2-D solve matches the radial oracle; Gauss-Bonnet quantization."""
-    oracle = radial.solve_wp_eps(
-        geometry.euclidean(3), 1.0, 3.0, 1.5, 1e-4, phi_R=0.5 * math.log(3.0)
-    )
+    oracle = radial.solve_wp(geometry.euclidean(3), 1.0, 3.0, 1.5, phi_R=0.5 * math.log(3.0))
     exact = oracle.u(sphere_field.r)
     assert np.max(np.abs(sphere_field.u - exact)) < 5e-4
     chis = [sphere_field.level(t).chi_proxy / 2.0 for t in midband(sphere_field, num=5)]

@@ -17,7 +17,6 @@ import pytest
 import pcapflow
 from pcapflow import cli, geometry, numerics, radial, verify
 from pcapflow.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, EXIT_SOLVER, main
-from pcapflow.geometry import MODEL_NAMES
 from pcapflow.verify import artifact_prefix
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -54,14 +53,24 @@ class TestListModels:
     def test_plain_table(self, capsys):
         assert main(["list-models"]) == EXIT_PASS
         out = capsys.readouterr().out
-        for name in MODEL_NAMES:
+        for name in geometry.MODELS:
             assert name in out
 
     def test_json_output(self, capsys):
         assert main(["list-models", "--json"]) == EXIT_PASS
         rows = json.loads(capsys.readouterr().out)
-        assert {r["name"] for r in rows} == set(MODEL_NAMES)
+        assert {r["name"] for r in rows} == set(geometry.MODELS)
         assert all({"name", "parameters", "description"} <= set(r) for r in rows)
+        (tab,) = [r for r in rows if r["name"] == "tabulated"]
+        assert tab["parameters"] == "(path: str, n: int = 3, label: str = 'tabulated')"
+
+    @pytest.mark.parametrize("name", sorted(geometry.MODELS))
+    def test_parameters_are_the_constructor_signature(self, capsys, name):
+        # the schema that a config's model params are checked against
+        assert main(["list-models", "--json"]) == EXIT_PASS
+        (row,) = [r for r in json.loads(capsys.readouterr().out) if r["name"] == name]
+        sig = inspect.signature(getattr(geometry, geometry.MODELS[name].constructor), eval_str=True)
+        assert row["parameters"] == str(sig.replace(return_annotation=sig.empty))
 
     def test_verbose_details(self, capsys):
         assert main(["list-models", "--json", "--verbose"]) == EXIT_PASS
@@ -96,6 +105,20 @@ class TestRun:
         assert main(["run", str(bad), str(CONFIGS / "euclidean_fp.json"), "--out", str(out)]) == EXIT_SOLVER
         assert f"solver error: {bad}: SolverError: find_root: bracket" in capsys.readouterr().err
         assert (out / "euclidean_fp_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "config, loop",
+        [("schwarzschild_p_to_1", "level_radius"), ("euclidean_eps_to_0", "regularized slope")],
+        ids=["level_radius", "regularized-slope"],
+    )
+    def test_newton_cap_is_a_solver_error(self, tmp_path, capsys, monkeypatch, config, loop):
+        # one Newton step leaves entries moving: the loop says so, not the result
+        monkeypatch.setattr(radial, "_NEWTON_STEPS", 1)
+        bad = CONFIGS / f"{config}.json"
+        assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith(f"solver error: {bad}: SolverError: {loop}: ")
+        assert err.endswith(" entries still moving after 1 Newton steps\n")
 
     def test_horizon_annulus_is_a_config_error(self, tmp_path, capsys):
         # inner radius on the Schwarzschild horizon: the annulus is invalid,
@@ -160,7 +183,6 @@ class TestRun:
             ("euclidean_fp", "p", {"p": 2.5}),
             ("euclidean_eps_to_0", "p", {"p": 2.5}),
             ("sphere_2d", "p", {"p": 2.5}),
-            ("sphere_2d", "u_R", {"u_R": 2.0}),
         ):
             code, bad = self._run_edited(tmp_path, config, **overrides)
             assert code == EXIT_CONFIG, (config, overrides)
@@ -201,6 +223,7 @@ class TestRun:
             ("sphere_2d", "eps", 1e-3),
             ("sphere_2d", "tol", 1e-10),
             ("sphere_2d", "levels", [0.5]),
+            ("sphere_2d", "u_R", 0.05),
         ],
         ids=[
             "functional_series-t_grid",
@@ -210,11 +233,13 @@ class TestRun:
             "solve_2d-eps",
             "solve_2d-tol",
             "solve_2d-levels",
+            "solve_2d-u_R",
         ],
     )
     def test_removed_keys_are_config_errors(self, tmp_path, capsys, config, key, value):
         # fixed in the suites: 20 levels from 0 to t_max, the p -> 1 gates
-        # after sup_w and its analytic tolerance, the 2-D eps rule, tol and levels
+        # after sup_w and its analytic tolerance, the 2-D eps rule, tol,
+        # levels and outer value u_R
         code, bad = self._run_edited(tmp_path, config, **{key: value})
         assert code == EXIT_CONFIG
         assert f"config error: {bad}: config: unknown keys ['{key}']" in capsys.readouterr().err
@@ -291,7 +316,6 @@ class TestRun:
             ("euclidean_fp", "t_max", 50.0),
             ("schwarzschild_geroch", "t_max", 50.0),
             ("sphere_2d", "p", 3.0),
-            ("sphere_2d", "u_R", 2.0),
             ("sphere_2d", "grid", [8, 8]),
             ("euclidean_fp", "out_prefix", "nodir/x"),
             ("euclidean_fp", "out_prefix", ["a", "b"]),
@@ -322,7 +346,6 @@ class TestRun:
             "t_max-beyond-phi_R",
             "hawking_series-t_max-beyond-phi_R",
             "solve_2d-p-outside-range",
-            "solve_2d-u_R-outside-range",
             "solve_2d-grid-too-coarse",
             "out_prefix-subdir",
             "out_prefix-list",
@@ -419,8 +442,22 @@ class TestRun:
             ({"name": "cone", "params": {"aperture": 1.5}}, "model.params: aperture must lie in (0, 1]"),
             ({"name": "cone", "params": {"apex": 0.5}}, "model.params: unknown keys ['apex']"),
             ({"name": "torus", "params": {}}, "model.name: unknown model 'torus'"),
+            ({"name": "tabulated", "params": {"path": "t.json", "avr": 0.25}}, "model.params: unknown keys ['avr']"),
+            (
+                {"name": "tabulated", "params": {"path": "t.json", "nonneg_ricci": True}},
+                "model.params: unknown keys ['nonneg_ricci']",
+            ),
         ],
-        ids=["n-fraction", "n-string", "aperture-bool", "aperture-out-of-range", "unknown-parameter", "unknown-name"],
+        ids=[
+            "n-fraction",
+            "n-string",
+            "aperture-bool",
+            "aperture-out-of-range",
+            "unknown-parameter",
+            "unknown-name",
+            "tabulated-avr",
+            "tabulated-nonneg_ricci",
+        ],
     )
     def test_model_parameters_are_checked(self, tmp_path, capsys, model, error):
         # the constructor's signature is the schema of "params"; its own

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from pcapflow import geometry
 from pcapflow.geometry import (
     DomainError,
-    build_model,
     cone,
     euclidean,
     mean_curvature_sphere,
@@ -147,10 +146,10 @@ class TestTabulated:
 
     def test_avr_is_stated_not_sampled(self):
         # f = 2, h = r: (h/r)^2 is 1 at every radius, but geodesic spheres of
-        # radius s = 2r have area 4 pi (s/2)^2, so the AVR is 0.25
+        # radius s = 2r have area 4 pi (s/2)^2, so the AVR is 0.25; a table
+        # cannot tell it
         rows = [(r, 2.0, r) for r in np.linspace(1.0, 100.0, 200)]
         assert tabulated(3, rows).avr is None
-        assert tabulated(3, rows, avr=0.25).avr == 0.25
 
     def test_rejects_a_dip_between_samples(self):
         # one row 0.002 below its predecessor: h' reaches -0.61 between the
@@ -192,15 +191,31 @@ class TestTabulated:
         assert tab.h(2.5) == pytest.approx(2.5, rel=1e-12)
 
 
-class TestBuildModel:
-    def test_dispatch(self):
-        assert build_model("euclidean", n=3).label == "euclidean(n=3)"
-        assert build_model("cone", n=3, aperture=0.5).label == "cone(n=3, a=0.5)"
-        assert build_model("schwarzschild", mass=2.0).r_min == 4.0
+class TestNonnegRicciFlag:
+    def test_tangential_ricci_is_checked(self):
+        # f = 1, h = 1.5 r: Ric(nu,nu) = 0, but K2 = (1 - 2.25)/(1.5 r)^2, so
+        # the tangential Ricci curvature K1 + K2 is -0.139 at r = 2
+        model = geometry.RadialManifold(
+            n=3,
+            f=lambda r: 1.0 + 0.0 * r,
+            h=lambda r: 1.5 * r,
+            df=lambda r: 0.0 * r,
+            dh=lambda r: 1.5 + 0.0 * r,
+            d2h=lambda r: 0.0 * r,
+            r_min=0.0,
+            label="flared",
+            nonneg_ricci=True,
+        )
+        assert ricci_radial(model, 2.0) == 0.0
+        assert scalar_curvature(model, 2.0) == pytest.approx(-2.5 / 9.0, rel=1e-12)
+        with pytest.raises(ValueError, match="flared: flagged nonneg-Ricci but tangential Ric < 0"):
+            geometry._validate_samples(model, 1e-6, 100.0)
 
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            build_model("torus")
+    def test_flagged_builtin_models_build(self):
+        assert euclidean(3).nonneg_ricci and euclidean(4).nonneg_ricci
+        for n in (3, 4):
+            for aperture in (0.25, 0.5, 0.75, 1.0):
+                assert cone(n, aperture).nonneg_ricci
 
 
 class TestCurvatureConsistency:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pcapflow import geometry, radial
 from pcapflow.geometry import cone, euclidean, mean_curvature_sphere, schwarzschild
-from pcapflow.numerics import ConfigError
+from pcapflow.numerics import ConfigError, SolverError
 from pcapflow.radial import (
     KIND_EPS,
     KIND_IMCF,
@@ -100,6 +100,30 @@ class TestSolveWp:
             assert pot.w(r) == pytest.approx(t, abs=1e-10)
         with pytest.raises(ValueError):
             pot.level_radius(pot.phi_R + 1.0)
+
+
+class TestNewtonCap:
+    """A Newton loop that runs out of steps raises SolverError rather than
+    return the entries that still move."""
+
+    def test_level_radius_with_a_wrong_slope(self, schw1):
+        # a slope ten times too steep makes each step a tenth of Newton's, so
+        # the entries contract by 0.9 a step and still move after 100 steps
+        pot = solve_wp(schw1, 2.2, 12.0, 1.5)
+        w_grad = pot._w_grad
+        pot._w_grad = lambda r: (w_grad(r)[0], 10.0 * w_grad(r)[1])
+        with pytest.raises(SolverError, match=r"level_radius: 5 entries still moving after 100 Newton steps"):
+            pot.level_radius(np.linspace(0.1, 0.9, 5) * pot.phi_R)
+
+    def test_both_loops_raise_at_a_lowered_cap(self, schw1, monkeypatch):
+        pot = solve_wp(schw1, 2.2, 12.0, 1.5)
+        ts = np.linspace(0.1, 0.9, 5) * pot.phi_R
+        log_m = np.linspace(-8.0, 2.0, 7)
+        monkeypatch.setattr(radial, "_NEWTON_STEPS", 1)
+        with pytest.raises(SolverError, match=r"level_radius: \d+ entries still moving after 1 Newton steps"):
+            pot.level_radius(ts)
+        with pytest.raises(SolverError, match=r"regularized slope: \d+ entries still moving after 1 Newton steps"):
+            radial._regularized_log_slope(log_m, 1.5, 1e-3)
 
 
 class TestNearOne:
@@ -255,13 +279,12 @@ class TestRegularized:
             assert np.array_equal(fn(rs), [fn(r) for r in rs]), name
 
     def test_eps_validation(self, euclid3):
-        # one bad value each; the annulus, p and phi_R are checked by the
-        # p-solve that the shooting starts from
+        # one bad value each; the annulus and p are checked by the p-solve
+        # that the shooting starts from
         for args, error, field in (
             ((1.0, 3.0, 1.5, 0.0), ConfigError, "eps"),
             ((3.0, 3.0, 1.5, 1e-3), geometry.DomainError, "R"),
             ((1.0, 3.0, 2.5, 1e-3), ConfigError, "p"),
-            ((1.0, 3.0, 1.5, 1e-3, -1.0), ConfigError, "phi_R"),
         ):
             with pytest.raises(ConfigError) as info:
                 solve_wp_eps(euclid3, *args)

@@ -30,7 +30,7 @@ ACCEPTED_KEYS = {
     "eps_to_0": {"model", "r0", "R", "p", "eps_list"},
     "inequalities": set(),
     "hawking_series": {"model", "r0", "R", "t_max", "expect"},
-    "solve_2d": {"domain", "p", "u_R", "grid"},
+    "solve_2d": {"domain", "p", "grid"},
 }
 
 
