@@ -8,10 +8,11 @@ one check fails, 2 a solver broke down on valid input (a
 ``numerics.SolverError`` or a ``numpy.linalg.LinAlgError``), 64 bad input (a
 ``numerics.ConfigError``, which names the field at fault) or a table or
 report that cannot be written (an ``OSError``, such as a file name too long
-for the platform).  Any other exception is a bug and propagates with its
-traceback.  Each config runs on its own: one that breaks prints its error
-and the others still write their reports; the exit code is the worst over
-all configs.  All artifacts (CSV tables, report JSON) go under --out.
+for the platform), 141 (128 + SIGPIPE) the reader of stdout closed it
+early.  Any other exception is a bug and propagates with its traceback.
+Each config runs on its own: one that breaks prints its error and the
+others still write their reports; the exit code is the worst over all
+configs.  All artifacts (CSV tables, report JSON) go under --out.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_SOLVER = 2
 EXIT_CONFIG = 64
+EXIT_PIPE = 141
 
 SOLVER_ERRORS = (numerics.SolverError, np.linalg.LinAlgError)
 
@@ -127,7 +129,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader is gone: point fd 1 at devnull so the flush at exit
+        # cannot fail again, and exit as a process killed by SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
+    return code
 
 
 if __name__ == "__main__":

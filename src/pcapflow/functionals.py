@@ -119,9 +119,10 @@ class MonotoneSeries:
             raise ValueError("series columns must share the grid length")
 
     def table(self):
-        """(header, rows) with columns t, value, bulk_term, rhs_Qp, residual."""
+        """(header, rows), rows a float array with columns t, value,
+        bulk_term, rhs_Qp, residual."""
         header = ["t", "value", "bulk_term", "rhs_Qp", "residual"]
-        return header, list(zip(self.t, self.values, self.bulk, self.rhs_qp, self.residual))
+        return header, np.column_stack([self.t, self.values, self.bulk, self.rhs_qp, self.residual])
 
 
 @dataclass(frozen=True)

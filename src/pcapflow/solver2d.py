@@ -396,10 +396,11 @@ class Field2D:
         return extract_level(self, t)
 
     def table(self):
-        """(header, rows) with one row sigma, theta, u per node, sigma-major."""
+        """(header, rows), rows a float array with one row sigma, theta, u
+        per node, sigma-major."""
         ns, nt = self.u.shape
-        rows = np.column_stack([np.repeat(self.sigma, nt), np.tile(self.theta, ns), self.u.ravel()]).tolist()
-        return ["sigma", "theta", "u"], rows
+        columns = [np.repeat(self.sigma, nt), np.tile(self.theta, ns), self.u.ravel()]
+        return ["sigma", "theta", "u"], np.column_stack(columns)
 
 
 @dataclass
@@ -461,13 +462,15 @@ class LevelCurve:
         return self.sc_top_integral / (4.0 * math.pi)
 
     def table(self, k: Optional[int] = None):
-        """(header, rows) with one row theta, r, grad_w, H, kappa_m, kappa_phi
-        per sample of one level, or of the level of index ``k`` in an array."""
+        """(header, rows), rows a float array with one row theta, r, grad_w,
+        H, kappa_m, kappa_phi per sample of one level, or of the level of
+        index ``k`` in an array."""
         if (k is None) != (np.ndim(self.t) == 0):
             raise ValueError("a level table needs a single level, or an array of levels and the index k of one")
         i = () if k is None else k
         header = ["theta", "r", "grad_w", "H", "kappa_m", "kappa_phi"]
-        return header, list(zip(self.theta, self.r[i], self.grad[i], self.H[i], self.kappa_m[i], self.kappa_phi[i]))
+        columns = [self.theta, self.r[i], self.grad[i], self.H[i], self.kappa_m[i], self.kappa_phi[i]]
+        return header, np.column_stack(columns)
 
 
 def _curvatures(Wr, Wt, G, H, r, theta):

@@ -21,7 +21,7 @@ import inspect
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union, get_args, get_origin
 
 import numpy as np
@@ -93,14 +93,17 @@ class Report:
         return "pass"
 
     def to_dict(self) -> dict:
+        # _jsonable rebuilds every dict, list and array, so the checks' own
+        # dicts need no deep copy
         env = {"version": __version__, **self.environment}
-        checks = [asdict(c) for c in self.checks]
+        checks = [vars(c) for c in self.checks]
         return _jsonable({"experiment": self.experiment, "checks": checks, "environment": env})
 
     def write(self, path) -> None:
+        """``to_dict`` as JSON (indent 2, sorted keys, non-finite floats as
+        strings) and a newline, in one write."""
         with _create(path) as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
     def summary_lines(self) -> list[str]:
         lines = [f"experiment: {self.experiment}"]
@@ -163,19 +166,40 @@ def _monotone_check(name: str, anchor: str, series, guaranteed: bool) -> Check:
 
 
 def write_csv(path, header, rows) -> None:
-    """Deterministic CSV by one ``%`` over a row template read from the
-    columns: ``%.17g`` (round trip) for a float column, ``%s`` otherwise.
-    Unequal rows, or a column mixing floats and other cells, raise ValueError."""
-    rows = list(rows)
-    if len(set(map(len, rows))) > 1:
-        raise ValueError("rows of unequal length")
-    floats = [{issubclass(kind, (float, np.floating)) for kind in set(map(type, column))} for column in zip(*rows)]
-    if any(len(kinds) > 1 for kinds in floats):
-        raise ValueError("a column mixes float and non-float cells")
-    template = ",".join("%.17g" if True in kinds else "%s" for kinds in floats) + "\n"
-    body = template * len(rows) % tuple(x for row in rows for x in row)
+    """Deterministic CSV: a float cell is ``%.17g`` (round trip; ``-0``,
+    ``nan``, ``inf``), any other cell ``str``.
+
+    ``rows`` is a 2-D float array, whose columns are ``rows.T``, or an
+    iterable of rows, whose columns must each hold only floats (``float``
+    or ``np.floating``) or only other cells; unequal rows, or a column mixing
+    the two, raise ValueError.  A float column formats each distinct bit
+    pattern once, so a table with repeated values costs its distinct values."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
+        texts = [_float_texts(column) for column in rows.T]
+    else:
+        rows = list(rows)
+        if len(set(map(len, rows))) > 1:
+            raise ValueError("rows of unequal length")
+        texts = []
+        for column in zip(*rows):
+            kinds = {issubclass(kind, (float, np.floating)) for kind in set(map(type, column))}
+            if len(kinds) > 1:
+                raise ValueError("a column mixes float and non-float cells")
+            texts.append(_float_texts(column) if True in kinds else list(map(str, column)))
+    cells = np.empty((len(rows), len(texts)), dtype=object)
+    for j, column in enumerate(texts):
+        cells[:, j] = column
+    template = ",".join(["%s"] * len(texts)) + "\n"
     with _create(path) as fh:
-        fh.write(",".join(header) + "\n" + body)
+        fh.write(",".join(header) + "\n" + template * len(rows) % tuple(cells.ravel().tolist()))
+
+
+def _float_texts(column) -> np.ndarray:
+    """The ``%.17g`` text of each cell of a float column, one ``%`` over its
+    distinct bit patterns (``-0.0`` and each NaN keep their own)."""
+    bits, inverse = np.unique(np.asarray(column, dtype=np.float64).view(np.uint64), return_inverse=True)
+    distinct = ("%.17g\n" * len(bits) % tuple(bits.view(np.float64).tolist())).split("\n")[:-1]
+    return np.array(distinct, dtype=object)[inverse]
 
 
 def _create(path):

@@ -76,6 +76,15 @@ def midband(field, lo_frac=0.25, hi_frac=0.7, num=7):
     return np.linspace(lo + lo_frac * (hi - lo), lo + hi_frac * (hi - lo), num)
 
 
+def cell_by_cell(header, rows):
+    """The bytes of a CSV under the per-cell rule of ``verify.write_csv``:
+    ``%.17g`` for ``float`` and ``np.floating``, ``str`` for the rest."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join("%.17g" % x if isinstance(x, (float, np.floating)) else str(x) for x in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
 def grad_norm_fd(pot, r):
     """d|grad w|/dr as a central difference of pot.grad_norm, step 1e-6 r."""
     d = 1e-6 * r

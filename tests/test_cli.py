@@ -536,6 +536,27 @@ class TestModuleEntry:
         assert proc.returncode == 0
         assert "euclidean" in proc.stdout
 
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    def test_closed_pipe_exits_141_quietly(self, buffered):
+        # a reader that closed stdout before the first write: exit 128 +
+        # SIGPIPE with no traceback, whether print or the flush meets the pipe
+        env = {k: v for k, v in SRC_ENV.items() if k != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pcapflow.cli", "list-models", "--json", "--verbose"],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                timeout=120,
+                env=env,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
 
 class TestScipyStaysUnloaded:
     """Radial work never needs SciPy, so it is imported only by the 2-D

@@ -22,6 +22,8 @@ from pcapflow.functionals import (
 from pcapflow.numerics import CumulativeIntegral
 from pcapflow.verify import write_csv
 
+from conftest import cell_by_cell
+
 TS20 = tuple(np.linspace(0.0, 2.0, 20))
 
 
@@ -452,22 +454,26 @@ class TestCsv:
         write_csv(path, list("abcdefghij"), [row])
         assert path.read_bytes() == b"a,b,c,d,e,f,g,h,i,j\n0.10000000000000001,0.33333333333333331,0.5,-0,nan,-inf,3,7,True,x\n"
 
-    @staticmethod
-    def _cell_by_cell(header, rows):
-        """The per-cell rule: ``%.17g`` for floats and ``np.floating``, str for the rest."""
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join("%.17g" % x if isinstance(x, (float, np.floating)) else str(x) for x in row))
-        return ("\n".join(lines) + "\n").encode()
-
     def test_float_table_matches_the_cell_rule(self, tmp_path):
         rng = np.random.default_rng(5)
         floats = rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-300, 300, (40, 3))
         floats[0] = [math.nan, math.inf, -0.0]
-        rows = floats.tolist() + [(np.float64(0.1), np.float32(0.5), -math.inf)]
+        # repeats, both zeros in one column, NaNs with a sign bit and with payloads
+        floats[1:9] = floats[10:18]
+        floats[20:24, 0] = [0.0, -0.0, 0.0, -0.0]
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF00000DEADBEEF], np.uint64)
+        floats[24:28, 1] = nans.view(np.float64)
+        rows = floats.tolist() + [
+            (np.float64(0.1), np.float32(0.5), -math.inf),
+            (np.float32(-0.0), 0.1, np.float32(1 / 3)),
+        ]
+        expected = cell_by_cell(["a", "b", "c"], rows)
         path = tmp_path / "table.csv"
         write_csv(path, ["a", "b", "c"], rows)
-        assert path.read_bytes() == self._cell_by_cell(["a", "b", "c"], rows)
+        assert path.read_bytes() == expected
+        # the same table as a float array: its columns are read from rows.T
+        write_csv(path, ["a", "b", "c"], np.array(rows, dtype=float))
+        assert path.read_bytes() == expected
         # a row template has one format per column, so a column of floats and ints is refused
         mixed = rows + [(3, np.int64(7), "x"), (True, np.float64(math.nan), 0.25)]
         with pytest.raises(ValueError, match="mixes float and non-float"):
@@ -475,8 +481,9 @@ class TestCsv:
 
     def test_rows_of_other_lengths(self, tmp_path):
         path = tmp_path / "ragged.csv"
-        write_csv(path, ["a", "b"], [])
-        assert path.read_bytes() == b"a,b\n"
+        for empty in ([], np.empty((0, 2))):
+            write_csv(path, ["a", "b"], empty)
+            assert path.read_bytes() == b"a,b\n"
         for rows in ([(1.5,), (2.5, 3.5)], [(1.5, 2.5), (3.5,)]):
             with pytest.raises(ValueError, match="unequal length"):
                 write_csv(path, ["a", "b"], rows)

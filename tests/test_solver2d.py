@@ -21,7 +21,7 @@ from pcapflow.solver2d import (
 )
 from pcapflow.verify import write_csv
 
-from conftest import midband
+from conftest import cell_by_cell, midband
 
 
 @pytest.fixture(scope="module")
@@ -608,14 +608,18 @@ class TestFieldFromRadial:
 
 
 class TestCsvWriters:
-    def test_field_csv(self, tmp_path):
-        f = solve_2d(sphere_domain(1.0, 2.0), p=2.0, u_R=0.5, shape=(16, 16))
+    def test_field_csv(self, ellipsoid_128, tmp_path):
+        f = ellipsoid_128
+        # the ellipsoid is mirrored about its equator, so u repeats across it
+        assert np.array_equal(f.u, f.u[:, ::-1])
+        header, rows = f.table()
         path = tmp_path / "field.csv"
-        write_csv(path, *f.table())
+        write_csv(path, header, rows)
+        assert path.read_bytes() == cell_by_cell(header, rows.tolist())
         lines = path.read_text().splitlines()
         assert lines[0] == "sigma,theta,u"
-        assert len(lines) == 1 + 17 * 17
-        back = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]]).reshape(17, 17, 3)
+        assert len(lines) == 1 + f.u.size
+        back = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]]).reshape(*f.u.shape, 3)
         assert np.array_equal(back[:, 0, 0], f.sigma) and np.array_equal(back[0, :, 1], f.theta)
         assert np.array_equal(back[..., 2], f.u)  # sigma-major, round-trip exact
 

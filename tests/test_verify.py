@@ -1,5 +1,6 @@
 """Experiment harness: verdict logic, report schema, config validation."""
 
+import dataclasses
 import inspect
 import json
 import math
@@ -128,6 +129,28 @@ class TestCheckAndReport:
         assert data["checks"][0]["values"]["x"] == "inf"
         assert data["checks"][0]["values"]["arr"] == [0.0, 1.0, 2.0]
         assert "version" in data["environment"]
+
+    def test_report_bytes_match_the_deep_copy_rule(self, tmp_path):
+        # the checks go to JSON without dataclasses.asdict's deep copy, and
+        # their values are left as they were
+        values = {
+            "scalar": np.float64(0.1),
+            "count": np.int64(7),
+            "f32": np.float32(0.5),
+            "arr": np.array([[1.0, math.nan], [-math.inf, -0.0]]),
+            "nested": [(1, np.float64(math.inf)), [np.arange(2), {"b": -math.nan, "a": "x"}]],
+            "nan": math.nan,
+            "none": None,
+            "flag": True,
+        }
+        checks = [Check("a", "anc", values, 1e-8, "pass"), Check("b", "anc", {"inf": math.inf}, None, "fail")]
+        rep = Report("bytes", checks, {"grid": (3, 4), "model": "flat"})
+        path = tmp_path / "report.json"
+        rep.write(path)
+        env = {"version": verify.__version__, **rep.environment}
+        deep = {"experiment": "bytes", "checks": [dataclasses.asdict(c) for c in checks], "environment": env}
+        assert path.read_text() == json.dumps(verify._jsonable(deep), indent=2, sort_keys=True) + "\n"
+        assert checks[0].values is values and isinstance(values["arr"], np.ndarray)
 
     @pytest.mark.parametrize(
         "write",
