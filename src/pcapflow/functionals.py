@@ -21,14 +21,12 @@ H = |grad w|.  ``F_1`` is another name for ``F_p``.  A solution is accepted
 iff its dimension is ``params.n`` (3 for a 2-D field) and its p is
 ``params.p``.
 
-A level is a ``RadialLevel`` (round, from ``radial_level``) or a
-``solver2d.LevelCurve`` (extracted from a 2-D field).  Both expose
-``integrate`` and the same per-point data, and both hold one level or an
-array of levels, so each functional has one body for radial potentials and
-2-D fields, one level or many.  A series builds the levels of its grid once
-and the levels of its central-difference stencil once, and evaluates its
-value, right side and bulk term on them: each build is one ``radial_level``
-or one ``field.level`` call on an array of levels.  A radial potential
+A level is a ``geometry.Level`` (round from ``radial_level``, or extracted
+from a 2-D field; one level or many), so each functional has one body.  A
+series builds the levels of its grid once and the levels of its
+central-difference stencil once, and evaluates its value, right side and
+bulk term on them: each build is one ``radial_level`` or one
+``field.level`` call on an array of levels.  A radial potential
 keeps its builds, so a later series or ``levels`` call reuses them.
 """
 
@@ -45,7 +43,6 @@ from .numerics import ConfigError, CumulativeIntegral
 __all__ = [
     "FunctionalParams",
     "MonotoneSeries",
-    "RadialLevel",
     "radial_level",
     "levels",
     "F_p",
@@ -125,51 +122,17 @@ class MonotoneSeries:
         return header, np.column_stack([self.t, self.values, self.bulk, self.rhs_qp, self.residual])
 
 
-@dataclass(frozen=True)
-class RadialLevel:
-    """Geometric data of the round level sets of a radial potential: floats
-    for one level, arrays (one entry per level) for an array of levels.
-
-    It shares the level interface of ``solver2d.LevelCurve``: ``integrate``
-    and the per-point fields below, so every functional has one body."""
-
-    t: float
-    r: float
-    n: int
-    area: float
-    grad: float
-    H: float
-    scalar: float
-    scalar_induced: float
-
-    # round levels are umbilic and |grad w| is constant on them
-    grad_tangential = 0.0
-    H_tangential = 0.0
-    hring_sq = 0.0
-
-    def integrate(self, values):
-        """Surface integral over the level of a quantity constant on it."""
-        return self.area * values
-
-    @property
-    def willmore(self) -> float:
-        return self.area * self.H * self.H
-
-    @property
-    def chi_proxy(self) -> float:
-        """(1/4 pi) int Sc^T over the level (2 for sphere topology)."""
-        return self.area * self.scalar_induced / (4.0 * math.pi)
-
-
-def radial_level(pot: radial.RadialPotential, t) -> RadialLevel:
+def radial_level(pot: radial.RadialPotential, t) -> geometry.Level:
+    """The round levels {w = t}: one sample each, weighted by the area of
+    its sphere."""
     model = pot.manifold
-    r = pot.level_radius(t)
+    r = np.asarray(pot.level_radius(t))[..., None]
     area, scal_ind = geometry.cross_section(model, r)
-    return RadialLevel(
+    return geometry.Level(
         t=np.asarray(t, dtype=float)[()],
-        r=r,
         n=model.n,
-        area=area,
+        r=r,
+        weights=area,
         grad=pot.grad_norm(r),
         H=geometry.mean_curvature_sphere(model, r),
         scalar=geometry.scalar_curvature(model, r),
@@ -267,7 +230,7 @@ def _ricci_bulk(solution, params: FunctionalParams):
         return ric
 
     cum = CumulativeIntegral(integrand, pot.r0, (pot.r0, pot.R), 1e-11)
-    return lambda lev: cum(lev.r)
+    return lambda lev: cum(lev.r[..., 0])
 
 
 def _qp_integral(level, params: FunctionalParams):

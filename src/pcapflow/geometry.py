@@ -45,6 +45,7 @@ from .numerics import ConfigError, integrate, natural_cubic_spline
 
 __all__ = [
     "RadialManifold",
+    "Level",
     "DomainError",
     "unit_sphere_area",
     "euclidean",
@@ -102,6 +103,49 @@ class RadialManifold:
         if (r > self.r_max * (1.0 + 1e-12)).any():
             raise DomainError(f"r={np.max(r)} beyond tabulated range r_max={self.r_max} for {self.label}")
         return r[()]
+
+
+@dataclass(frozen=True)
+class Level:
+    """Level sets {w = t} as weighted samples, round or not.  Each per-sample
+    field ends in a samples axis, and ``weights`` holds each sample's share
+    of the level's area; t is a float for one level and (m,) for m levels.
+    ``scalar`` is the ambient scalar curvature, ``scalar_induced`` the
+    level's own; the tangential derivatives and |h-ring|^2 default to 0, as
+    on a round level.  It lives here because both modules that build levels,
+    ``functionals`` and ``solver2d``, import this one.
+    """
+
+    t: float | np.ndarray
+    n: int
+    r: np.ndarray
+    weights: np.ndarray
+    grad: np.ndarray
+    H: np.ndarray
+    scalar: float | np.ndarray
+    scalar_induced: np.ndarray
+    grad_tangential: float | np.ndarray = 0.0
+    H_tangential: float | np.ndarray = 0.0
+    hring_sq: float | np.ndarray = 0.0
+
+    def integrate(self, values):
+        """Surface integral of per-sample ``values`` over each level: a float
+        for one level, an array for many."""
+        return np.sum(values * self.weights, axis=-1)
+
+    @property
+    def area(self):
+        return self.integrate(1.0)
+
+    @property
+    def willmore(self):
+        """int H^2 over the level."""
+        return self.integrate(self.H**2)
+
+    @property
+    def chi_proxy(self):
+        """(1/4 pi) int Sc^T over the level (2 for sphere topology)."""
+        return self.integrate(self.scalar_induced) / (4.0 * math.pi)
 
 
 def mean_curvature_sphere(model: RadialManifold, r):

@@ -4,10 +4,10 @@ Adaptive panel Gauss-Legendre quadrature on array integrands (one-shot
 integrals and cumulative tables), bracketed scalar root finding by Brent's
 method, natural cubic splines, a banded Cholesky solve for symmetric
 positive definite systems whose result keeps its factor for further right
-sides, and a context that runs BLAS on one thread.
+sides, a context that runs BLAS on one thread, and Simpson weights.
 Every radial integral in the package routes through :func:`integrate` or
-:class:`CumulativeIntegral` so that accuracy budgets live in one place
-(a 2-D level integral is a Simpson sum, ``solver2d.LevelCurve.integrate``).
+:class:`CumulativeIntegral` so that accuracy budgets live in one place,
+and the weights of a 2-D level come from :func:`simpson_weights`.
 The budget is one relative tolerance plus a rounding floor: a panel passes
 when its error estimate is below ``rel_tol`` of the integral or below 64
 eps times its integral of |fn|, so integrals that cancel to zero still end.
@@ -15,8 +15,8 @@ eps times its integral of |fn|, so integrals that cancel to zero still end.
 SciPy is imported only for the banded Cholesky and the spline, inside the
 functions that call them: its import outlasts most configs' runs, and a
 radial-only run never needs it.  For the same reason :func:`find_root` is
-written here rather than taken from ``scipy.optimize``, and the Simpson sum
-of ``solver2d`` is NumPy rather than ``scipy.integrate``.  Every other
+written here rather than taken from ``scipy.optimize``, and the Simpson
+weights are NumPy rather than ``scipy.integrate``.  Every other
 exception class of the package derives from exactly one of two bases:
 :class:`ConfigError`, bad input named by the code that uses it (exit 64),
 and :class:`SolverError`, a breakdown on valid input (exit 2).
@@ -49,6 +49,7 @@ __all__ = [
     "BracketError",
     "SpdResult",
     "integrate",
+    "simpson_weights",
     "find_root",
     "solve_spd",
     "single_threaded_blas",
@@ -342,6 +343,25 @@ class CumulativeIntegral:
             with np.errstate(divide="ignore"):
                 return np.logaddexp(self._before[k], self._shift[k] + np.log(t * mean))
         return self._before[k] + self._half[k] * (t * mean)
+
+
+def simpson_weights(x) -> np.ndarray:
+    """Weights of the composite Simpson rule on the uniform grid x, so that
+    ``np.sum(y * simpson_weights(x), axis=-1)`` integrates samples y of x:
+    d/3 (1, 4, 2, 4, ..., 2, 4, 1) for step d and an even number N of
+    intervals.  For odd N the rule runs over the first N-1 intervals and the
+    end correction d/12 (-1, 8, 5) on the last three samples covers the last
+    interval, as ``scipy.integrate.simpson`` does."""
+    x = np.asarray(x, dtype=float)
+    d = x[1] - x[0]
+    last = (x.size - 1) // 2 * 2  # the end of the even part
+    weights = np.zeros(x.size)
+    weights[1:last:2] = 4.0 * d / 3.0
+    weights[2:last:2] = 2.0 * d / 3.0
+    weights[[0, last]] = d / 3.0
+    if last < x.size - 1:
+        weights[-3:] += d / 12.0 * np.array([-1.0, 8.0, 5.0])
+    return weights
 
 
 def find_root(fn: Callable[[float], float], lo: float, hi: float, tol: float = 1e-13) -> float:

@@ -89,7 +89,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import ConfigError, SolverError, single_threaded_blas, solve_spd
+from . import geometry
+from .numerics import ConfigError, SolverError, simpson_weights, single_threaded_blas, solve_spd
 
 __all__ = [
     "AxisymmetricDomain",
@@ -135,11 +136,16 @@ class AxisymmetricDomain:
     label: str
 
     def __post_init__(self):
+        if not math.isfinite(self.R):
+            raise ValueError(f"outer radius R={self.R} must be finite")
         th = np.linspace(0.0, math.pi, 181)
         rr = np.asarray(self.rho(th), dtype=float)
-        if np.any(rr <= 0.0) or np.any(rr >= self.R):
+        # written so that a nan rho fails too
+        if not (np.all(rr > 0.0) and np.all(rr < self.R)):
             raise ValueError(f"need 0 < rho(theta) < R={self.R} everywhere")
         dr = np.asarray(self.drho(th), dtype=float)
+        if not np.all(np.isfinite(dr)):
+            raise ValueError("rho'(theta) must be finite")
         if abs(dr[0]) > 1e-10 or abs(dr[-1]) > 1e-10:
             raise ValueError("rho'(0) and rho'(pi) must vanish (axis regularity)")
 
@@ -159,6 +165,8 @@ def ellipsoid_domain(a_ax: float = 1.3, b_eq: float = 1.0, R: float = 4.0) -> Ax
     equatorial semi-axis b_eq: rho(theta) = (cos^2/a^2 + sin^2/b^2)^(-1/2)."""
     a_ax = float(a_ax)
     b_eq = float(b_eq)
+    if not (a_ax > 0.0 and b_eq > 0.0):
+        raise ValueError(f"semi-axes a_ax={a_ax} and b_eq={b_eq} must be positive")
 
     def rho(th):
         th = np.asarray(th, dtype=float)
@@ -403,63 +411,20 @@ class Field2D:
         return ["sigma", "theta", "u"], np.column_stack(columns)
 
 
-@dataclass
-class LevelCurve:
-    """Extracted levels {w = t}: axisymmetric curves theta -> r(theta) with
-    per-sample first- and second-order geometry.  For one level t is a float
-    and each per-sample array has shape (Ntheta+1,); for an array of m levels
-    t has shape (m,) and the arrays (m, Ntheta+1).  ``theta`` is shared."""
+@dataclass(frozen=True, kw_only=True)
+class LevelCurve(geometry.Level):
+    """Levels {w = t} of a 2-D field: axisymmetric curves theta -> r(theta)
+    sampled at the grid's theta nodes (``theta``, shared), the per-sample
+    arrays of shape (Ntheta+1,) for one level and (m, Ntheta+1) for m.  The
+    weights are the Simpson weights in theta (``numerics.simpson_weights``)
+    times the area element 2 pi r sin(theta) sqrt(r^2 + r'^2); in flat
+    3-space the Gauss equation gives the level's own scalar curvature
+    2 kappa_m kappa_phi."""
 
-    t: float | np.ndarray
     theta: np.ndarray
-    r: np.ndarray
-    grad: np.ndarray
-    grad_tangential: np.ndarray
-    H: np.ndarray
-    H_tangential: np.ndarray
     kappa_m: np.ndarray
     kappa_phi: np.ndarray
-    hring_sq: np.ndarray
     theta_eps: np.ndarray
-    measure: np.ndarray
-
-    # the solver's ambient space is flat 3-space
-    n = 3
-    scalar = 0.0
-
-    def integrate(self, values):
-        """Surface integral over each level (azimuthal factor included): a
-        float for one level, an array for many.  The composite Simpson sum
-        d/3 (y_0 + 4 y_1 + 2 y_2 + ... + y_N) over the uniform theta grid of
-        step d; for an odd number N of intervals it runs over the first N-1
-        and adds the end correction d/12 (5 y_N + 8 y_{N-1} - y_{N-2}) for
-        the last, as ``scipy.integrate.simpson`` does."""
-        y = np.asarray(values, dtype=float) * self.measure
-        d = self.theta[1] - self.theta[0]
-        last = y.shape[-1] - 1
-        tail = 0.0
-        if last % 2:
-            tail = d / 12.0 * (5.0 * y[..., -1] + 8.0 * y[..., -2] - y[..., -3])
-            last -= 1
-        s = y[..., 0] + y[..., last] + 4.0 * y[..., 1:last:2].sum(axis=-1) + 2.0 * y[..., 2:last:2].sum(axis=-1)
-        return d / 3.0 * s + tail
-
-    @property
-    def area(self):
-        return self.integrate(1.0)
-
-    @property
-    def willmore(self):
-        return self.integrate(self.H**2)
-
-    @property
-    def sc_top_integral(self):
-        """int Sc^T: Gauss equation in flat ambient gives Sc^T = 2 k_m k_phi."""
-        return self.integrate(2.0 * self.kappa_m * self.kappa_phi)
-
-    @property
-    def chi_proxy(self):
-        return self.sc_top_integral / (4.0 * math.pi)
 
     def table(self, k: Optional[int] = None):
         """(header, rows), rows a float array with one row theta, r, grad_w,
@@ -530,17 +495,20 @@ def extract_level(fieldv: Field2D, t) -> LevelCurve:
     measure = 2.0 * math.pi * r * np.sin(theta) * np.sqrt(r * r + dr * dr)
     return LevelCurve(
         t=t[()],
-        theta=theta,
+        n=3,
         r=r,
+        weights=measure * simpson_weights(theta),
         grad=G,
-        grad_tangential=grad_tan,
         H=H,
+        scalar=0.0,
+        scalar_induced=2.0 * km * kphi,
+        grad_tangential=grad_tan,
         H_tangential=H_tan,
+        hring_sq=hring_sq,
+        theta=theta,
         kappa_m=km,
         kappa_phi=kphi,
-        hring_sq=hring_sq,
         theta_eps=interp(der["theta_eps"]),
-        measure=measure,
     )
 
 

@@ -656,7 +656,7 @@ def solve_2d_suite(domain: dict, p: float, grid: tuple[int, int] = (96, 48)):
     tables = {"field": fieldv.table()}
     _, hi = fieldv.w_range()
     curves = fieldv.level(np.linspace(0.2 * hi, 0.8 * hi, 5))
-    gbs = curves.sc_top_integral / (8.0 * math.pi)
+    gbs = curves.chi_proxy / 2.0
     levels = list(zip(curves.t.tolist(), curves.area, curves.willmore, gbs, curves.integrate(curves.hring_sq)))
     for k, (t, area, _, gb, _) in enumerate(levels):
         values = {"sc_top_over_8pi": gb, "area": area}

@@ -194,8 +194,13 @@ class TestRun:
             {"shape": "sphere", "r0": 1.0, "R": 4.0, "a_ax": 3.0},
             {"shape": "ellipsoid", "a_ax": 1.3, "r0": 0.5},
             {"shape": "sphere", "r0": 5.0, "R": 4.0},
+            # json reads the literals Infinity and NaN, which json.dumps writes
+            {"shape": "sphere", "r0": 1.0, "R": math.inf},
+            {"shape": "ellipsoid", "a_ax": math.nan, "b_eq": 1.0, "R": 4.0},
+            {"shape": "ellipsoid", "a_ax": -1.3, "b_eq": 1.0, "R": 4.0},
         ],
-        ids=["sphere-a_ax", "ellipsoid-r0", "sphere-r0-beyond-R"],
+        ids=["sphere-a_ax", "ellipsoid-r0", "sphere-r0-beyond-R", "sphere-R-infinite", "ellipsoid-a_ax-nan",
+             "ellipsoid-a_ax-negative"],
     )
     def test_domain_checked_against_its_constructor(self, tmp_path, capsys, domain):
         bad = tmp_path / "bad.json"
@@ -493,12 +498,31 @@ class TestRun:
                 main(["run", str(cfg), "--out", str(tmp_path / "out"), option, "2"])
 
 
+# the number of checks each shipped config reports, 82 in all, so that a
+# change that drops or adds a check has to change this ledger too
+SHIPPED_CHECKS = {
+    "ellipsoid_2d": 7,
+    "euclidean_eps_to_0": 2,
+    "euclidean_fp": 2,
+    "euclidean_gp": 3,
+    "euclidean_p_to_1": 7,
+    "inequalities": 28,
+    "monotonicity_sweep": 18,
+    "schwarzschild_geroch": 2,
+    "schwarzschild_p_to_1": 6,
+    "sphere_2d": 7,
+}
+
+
 @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
 def test_shipped_config_passes(config, tmp_path):
     assert main(["run", str(config), "--out", str(tmp_path)]) == EXIT_PASS
     prefix = artifact_prefix(json.loads(config.read_text()))
-    names = [c["name"] for c in json.loads((tmp_path / f"{prefix}_report.json").read_text())["checks"]]
+    checks = json.loads((tmp_path / f"{prefix}_report.json").read_text())["checks"]
+    names = [c["name"] for c in checks]
     assert len(names) == len(set(names))
+    assert len(checks) == SHIPPED_CHECKS[config.stem]
+    assert [c["name"] for c in checks if c["verdict"] != "pass"] == []
 
 
 class TestExitCodeRule:

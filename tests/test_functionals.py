@@ -1,6 +1,7 @@
 """Level-set functionals on radial solutions and 2-D levels: frozen oracles and identities."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -151,7 +152,7 @@ class TestF1:
             for alpha in (1.0, 2.0, 3.0):
                 series = F_p(pot, FunctionalParams(3, 1.0, alpha, tuple(ts)))
                 lam = alpha / 2.0 - 1.0
-                closed = -(1.0 / alpha) * np.exp(lam * ts) * lev.area * lev.grad**alpha - series.bulk
+                closed = -(1.0 / alpha) * np.exp(lam * ts) * lev.integrate(lev.grad**alpha) - series.bulk
                 assert np.max(np.abs(series.values / closed - 1.0)) < 1e-13, (model.label, alpha)
                 assert np.all(series.rhs_qp == 0.0)
 
@@ -407,6 +408,20 @@ class TestLevelData:
             lev = radial_level(pot, 0.5)
             assert lev.chi_proxy == pytest.approx(2.0, rel=1e-12)
 
+    def test_round_level_is_one_sample(self, schw1):
+        # a round level is one sample weighted by its sphere's area, so its
+        # integral is the rule area * value, bit for bit
+        pot = radial.solve_wp(schw1, 2.2, 12.0, 1.5)
+        ts = np.linspace(0.2, 0.8, 5) * pot.phi_R
+        area = geometry.cross_section(schw1, pot.level_radius(ts))[0]
+        lev = radial_level(pot, ts)
+        assert lev.r.shape == lev.weights.shape == lev.H.shape == (5, 1)
+        assert np.array_equal(lev.area, area)
+        for values in (lev.H, lev.grad**2.5, lev.scalar_induced):
+            assert np.array_equal(lev.integrate(values), area * values[:, 0])
+        one = radial_level(pot, ts[2])
+        assert one.r.shape == (1,) and one.integrate(one.H) == area[2] * one.H[0]
+
     def test_two_dimensional_levels_match_radial(self, euclid3):
         # a 2-D field seeded with the exact flat potential: its extracted
         # levels must give the radial values up to the level-extraction error
@@ -427,10 +442,7 @@ class TestLevelData:
 
     def test_geroch_rhs_requires_positive_h(self, euclid3):
         lev = radial_level(radial.solve_w1(euclid3, 1.0, 8.0), 0.5)
-        bad = functionals.RadialLevel(
-            t=lev.t, r=lev.r, n=3, area=lev.area, grad=lev.grad,
-            H=0.0, scalar=0.0, scalar_induced=lev.scalar_induced,
-        )
+        bad = replace(lev, H=np.zeros_like(lev.H), scalar=0.0)
         with pytest.raises(ValueError):
             geroch_rhs(bad)
 

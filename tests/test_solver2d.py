@@ -1,13 +1,12 @@
 """Axisymmetric solver: closed forms, level extraction, conservation."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pcapflow import geometry, radial, solver2d
-from pcapflow.numerics import SolverError
+from pcapflow.numerics import SolverError, simpson_weights
 from pcapflow.solver2d import (
     Field2D,
     LevelRangeError,
@@ -22,6 +21,8 @@ from pcapflow.solver2d import (
 from pcapflow.verify import write_csv
 
 from conftest import cell_by_cell, midband
+
+NTHETA = [16, 17, 35, 48]  # theta intervals of the level-integral tests, even and odd
 
 
 @pytest.fixture(scope="module")
@@ -520,7 +521,7 @@ class TestLevelExtraction:
             one = extract_level(ellipsoid_128, t)
             assert one.t == t and np.array_equal(one.theta, batch.theta)
             for name in ("r", "grad", "grad_tangential", "H", "H_tangential", "kappa_m", "kappa_phi",
-                         "hring_sq", "theta_eps", "measure", "area", "willmore", "chi_proxy"):
+                         "hring_sq", "theta_eps", "weights", "area", "willmore", "chi_proxy"):
                 assert np.array_equal(getattr(one, name), getattr(batch, name)[k]), name
 
     def test_ray_search_matches_searchsorted(self, sphere_field):
@@ -545,11 +546,12 @@ class TestLevelExtraction:
 
 
 class TestLevelIntegral:
-    """``LevelCurve.integrate`` is the composite Simpson sum of
-    ``scipy.integrate.simpson`` on the uniform theta grid, with its end
-    correction for an odd number of intervals."""
+    """A level's integral is one weighted sum; a 2-D level's weights are the
+    composite Simpson weights of ``numerics.simpson_weights`` times the area
+    element, which reproduce ``scipy.integrate.simpson`` on the uniform theta
+    grid, with its end correction for an odd number of intervals."""
 
-    @pytest.fixture(scope="class", params=[16, 17, 35, 48])
+    @pytest.fixture(scope="class", params=NTHETA)
     def field(self, request):
         dom = ellipsoid_domain(1.3, 1.0, R=4.0)
         return solve_2d(dom, p=1.5, u_R=0.05, shape=(24, request.param), tol=1e-10)
@@ -557,34 +559,37 @@ class TestLevelIntegral:
     def test_matches_scipy_simpson(self, field):
         from scipy.integrate import simpson
 
-        ts = midband(field, num=3)
-        for lev in (field.level(ts[1]), field.level(ts)):
-            for values in (1.0, lev.H**2, 1.0 + np.cos(lev.theta) ** 3):
-                got = lev.integrate(values)
-                want = simpson(np.asarray(values) * lev.measure, x=lev.theta, axis=-1)
-                assert np.shape(got) == np.shape(want) == np.shape(lev.t)
+        lev = field.level(midband(field, num=3))
+        weights = simpson_weights(lev.theta)
+        for values in (np.ones_like(lev.r), lev.H**2 * lev.r, (1.0 + np.cos(lev.theta) ** 3) * lev.r):
+            for y in (values[1], values):
+                got = np.sum(y * weights, axis=-1)
+                want = simpson(y, x=lev.theta, axis=-1)
+                assert np.shape(got) == np.shape(want)
                 assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
-    def test_exact_on_polynomials(self, field):
+    @pytest.mark.parametrize("ntheta", NTHETA)
+    def test_exact_on_polynomials(self, ntheta):
         """Exact to rounding on cubics in theta at even Ntheta; at odd Ntheta
         the end correction is exact on quadratics."""
-        lev = field.level(midband(field, num=3))
-        lev = replace(lev, measure=np.ones_like(lev.measure))
+        theta = np.linspace(0.0, math.pi, ntheta + 1)
+        weights = simpson_weights(theta)
         coeffs = [(1.0, 0.0, 0.0, 0.0), (0.5, -1.0, 2.0, 0.0)]
-        if field.shape[1] % 2 == 0:
+        if ntheta % 2 == 0:
             coeffs.append((2.0, 0.5, 0.0, -1.0))
         for c in coeffs:
-            got = lev.integrate(sum(ck * lev.theta**k for k, ck in enumerate(c)))
+            got = np.sum(sum(ck * theta**k for k, ck in enumerate(c)) * weights)
             want = sum(ck * math.pi ** (k + 1) / (k + 1) for k, ck in enumerate(c))
-            assert np.all(np.abs(got - want) <= 8.0 * np.finfo(float).eps * abs(want)), c
+            assert abs(got - want) <= 8.0 * np.finfo(float).eps * abs(want), c
 
     def test_batch_equals_single_levels(self, field):
         ts = midband(field, num=3)
         batch = field.level(ts)
         for k, t in enumerate(ts):
             one = field.level(t)
-            for name in ("area", "willmore", "sc_top_integral"):
+            for name in ("area", "willmore", "chi_proxy"):
                 assert getattr(one, name) == getattr(batch, name)[k], name
+            assert one.integrate(one.hring_sq) == batch.integrate(batch.hring_sq)[k]
 
 
 class TestFieldFromRadial:

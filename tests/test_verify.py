@@ -447,7 +447,7 @@ class TestSuites:
 
             def h_level(t):
                 lev = functionals.radial_level(pot, t)
-                return lev.area * (lev.H - lev.grad) ** 2
+                return lev.integrate((lev.H - lev.grad) ** 2)
 
             def area_level(t):
                 return np.abs(functionals.radial_level(pot, t).area - functionals.radial_level(w1, t).area)
