@@ -71,9 +71,9 @@ class FunctionalParams:
             raise ConfigError(f"dimension {self.n} must be at least 3", "n")
         if not (1.0 <= self.p <= 2.0):
             raise ConfigError(f"p={self.p} outside [1, 2]", "p")
-        if not (self.alpha >= 1.0 if self.p == 1.0 else self.alpha > 0.0):
+        if not (self.alpha >= 1.0 if self.p == 1.0 else self.alpha > 0.0) or math.isinf(self.alpha):
             bound = "at least 1 at p = 1" if self.p == 1.0 else "positive"
-            raise ConfigError(f"alpha={self.alpha} must be {bound}", "alpha")
+            raise ConfigError(f"alpha={self.alpha} must be finite and {bound}", "alpha")
         ts = np.asarray(self.t_grid, dtype=float)
         if ts.size < 2 or np.any(np.diff(ts) <= 0.0) or ts[0] < 0.0:
             raise ConfigError("t_grid must be strictly increasing and nonnegative", "t_grid")
@@ -205,6 +205,11 @@ def _ricci_bulk(solution, params: FunctionalParams):
     """level -> int_0^t e^{lam s} int_{w=s} G^{a+p-3} Ric(nu,nu) ds, as the
     radial integral of e^{lam w} |S^{n-1}| h^{n-1} G^{a+p-2} f Ric from r0
     to the level radius (one cumulative table).
+    A p-potential's table starts on the refined panel edges of its tail
+    (its seed radii), on which the potential is already resolved: most
+    panels pass in the first round, and a query between edges is as
+    accurate as a quadrature to its radius.  The flow potential's seed is
+    256 uniform radii, and its table starts on the one panel [r0, R].
     The integrand evaluates Ric first and the potential (w and G from one
     tail evaluation) only where Ric is nonzero; elsewhere it is Ric itself,
     the signed zero the full product would give.  On flat space and cones
@@ -229,7 +234,8 @@ def _ricci_bulk(solution, params: FunctionalParams):
             )
         return ric
 
-    cum = CumulativeIntegral(integrand, pot.r0, (pot.r0, pot.R), 1e-11)
+    edges = (pot.r0, pot.R) if pot.kind == radial.KIND_IMCF else pot._seed[0]
+    cum = CumulativeIntegral(integrand, pot.r0, edges, 1e-11)
     return lambda lev: cum(lev.r[..., 0])
 
 

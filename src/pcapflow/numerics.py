@@ -11,6 +11,11 @@ and the weights of a 2-D level come from :func:`simpson_weights`.
 The budget is one relative tolerance plus a rounding floor: a panel passes
 when its error estimate is below ``rel_tol`` of the integral or below 64
 eps times its integral of |fn|, so integrals that cancel to zero still end.
+An integrand of :func:`integrate` may return k rows, several integrals over
+one interval; each row is tested against its own integral, and a panel is
+kept once every row passes it.  Its ``breaks`` start the run on several
+pieces, so that one run covers an interval cut at kinks or at the ends of
+the rows' supports.
 
 SciPy is imported only for the banded Cholesky and the spline, inside the
 functions that call them: its import outlasts most configs' runs, and a
@@ -25,7 +30,10 @@ Each panel carries a 20-point and a 10-point Gauss-Legendre sum of the
 same integrand; their difference bounds the error of the 10-point sum, so
 the 20-point sum that is kept is far more accurate than the test demands.
 A panel that fails its test is halved, and all pending panels of a round
-are evaluated in one call of the integrand.  A cumulative table keeps 20
+are evaluated in one call of the integrand.  A round costs the integrand's
+overhead more than its points, so a caller saves rounds by starting on
+panels already fitted to the integrand, by putting several integrands
+into one run, or both.  A cumulative table keeps 20
 floats per panel, the Chebyshev coefficients of the panel's interpolant
 integrated from its anchor-side edge, so its build is the only call of
 the integrand and a query is a polynomial evaluation.
@@ -100,7 +108,10 @@ def _gauss(fn, a: np.ndarray, b: np.ndarray, log: bool):
     """Gauss-Legendre sums of fn over the intervals from a to b (either
     order; the sum is signed).  Returns the 20-point sums, the 10-point sums,
     the rounding floor of the 20-point sums and fn at the 20 nodes of each
-    interval (one row each, in increasing order of the nodes on [-1, 1]).
+    interval (in increasing order of the nodes on [-1, 1]).  Each has a
+    leading row axis when fn returns k rows, shape (k, N) for N abscissae:
+    (k, intervals) for the sums and floors and (k, intervals, 20) for the
+    node values.
 
     In log mode fn returns the log of a nonnegative integrand (-inf allowed)
     and the sums are log|integral| of exp(fn); the floor is then relative.
@@ -108,59 +119,63 @@ def _gauss(fn, a: np.ndarray, b: np.ndarray, log: bool):
     """
     rows = max(1, _CHUNK // _NODES.size)
     parts = [_gauss_rows(fn, a[i : i + rows], b[i : i + rows], log) for i in range(0, max(len(a), 1), rows)]
-    return tuple(np.concatenate(col) for col in zip(*parts))
+    *sums, at_nodes = zip(*parts)
+    return (*(np.concatenate(col, axis=-1) for col in sums), np.concatenate(at_nodes, axis=-2))
 
 
 def _gauss_rows(fn, a, b, log):
     half = 0.5 * (b - a)
     x = 0.5 * (a + b)[:, None] + half[:, None] * _NODES
-    v = np.broadcast_to(np.asarray(fn(x.ravel()), dtype=float), (x.size,)).reshape(x.shape)
+    v = np.atleast_1d(np.asarray(fn(x.ravel()), dtype=float))
+    v = np.broadcast_to(v, v.shape[:-1] + (x.size,)).reshape(v.shape[:-1] + x.shape)
     bad = np.isnan(v) | (v == np.inf) if log else ~np.isfinite(v)
     if np.any(bad):
-        where = x[np.nonzero(bad)[0][0]]
+        where = x[np.argwhere(bad)[0][-2]]
         raise ValueError(f"integrand not finite inside [{where.min()}, {where.max()}]")
     n = len(_X)
     if not log:
-        fine = half * (v[:, :n] @ _W)
-        crude = half * (v[:, n:] @ _WC)
-        return fine, crude, 64.0 * _EPS * np.abs(half) * (np.abs(v[:, :n]) @ _W), v[:, :n]
-    top = v.max(axis=1)
+        fine = half * (v[..., :n] @ _W)
+        crude = half * (v[..., n:] @ _WC)
+        return fine, crude, 64.0 * _EPS * np.abs(half) * (np.abs(v[..., :n]) @ _W), v[..., :n]
+    top = v.max(axis=-1)
     top = np.where(np.isfinite(top), top, 0.0)
-    e = np.exp(v - top[:, None])
+    e = np.exp(v - top[..., None])
     with np.errstate(divide="ignore"):
         shift = top + np.log(np.abs(half))
-        fine = shift + np.log(e[:, :n] @ _W)
-        crude = shift + np.log(e[:, n:] @ _WC)
-    floor = 64.0 * _EPS * (1.0 + np.max(np.abs(np.where(np.isfinite(v), v, 0.0)), axis=1))
-    return fine, crude, floor, v[:, :n]
+        fine = shift + np.log(e[..., :n] @ _W)
+        crude = shift + np.log(e[..., n:] @ _WC)
+    floor = 64.0 * _EPS * (1.0 + np.max(np.abs(np.where(np.isfinite(v), v, 0.0)), axis=-1))
+    return fine, crude, floor, v[..., :n]
 
 
 def _panels(fn, edges, rel_tol: float, log: bool, local: bool):
     """Refine the panels between consecutive increasing ``edges`` until each
     passes its error test; returns the leaves (lo, hi, integral, fn at the
-    20 nodes) sorted by lo.
+    20 nodes) sorted by lo, the last two with a leading row axis when fn
+    returns k rows.
 
-    The test is |20-point - 10-point| <= max(target, floor): ``local``
-    targets rel_tol of the panel's own integral, otherwise each panel gets
-    its width's share of rel_tol*|total|; in log mode the target is rel_tol
-    on the log difference, and the floor is relative.
+    Each row is tested on its own: |20-point - 10-point| <= max(target,
+    floor), where ``local`` targets rel_tol of the panel's own integral,
+    and otherwise each panel gets its width's share of rel_tol*|row total|;
+    in log mode the target is rel_tol on the log difference, and the floor
+    is relative.  A panel is kept when every row passes it.
 
-    A halving gains about 2^-20 on a smooth integrand.  A panel that gained
+    A halving gains about 2^-20 on a smooth integrand.  A row that gained
     less than a factor 8 over the panel it was halved from, with an error
     below sqrt(eps) of its integral of |fn|, is rounding noise (a cancelling
-    difference, say) that no refinement removes, and is accepted.  Panels
-    that reach rounding width without passing are given up, and their error
-    counts against the budget; QuadratureError is raised when it exceeds
-    the budget, or when more than 16 times the initial panels (plus 1024)
-    are pending at once, which only a noisy or pathological integrand
-    reaches.
+    difference, say) that no refinement removes, and passes.  Panels that
+    reach rounding width without passing are given up, and the error of
+    each row that failed counts against that row's budget; QuadratureError
+    is raised when any row's exceeds its budget, or when more than 16 times
+    the initial panels (plus 1024) are pending at once, which only a noisy
+    or pathological integrand reaches.
     """
     edges = np.asarray(edges, dtype=float)
     span = edges[-1] - edges[0]
     min_width = 16.0 * _EPS * max(abs(edges[0]), abs(edges[-1]), span)
     lo, hi = edges[:-1], edges[1:]
     max_pending = 16 * lo.size + 1024
-    parent = np.full(lo.size, np.inf)  # error of the panel each one was halved from
+    parent = np.inf  # error of the panel each one was halved from, per row
     done_lo, done_hi, done_v, done_nodes = [], [], [], []
     total = 0.0
     stuck = 0.0
@@ -181,49 +196,60 @@ def _panels(fn, edges, rel_tol: float, log: bool, local: bool):
             if local:
                 target = rel_tol * np.abs(fine)
             else:
-                target = rel_tol * abs(total + fine.sum()) * ((hi - lo) / span)
+                target = rel_tol * np.abs(total + fine.sum(axis=-1))[..., None] * ((hi - lo) / span)
         noise = (err > parent / 8.0) & (err <= _SQRT_EPS * magnitude)
         ok = (err <= np.maximum(target, floor)) | noise
-        give_up = ~ok & (hi - lo <= min_width)
-        stuck += err[give_up].sum()
-        keep = ok | give_up
+        narrow = hi - lo <= min_width
+        keep = ok.reshape(-1, lo.size).all(axis=0) | narrow
+        stuck = stuck + np.where(narrow & ~ok, err, 0.0).sum(axis=-1)
         done_lo.append(lo[keep])
         done_hi.append(hi[keep])
-        done_v.append(fine[keep])
-        done_nodes.append(at_nodes[keep])
+        done_v.append(fine[..., keep])
+        done_nodes.append(at_nodes[..., keep, :])
         if not log:
-            total += fine[keep].sum()
+            total = total + fine[..., keep].sum(axis=-1)
         mid = 0.5 * (lo + hi)[~keep]
         lo, hi = np.concatenate([lo[~keep], mid]), np.concatenate([mid, hi[~keep]])
-        parent = np.tile(err[~keep], 2)
-    lo, hi, v, at_nodes = (np.concatenate(parts) for parts in (done_lo, done_hi, done_v, done_nodes))
+        parent = np.tile(err[..., ~keep], 2)
+    lo, hi = np.concatenate(done_lo), np.concatenate(done_hi)
+    v, at_nodes = np.concatenate(done_v, axis=-1), np.concatenate(done_nodes, axis=-2)
     order = np.argsort(lo)
-    budget = rel_tol if log else rel_tol * abs(total)
-    if stuck > budget:
+    budget = rel_tol if log else rel_tol * np.abs(total)
+    if np.any(stuck > budget):
+        wanted, left = (", ".join(f"{x:.3e}" for x in np.ravel(per_row)) for per_row in (budget, stuck))
         raise QuadratureError(
-            f"quadrature on [{edges[0]}, {edges[-1]}] did not reach tolerance {budget:.3e}; "
-            f"panels at rounding width leave error {stuck:.3e}",
+            f"quadrature on [{edges[0]}, {edges[-1]}] did not reach tolerance {wanted}; "
+            f"panels at rounding width leave error {left}",
             best_estimate=total,
         )
-    return lo[order], hi[order], v[order], at_nodes[order]
+    return lo[order], hi[order], v[..., order], at_nodes[..., order, :]
 
 
-def integrate(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float, rel_tol: float = 1e-10) -> float:
+def integrate(
+    fn: Callable[[np.ndarray], np.ndarray], a: float, b: float, rel_tol: float = 1e-10, breaks=()
+) -> float | np.ndarray:
     """Adaptive panel Gauss-Legendre quadrature of ``fn`` over [a, b].
 
-    ``fn`` maps an array of abscissae to an array of values.  The error
-    target is rel_tol*|I|, shared among the panels by width.
+    ``fn`` maps an array of N abscissae to N values, or to k rows of them,
+    shape (k, N); the result is a float, or the array of the k row
+    integrals.  Each row has its own error target, rel_tol times its
+    |integral|, shared among the panels by width, and a panel is refined
+    until every row passes it.  ``breaks`` are increasing points inside
+    [a, b] where the initial panels end, so that one run covers every piece
+    between them: placed at a kink or at the edge of a row's support, they
+    keep the refinement from chasing it to rounding width.
     Raises ValueError on non-finite integrand values and QuadratureError
     (carrying the best estimate) when panels reach rounding width without
-    meeting the target.
+    meeting a row's target.
     """
-    a = float(a)
-    b = float(b)
-    if a > b:
-        raise ValueError(f"integration bounds out of order: [{a}, {b}]")
-    if a == b:
-        return 0.0
-    return float(_panels(fn, np.array([a, b]), rel_tol, log=False, local=False)[2].sum())
+    edges = np.array([a, *breaks, b], dtype=float)
+    if np.any(np.diff(edges) < 0.0):
+        raise ValueError(f"integration bounds out of order: {edges.tolist()}")
+    if edges[0] == edges[-1]:
+        zeros = np.zeros(np.shape(fn(edges[:1]))[:-1])
+        return float(zeros) if zeros.ndim == 0 else zeros
+    sums = _panels(fn, edges, rel_tol, log=False, local=False)[2].sum(axis=-1)
+    return float(sums) if sums.ndim == 0 else sums
 
 
 @functools.cache

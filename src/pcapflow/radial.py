@@ -186,9 +186,12 @@ def _default_phi(model: geometry.RadialManifold, r0: float, R: float) -> float:
 
 
 def _check_annulus(model: geometry.RadialManifold, r0: float, R: float) -> None:
-    """[r0, R] inside the working range with f(r0) finite and h(r0) > 0, for
-    every potential: none may start on a horizon (f infinite, H = 0) or a tip."""
+    """[r0, R] finite, inside the working range, with f(r0) finite and
+    h(r0) > 0, for every potential: none may start on a horizon (f infinite,
+    H = 0) or a tip.  An infinite R, the exterior problem, is not solved here."""
     for name, r in (("r0", r0), ("R", R)):
+        if not math.isfinite(r):
+            raise geometry.DomainError(f"{name}={r} must be finite", name)
         try:
             model.check_radius(r)
         except geometry.DomainError as exc:
@@ -343,12 +346,14 @@ def solve_wp_eps(model: geometry.RadialManifold, r0: float, R: float, p: float, 
     one adaptive quadrature of the drop 1 - u(R; C), made once per C: one
     per step of the bracketing from the unregularized flux and of
     ``find_root`` (Brent's method), 5 or 6 in all on the flat annulus [1, 3]
-    at p = 1.5.  The annulus and p are checked by the unregularized
+    at p = 1.5.  Each starts on the refined tail panels of the unregularized
+    potential, whose slope the regularized one follows, so it mostly ends
+    in its first round.  The annulus and p are checked by the unregularized
     ``solve_wp``, whose flux starts the bracketing and whose default datum
     phi_R is the outer datum here.
     """
-    if not eps > 0.0:
-        raise ConfigError(f"eps={eps} must be positive", "eps")
+    if not 0.0 < eps < math.inf:
+        raise ConfigError(f"eps={eps} must be positive and finite", "eps")
     base = solve_wp(model, r0, R, p)
     phi_R, C0 = base.phi_R, base.flux
     n = model.n
@@ -360,7 +365,7 @@ def solve_wp_eps(model: geometry.RadialManifold, r0: float, R: float, p: float, 
     # the bracketing and find_root evaluate the ends of the bracket again
     @functools.cache
     def u_end_defect(log_C: float) -> float:
-        drop = integrate(lambda s: model.f(s) * np.exp(log_q(s, log_C)), r0, R, _TAIL_TOL)
+        drop = integrate(lambda s: model.f(s) * np.exp(log_q(s, log_C)), r0, R, _TAIL_TOL, base._seed[0][1:-1])
         return (1.0 - drop) - u_R
 
     # u(R; C0) <= u_R for the regularized slope in exact arithmetic, but at

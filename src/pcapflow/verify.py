@@ -217,31 +217,11 @@ def _create(path):
 # ----------------------------------------------------------------- suites
 
 
-def _quad(fn, a, b):
-    # the defects of the convergence tables fall to 1e-8 and below as
-    # p -> 1, so the target is relative to each integral
-    return numerics.integrate(fn, a, b, 1e-12)
-
-
 def _vanishing_check(name, anchor, values, column, threshold) -> Check:
     """Pass when ``column`` strictly decreases and ends below ``threshold``."""
     decreasing = all(b < a for a, b in zip(column, column[1:]))
     values["decreasing"] = decreasing
     return _gate(name, anchor, values, column[-1] if decreasing else math.inf, threshold)
-
-
-def _shell_integral(pot, fn, b, breaks=()):
-    """|S^{n-1}| int_{r0}^b fn f h^{n-1} dr: the integral of the radial
-    function ``fn`` over the shell r0 < r < b, summed over the pieces that
-    the increasing radii ``breaks`` (inside [r0, b]) cut it into."""
-    model = pot.manifold
-    n = model.n
-
-    def integrand(r):
-        return fn(r) * model.f(r) * model.h(r) ** (n - 1)
-
-    edges = [pot.r0, *breaks, b]
-    return geometry.unit_sphere_area(n) * sum(_quad(integrand, lo, hi) for lo, hi in zip(edges, edges[1:]))
 
 
 def _sign_changes(fn, a, b):
@@ -270,13 +250,16 @@ def p_to_1_suite(
     and min(0.2, 0.9 phi_R) to h(r0)^{n-1}, the level integrals over t in
     [0, T] of the area-weighted (H-|grad w_p|)^2 defect and of the level-area
     defect against the flow's |Sigma_0| e^t.  By coarea those are volume
-    integrals over {w_p < T} weighted by |grad w_p|.  The area defect's
-    |1 - (h0/h)^{n-1} e^{w_p}| has a kink wherever w_p = w_1, which an
-    adaptive rule can only bisect down to rounding width; the shell integral
-    is split at the crossings that a sample of the signed gap brackets, and
-    taken whole where none is found, at the same tolerance.  Verdict per column:
-    decreasing along the (descending) p list with final value below its
-    threshold.
+    integrals over {w_p < T} weighted by |grad w_p|.  The four shell
+    integrals of a p are one quadrature run of four rows, each refined to
+    1e-12 of its own value: the two gradient rows are masked to r <= R/2,
+    the two defect rows to r <= r_T, the radius of the level T.  The area
+    defect's |1 - (h0/h)^{n-1} e^{w_p}| has a kink wherever w_p = w_1,
+    which an adaptive rule can only bisect down to rounding width.  So the
+    run breaks at R/2, at r_T and at the crossings that a sample of the
+    signed gap brackets (none where none is found), and no panel straddles
+    a mask's edge or a kink.  Verdict per column: decreasing along the
+    (descending) p list with final value below its threshold.
 
     ``sup_w_threshold`` is the acceptance gate; the other columns have fixed
     calibration gates sized with ~2x headroom on the reference sweeps
@@ -309,33 +292,34 @@ def p_to_1_suite(
     rs = np.linspace(r0, 0.5 * R, _SUP_SAMPLES)
     n = model.n
     h0 = model.h(r0)
+    sphere = geometry.unit_sphere_area(n)
     rows = []
     for p in p_list:
         pot = radial.solve_wp(model, r0, R, p, phi_R=phi_for[p])
         sup_w = float(np.max(np.abs(pot.w(rs) - w1.w(rs))))
-
-        def grad_gap(r):
-            return np.abs(pot.grad_norm(r) - w1.grad_norm(r))
-
-        def h_density(r):
-            grad = pot.grad_norm(r)
-            return (geometry.mean_curvature_sphere(model, r) - grad) ** 2 * grad
-
-        def area_gap(r):
-            return 1.0 - (h0 / model.h(r)) ** (n - 1) * np.exp(pot.w(r))
-
-        def area_density(r):
-            return np.abs(area_gap(r)) * pot.grad_norm(r)
-
-        l2 = _shell_integral(pot, lambda r: grad_gap(r) ** 2, 0.5 * R) ** 0.5
-        l4 = _shell_integral(pot, lambda r: grad_gap(r) ** 4, 0.5 * R) ** 0.25
         cap_gap = abs(radial.capacity(pot, 0.0, min(_T_CAP, 0.9 * pot.phi_R)) - h0 ** (n - 1))
         # the levels 0 <= t <= T fill the shell r0 < r < r_T
-        T = _default_t_max(pot, w1)
-        r_T = pot.level_radius(T)
-        h_def = _shell_integral(pot, h_density, r_T)
-        # |gap| has a kink where w_p = w_1; integrate up to it and on from it
-        a_def = _shell_integral(pot, area_density, r_T, _sign_changes(area_gap, pot.r0, r_T))
+        r_T = pot.level_radius(_default_t_max(pot, w1))
+
+        def area_gap(r, w):
+            return 1.0 - (h0 / model.h(r)) ** (n - 1) * np.exp(w)
+
+        def densities(r):
+            w, grad = pot._w_grad(r)
+            gap = np.abs(grad - w1.grad_norm(r))
+            defect = geometry.mean_curvature_sphere(model, r) - grad
+            inner, shell = r <= 0.5 * R, r <= r_T
+            masked = [inner * gap**2, inner * gap**4, shell * defect**2 * grad, shell * np.abs(area_gap(r, w)) * grad]
+            return np.array(masked) * model.f(r) * model.h(r) ** (n - 1)
+
+        # |area gap| has a kink wherever w_p = w_1: a break there, and at
+        # the ends of the two shells, keeps every panel on one smooth piece
+        kinks = _sign_changes(lambda r: area_gap(r, pot.w(r)), r0, r_T)
+        breaks = sorted([0.5 * R, r_T, *kinks])
+        # the defects fall to 1e-8 and below as p -> 1, hence a tight target
+        shells = sphere * numerics.integrate(densities, r0, breaks[-1], 1e-12, breaks[:-1])
+        l2, l4, h_def, a_def = shells.tolist()
+        l2, l4 = l2**0.5, l4**0.25
         rows.append((p, sup_w, l2, l4, cap_gap, h_def, a_def))
     cols = {key: [row[k] for row in rows] for k, key in enumerate(thr, start=1)}
     checks = [
@@ -365,8 +349,8 @@ def eps_to_0_suite(
     """sup|w^eps - w_p| and sup theta_eps on the inner half [r0, (r0+R)/2],
     per eps; they must decrease and end below 1e-4 and 1e-6.  Returns the
     report and the per-eps table."""
-    if len(eps_list) < 2 or any(e <= 0.0 for e in eps_list):
-        raise ConfigError("eps_list must have >= 2 positive entries", "eps_list")
+    if len(eps_list) < 2 or any(not 0.0 < e < math.inf for e in eps_list):
+        raise ConfigError("eps_list must have >= 2 positive finite entries", "eps_list")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("eps_list must decrease toward 0", "eps_list")
     interval = (r0, 0.5 * (r0 + R))
@@ -464,6 +448,7 @@ def _phi_for(mode: str, model, r0, R, p) -> Optional[float]:
     if mode == "imcf":
         return None
     if mode == "scale-invariant":
+        radial._check_annulus(model, r0, R)  # before ln(R/r0) meets a bad radius
         return (model.n - p) * math.log(R / r0)
     raise ConfigError(f"unknown phi_mode '{mode}'", "phi_mode")
 

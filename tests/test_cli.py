@@ -189,6 +189,27 @@ class TestRun:
             assert f"config error: {bad}: {field}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "config, field, overrides",
+        [
+            ("euclidean_fp", "R", {"R": math.inf}),
+            ("schwarzschild_p_to_1", "R", {"R": math.inf}),
+            ("euclidean_eps_to_0", "R", {"R": math.inf}),
+            ("euclidean_fp", "r0", {"r0": math.inf}),
+            ("euclidean_fp", "alpha", {"alpha": math.inf}),
+            ("euclidean_eps_to_0", "eps_list", {"eps_list": [math.inf, 1e-3]}),
+            # the scale-invariant datum ln(R/r0) is formed after the annulus check
+            ("euclidean_fp", "r0", {"r0": 0.0}),
+        ],
+        ids=["fp-R", "p_to_1-R", "eps_to_0-R", "fp-r0", "fp-alpha", "eps_to_0-eps_list", "fp-r0-tip"],
+    )
+    def test_radial_values_checked_before_use(self, tmp_path, capsys, config, field, overrides):
+        # the annulus, alpha and eps must be finite; R = inf is an exterior
+        # problem, which no radial solver here takes
+        code, bad = self._run_edited(tmp_path, config, **overrides)
+        assert code == EXIT_CONFIG
+        assert f"config error: {bad}: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "domain",
         [
             {"shape": "sphere", "r0": 1.0, "R": 4.0, "a_ax": 3.0},

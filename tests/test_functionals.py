@@ -2,13 +2,14 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcapflow import functionals, geometry, radial, solver2d, verify
+from pcapflow import functionals, geometry, numerics, radial, solver2d, verify
 from pcapflow.functionals import (
     F_p,
     G_p,
@@ -338,6 +339,29 @@ class TestRicciBulk:
         reference = CumulativeIntegral(product, pot.r0, (pot.r0, pot.R), 1e-11)(pot.level_radius(series.t))
         assert np.all(reference[1:] < 0.0)
         np.testing.assert_allclose(series.bulk, reference, rtol=1e-15, atol=0.0)
+
+    def test_table_on_the_tail_panels_matches_integrate(self, schw1):
+        # the table starts on the potential's refined tail edges, so a query
+        # between them is as accurate as a quadrature run to that radius
+        pot = radial.solve_wp(schw1, 2.2, 12.0, 1.1)
+        params = FunctionalParams(3, 1.1, 2.0, TS20)
+        lam = params.alpha / (3.0 - params.p) - 1.0
+
+        def product(r):
+            w, grad = pot._w_grad(r)
+            return (
+                np.exp(lam * w)
+                * geometry.unit_sphere_area(3)
+                * schw1.h(r) ** 2.0
+                * grad ** (params.alpha + params.p - 2.0)
+                * schw1.f(r)
+                * geometry.ricci_radial(schw1, r)
+            )
+
+        rs = np.linspace(2.2, 12.0, 34)[1:]
+        table = functionals._ricci_bulk(pot, params)(SimpleNamespace(r=rs[:, None]))
+        reference = [numerics.integrate(product, 2.2, r, 1e-14) for r in rs]
+        np.testing.assert_allclose(table, reference, rtol=1e-12, atol=0.0)
 
 
 class TestMinkowski:

@@ -99,6 +99,61 @@ class TestIntegrate:
         assert val == pytest.approx(math.sin(1.0), rel=1e-12)
         assert sum(points) < 30 * 64
 
+    def test_rows_match_each_row_alone(self):
+        # one run refines until every row passes: each row meets its own
+        # target, however small its integral next to the others
+        def rows(x):
+            return np.array([np.cos(x), 1e-9 * np.exp(-((x - 0.3) / 0.02) ** 2), x**-3])
+
+        sums = integrate(rows, 0.1, 2.0, TIGHT)
+        assert sums.shape == (3,)
+        for k, total in enumerate(sums):
+            assert total == pytest.approx(integrate(lambda x: rows(x)[k], 0.1, 2.0, TIGHT), rel=TIGHT)
+
+    def test_breaks_sum_the_pieces(self):
+        # |x - 0.3| kinks at the break, so each piece is a polynomial
+        kink = lambda x: np.array([np.abs(x - 0.3), np.sin(5.0 * x)])
+        points = []
+        sums = integrate(lambda x: points.append(x.size) or kink(x), 0.0, 1.0, TIGHT, breaks=[0.3, 0.6])
+        pieces = [integrate(kink, a, b, TIGHT) for a, b in ((0.0, 0.3), (0.3, 0.6), (0.6, 1.0))]
+        np.testing.assert_allclose(sums, np.sum(pieces, axis=0), rtol=TIGHT, atol=0.0)
+        assert sums[0] == pytest.approx(0.5 * (0.3**2 + 0.7**2), rel=TIGHT)
+        assert points == [90]  # three panels, one round
+
+    def test_row_zero_on_some_panels(self):
+        # a row masked to the first piece is zero on the rest; it passes
+        # there and keeps its relative target on its own support
+        def rows(x):
+            return np.array([np.exp(x), np.where(x <= 0.5, np.sin(x), 0.0)])
+
+        sums = integrate(rows, 0.0, 2.0, TIGHT, breaks=[0.5])
+        np.testing.assert_allclose(sums, [math.e**2 - 1.0, 1.0 - math.cos(0.5)], rtol=1e-12, atol=0.0)
+        everywhere_zero = integrate(lambda x: np.array([np.exp(x), 0.0 * x]), 0.0, 2.0, TIGHT)
+        assert everywhere_zero[1] == 0.0
+
+    def test_one_failing_row_raises(self):
+        # the singular row stalls at rounding width; the smooth rows converge
+        # but the run still reports the failure, with every row's estimate
+        spike = lambda x: np.where(x > 0.0, x, 1.0) ** -0.5
+        with pytest.raises(QuadratureError, match="rounding width") as err:
+            integrate(lambda x: np.array([np.cos(x), spike(x), x]), 0.0, 1.0, TIGHT)
+        np.testing.assert_allclose(err.value.best_estimate, [math.sin(1.0), 2.0, 0.5], rtol=1e-4)
+        # noise far above rounding in one row fails every halving of it
+        rng = np.random.default_rng(7)
+        noisy = lambda x: np.array([np.cos(x), np.cos(x) * (1.0 + 1e-6 * rng.standard_normal(x.shape))])
+        with pytest.raises(QuadratureError, match="still fail"):
+            integrate(noisy, 0.0, 1.0, TIGHT)
+
+    def test_empty_interval_has_the_row_shape(self):
+        sums = integrate(lambda x: np.array([x, x, x]), 1.5, 1.5, breaks=[1.5])
+        assert sums.shape == (3,) and np.all(sums == 0.0)
+
+    def test_breaks_out_of_order(self):
+        with pytest.raises(ValueError, match="out of order"):
+            integrate(np.sin, 0.0, 1.0, breaks=[0.6, 0.3])
+        with pytest.raises(ValueError, match="out of order"):
+            integrate(np.sin, 0.0, 1.0, breaks=[1.5])
+
     @given(
         coeffs=st.lists(
             st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),

@@ -524,12 +524,13 @@ class TestSuites:
 
 class TestAreaSplit:
     """The p -> 1 area defect |1 - (h0/h)^2 e^{w_p}| |grad w_p| has a kink
-    where w_p = w_1; the shell integral is split there when a sample of the
-    signed gap brackets it, and taken whole otherwise."""
+    where w_p = w_1.  The suite's one quadrature run per p breaks there when
+    a sample of the signed gap brackets it, and at the ends R/2 and r_T of
+    its two shells."""
 
     @staticmethod
     def _window(model, r0, R, p, phi_mode="imcf"):
-        """The potential, its area gap and density, and r_T as the suite builds them."""
+        """The potential, its area gap and shell density, and r_T as the suite builds them."""
         pot = radial.solve_wp(model, r0, R, p, phi_R=verify._phi_for(phi_mode, model, r0, R, p))
         w1 = radial.solve_w1(model, r0, R)
         rmid = 0.5 * (r0 + R)
@@ -539,44 +540,57 @@ class TestAreaSplit:
         def gap(r):
             return 1.0 - (h0 / model.h(r)) ** 2 * np.exp(pot.w(r))
 
-        return pot, w1, gap, lambda r: np.abs(gap(r)) * pot.grad_norm(r), r_T
+        def density(r):
+            return np.abs(gap(r)) * pot.grad_norm(r) * model.f(r) * model.h(r) ** 2
 
-    def test_schwarzschild_split_at_the_crossing(self, schw1):
+        return pot, w1, gap, density, r_T
+
+    @staticmethod
+    def _runs(monkeypatch, *args, **kwargs):
+        """The suite's table rows, and per p the (a, b, breaks, integrand
+        calls) of its quadrature runs."""
+        runs = []
+        integrate = numerics.integrate
+
+        def recorded(fn, a, b, rel_tol, breaks):
+            calls = []
+            runs.append((a, b, list(breaks), calls))
+            return integrate(lambda r: calls.append(r.size) or fn(r), a, b, rel_tol, breaks)
+
+        monkeypatch.setattr(numerics, "integrate", recorded)
+        _, tables = p_to_1_suite(*args, **kwargs)
+        monkeypatch.undo()
+        return tables["table"][1], runs
+
+    def test_schwarzschild_split_at_the_crossing(self, monkeypatch, schw1):
         pot, w1, gap, density, r_T = self._window(schw1, 2.2, 12.0, 1.1)
-        breaks = verify._sign_changes(gap, 2.2, r_T)
-        assert len(breaks) == 1 and 2.2 < breaks[0] < r_T
-        assert abs(pot.w(breaks[0]) - w1.w(breaks[0])) < 1e-12
-        calls = []
-
-        def counted(r):
-            calls.append(np.size(r))
-            return density(r)
-
-        split = verify._shell_integral(pot, counted, r_T, breaks)
-        assert len(calls) <= 12
-        whole = verify._shell_integral(pot, density, r_T)
-        assert split == pytest.approx(whole, rel=1e-12, abs=0.0)
-        _, tables = p_to_1_suite(schw1, 2.2, 12.0, [1.2, 1.1])
-        p, *_, a_def = tables["table"][1][1]
-        assert p == 1.1 and a_def == split
+        kinks = verify._sign_changes(gap, 2.2, r_T)
+        assert len(kinks) == 1 and 2.2 < kinks[0] < r_T
+        assert abs(pot.w(kinks[0]) - w1.w(kinks[0])) < 1e-12
+        rows, runs = self._runs(monkeypatch, schw1, 2.2, 12.0, [1.2, 1.1])
+        assert len(runs) == 2
+        (p, *_, a_def), (a, b, breaks, calls) = rows[1], runs[1]
+        assert p == 1.1 and a == 2.2
+        assert sorted([*breaks, b]) == sorted([6.0, r_T, kinks[0]])
+        # the four columns of one p cost a handful of rounds together
+        assert len(calls) <= 8
+        # one row of the same density on the same pieces of [r0, r_T]
+        alone = numerics.integrate(density, 2.2, r_T, 1e-12, [x for x in breaks if x < r_T])
+        assert a_def == pytest.approx(4.0 * math.pi * alone, rel=1e-12, abs=0.0)
 
     def test_no_crossing_integrates_one_interval(self, monkeypatch, euclid3):
         # scale-invariant flat datum: w_p - w_1 = (1 - p) ln r < 0, no kink
         pot, _, gap, density, r_T = self._window(euclid3, 1.0, 4.0, 1.1, "scale-invariant")
         assert verify._sign_changes(gap, 1.0, r_T) == []
-        spans = []
-        quad = verify._quad
-
-        def counted(fn, a, b):
-            spans.append((a, b))
-            return quad(fn, a, b)
-
-        monkeypatch.setattr(verify, "_quad", counted)
-        whole = verify._shell_integral(pot, density, r_T, [])
-        assert spans == [(1.0, r_T)]
-        assert whole == verify._shell_integral(pot, density, r_T)
+        rows, runs = self._runs(monkeypatch, euclid3, 1.0, 4.0, [1.2, 1.1], "scale-invariant")
+        (p, *_, a_def), (a, b, breaks, _) = rows[1], runs[1]
+        assert p == 1.1 and a == 1.0
+        assert sorted([*breaks, b]) == sorted([2.0, r_T])
+        whole = numerics.integrate(density, 1.0, r_T, 1e-12)
+        assert a_def == pytest.approx(4.0 * math.pi * whole, rel=1e-12, abs=0.0)
         # a break where nothing kinks changes nothing beyond the tolerance
-        assert verify._shell_integral(pot, density, r_T, [2.0]) == pytest.approx(whole, rel=1e-12, abs=0.0)
+        split = numerics.integrate(density, 1.0, r_T, 1e-12, [0.5 * (1.0 + r_T)])
+        assert split == pytest.approx(whole, rel=1e-12, abs=0.0)
 
 
 class TestGpIdentityCheck:
