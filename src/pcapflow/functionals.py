@@ -75,8 +75,8 @@ class FunctionalParams:
             bound = "at least 1 at p = 1" if self.p == 1.0 else "positive"
             raise ConfigError(f"alpha={self.alpha} must be finite and {bound}", "alpha")
         ts = np.asarray(self.t_grid, dtype=float)
-        if ts.size < 2 or np.any(np.diff(ts) <= 0.0) or ts[0] < 0.0:
-            raise ConfigError("t_grid must be strictly increasing and nonnegative", "t_grid")
+        if ts.size < 2 or not np.isfinite(ts).all() or np.any(np.diff(ts) <= 0.0) or ts[0] < 0.0:
+            raise ConfigError("t_grid must be finite, strictly increasing and nonnegative", "t_grid")
         object.__setattr__(self, "t_grid", tuple(float(t) for t in ts))
 
     @property

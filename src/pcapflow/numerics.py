@@ -1,13 +1,14 @@
 """Shared numerical kernels.
 
 Adaptive panel Gauss-Legendre quadrature on array integrands (one-shot
-integrals and cumulative tables), bracketed scalar root finding by Brent's
-method, natural cubic splines, a banded Cholesky solve for symmetric
+integrals and cumulative tables), safeguarded Newton root finding on
+arrays, natural cubic splines, a banded Cholesky solve for symmetric
 positive definite systems whose result keeps its factor for further right
 sides, a context that runs BLAS on one thread, and Simpson weights.
 Every radial integral in the package routes through :func:`integrate` or
 :class:`CumulativeIntegral` so that accuracy budgets live in one place,
-and the weights of a 2-D level come from :func:`simpson_weights`.
+every radial root through :func:`find_root`, and the weights of a 2-D
+level come from :func:`simpson_weights`.
 The budget is one relative tolerance plus a rounding floor: a panel passes
 when its error estimate is below ``rel_tol`` of the integral or below 64
 eps times its integral of |fn|, so integrals that cancel to zero still end.
@@ -54,7 +55,6 @@ __all__ = [
     "ConfigError",
     "SolverError",
     "QuadratureError",
-    "BracketError",
     "SpdResult",
     "integrate",
     "simpson_weights",
@@ -98,10 +98,6 @@ class QuadratureError(SolverError):
     def __init__(self, message: str, best_estimate: float):
         super().__init__(message)
         self.best_estimate = best_estimate
-
-
-class BracketError(SolverError):
-    """Root finder called on a bracket without a sign change."""
 
 
 def _gauss(fn, a: np.ndarray, b: np.ndarray, log: bool):
@@ -390,74 +386,46 @@ def simpson_weights(x) -> np.ndarray:
     return weights
 
 
-def find_root(fn: Callable[[float], float], lo: float, hi: float, tol: float = 1e-13) -> float:
-    """Bracketed root of a scalar function by Brent's method (zeroin).
+def find_root(fn: Callable, x, lo=-math.inf, hi=math.inf, tol: float = 1e-13, job: str = "find_root"):
+    """Roots of increasing functions by safeguarded Newton steps, elementwise.
 
-    Each step is an inverse quadratic or secant step, or a bisection where
-    the interpolated step would leave the bracket or shrink it too slowly.
-    The bracket always holds a sign change of fn, and the safeguard bounds
-    the number of steps by about the square of the bisection count (Brent,
-    Algorithms for Minimization without Derivatives, 1973, ch. 4); on a
-    smooth fn the steps converge superlinearly.
-    The search stops once the bracket is no wider than max(tol*(1 + |x|),
-    4 eps |x|) at its better end x, and returns the secant root of that
-    bracket, which lies inside it; a point where fn is exactly zero is
-    returned at once.  Raises BracketError when fn(lo) and fn(hi) share a
-    sign, and SolverError when _ROOT_STEPS steps end on a wider bracket.
+    ``fn(x, k)`` returns (value, slope) at the points x of the entries k
+    (indices into the flattened start ``x``), so an entry can read its own
+    target.  The caller orients fn to increase on each entry's bracket
+    [lo, hi] (scalars or arrays of x's shape).  A Newton step that leaves
+    the bracket bisects it instead, and every step moves the bracket's lower
+    end to x where the value is negative, its upper end otherwise.  An entry
+    stops once its step is at most ``tol``, so its root does not depend on
+    the other entries; near a simple root the error after a step s is of
+    order s^2, so a tol well above the rounding noise of fn still returns
+    the root to rounding.  An infinite bracket suits steps that cannot
+    overshoot (fn concave below the root, or convex above it).  Entries
+    still moving after _ROOT_STEPS steps raise SolverError naming ``job``.
+    A scalar x returns a float.
     """
-    lo = float(lo)
-    hi = float(hi)
-    if lo > hi:
-        raise ValueError("bracket out of order")
-    flo = fn(lo)
-    fhi = fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise BracketError(f"no sign change on [{lo}, {hi}]: f(lo)={flo:.3e}, f(hi)={fhi:.3e}")
-    # b is the best estimate, c the other end of the bracket, a the previous b
-    a, fa, b, fb = lo, flo, hi, fhi
-    c, fc = a, fa
-    step = last = b - a
-    for count in range(_ROOT_STEPS + 1):
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            step = last = b - a
-        if abs(fc) < abs(fb):
-            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
-        slack = max(0.5 * tol * (1.0 + abs(b)), 2.0 * _EPS * abs(b))
-        half = 0.5 * (c - b)
-        if abs(half) <= slack or fb == 0.0:
+    x = np.array(x, dtype=float)
+    out = x.reshape(-1)
+    lo, hi = (np.full(out.size, end) if np.ndim(end) == 0 else np.array(end, dtype=float).ravel() for end in (lo, hi))
+    if (lo > hi).any():
+        raise ValueError(f"{job}: bracket out of order")
+    live = np.arange(out.size)  # the entries still stepping
+    for _ in range(_ROOT_STEPS):
+        if not live.size:
             break
-        if count == _ROOT_STEPS:
-            raise SolverError(f"find_root: bracket [{min(b, c)}, {max(b, c)}] {abs(c - b):.3e} wide after {count} steps")
-        if abs(last) >= slack and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2.0 * half * s, 1.0 - s
-            else:  # inverse quadratic through a, b, c
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            # accept the interpolated step only if it lands well inside the
-            # bracket and is shorter than half the step before last
-            if 2.0 * p < min(3.0 * half * q - abs(slack * q), abs(last * q)):
-                last, step = step, p / q
-            else:
-                last = step = half
-        else:
-            last = step = half
-        a, fa = b, fb
-        b += step if abs(step) > slack else math.copysign(slack, half)
-        fb = fn(b)
-    # the secant root of the final bracket: fb and fc differ in sign
-    return b if fb == 0.0 else b - fb * (c - b) / (fc - fb)
+        at = out[live]
+        value, slope = fn(at, live)
+        below = value < 0.0
+        a = np.where(below, at, lo[live])
+        b = np.where(below, hi[live], at)
+        lo[live], hi[live] = a, b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = at - value / slope
+            nxt = np.where((nxt >= a) & (nxt <= b), nxt, 0.5 * (a + b))
+            out[live] = nxt
+            live = live[np.abs(nxt - at) > tol]
+    if live.size:
+        raise SolverError(f"{job}: {live.size} entries still moving after {_ROOT_STEPS} steps")
+    return float(x) if x.ndim == 0 else x
 
 
 def _back_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -56,11 +56,6 @@ _TAIL_TOL = 1e-12
 _EFOLDS_PER_PANEL = 4.0
 _LOG_H_PER_PANEL = 0.25
 
-# Newton steps after which an entry of level_radius or of the regularized
-# slope that still moves is a SolverError
-_NEWTON_STEPS = 100
-
-
 class ShootingError(SolverError):
     """The shooting iteration for the regularized flux constant failed."""
 
@@ -91,7 +86,7 @@ class RadialPotential:
     marks the regularized potential, and anything else is a p-potential.
     ``_w_grad`` returns w and |grad w| together, from one evaluation of the
     tail where there is one.  ``_seed`` holds increasing radii and the values of w there, which
-    bracket the Newton steps of ``level_radius``.  ``_levels`` keeps the level
+    bracket the root finds of ``level_radius``.  ``_levels`` keeps the level
     builds of ``functionals``, keyed by the levels, so each array of levels is
     built once per potential.
     """
@@ -145,38 +140,24 @@ class RadialPotential:
 
     @_scalar_or_array
     def level_radius(self, t):
-        """Radius of the level set {w = t}: safeguarded Newton steps with
-        dw/dr = f |grad w|, inside the seed bracket around t.  An entry stops
-        once its step is below tolerance, so its radius does not depend on
-        the other levels of the call; one still moving after _NEWTON_STEPS
-        steps raises SolverError."""
-        if np.any(t < -1e-12) or np.any(t > self.phi_R + 1e-12):
-            bad = t[(t < -1e-12) | (t > self.phi_R + 1e-12)].flat[0]
-            raise ValueError(f"level t={bad} outside [0, {self.phi_R}]")
+        """Radius of the level set {w = t}: ``find_root`` on w - t, whose
+        slope is dw/dr = f |grad w|, from the secant start inside the seed
+        bracket around t.  A level outside [0, phi_R], NaN included, is a
+        ValueError."""
+        inside = (t >= -1e-12) & (t <= self.phi_R + 1e-12)
+        if not np.all(inside):
+            raise ValueError(f"level t={t[~inside].flat[0]} outside [0, {self.phi_R}]")
         rs, ws = self._seed
         t_flat = t.ravel()
         k = np.clip(np.searchsorted(ws, t_flat) - 1, 0, len(rs) - 2)
         lo, hi, wlo, whi = rs[k], rs[k + 1], ws[k], ws[k + 1]
-        r = lo + (hi - lo) * np.clip((t_flat - wlo) / np.where(whi > wlo, whi - wlo, 1.0), 0.0, 1.0)
-        step_tol = 1e-14 * max(1.0, self.R)
-        live = np.arange(r.size)  # the entries still stepping
-        for _ in range(_NEWTON_STEPS):
-            x, target = r[live], t_flat[live]
-            w, grad = self._w_grad(x)
-            below = w < target
-            a = np.where(below, x, lo[live])
-            b = np.where(below, hi[live], x)
-            lo[live], hi[live] = a, b
-            with np.errstate(divide="ignore", invalid="ignore"):
-                nxt = x - (w - target) / (self.manifold.f(x) * grad)
-            nxt = np.where((nxt >= a) & (nxt <= b), nxt, 0.5 * (a + b))
-            r[live] = nxt
-            live = live[np.abs(nxt - x) > step_tol]
-            if not live.size:
-                break
-        else:
-            raise SolverError(f"level_radius: {live.size} entries still moving after {_NEWTON_STEPS} Newton steps")
-        r = r.reshape(t.shape)
+        start = lo + (hi - lo) * np.clip((t_flat - wlo) / np.where(whi > wlo, whi - wlo, 1.0), 0.0, 1.0)
+
+        def defect(r, j):
+            w, grad = self._w_grad(r)
+            return w - t_flat[j], self.manifold.f(r) * grad
+
+        r = find_root(defect, start, lo, hi, 1e-14 * max(1.0, self.R), "level_radius").reshape(t.shape)
         return np.where(t <= 0.0, self.r0, np.where(t >= self.phi_R, self.R, r))
 
 
@@ -307,87 +288,76 @@ def solve_w1(model: geometry.RadialManifold, r0: float, R: float) -> RadialPoten
     )
 
 
+def _log_flux(y: np.ndarray, p: float, log_eps2: float):
+    """The log of the regularized flux (q^2 + eps^2)^((p-2)/2) q at q = e^y,
+    as (p-1) y + (p-2)/2 log(1 + eps^2 e^{-2y}) so nothing cancels as p -> 1,
+    and its derivative in y, in [p-1, 1] and falling (the log is concave)."""
+    d = log_eps2 - 2.0 * y
+    lift = np.logaddexp(0.0, d)
+    return (p - 1.0) * y + 0.5 * (p - 2.0) * lift, (p - 1.0) + (2.0 - p) * np.exp(d - lift)
+
+
 def _regularized_log_slope(log_m: np.ndarray, p: float, eps: float) -> np.ndarray:
     """log q for (q^2 + eps^2)^((p-2)/2) q = m, elementwise over log m.
 
-    In y = log q the defect F(y) = (p-2)/2 log(e^{2y} + eps^2) + y - log m
-    is increasing (F' in [p-1, 1]) and concave, so Newton steps from the
-    unregularized start y0 = log m / (p-1), where F <= 0 for p <= 2, rise
-    monotonically to the root.  An entry stops once its step is below
-    tolerance, so its value does not depend on the other entries of the call;
-    one still moving after _NEWTON_STEPS steps raises SolverError.
+    In y = log q the defect F(y) = _log_flux(y) - log m is increasing and
+    concave, so the Newton steps of ``find_root`` from the unregularized
+    start y0 = log m / (p-1), where F <= 0 for p <= 2, rise monotonically
+    to the root and need no bracket.
     """
     log_m = np.asarray(log_m, dtype=float)
-    y = np.array(log_m / (p - 1.0))
-    y_flat, log_m = y.reshape(-1), log_m.ravel()
+    target = log_m.ravel()
     log_eps2 = 2.0 * math.log(eps)
-    live = np.arange(y_flat.size)  # the entries still stepping
-    for _ in range(_NEWTON_STEPS):
-        x, target = y_flat[live], log_m[live]
-        s = np.logaddexp(2.0 * x, log_eps2)
-        defect = 0.5 * (p - 2.0) * s + x - target
-        slope = 1.0 - (2.0 - p) * np.exp(2.0 * x - s)
-        step = defect / slope
-        nxt = x - step
-        y_flat[live] = nxt
-        live = live[np.abs(step) > 1e-14 * np.maximum(1.0, np.abs(nxt))]
-        if not live.size:
-            break
-    else:
-        raise SolverError(f"regularized slope: {live.size} entries still moving after {_NEWTON_STEPS} Newton steps")
-    return y[()]
+
+    def defect(y, k):
+        value, slope = _log_flux(y, p, log_eps2)
+        return value - target[k], slope
+
+    return find_root(defect, log_m / (p - 1.0), tol=1e-10, job="regularized slope")
 
 
 def solve_wp_eps(model: geometry.RadialManifold, r0: float, R: float, p: float, eps: float) -> RadialPotential:
     """Regularized radial potential: shooting on the flux constant C.
 
-    u(R; C) is strictly decreasing in C, so the boundary condition pins C by
-    a log-parametrized bracketed root find.  Each evaluation of u(R; C) is
-    one adaptive quadrature of the drop 1 - u(R; C), made once per C: one
-    per step of the bracketing from the unregularized flux and of
-    ``find_root`` (Brent's method), 5 or 6 in all on the flat annulus [1, 3]
-    at p = 1.5.  Each starts on the refined tail panels of the unregularized
-    potential, whose slope the regularized one follows, so it mostly ends
-    in its first round.  The annulus and p are checked by the unregularized
-    ``solve_wp``, whose flux starts the bracketing and whose default datum
-    phi_R is the outer datum here.
+    u(R; C) = u_R pins C through the drop 1 - u(R; C) = int f q dr, q = e^y
+    the regularized slope.  Its slope in L = log C is int f q / F'(y) dr,
+    as dy/dL = 1/F'(y) (F of ``_regularized_log_slope``), and one two-row
+    quadrature gives both, started on the refined tail panels of the
+    unregularized potential, whose slope the regularized one follows.  The
+    drop is convex in L (y'' = -F''(y) y'^3 >= 0) and at least 1 - u_R at
+    the unregularized flux C0 (for p <= 2 the regularized slope is the
+    steeper), so the Newton steps of ``find_root`` from log C0 fall
+    monotonically to the root with no bracket: 2 or 3 quadratures on the
+    flat annulus [1, 3] at p = 1.5, one where the regularization vanishes.
+    The annulus and p are checked by ``solve_wp``, whose default datum is
+    the outer datum here.
     """
     if not 0.0 < eps < math.inf:
         raise ConfigError(f"eps={eps} must be positive and finite", "eps")
     base = solve_wp(model, r0, R, p)
-    phi_R, C0 = base.phi_R, base.flux
+    phi_R = base.phi_R
     n = model.n
     u_R = math.exp(-phi_R / (p - 1.0))
+    log_eps2 = 2.0 * math.log(eps)
 
     def log_q(r, log_C):
         return _regularized_log_slope(log_C - (n - 1.0) * np.log(model.h(r)), p, eps)
 
-    # the bracketing and find_root evaluate the ends of the bracket again
-    @functools.cache
-    def u_end_defect(log_C: float) -> float:
-        drop = integrate(lambda s: model.f(s) * np.exp(log_q(s, log_C)), r0, R, _TAIL_TOL, base._seed[0][1:-1])
-        return (1.0 - drop) - u_R
+    def drop_defect(log_C, _):
+        def rows(s):
+            y = log_q(s, log_C)
+            fq = model.f(s) * np.exp(y)
+            return np.array([fq, fq / _log_flux(y, p, log_eps2)[1]])
 
-    # u(R; C0) <= u_R for the regularized slope in exact arithmetic, but at
-    # p = 2 or a tiny eps the defect at C0 is quadrature noise of either sign
-    lo_exp, hi_exp = math.log(C0), math.log(C0)
-    for _ in range(80):
-        if u_end_defect(lo_exp) >= 0.0:
-            break
-        lo_exp -= math.log(2.0)
-    else:
-        raise ShootingError("could not bracket the flux constant from below")
-    for _ in range(80):
-        if u_end_defect(hi_exp) <= 0.0:
-            break
-        hi_exp += math.log(2.0)
-    else:
-        raise ShootingError("could not bracket the flux constant from above")
-    log_C = find_root(u_end_defect, lo_exp, hi_exp)
+        drop, slope = integrate(rows, r0, R, _TAIL_TOL, base._seed[0][1:-1])
+        return drop - (1.0 - u_R), slope
 
-    def log_slope(r):
-        return log_q(r, log_C)
+    try:
+        log_C = find_root(drop_defect, math.log(base.flux), tol=1e-10, job="flux constant")
+    except SolverError as exc:
+        raise ShootingError(str(exc)) from exc
 
+    log_slope = functools.partial(log_q, log_C=log_C)
     kappa = (n - 1.0) / (p - 1.0)
     tail = CumulativeIntegral(
         lambda s: np.log(model.f(s)) + log_slope(s), R, _tail_edges(model, r0, R, kappa), _TAIL_TOL, log=True
@@ -395,7 +365,7 @@ def solve_wp_eps(model: geometry.RadialManifold, r0: float, R: float, p: float, 
 
     def theta(r):
         y = log_slope(r)
-        return np.exp(2.0 * math.log(eps) - np.logaddexp(2.0 * y, 2.0 * math.log(eps)))
+        return np.exp(log_eps2 - np.logaddexp(2.0 * y, log_eps2))
 
     return _log_tail_potential(
         model, r0, R, p, phi_R, tail, 0.0, log_slope,

@@ -225,13 +225,20 @@ def _vanishing_check(name, anchor, values, column, threshold) -> Check:
 
 
 def _sign_changes(fn, a, b):
-    """Roots of ``fn`` (which takes a radius or an array) on (a, b]: one per
-    sign change between neighbours of _KINK_SAMPLES equispaced samples,
-    refined by ``find_root``; sign changes the samples miss are not found."""
+    """Roots on (a, b] of ``fn``, which returns (value, slope) at an array of
+    radii: one per sign change between neighbours of _KINK_SAMPLES equispaced
+    samples, all refined in one ``find_root`` call from their secant starts,
+    each oriented by its left sample.  Sign changes the samples miss are lost."""
     rs = np.linspace(a, b, _KINK_SAMPLES + 1)[1:]
-    negative = fn(rs) < 0.0
-    ks = np.flatnonzero(negative[:-1] != negative[1:])
-    return [numerics.find_root(fn, rs[k], rs[k + 1]) for k in ks]
+    v = fn(rs)[0]
+    k = np.flatnonzero((v[:-1] < 0.0) != (v[1:] < 0.0))
+    sign = np.where(v[k] < 0.0, 1.0, -1.0)
+    start = rs[k] - v[k] * (rs[k + 1] - rs[k]) / (v[k + 1] - v[k])
+
+    def oriented(r, j):
+        return tuple(sign[j] * part for part in fn(r))
+
+    return numerics.find_root(oriented, start, rs[k], rs[k + 1], job="kink").tolist()
 
 
 def p_to_1_suite(
@@ -306,15 +313,18 @@ def p_to_1_suite(
 
         def densities(r):
             w, grad = pot._w_grad(r)
-            gap = np.abs(grad - w1.grad_norm(r))
-            defect = geometry.mean_curvature_sphere(model, r) - grad
+            gap = geometry.mean_curvature_sphere(model, r) - grad  # |grad w_1| - |grad w_p|
             inner, shell = r <= 0.5 * R, r <= r_T
-            masked = [inner * gap**2, inner * gap**4, shell * defect**2 * grad, shell * np.abs(area_gap(r, w)) * grad]
+            masked = [inner * gap**2, inner * gap**4, shell * gap**2 * grad, shell * np.abs(area_gap(r, w)) * grad]
             return np.array(masked) * model.f(r) * model.h(r) ** (n - 1)
+
+        def crossing(r):
+            w, grad = pot._w_grad(r)
+            return w - w1._w(r), model.f(r) * (grad - geometry.mean_curvature_sphere(model, r))
 
         # |area gap| has a kink wherever w_p = w_1: a break there, and at
         # the ends of the two shells, keeps every panel on one smooth piece
-        kinks = _sign_changes(lambda r: area_gap(r, pot.w(r)), r0, r_T)
+        kinks = _sign_changes(crossing, r0, r_T)
         breaks = sorted([0.5 * R, r_T, *kinks])
         # the defects fall to 1e-8 and below as p -> 1, hence a tight target
         shells = sphere * numerics.integrate(densities, r0, breaks[-1], 1e-12, breaks[:-1])

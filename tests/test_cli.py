@@ -98,27 +98,32 @@ class TestRun:
         assert "FAIL" in capsys.readouterr().out
 
     def test_solver_breakdown(self, tmp_path, capsys, monkeypatch):
-        # valid input on which a solver breaks down: the eps-shooting's root
-        # find runs out of steps; the config after it still runs
-        monkeypatch.setattr(numerics, "_ROOT_STEPS", 2)
+        # valid input on which a solver breaks down: with a drop slope a
+        # thousand times too steep the eps-shooting runs out of steps; the
+        # config after it still runs
+        integrate = radial.integrate
+        monkeypatch.setattr(radial, "integrate", lambda *args: integrate(*args) * np.array([1.0, 1e3]))
         bad, out = CONFIGS / "euclidean_eps_to_0.json", tmp_path / "out"
         assert main(["run", str(bad), str(CONFIGS / "euclidean_fp.json"), "--out", str(out)]) == EXIT_SOLVER
-        assert f"solver error: {bad}: SolverError: find_root: bracket" in capsys.readouterr().err
+        assert f"solver error: {bad}: ShootingError: flux constant: 1 entries still moving" in capsys.readouterr().err
         assert (out / "euclidean_fp_report.json").exists()
 
     @pytest.mark.parametrize(
-        "config, loop",
-        [("schwarzschild_p_to_1", "level_radius"), ("euclidean_eps_to_0", "regularized slope")],
+        "config, error, loop",
+        [
+            ("schwarzschild_p_to_1", "SolverError", "level_radius"),
+            ("euclidean_eps_to_0", "ShootingError", "regularized slope"),
+        ],
         ids=["level_radius", "regularized-slope"],
     )
-    def test_newton_cap_is_a_solver_error(self, tmp_path, capsys, monkeypatch, config, loop):
-        # one Newton step leaves entries moving: the loop says so, not the result
-        monkeypatch.setattr(radial, "_NEWTON_STEPS", 1)
+    def test_newton_cap_is_a_solver_error(self, tmp_path, capsys, monkeypatch, config, error, loop):
+        # one Newton step leaves entries moving: the job says so, not the result
+        monkeypatch.setattr(numerics, "_ROOT_STEPS", 1)
         bad = CONFIGS / f"{config}.json"
         assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == EXIT_SOLVER
         err = capsys.readouterr().err
-        assert err.startswith(f"solver error: {bad}: SolverError: {loop}: ")
-        assert err.endswith(" entries still moving after 1 Newton steps\n")
+        assert err.startswith(f"solver error: {bad}: {error}: {loop}: ")
+        assert err.endswith(" entries still moving after 1 steps\n")
 
     def test_horizon_annulus_is_a_config_error(self, tmp_path, capsys):
         # inner radius on the Schwarzschild horizon: the annulus is invalid,

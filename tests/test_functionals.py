@@ -56,6 +56,16 @@ class TestParams:
         with pytest.raises(ValueError):
             FunctionalParams(3, 1.5, 2.0, (0.0,))
 
+    @pytest.mark.parametrize(
+        "t_grid",
+        [(0.0, 0.5, math.nan), (math.nan, 0.5), (0.0, math.nan, 1.0), (0.0, 0.5, math.inf), (-math.inf, 0.5), (0.0, math.inf, math.inf)],
+    )
+    def test_non_finite_t_grid_is_a_config_error(self, t_grid):
+        # NaN passes every comparison test, and inf is strictly increasing
+        with pytest.raises(numerics.ConfigError, match="^t_grid: ") as info:
+            FunctionalParams(3, 1.5, 2.0, t_grid)
+        assert info.value.fieldname == "t_grid"
+
 
 class TestFp:
     def test_flat_harmonic_is_constant(self, euclid3):

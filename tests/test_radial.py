@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcapflow import geometry, radial
+from pcapflow import geometry, numerics, radial
 from pcapflow.geometry import cone, euclidean, mean_curvature_sphere, schwarzschild
 from pcapflow.numerics import ConfigError, SolverError
 from pcapflow.radial import (
@@ -101,29 +101,46 @@ class TestSolveWp:
         with pytest.raises(ValueError):
             pot.level_radius(pot.phi_R + 1.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_level_is_rejected(self, euclid3, schw1, t):
+        # NaN passes every comparison test, so the range check names it too
+        for pot in (solve_w1(euclid3, 1.0, 4.0), solve_wp(schw1, 2.2, 12.0, 1.5)):
+            with pytest.raises(ValueError, match=r"^level t=(nan|inf|-inf) outside \[0, "):
+                pot.level_radius(t)
+            with pytest.raises(ValueError, match=r"^level t=(nan|inf|-inf) outside \[0, "):
+                pot.level_radius(np.array([0.1, t]))
+
 
 class TestNewtonCap:
-    """A Newton loop that runs out of steps raises SolverError rather than
-    return the entries that still move."""
+    """A root find that runs out of steps raises SolverError naming its job
+    rather than return the entries that still move."""
 
     def test_level_radius_with_a_wrong_slope(self, schw1):
         # a slope ten times too steep makes each step a tenth of Newton's, so
-        # the entries contract by 0.9 a step and still move after 100 steps
+        # the entries contract by 0.9 a step and still move after 200 steps
         pot = solve_wp(schw1, 2.2, 12.0, 1.5)
         w_grad = pot._w_grad
         pot._w_grad = lambda r: (w_grad(r)[0], 10.0 * w_grad(r)[1])
-        with pytest.raises(SolverError, match=r"level_radius: 5 entries still moving after 100 Newton steps"):
+        with pytest.raises(SolverError, match=r"^level_radius: 5 entries still moving after 200 steps$"):
             pot.level_radius(np.linspace(0.1, 0.9, 5) * pot.phi_R)
 
     def test_both_loops_raise_at_a_lowered_cap(self, schw1, monkeypatch):
         pot = solve_wp(schw1, 2.2, 12.0, 1.5)
         ts = np.linspace(0.1, 0.9, 5) * pot.phi_R
         log_m = np.linspace(-8.0, 2.0, 7)
-        monkeypatch.setattr(radial, "_NEWTON_STEPS", 1)
-        with pytest.raises(SolverError, match=r"level_radius: \d+ entries still moving after 1 Newton steps"):
+        monkeypatch.setattr(numerics, "_ROOT_STEPS", 1)
+        with pytest.raises(SolverError, match=r"^level_radius: \d+ entries still moving after 1 steps$"):
             pot.level_radius(ts)
-        with pytest.raises(SolverError, match=r"regularized slope: \d+ entries still moving after 1 Newton steps"):
+        with pytest.raises(SolverError, match=r"^regularized slope: \d+ entries still moving after 1 steps$"):
             radial._regularized_log_slope(log_m, 1.5, 1e-3)
+
+    def test_shooting_with_a_wrong_slope(self, euclid3, monkeypatch):
+        # a drop slope a thousand times too steep leaves the flux constant
+        # moving after the step cap: the shooting's own error says so
+        integrate = radial.integrate
+        monkeypatch.setattr(radial, "integrate", lambda *args: integrate(*args) * np.array([1.0, 1e3]))
+        with pytest.raises(radial.ShootingError, match=r"^flux constant: 1 entries still moving after 200 steps$"):
+            radial.solve_wp_eps(euclid3, 1.0, 3.0, 1.5, 1e-2)
 
 
 class TestNearOne:
@@ -277,6 +294,16 @@ class TestRegularized:
         for name in ("grad_norm", "theta"):
             fn = getattr(pot, name)
             assert np.array_equal(fn(rs), [fn(r) for r in rs]), name
+
+    @pytest.mark.parametrize("p", [1.001, 1.01, 1.5, 2.0])
+    @pytest.mark.parametrize("eps", [1e-1, 1e-4, 1e-8])
+    def test_regularized_slope_solves_down_to_p_near_one(self, p, eps):
+        # where q >> eps the slope F' is p - 1, so rounding in F moves y by
+        # about eps_mach |y| / (p - 1); the steps stop above that noise
+        log_m = np.linspace(-40.0, 10.0, 501)
+        y = radial._regularized_log_slope(log_m, p, eps)
+        log_flux = radial._log_flux(y, p, 2.0 * math.log(eps))[0]
+        assert np.all(np.abs(log_flux - log_m) <= 1e-13 * (1.0 + np.abs(log_m)))
 
     def test_eps_validation(self, euclid3):
         # one bad value each; the annulus and p are checked by the p-solve

@@ -562,11 +562,36 @@ class TestAreaSplit:
         monkeypatch.undo()
         return tables["table"][1], runs
 
+    @staticmethod
+    def _crossing(model, pot, w1):
+        """w_p - w_1 and its slope f (|grad w_p| - H), as the suite passes them."""
+
+        def crossing(r):
+            w, grad = pot._w_grad(r)
+            w_1, H = w1._w_grad(r)
+            return w - w_1, model.f(r) * (grad - H)
+
+        return crossing
+
+    def test_sign_changes_of_either_direction_in_one_call(self, monkeypatch):
+        # sin falls through pi and 3 pi and rises through 2 pi: each root is
+        # oriented by its left sample, and all are refined in one call
+        calls = []
+        find_root = numerics.find_root
+        monkeypatch.setattr(numerics, "find_root", lambda *a, **k: calls.append(a) or find_root(*a, **k))
+        roots = verify._sign_changes(lambda r: (np.sin(r), np.cos(r)), 0.0, 10.0)
+        assert len(calls) == 1
+        assert roots == pytest.approx([math.pi, 2.0 * math.pi, 3.0 * math.pi], rel=0.0, abs=1e-13)
+
     def test_schwarzschild_split_at_the_crossing(self, monkeypatch, schw1):
         pot, w1, gap, density, r_T = self._window(schw1, 2.2, 12.0, 1.1)
-        kinks = verify._sign_changes(gap, 2.2, r_T)
+        crossing = self._crossing(schw1, pot, w1)
+        kinks = verify._sign_changes(crossing, 2.2, r_T)
         assert len(kinks) == 1 and 2.2 < kinks[0] < r_T
-        assert abs(pot.w(kinks[0]) - w1.w(kinks[0])) < 1e-12
+        assert abs(pot.w(kinks[0]) - w1.w(kinks[0])) < 1e-12 and abs(gap(kinks[0])) < 1e-12
+        # the slope of the crossing is d(w_p - w_1)/dr
+        r, d = kinks[0], 1e-5
+        assert crossing(np.array([r]))[1][0] == pytest.approx((crossing(r + d)[0] - crossing(r - d)[0]) / (2.0 * d), rel=1e-8)
         rows, runs = self._runs(monkeypatch, schw1, 2.2, 12.0, [1.2, 1.1])
         assert len(runs) == 2
         (p, *_, a_def), (a, b, breaks, calls) = rows[1], runs[1]
@@ -580,8 +605,8 @@ class TestAreaSplit:
 
     def test_no_crossing_integrates_one_interval(self, monkeypatch, euclid3):
         # scale-invariant flat datum: w_p - w_1 = (1 - p) ln r < 0, no kink
-        pot, _, gap, density, r_T = self._window(euclid3, 1.0, 4.0, 1.1, "scale-invariant")
-        assert verify._sign_changes(gap, 1.0, r_T) == []
+        pot, w1, gap, density, r_T = self._window(euclid3, 1.0, 4.0, 1.1, "scale-invariant")
+        assert verify._sign_changes(self._crossing(euclid3, pot, w1), 1.0, r_T) == []
         rows, runs = self._runs(monkeypatch, euclid3, 1.0, 4.0, [1.2, 1.1], "scale-invariant")
         (p, *_, a_def), (a, b, breaks, _) = rows[1], runs[1]
         assert p == 1.1 and a == 1.0
