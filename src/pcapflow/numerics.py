@@ -395,10 +395,13 @@ def find_root(fn: Callable, x, lo=-math.inf, hi=math.inf, tol: float = 1e-13, jo
     [lo, hi] (scalars or arrays of x's shape).  A Newton step that leaves
     the bracket bisects it instead, and every step moves the bracket's lower
     end to x where the value is negative, its upper end otherwise.  An entry
-    stops once its step is at most ``tol``, so its root does not depend on
-    the other entries; near a simple root the error after a step s is of
-    order s^2, so a tol well above the rounding noise of fn still returns
-    the root to rounding.  An infinite bracket suits steps that cannot
+    stops on its own step s, so its root does not depend on the other
+    entries: once s is at most ``tol`` and the error left after it, bounded
+    by s r/(1 - r) while the steps shrink by the ratio r = s/(previous step),
+    is too.  Near a simple root r is of order s, so a tol well above the
+    rounding noise of fn still returns the root to rounding; at a root of
+    multiplicity m Newton steps shrink by r = (m - 1)/m only, and the second
+    test keeps the root within tol.  An infinite bracket suits steps that cannot
     overshoot (fn concave below the root, or convex above it).  Entries
     still moving after _ROOT_STEPS steps raise SolverError naming ``job``.
     A scalar x returns a float.
@@ -409,6 +412,7 @@ def find_root(fn: Callable, x, lo=-math.inf, hi=math.inf, tol: float = 1e-13, jo
     if (lo > hi).any():
         raise ValueError(f"{job}: bracket out of order")
     live = np.arange(out.size)  # the entries still stepping
+    last = np.full(out.size, math.inf)  # each entry's previous step
     for _ in range(_ROOT_STEPS):
         if not live.size:
             break
@@ -422,7 +426,11 @@ def find_root(fn: Callable, x, lo=-math.inf, hi=math.inf, tol: float = 1e-13, jo
             nxt = at - value / slope
             nxt = np.where((nxt >= a) & (nxt <= b), nxt, 0.5 * (a + b))
             out[live] = nxt
-            live = live[np.abs(nxt - at) > tol]
+            step = np.abs(nxt - at)
+            # s r/(1 - r) <= tol with r = s/last is s (s + tol) <= tol last
+            moving = (step > tol) | (step * (step + tol) > tol * last[live])
+            last[live] = step
+            live = live[moving]
     if live.size:
         raise SolverError(f"{job}: {live.size} entries still moving after {_ROOT_STEPS} steps")
     return float(x) if x.ndim == 0 else x
