@@ -205,13 +205,11 @@ def _ricci_bulk(solution, params: FunctionalParams):
     """level -> int_0^t e^{lam s} int_{w=s} G^{a+p-3} Ric(nu,nu) ds, as the
     radial integral of e^{lam w} |S^{n-1}| h^{n-1} G^{a+p-2} f Ric from r0
     to the level radius (one cumulative table).
-    A p-potential's table starts on the refined panel edges of its tail
-    (its seed radii), on which the potential is already resolved: most
-    panels pass in the first round, and a query between edges is as
-    accurate as a quadrature to its radius.  The flow potential's seed is
-    256 uniform radii, and its table starts on the one panel [r0, R].
+    The table starts on the potential's ``panels``, for every kind: at most
+    16 panels fitted to the potential, so most pass in the first round, and
+    their count does not grow as p -> 1.
     The integrand evaluates Ric first and the potential (w and G from one
-    tail evaluation) only where Ric is nonzero; elsewhere it is Ric itself,
+    ``w_grad`` call) only where Ric is nonzero; elsewhere it is Ric itself,
     the signed zero the full product would give.  On flat space and cones
     Ric is zero everywhere and no potential is evaluated at all.
     The 2-D solver's ambient space is flat, so there the term is zero."""
@@ -228,14 +226,13 @@ def _ricci_bulk(solution, params: FunctionalParams):
         live = ric != 0.0
         if np.any(live):
             s = r[live]
-            w, grad = pot._w_grad(pot._check(s))
+            w, grad = pot.w_grad(s)
             ric[live] = (
                 np.exp(lam * w) * sphere * model.h(s) ** (n - 1.0) * grad ** (alpha + p - 2.0) * model.f(s) * ric[live]
             )
         return ric
 
-    edges = (pot.r0, pot.R) if pot.kind == radial.KIND_IMCF else pot._seed[0]
-    cum = CumulativeIntegral(integrand, pot.r0, edges, 1e-11)
+    cum = CumulativeIntegral(integrand, pot.r0, pot.panels, 1e-11)
     return lambda lev: cum(lev.r[..., 0])
 
 

@@ -2,9 +2,10 @@
 
 Adaptive panel Gauss-Legendre quadrature on array integrands (one-shot
 integrals and cumulative tables), safeguarded Newton root finding on
-arrays, natural cubic splines, a banded Cholesky solve for symmetric
-positive definite systems whose result keeps its factor for further right
-sides, a context that runs BLAS on one thread, and Simpson weights.
+arrays (also of every sign change in a sample), natural cubic splines, a
+banded Cholesky solve for symmetric positive definite systems whose result
+keeps its factor for further right sides, a context that runs BLAS on one
+thread, and Simpson weights.
 Every radial integral in the package routes through :func:`integrate` or
 :class:`CumulativeIntegral` so that accuracy budgets live in one place,
 every radial root through :func:`find_root`, and the weights of a 2-D
@@ -59,6 +60,7 @@ __all__ = [
     "integrate",
     "simpson_weights",
     "find_root",
+    "sign_changes",
     "solve_spd",
     "single_threaded_blas",
     "natural_cubic_spline",
@@ -403,7 +405,9 @@ def find_root(fn: Callable, x, lo=-math.inf, hi=math.inf, tol: float = 1e-13, jo
     multiplicity m Newton steps shrink by r = (m - 1)/m only, and the second
     test keeps the root within tol.  An infinite bracket suits steps that cannot
     overshoot (fn concave below the root, or convex above it).  Entries
-    still moving after _ROOT_STEPS steps raise SolverError naming ``job``.
+    still moving after _ROOT_STEPS steps raise SolverError naming ``job``,
+    and so do a non-finite value of fn and a root that comes out
+    non-finite; a non-finite slope only turns its step into a bisection.
     A scalar x returns a float.
     """
     x = np.array(x, dtype=float)
@@ -418,6 +422,9 @@ def find_root(fn: Callable, x, lo=-math.inf, hi=math.inf, tol: float = 1e-13, jo
             break
         at = out[live]
         value, slope = fn(at, live)
+        if not np.isfinite(value).all():
+            bad = np.flatnonzero(~np.isfinite(value))[0]
+            raise SolverError(f"{job}: non-finite value {value[bad]} at x={at[bad]}")
         below = value < 0.0
         a = np.where(below, at, lo[live])
         b = np.where(below, hi[live], at)
@@ -433,7 +440,27 @@ def find_root(fn: Callable, x, lo=-math.inf, hi=math.inf, tol: float = 1e-13, jo
             live = live[moving]
     if live.size:
         raise SolverError(f"{job}: {live.size} entries still moving after {_ROOT_STEPS} steps")
+    if not np.isfinite(out).all():
+        raise SolverError(f"{job}: {np.count_nonzero(~np.isfinite(out))} entries stopped at a non-finite x")
     return float(x) if x.ndim == 0 else x
+
+
+def sign_changes(fn: Callable, a: float, b: float, samples: int) -> list[float]:
+    """Roots on (a, b] of ``fn``, which returns (value, slope) at an array of
+    points: one per sign change between neighbours of ``samples`` equispaced
+    samples, all refined in one :func:`find_root` call from their secant
+    starts, each oriented by its left sample.  Sign changes the samples miss
+    are lost."""
+    rs = np.linspace(a, b, samples + 1)[1:]
+    v = fn(rs)[0]
+    k = np.flatnonzero((v[:-1] < 0.0) != (v[1:] < 0.0))
+    sign = np.where(v[k] < 0.0, 1.0, -1.0)
+    start = rs[k] - v[k] * (rs[k + 1] - rs[k]) / (v[k + 1] - v[k])
+
+    def oriented(r, j):
+        return tuple(sign[j] * part for part in fn(r))
+
+    return find_root(oriented, start, rs[k], rs[k + 1], job="kink").tolist()
 
 
 def _back_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:

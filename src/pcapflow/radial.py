@@ -40,6 +40,7 @@ __all__ = [
     "solve_w1",
     "solve_wp_eps",
     "capacity",
+    "check_annulus",
 ]
 
 KIND_P = "p-potential"
@@ -55,6 +56,8 @@ _TAIL_TOL = 1e-12
 # of h across it
 _EFOLDS_PER_PANEL = 4.0
 _LOG_H_PER_PANEL = 0.25
+# most panels a quadrature over a potential starts on (``RadialPotential.panels``)
+_MAX_PANELS = 16
 
 class ShootingError(SolverError):
     """The shooting iteration for the regularized flux constant failed."""
@@ -65,12 +68,15 @@ class CapacityConsistencyError(SolverError):
 
 
 def _scalar_or_array(fn):
-    """Evaluate fn on an array; return a float for a scalar argument."""
+    """Evaluate fn on an array; return a float (or a tuple of floats, where
+    fn returns a tuple) for a scalar argument."""
 
     @functools.wraps(fn)
     def wrapped(self, x):
         out = fn(self, np.asarray(x, dtype=float))
-        return float(out) if np.ndim(x) == 0 else out
+        if np.ndim(x) != 0:
+            return out
+        return tuple(map(float, out)) if isinstance(out, tuple) else float(out)
 
     return wrapped
 
@@ -84,11 +90,14 @@ class RadialPotential:
     theta is the regularization weight eps^2 / (|grad u|^2 + eps^2) for the
     eps kind.  ``kind`` is read from p and eps: p = 1 is the flow, an eps
     marks the regularized potential, and anything else is a p-potential.
-    ``_w_grad`` returns w and |grad w| together, from one evaluation of the
-    tail where there is one.  ``_seed`` holds increasing radii and the values of w there, which
-    bracket the root finds of ``level_radius``.  ``_levels`` keeps the level
-    builds of ``functionals``, keyed by the levels, so each array of levels is
-    built once per potential.
+    ``w_grad`` returns w and |grad w| together, from one evaluation of the
+    tail where there is one.  ``panels`` marks where a quadrature over the
+    potential starts, for every kind.  How the potential is stored is this
+    module's own: ``_seed`` holds increasing radii (a p-potential's refined
+    tail edges) and the values of w there, which bracket the root finds of
+    ``level_radius``.  ``_levels`` keeps the level builds of
+    ``functionals``, keyed by the levels, so each array of levels is built
+    once per potential.
     """
 
     manifold: geometry.RadialManifold
@@ -113,10 +122,11 @@ class RadialPotential:
 
     def _check(self, r: np.ndarray) -> np.ndarray:
         pad = 1e-9 * (self.R - self.r0)
-        if np.any(r < self.r0 - pad) or np.any(r > self.R + pad):
+        if r.size and (r.min() < self.r0 - pad or r.max() > self.R + pad):
             bad = r[(r < self.r0 - pad) | (r > self.R + pad)].flat[0]
             raise geometry.DomainError(f"r={bad} outside the annulus [{self.r0}, {self.R}]")
-        return np.clip(r, self.r0, self.R)
+        # np.clip's wrapper costs as much as both comparisons
+        return np.minimum(np.maximum(r, self.r0), self.R)
 
     @_scalar_or_array
     def w(self, r):
@@ -125,6 +135,22 @@ class RadialPotential:
     @_scalar_or_array
     def grad_norm(self, r):
         return self._w_grad(self._check(r))[1]
+
+    @_scalar_or_array
+    def w_grad(self, r):
+        """(w, |grad w|) from one evaluation of the tail."""
+        return self._w_grad(self._check(r))
+
+    @property
+    def panels(self) -> np.ndarray:
+        """Increasing radii from r0 to R where a quadrature over the
+        potential starts: the seed radii, evenly thinned to at most
+        _MAX_PANELS panels.  A p-potential's seed is its refined tail edges,
+        whose count grows like kappa = (n-1)/(p-1) while an integrand of w
+        and |grad w| stays smooth."""
+        rs = self._seed[0]
+        m = rs.size - 1
+        return rs[np.round(np.linspace(0, m, min(m, _MAX_PANELS) + 1)).astype(int)]
 
     @_scalar_or_array
     def u(self, r):
@@ -166,7 +192,7 @@ def _default_phi(model: geometry.RadialManifold, r0: float, R: float) -> float:
     return (model.n - 1) * math.log(model.h(R) / model.h(r0))
 
 
-def _check_annulus(model: geometry.RadialManifold, r0: float, R: float) -> None:
+def check_annulus(model: geometry.RadialManifold, r0: float, R: float) -> None:
     """[r0, R] finite, inside the working range, with f(r0) finite and
     h(r0) > 0, for every potential: none may start on a horizon (f infinite,
     H = 0) or a tip.  An infinite R, the exterior problem, is not solved here."""
@@ -234,7 +260,7 @@ def solve_wp(
     phi_R: Optional[float] = None,
 ) -> RadialPotential:
     """Radial p-capacitary potential on the annulus [r0, R], p in (1, 2]."""
-    _check_annulus(model, r0, R)
+    check_annulus(model, r0, R)
     if not (1.0 < p <= 2.0):
         raise ConfigError(f"p={p} outside (1, 2]", "p")
     if phi_R is None:
@@ -266,7 +292,7 @@ def solve_w1(model: geometry.RadialManifold, r0: float, R: float) -> RadialPoten
     |grad w1| equals the sphere mean curvature.  Its p is 1, the limit of
     the p-potentials.
     """
-    _check_annulus(model, r0, R)
+    check_annulus(model, r0, R)
     n = model.n
     rs = np.linspace(r0, R, 256)
     h0 = model.h(r0)

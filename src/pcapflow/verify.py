@@ -217,28 +217,28 @@ def _create(path):
 # ----------------------------------------------------------------- suites
 
 
-def _vanishing_check(name, anchor, values, column, threshold) -> Check:
-    """Pass when ``column`` strictly decreases and ends below ``threshold``."""
-    decreasing = all(b < a for a, b in zip(column, column[1:]))
-    values["decreasing"] = decreasing
-    return _gate(name, anchor, values, column[-1] if decreasing else math.inf, threshold)
+def _toward_limit(values, fieldname: str, entries: str, inside, limit) -> None:
+    """The list rule of a convergence table: ``values`` has at least 2
+    entries, each ``inside`` its range, strictly decreasing toward ``limit``;
+    a ConfigError names ``fieldname`` otherwise."""
+    if len(values) < 2 or not all(inside(v) for v in values):
+        raise ConfigError(f"{fieldname} must have >= 2 {entries}", fieldname)
+    if any(b >= a for a, b in zip(values, values[1:])):
+        raise ConfigError(f"{fieldname} must decrease toward {limit}", fieldname)
 
 
-def _sign_changes(fn, a, b):
-    """Roots on (a, b] of ``fn``, which returns (value, slope) at an array of
-    radii: one per sign change between neighbours of _KINK_SAMPLES equispaced
-    samples, all refined in one ``find_root`` call from their secant starts,
-    each oriented by its left sample.  Sign changes the samples miss are lost."""
-    rs = np.linspace(a, b, _KINK_SAMPLES + 1)[1:]
-    v = fn(rs)[0]
-    k = np.flatnonzero((v[:-1] < 0.0) != (v[1:] < 0.0))
-    sign = np.where(v[k] < 0.0, 1.0, -1.0)
-    start = rs[k] - v[k] * (rs[k + 1] - rs[k]) / (v[k + 1] - v[k])
-
-    def oriented(r, j):
-        return tuple(sign[j] * part for part in fn(r))
-
-    return numerics.find_root(oriented, start, rs[k], rs[k + 1], job="kink").tolist()
+def _vanishing_checks(param: str, values, rows, gates) -> list[Check]:
+    """The column rule of a convergence table: per gate (key, name, anchor,
+    threshold), column k of ``rows`` (k from 1, in the order of the gates)
+    passes when it strictly decreases along ``values`` and ends below the
+    threshold."""
+    checks = []
+    for k, (key, name, anchor, threshold) in enumerate(gates, start=1):
+        column = [row[k] for row in rows]
+        decreasing = all(b < a for a, b in zip(column, column[1:]))
+        measured = column[-1] if decreasing else math.inf
+        checks.append(_gate(name, anchor, {param: values, key: column, "decreasing": decreasing}, measured, threshold))
+    return checks
 
 
 def p_to_1_suite(
@@ -275,10 +275,7 @@ def p_to_1_suite(
     pins each sup_w row to an analytic value (rel tol 1e-6).
     Returns the report and the per-p table.
     """
-    if len(p_list) < 2 or any(not (1.0 < p <= 2.0) for p in p_list):
-        raise ConfigError("p_list must have >= 2 entries inside (1, 2]", "p_list")
-    if any(b >= a for a, b in zip(p_list, p_list[1:])):
-        raise ConfigError("p_list must decrease toward 1", "p_list")
+    _toward_limit(p_list, "p_list", "entries inside (1, 2]", lambda p: 1.0 < p <= 2.0, 1)
     # r0 >= R is an empty annulus, which the solvers reject as a DomainError
     if 0.5 * R <= r0 < R:
         raise ConfigError(f"need r0 < R/2 to sample [r0, R/2], got r0={r0}, R={R}", "R")
@@ -312,33 +309,31 @@ def p_to_1_suite(
             return 1.0 - (h0 / model.h(r)) ** (n - 1) * np.exp(w)
 
         def densities(r):
-            w, grad = pot._w_grad(r)
-            gap = geometry.mean_curvature_sphere(model, r) - grad  # |grad w_1| - |grad w_p|
+            w, grad = pot.w_grad(r)
+            gap = w1.w_grad(r)[1] - grad  # |grad w_1| - |grad w_p|
             inner, shell = r <= 0.5 * R, r <= r_T
             masked = [inner * gap**2, inner * gap**4, shell * gap**2 * grad, shell * np.abs(area_gap(r, w)) * grad]
             return np.array(masked) * model.f(r) * model.h(r) ** (n - 1)
 
         def crossing(r):
-            w, grad = pot._w_grad(r)
-            return w - w1._w(r), model.f(r) * (grad - geometry.mean_curvature_sphere(model, r))
+            (w, grad), (w_1, H) = pot.w_grad(r), w1.w_grad(r)
+            return w - w_1, model.f(r) * (grad - H)
 
         # |area gap| has a kink wherever w_p = w_1: a break there, and at
         # the ends of the two shells, keeps every panel on one smooth piece
-        kinks = _sign_changes(crossing, r0, r_T)
+        kinks = numerics.sign_changes(crossing, r0, r_T, _KINK_SAMPLES)
         breaks = sorted([0.5 * R, r_T, *kinks])
         # the defects fall to 1e-8 and below as p -> 1, hence a tight target
         shells = sphere * numerics.integrate(densities, r0, breaks[-1], 1e-12, breaks[:-1])
         l2, l4, h_def, a_def = shells.tolist()
         l2, l4 = l2**0.5, l4**0.25
         rows.append((p, sup_w, l2, l4, cap_gap, h_def, a_def))
-    cols = {key: [row[k] for row in rows] for k, key in enumerate(thr, start=1)}
-    checks = [
-        _vanishing_check(f"p-to-1 {key}", "p-to-1-strong-convergence", {"p": p_list, key: vals}, vals, thr[key])
-        for key, vals in cols.items()
-    ]
+    gates = [(key, f"p-to-1 {key}", "p-to-1-strong-convergence", threshold) for key, threshold in thr.items()]
+    checks = _vanishing_checks("p", p_list, rows, gates)
     if expect_sup is not None:
-        worst = max(abs(s - e) / abs(e) for s, e in zip(cols["sup_w"], expect_sup))
-        values = {"measured": cols["sup_w"], "expected": list(expect_sup), "worst_rel": worst}
+        sup = [row[1] for row in rows]
+        worst = max(abs(s - e) / abs(e) for s, e in zip(sup, expect_sup))
+        values = {"measured": sup, "expected": list(expect_sup), "worst_rel": worst}
         checks.append(_gate("p-to-1 sup_w analytic values", "p-to-1-strong-convergence", values, worst, 1e-6))
     report = Report(
         experiment="p_to_1",
@@ -359,10 +354,7 @@ def eps_to_0_suite(
     """sup|w^eps - w_p| and sup theta_eps on the inner half [r0, (r0+R)/2],
     per eps; they must decrease and end below 1e-4 and 1e-6.  Returns the
     report and the per-eps table."""
-    if len(eps_list) < 2 or any(not 0.0 < e < math.inf for e in eps_list):
-        raise ConfigError("eps_list must have >= 2 positive finite entries", "eps_list")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ConfigError("eps_list must decrease toward 0", "eps_list")
+    _toward_limit(eps_list, "eps_list", "positive finite entries", lambda e: 0.0 < e < math.inf, 0)
     interval = (r0, 0.5 * (r0 + R))
     base = radial.solve_wp(model, r0, R, p)
     rs = np.linspace(interval[0], interval[1], _SUP_SAMPLES)
@@ -376,13 +368,9 @@ def eps_to_0_suite(
         ("sup_w", "eps-to-0 sup|w_eps - w_p|", "eps-regularization-vanishes", 1e-4),
         ("sup_theta", "eps-to-0 sup theta_eps", "theta-eps-vanishing", 1e-6),
     )
-    checks = []
-    for k, (key, name, anchor, threshold) in enumerate(gates, start=1):
-        column = [row[k] for row in rows]
-        checks.append(_vanishing_check(name, anchor, {"eps": eps_list, key: column}, column, threshold))
     report = Report(
         experiment="eps_to_0",
-        checks=checks,
+        checks=_vanishing_checks("eps", eps_list, rows, gates),
         environment={"model": model.label, "r0": r0, "R": R, "p": p, "interval": list(interval)},
     )
     return report, {"table": (["eps", "sup_w", "sup_theta"], rows)}
@@ -458,7 +446,7 @@ def _phi_for(mode: str, model, r0, R, p) -> Optional[float]:
     if mode == "imcf":
         return None
     if mode == "scale-invariant":
-        radial._check_annulus(model, r0, R)  # before ln(R/r0) meets a bad radius
+        radial.check_annulus(model, r0, R)  # before ln(R/r0) meets a bad radius
         return (model.n - p) * math.log(R / r0)
     raise ConfigError(f"unknown phi_mode '{mode}'", "phi_mode")
 

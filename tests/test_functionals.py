@@ -358,7 +358,7 @@ class TestRicciBulk:
         lam = params.alpha / (3.0 - params.p) - 1.0
 
         def product(r):
-            w, grad = pot._w_grad(r)
+            w, grad = pot.w_grad(r)
             return (
                 np.exp(lam * w)
                 * geometry.unit_sphere_area(3)
@@ -372,6 +372,42 @@ class TestRicciBulk:
         table = functionals._ricci_bulk(pot, params)(SimpleNamespace(r=rs[:, None]))
         reference = [numerics.integrate(product, 2.2, r, 1e-14) for r in rs]
         np.testing.assert_allclose(table, reference, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("p", [1.01, 1.003, 1.001, 1.0])
+    def test_table_starts_on_at_most_16_panels(self, monkeypatch, schw1, p):
+        # the potential's panels, not its tail edges, whose count grows like
+        # 2/(p-1): 85, 283 and 849 at these p; the flow's seed has 255
+        edges = []
+        table = functionals.CumulativeIntegral
+        recorded = lambda fn, x0, e, tol: edges.append(e) or table(fn, x0, e, tol)
+        monkeypatch.setattr(functionals, "CumulativeIntegral", recorded)
+        pot = radial.solve_w1(schw1, 2.2, 12.0) if p == 1.0 else radial.solve_wp(schw1, 2.2, 12.0, p)
+        F_p(pot, FunctionalParams(3, p, 2.0, tuple(np.linspace(0.0, verify._default_t_max(pot), 40))))
+        (e,) = edges
+        assert np.array_equal(e, pot.panels) and len(e) <= 17
+
+    def test_table_near_one_matches_integrate_per_level(self, schw1):
+        # at p = 1.001 the table starts on 16 of the 849 tail panels, and its
+        # values at the level radii still match a quadrature run to each
+        p = 1.001
+        pot = radial.solve_wp(schw1, 2.2, 12.0, p)
+        params = FunctionalParams(3, p, 2.0, tuple(np.linspace(0.0, verify._default_t_max(pot), 40)))
+        lam = params.alpha / (3.0 - p) - 1.0
+
+        def product(r):
+            w, grad = pot.w_grad(r)
+            return (
+                np.exp(lam * w)
+                * geometry.unit_sphere_area(3)
+                * schw1.h(r) ** 2.0
+                * grad ** (params.alpha + p - 2.0)
+                * schw1.f(r)
+                * geometry.ricci_radial(schw1, r)
+            )
+
+        lev = radial_level(pot, np.asarray(params.t_grid))
+        reference = [numerics.integrate(product, 2.2, r, 1e-14) for r in lev.r[1:, 0]]
+        np.testing.assert_allclose(functionals._ricci_bulk(pot, params)(lev)[1:], reference, rtol=1e-11, atol=0.0)
 
 
 class TestMinkowski:

@@ -318,6 +318,31 @@ class TestFindRoot:
         with pytest.raises(numerics.SolverError, match=r"^dottie: 3 entries still moving after 2 steps$"):
             find_root(_dottie, np.zeros(3), 0.0, 1.0, job="dottie")
 
+    @pytest.mark.parametrize(
+        "value, slope, lo, hi, match",
+        [
+            # a NaN value inside a bracket moved its upper end down to 5.7e-14
+            (np.nan, 1.0, 0.0, 1.0, r"^probe: non-finite value nan at x=0\.5$"),
+            (np.nan, 1.0, -math.inf, math.inf, r"^probe: non-finite value nan at x=0\.5$"),
+            (np.inf, 1.0, -math.inf, math.inf, r"^probe: non-finite value inf at x=0\.5$"),
+        ],
+    )
+    def test_non_finite_value_is_a_breakdown(self, value, slope, lo, hi, match):
+        fn = lambda x, k: (np.full_like(x, value), np.full_like(x, slope))
+        with pytest.raises(numerics.SolverError, match=match):
+            find_root(fn, 0.5, lo, hi, job="probe")
+
+    def test_non_finite_root_is_a_breakdown(self):
+        # a NaN slope with no bracket bisects to -inf, where the value is
+        # finite; the step there is NaN, so the entry stops at -inf
+        fn = lambda x, k: (np.tanh(x - 0.3), np.full_like(x, np.nan))
+        with pytest.raises(numerics.SolverError, match=r"^probe: 1 entries stopped at a non-finite x$"):
+            find_root(fn, 0.5, job="probe")
+
+    def test_nan_slope_in_a_finite_bracket_bisects(self):
+        fn = lambda x, k: (x - 0.3, np.full_like(x, np.nan))
+        assert find_root(fn, 0.5, 0.0, 1.0) == pytest.approx(0.3, rel=0.0, abs=1e-13)
+
     def test_bracket_out_of_order(self):
         with pytest.raises(ValueError):
             find_root(lambda x, k: (np.sin(x), np.cos(x)), 0.0, 1.0, -1.0)

@@ -215,6 +215,41 @@ class TestNearOne:
             assert np.allclose(pot.w(pot.level_radius(ts)), ts, rtol=0.0, atol=1e-12)
 
 
+class TestPublicAnswers:
+    """``panels``, where a quadrature over a potential starts, and ``w_grad``,
+    w and |grad w| from one evaluation of the tail."""
+
+    @pytest.mark.parametrize(
+        "model, r0, R", [(euclidean(3), 1.0, 8.0), (cone(3, 0.5), 1.0, 8.0), (schwarzschild(1.0), 2.2, 12.0)]
+    )
+    @pytest.mark.parametrize("p", [1.1, 1.5, 2.0])
+    def test_panels_are_the_seed_on_the_sweep(self, model, r0, R, p):
+        # the shipped sweep's tails have 8 to 11 panels, under the cap
+        pot = solve_wp(model, r0, R, p)
+        assert np.array_equal(pot.panels, pot._seed[0])
+
+    def test_panels_thin_a_long_seed(self, schw1):
+        pot = solve_wp(schw1, 2.2, 12.0, 1.001)
+        seed, panels = pot._seed[0], pot.panels
+        assert seed.size == 850
+        assert panels.size <= 17 and (panels[0], panels[-1]) == (2.2, 12.0)
+        assert np.all(np.diff(panels) > 0.0) and np.all(np.isin(panels, seed))
+
+    def test_w_grad_is_w_and_grad_norm(self, schw1):
+        pots = [solve_wp(schw1, 2.2, 8.0, 1.3), solve_w1(schw1, 2.2, 8.0), solve_wp_eps(schw1, 2.2, 8.0, 1.3, 1e-3)]
+        rs = np.linspace(2.2, 8.0, 7)
+        for pot in pots:
+            w, grad = pot.w_grad(rs)
+            assert np.array_equal(w, pot.w(rs)) and np.array_equal(grad, pot.grad_norm(rs))
+            for r in rs:
+                pair = pot.w_grad(r)
+                assert pair == (pot.w(r), pot.grad_norm(r)) and all(isinstance(x, float) for x in pair)
+            with pytest.raises(geometry.DomainError, match=r"^r=2\.1 outside the annulus \[2\.2, 8\.0\]$"):
+                pot.w_grad(2.1)
+            with pytest.raises(geometry.DomainError, match=r"^r=8\.5 outside the annulus"):
+                pot.w_grad(np.array([3.0, 8.5]))
+
+
 class TestSolveW1:
     def test_euclid_closed_form(self, euclid3):
         pot = solve_w1(euclid3, 1.0, 8.0)

@@ -196,13 +196,13 @@ class TestGate:
         assert (chk.name, chk.anchor, chk.values, chk.threshold) == ("g", "anc", values, 0.75)
 
     def test_vanishing_check_needs_a_strict_decrease(self):
-        values = {}
-        chk = verify._vanishing_check("v", "anc", values, [1e-3, 2e-3, 1e-9], 1e-6)
-        assert chk.verdict == "fail" and values["decreasing"] is False
-        chk = verify._vanishing_check("v", "anc", {}, [1e-3, 1e-3, 1e-9], 1e-6)
-        assert chk.verdict == "fail"
-        chk = verify._vanishing_check("v", "anc", {}, [1e-3, 1e-5, 1e-9], 1e-6)
-        assert chk.verdict == "pass" and chk.threshold == 1e-6
+        rows = [(4.0, 1e-3, 1e-3, 1e-3), (2.0, 2e-3, 1e-3, 1e-5), (1.0, 1e-9, 1e-9, 1e-9)]
+        gates = [(key, f"v {key}", "anc", 1e-6) for key in ("rising", "flat", "falling")]
+        rising, flat, falling = verify._vanishing_checks("x", [4.0, 2.0, 1.0], rows, gates)
+        assert rising.verdict == "fail" and rising.values["decreasing"] is False
+        assert flat.verdict == "fail"
+        assert falling.verdict == "pass" and falling.threshold == 1e-6
+        assert falling.values == {"x": [4.0, 2.0, 1.0], "falling": [1e-3, 1e-5, 1e-9], "decreasing": True}
 
     def test_constancy_defect_equal_to_rel_tol_fails(self):
         series = SimpleNamespace(name="F_p", values=np.array([2.0, 2.5]))
@@ -567,8 +567,7 @@ class TestAreaSplit:
         """w_p - w_1 and its slope f (|grad w_p| - H), as the suite passes them."""
 
         def crossing(r):
-            w, grad = pot._w_grad(r)
-            w_1, H = w1._w_grad(r)
+            (w, grad), (w_1, H) = pot.w_grad(r), w1.w_grad(r)
             return w - w_1, model.f(r) * (grad - H)
 
         return crossing
@@ -579,14 +578,14 @@ class TestAreaSplit:
         calls = []
         find_root = numerics.find_root
         monkeypatch.setattr(numerics, "find_root", lambda *a, **k: calls.append(a) or find_root(*a, **k))
-        roots = verify._sign_changes(lambda r: (np.sin(r), np.cos(r)), 0.0, 10.0)
+        roots = numerics.sign_changes(lambda r: (np.sin(r), np.cos(r)), 0.0, 10.0, 64)
         assert len(calls) == 1
         assert roots == pytest.approx([math.pi, 2.0 * math.pi, 3.0 * math.pi], rel=0.0, abs=1e-13)
 
     def test_schwarzschild_split_at_the_crossing(self, monkeypatch, schw1):
         pot, w1, gap, density, r_T = self._window(schw1, 2.2, 12.0, 1.1)
         crossing = self._crossing(schw1, pot, w1)
-        kinks = verify._sign_changes(crossing, 2.2, r_T)
+        kinks = numerics.sign_changes(crossing, 2.2, r_T, verify._KINK_SAMPLES)
         assert len(kinks) == 1 and 2.2 < kinks[0] < r_T
         assert abs(pot.w(kinks[0]) - w1.w(kinks[0])) < 1e-12 and abs(gap(kinks[0])) < 1e-12
         # the slope of the crossing is d(w_p - w_1)/dr
@@ -606,7 +605,7 @@ class TestAreaSplit:
     def test_no_crossing_integrates_one_interval(self, monkeypatch, euclid3):
         # scale-invariant flat datum: w_p - w_1 = (1 - p) ln r < 0, no kink
         pot, w1, gap, density, r_T = self._window(euclid3, 1.0, 4.0, 1.1, "scale-invariant")
-        assert verify._sign_changes(self._crossing(euclid3, pot, w1), 1.0, r_T) == []
+        assert numerics.sign_changes(self._crossing(euclid3, pot, w1), 1.0, r_T, verify._KINK_SAMPLES) == []
         rows, runs = self._runs(monkeypatch, euclid3, 1.0, 4.0, [1.2, 1.1], "scale-invariant")
         (p, *_, a_def), (a, b, breaks, _) = rows[1], runs[1]
         assert p == 1.1 and a == 1.0
