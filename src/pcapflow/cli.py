@@ -5,11 +5,12 @@
 
 Exit codes: 0 all checks pass (or are flagged not-guaranteed), 1 at least
 one check fails, 2 a solver broke down on valid input (a
-``numerics.SolverError`` or a ``numpy.linalg.LinAlgError``), 64 bad input (a
-``numerics.ConfigError``, which names the field at fault) or a table or
-report that cannot be written (an ``OSError``, such as a file name too long
-for the platform), 141 (128 + SIGPIPE) the reader of stdout closed it
-early.  Any other exception is a bug and propagates with its traceback.
+``numerics.SolverError``), 64 bad input (a ``numerics.ConfigError``, which
+names the field at fault) or a table or report that cannot be written (an
+``OSError``, such as a file name too long for the platform), 141 (128 +
+SIGPIPE) the reader of stdout closed it early.  Any other exception, a
+``ValueError`` for a radius the program computed outside its range
+included, is a fault of the program and propagates with its traceback.
 Each config runs on its own: one that breaks prints its error and the
 others still write their reports; the exit code is the worst over all
 configs.  All artifacts (CSV tables, report JSON) go under --out.
@@ -23,8 +24,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import geometry, numerics, verify
 
 EXIT_PASS = 0
@@ -32,8 +31,6 @@ EXIT_FAIL = 1
 EXIT_SOLVER = 2
 EXIT_CONFIG = 64
 EXIT_PIPE = 141
-
-SOLVER_ERRORS = (numerics.SolverError, np.linalg.LinAlgError)
 
 
 def _load_config(path: str):
@@ -61,7 +58,7 @@ def _run_one(path: str, out_dir: str) -> int:
     except numerics.ConfigError as exc:
         print(f"config error: {path}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SOLVER_ERRORS as exc:
+    except numerics.SolverError as exc:
         print(f"solver error: {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:  # a table or the report could not be written

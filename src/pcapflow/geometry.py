@@ -3,7 +3,10 @@
 A model is the warped product  g = f(r)^2 dr^2 + h(r)^2 g_{S^{n-1}}  on
 r >= r_min, described by the warping functions f, h and their derivatives.
 The warping functions, ``check_radius`` and the curvature helpers take a
-radius or an array of radii.  Sign conventions, asserted in one place by
+radius or an array of radii.  A radius outside a model's range is a fault
+of the program that computed it, so ``check_radius`` raises ValueError;
+a config's radii are judged once, by ``radial.check_annulus``, whose
+ConfigError names the field.  Sign conventions, asserted in one place by
 the test suite:
 
 * coordinate spheres carry the outward normal, so the mean curvature of a
@@ -41,12 +44,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numerics import ConfigError, integrate, natural_cubic_spline
+from .numerics import integrate, natural_cubic_spline
 
 __all__ = [
     "RadialManifold",
     "Level",
-    "DomainError",
     "unit_sphere_area",
     "euclidean",
     "cone",
@@ -64,10 +66,6 @@ __all__ = [
 
 
 _VALIDATION_SAMPLES = 128  # radii at which a model's constructor checks h, f, h' and Ric
-
-
-class DomainError(ConfigError):
-    """Radius outside the range of a model, a table or an annulus."""
 
 
 def unit_sphere_area(n: int) -> float:
@@ -97,11 +95,13 @@ class RadialManifold:
     nonneg_ricci: bool = False
 
     def check_radius(self, r):
+        """r as a float or an array; a radius below r_min or beyond r_max, by
+        more than 1e-12 relative, is a ValueError."""
         r = np.asarray(r, dtype=float)
         if (r < self.r_min - 1e-12 * (1.0 + abs(self.r_min))).any():
-            raise DomainError(f"r={np.min(r)} below r_min={self.r_min} for {self.label}")
+            raise ValueError(f"r={np.min(r)} below r_min={self.r_min} for {self.label}")
         if (r > self.r_max * (1.0 + 1e-12)).any():
-            raise DomainError(f"r={np.max(r)} beyond tabulated range r_max={self.r_max} for {self.label}")
+            raise ValueError(f"r={np.max(r)} beyond tabulated range r_max={self.r_max} for {self.label}")
         return r[()]
 
 
@@ -309,7 +309,8 @@ def tabulated(n: int, table: Sequence, label: str = "tabulated") -> RadialManifo
     """Model interpolated from (r, f, h) triples with natural cubic splines.
 
     ``table`` holds dicts with keys r/f/h or plain triples of numbers,
-    strictly increasing in r.  Evaluators raise DomainError outside the range.
+    strictly increasing in r.  Evaluators judge radii by ``check_radius``, so
+    one outside the table's range is a ValueError.
     Its ``avr`` is None: a table cannot tell the asymptotic volume ratio.
     """
     rows = []
@@ -333,11 +334,8 @@ def tabulated(n: int, table: Sequence, label: str = "tabulated") -> RadialManifo
     r_lo, r_hi = float(rs[0]), float(rs[-1])
 
     def guard(fn):
-        def wrapped(r):
-            r = np.asarray(r, dtype=float)
-            if np.any(r < r_lo - 1e-9 * (1 + abs(r_lo))) or np.any(r > r_hi + 1e-9 * (1 + abs(r_hi))):
-                raise DomainError(f"r in [{np.min(r)}, {np.max(r)}] outside tabulated range [{r_lo}, {r_hi}]")
-            return fn(r)[()]
+        def wrapped(r):  # model is bound below, before any call
+            return fn(model.check_radius(r))[()]
 
         return wrapped
 

@@ -25,8 +25,10 @@ radial-only run never needs it.  For the same reason :func:`find_root` is
 written here rather than taken from ``scipy.optimize``, and the Simpson
 weights are NumPy rather than ``scipy.integrate``.  Every other
 exception class of the package derives from exactly one of two bases:
-:class:`ConfigError`, bad input named by the code that uses it (exit 64),
-and :class:`SolverError`, a breakdown on valid input (exit 2).
+:class:`ConfigError`, bad input, which names the config field at fault
+(exit 64), and :class:`SolverError`, a breakdown on valid input (exit 2),
+which every kernel here raises whatever the library below it raised.  An
+argument out of a kernel's range is the program's fault: a ValueError.
 
 Each panel carries a 20-point and a 10-point Gauss-Legendre sum of the
 same integrand; their difference bounds the error of the 10-point sum, so
@@ -48,7 +50,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -84,8 +86,8 @@ _CHUNK = 8192
 class ConfigError(ValueError):
     """Bad input, named by the code that uses it; ``pcapflow run`` exits 64."""
 
-    def __init__(self, message: str, fieldname: Optional[str] = None):
-        super().__init__(message if fieldname is None else f"{fieldname}: {message}")
+    def __init__(self, message: str, fieldname: str):
+        super().__init__(f"{fieldname}: {message}")
         self.fieldname = fieldname
 
 
@@ -129,7 +131,7 @@ def _gauss_rows(fn, a, b, log):
     bad = np.isnan(v) | (v == np.inf) if log else ~np.isfinite(v)
     if np.any(bad):
         where = x[np.argwhere(bad)[0][-2]]
-        raise ValueError(f"integrand not finite inside [{where.min()}, {where.max()}]")
+        raise SolverError(f"integrand not finite inside [{where.min()}, {where.max()}]")
     n = len(_X)
     if not log:
         fine = half * (v[..., :n] @ _W)
@@ -236,7 +238,7 @@ def integrate(
     [a, b] where the initial panels end, so that one run covers every piece
     between them: placed at a kink or at the edge of a row's support, they
     keep the refinement from chasing it to rounding width.
-    Raises ValueError on non-finite integrand values and QuadratureError
+    Raises SolverError on non-finite integrand values and QuadratureError
     (carrying the best estimate) when panels reach rounding width without
     meeting a row's target.
     """
@@ -309,7 +311,8 @@ class CumulativeIntegral:
     each panel's G is then scaled by its largest integrand value.
 
     ``edges`` and ``at_edges`` hold the refined panel edges (increasing) and
-    the cumulative values there.
+    the cumulative values there.  A non-finite integrand value raises
+    SolverError, as in :func:`integrate`.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray], x0: float, edges, rel_tol: float = 1e-10, log: bool = False):
@@ -388,19 +391,19 @@ def simpson_weights(x) -> np.ndarray:
     return weights
 
 
-def find_root(fn: Callable, x, lo=-math.inf, hi=math.inf, tol: float = 1e-13, job: str = "find_root"):
+def find_root(fn: Callable, x, lo=-math.inf, hi=math.inf, tol=1e-13, job: str = "find_root"):
     """Roots of increasing functions by safeguarded Newton steps, elementwise.
 
     ``fn(x, k)`` returns (value, slope) at the points x of the entries k
     (indices into the flattened start ``x``), so an entry can read its own
     target.  The caller orients fn to increase on each entry's bracket
-    [lo, hi] (scalars or arrays of x's shape).  A Newton step that leaves
-    the bracket bisects it instead, and every step moves the bracket's lower
-    end to x where the value is negative, its upper end otherwise.  An entry
-    stops on its own step s, so its root does not depend on the other
-    entries: once s is at most ``tol`` and the error left after it, bounded
-    by s r/(1 - r) while the steps shrink by the ratio r = s/(previous step),
-    is too.  Near a simple root r is of order s, so a tol well above the
+    [lo, hi]; lo, hi and ``tol`` are scalars or arrays of x's shape.  A
+    Newton step that leaves the bracket bisects it instead, and every step
+    moves the bracket's lower end to x where the value is negative, its
+    upper end otherwise.  An entry stops on its own step s, so its root does
+    not depend on the other entries: once s is at most its ``tol`` and the
+    error left after it, bounded by s r/(1 - r) while the steps shrink by
+    the ratio r = s/(previous step), is too.  Near a simple root r is of order s, so a tol well above the
     rounding noise of fn still returns the root to rounding; at a root of
     multiplicity m Newton steps shrink by r = (m - 1)/m only, and the second
     test keeps the root within tol.  An infinite bracket suits steps that cannot
@@ -412,7 +415,7 @@ def find_root(fn: Callable, x, lo=-math.inf, hi=math.inf, tol: float = 1e-13, jo
     """
     x = np.array(x, dtype=float)
     out = x.reshape(-1)
-    lo, hi = (np.full(out.size, end) if np.ndim(end) == 0 else np.array(end, dtype=float).ravel() for end in (lo, hi))
+    lo, hi, tol = (np.full(out.size, v) if np.ndim(v) == 0 else np.array(v, dtype=float).ravel() for v in (lo, hi, tol))
     if (lo > hi).any():
         raise ValueError(f"{job}: bracket out of order")
     live = np.arange(out.size)  # the entries still stepping
@@ -429,13 +432,16 @@ def find_root(fn: Callable, x, lo=-math.inf, hi=math.inf, tol: float = 1e-13, jo
         a = np.where(below, at, lo[live])
         b = np.where(below, hi[live], at)
         lo[live], hi[live] = a, b
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a side of the second stop test that overflows to inf still compares
+        # right against a finite one; both overflow only for tol above 1e154
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             nxt = at - value / slope
             nxt = np.where((nxt >= a) & (nxt <= b), nxt, 0.5 * (a + b))
             out[live] = nxt
             step = np.abs(nxt - at)
             # s r/(1 - r) <= tol with r = s/last is s (s + tol) <= tol last
-            moving = (step > tol) | (step * (step + tol) > tol * last[live])
+            tol_live = tol[live]
+            moving = (step > tol_live) | (step * (step + tol_live) > tol_live * last[live])
             last[live] = step
             live = live[moving]
     if live.size:
@@ -497,13 +503,16 @@ def solve_spd(band: np.ndarray, rhs: np.ndarray) -> SpdResult:
     A[i, j]`` for ``0 <= i - j < band.shape[0]``.  A Fortran-ordered float
     array is factored in place, so its contents are lost; any other is
     copied first.  A matrix that is not positive definite raises
-    ``numpy.linalg.LinAlgError`` (a ``ValueError``); a band or right side
-    holding an inf or NaN raises ``ValueError``.  Each input is scanned for
-    them once: the factor, LAPACK's own output, is not scanned again.
+    ``SolverError``; a band or right side holding an inf or NaN raises
+    ``ValueError``.  Each input is scanned for them once: the factor,
+    LAPACK's own output, is not scanned again.
     """
     from scipy.linalg import cholesky_banded
 
-    factor = cholesky_banded(band, lower=True, overwrite_ab=True)
+    try:
+        factor = cholesky_banded(band, lower=True, overwrite_ab=True)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"banded Cholesky: {exc}") from exc
     return SpdResult(_back_solve(factor, rhs), iterations=1, factor=factor)
 
 

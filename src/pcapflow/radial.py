@@ -17,7 +17,8 @@ coordinate spheres flow outward (h' > 0) is checked once, where the model
 is built, and no solver here checks it again.
 
 Every evaluator takes a radius or an array of radii (a level or an array of
-levels for ``level_radius``).
+levels for ``level_radius``).  A radius outside the annulus or a level
+outside [0, phi_R] is the fault of the code that computed it: a ValueError.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ class RadialPotential:
         pad = 1e-9 * (self.R - self.r0)
         if r.size and (r.min() < self.r0 - pad or r.max() > self.R + pad):
             bad = r[(r < self.r0 - pad) | (r > self.R + pad)].flat[0]
-            raise geometry.DomainError(f"r={bad} outside the annulus [{self.r0}, {self.R}]")
+            raise ValueError(f"r={bad} outside the annulus [{self.r0}, {self.R}]")
         # np.clip's wrapper costs as much as both comparisons
         return np.minimum(np.maximum(r, self.r0), self.R)
 
@@ -168,7 +169,9 @@ class RadialPotential:
     def level_radius(self, t):
         """Radius of the level set {w = t}: ``find_root`` on w - t, whose
         slope is dw/dr = f |grad w|, from the secant start inside the seed
-        bracket around t.  A level outside [0, phi_R], NaN included, is a
+        bracket around t, to the tolerance 1e-14 max(1, hi) of that bracket's
+        upper end hi, so a level near r0 of a wide annulus is found to
+        rounding too.  A level outside [0, phi_R], NaN included, is a
         ValueError."""
         inside = (t >= -1e-12) & (t <= self.phi_R + 1e-12)
         if not np.all(inside):
@@ -183,7 +186,7 @@ class RadialPotential:
             w, grad = self._w_grad(r)
             return w - t_flat[j], self.manifold.f(r) * grad
 
-        r = find_root(defect, start, lo, hi, 1e-14 * max(1.0, self.R), "level_radius").reshape(t.shape)
+        r = find_root(defect, start, lo, hi, 1e-14 * np.maximum(1.0, hi), "level_radius").reshape(t.shape)
         return np.where(t <= 0.0, self.r0, np.where(t >= self.phi_R, self.R, r))
 
 
@@ -195,20 +198,21 @@ def _default_phi(model: geometry.RadialManifold, r0: float, R: float) -> float:
 def check_annulus(model: geometry.RadialManifold, r0: float, R: float) -> None:
     """[r0, R] finite, inside the working range, with f(r0) finite and
     h(r0) > 0, for every potential: none may start on a horizon (f infinite,
-    H = 0) or a tip.  An infinite R, the exterior problem, is not solved here."""
+    H = 0) or a tip.  An infinite R, the exterior problem, is not solved here.
+    The one place a config's radii are judged: a ConfigError names r0 or R."""
     for name, r in (("r0", r0), ("R", R)):
         if not math.isfinite(r):
-            raise geometry.DomainError(f"{name}={r} must be finite", name)
+            raise ConfigError(f"{name}={r} must be finite", name)
         try:
             model.check_radius(r)
-        except geometry.DomainError as exc:
-            raise geometry.DomainError(str(exc), name) from None
+        except ValueError as exc:
+            raise ConfigError(str(exc), name) from None
     if not r0 < R:
-        raise geometry.DomainError(f"need r0 < R, got [{r0}, {R}]", "R")
+        raise ConfigError(f"need r0 < R, got [{r0}, {R}]", "R")
     if not math.isfinite(model.f(r0)):
-        raise geometry.DomainError(f"f({r0}) is not finite; start the annulus strictly inside the working range", "r0")
+        raise ConfigError(f"f({r0}) is not finite; start the annulus strictly inside the working range", "r0")
     if not model.h(r0) > 0.0:
-        raise geometry.DomainError(f"h({r0}) = 0; start the annulus away from the tip", "r0")
+        raise ConfigError(f"h({r0}) = 0; start the annulus away from the tip", "r0")
 
 
 def _tail_edges(model: geometry.RadialManifold, r0: float, R: float, kappa: float) -> np.ndarray:
@@ -356,7 +360,8 @@ def solve_wp_eps(model: geometry.RadialManifold, r0: float, R: float, p: float, 
     monotonically to the root with no bracket: 2 or 3 quadratures on the
     flat annulus [1, 3] at p = 1.5, one where the regularization vanishes.
     The annulus and p are checked by ``solve_wp``, whose default datum is
-    the outer datum here.
+    the outer datum here.  A breakdown of the shooting, a non-finite drop
+    integrand included, raises ShootingError.
     """
     if not 0.0 < eps < math.inf:
         raise ConfigError(f"eps={eps} must be positive and finite", "eps")

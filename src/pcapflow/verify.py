@@ -276,7 +276,7 @@ def p_to_1_suite(
     Returns the report and the per-p table.
     """
     _toward_limit(p_list, "p_list", "entries inside (1, 2]", lambda p: 1.0 < p <= 2.0, 1)
-    # r0 >= R is an empty annulus, which the solvers reject as a DomainError
+    # r0 >= R is an empty annulus, which check_annulus rejects as a ConfigError on R
     if 0.5 * R <= r0 < R:
         raise ConfigError(f"need r0 < R/2 to sample [r0, R/2], got r0={r0}, R={R}", "R")
     if expect_sup is not None and len(expect_sup) != len(p_list):
@@ -695,14 +695,14 @@ def _coerce(key: str, value, kind):
     return value
 
 
-def _call(fn, spec, field: str, *args, constructor: bool = False):
-    """``fn(*args, **spec)``: the parameters of ``fn`` after ``args`` are the
-    schema of the config object ``spec``.  Unknown and missing keys, and
-    values that do not convert to their annotation, are config errors, and so
-    is a ``ValueError`` or ``OSError`` of a model or domain ``constructor``."""
+def _call(fn, spec, field: str, constructor: bool = False):
+    """``fn(**spec)``: the parameters of ``fn`` are the schema of the config
+    object ``spec``.  Unknown and missing keys, and values that do not
+    convert to their annotation, are config errors, and so is a
+    ``ValueError`` or ``OSError`` of a model or domain ``constructor``."""
     if not isinstance(spec, dict):
         raise ConfigError(f"expected an object, got {type(spec).__name__}", field)
-    params = list(inspect.signature(fn, eval_str=True).parameters.values())[len(args):]
+    params = list(inspect.signature(fn, eval_str=True).parameters.values())
     allowed = {param.name for param in params}
     unknown = set(spec) - allowed
     if unknown:
@@ -716,7 +716,7 @@ def _call(fn, spec, field: str, *args, constructor: bool = False):
             raise ConfigError("missing required field", prefix + param.name)
     errors = (ValueError, OSError) if constructor else ()
     try:
-        return fn(*args, **kwargs)
+        return fn(**kwargs)
     except errors as exc:
         raise ConfigError(str(exc), field) from exc
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import pcapflow
-from pcapflow import cli, geometry, numerics, radial, verify
+from pcapflow import geometry, numerics, radial, verify
 from pcapflow.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, EXIT_SOLVER, main
 from pcapflow.verify import artifact_prefix
 
@@ -412,7 +412,7 @@ class TestRun:
         "config", ["euclidean_fp", "euclidean_eps_to_0", "euclidean_p_to_1", "schwarzschild_geroch"]
     )
     def test_empty_annulus_is_a_domain_error(self, tmp_path, capsys, config):
-        # a DomainError is a config error naming the annulus field; the next config still runs
+        # an empty annulus is a config error naming R; the next config still runs
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**json.loads((CONFIGS / f"{config}.json").read_text()), "r0": 4.0, "R": 4.0}))
         good, out = write_cfg(tmp_path, "good.json", out_prefix="good"), tmp_path / "out"
@@ -556,8 +556,49 @@ class TestExitCodeRule:
     package has one base and is a config error (64) or a solver breakdown (2),
     never both."""
 
-    def test_solver_errors_are_one_base(self):
-        assert cli.SOLVER_ERRORS == (numerics.SolverError, np.linalg.LinAlgError)
+    @staticmethod
+    def _run_probe(tmp_path, monkeypatch, experiment):
+        """``pcapflow run`` on a config of the one-off ``experiment``."""
+        monkeypatch.setitem(verify.EXPERIMENTS, "probe", experiment)
+        cfg = tmp_path / "probe.json"
+        cfg.write_text(json.dumps({"experiment": "probe"}))
+        return cfg, main(["run", str(cfg), "--out", str(tmp_path / "out")])
+
+    def test_solver_errors_are_one_base(self, tmp_path, capsys, monkeypatch):
+        # a kernel that breaks down raises SolverError, whatever the library
+        # below it raised, so SolverError alone maps to exit 2
+        kernels = {
+            "banded Cholesky: ": lambda: numerics.solve_spd(np.array([[2.0, -1.0, 2.0], [1.0, 1.0, 0.0]]), np.ones(3)),
+            "integrand not finite inside [": lambda: numerics.integrate(lambda x: np.where(x < 0.5, 1.0, np.inf), 0.0, 1.0),
+        }
+        for message, kernel in kernels.items():
+            cfg, code = self._run_probe(tmp_path, monkeypatch, kernel)
+            assert code == EXIT_SOLVER
+            assert f"solver error: {cfg}: SolverError: {message}" in capsys.readouterr().err
+
+    def test_a_foreign_breakdown_is_a_bug(self, tmp_path, monkeypatch):
+        # a LinAlgError that no kernel turned into a SolverError is a fault
+        def foreign():
+            np.linalg.cholesky(-np.eye(2))
+
+        with pytest.raises(np.linalg.LinAlgError):
+            self._run_probe(tmp_path, monkeypatch, foreign)
+
+    def test_a_radius_the_program_computed_is_a_bug(self, tmp_path, capsys, monkeypatch):
+        # a potential evaluated outside its annulus is no config's fault: the
+        # ValueError propagates with its traceback and no config error is printed
+        def outside():
+            pot = radial.solve_wp(geometry.euclidean(3), 1.0, 4.0, 1.5)
+            return pot.w(8.0)
+
+        with pytest.raises(ValueError, match=r"^r=8\.0 outside the annulus \[1\.0, 4\.0\]$"):
+            self._run_probe(tmp_path, monkeypatch, outside)
+        assert "config error:" not in capsys.readouterr().err
+
+    def test_a_config_error_names_its_field(self):
+        with pytest.raises(TypeError):
+            numerics.ConfigError("no field")
+        assert str(numerics.ConfigError("must be positive", "p")) == "p: must be positive"
 
     def test_every_exception_class_has_a_code(self):
         classes = []
@@ -568,7 +609,7 @@ class TestExitCodeRule:
                     classes.append(obj)
         bases = (numerics.ConfigError, numerics.SolverError)
         assert verify.ConfigError is numerics.ConfigError
-        assert {*bases, radial.ShootingError, geometry.DomainError} <= set(classes)
+        assert {*bases, radial.ShootingError} <= set(classes)
         assert [c.__name__ for c in classes if len(c.__bases__) != 1] == []
         others = [c for c in classes if c not in bases]
         assert [c.__name__ for c in others if sum(issubclass(c, base) for base in bases) != 1] == []

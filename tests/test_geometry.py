@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from pcapflow import geometry
 from pcapflow.geometry import (
-    DomainError,
     cone,
     euclidean,
     mean_curvature_sphere,
@@ -80,7 +79,8 @@ class TestSchwarzschild:
     def test_horizon_is_domain_boundary(self):
         m = schwarzschild(1.0)
         assert m.r_min == 2.0
-        with pytest.raises(DomainError):
+        # a radius the program computed is no config's fault: a plain ValueError
+        with pytest.raises(ValueError, match=r"^r=1\.9 below r_min=2\.0 for schwarzschild\(m=1\)$"):
             m.check_radius(1.9)
 
     def test_radial_ricci(self):
@@ -138,11 +138,16 @@ class TestTabulated:
         )
 
     def test_range_guard(self):
+        # the evaluators judge radii by check_radius's rule, 1e-12 relative
         tab = tabulated(3, schwarzschild_table())
-        with pytest.raises(DomainError):
+        r_hi = tab.r_max
+        with pytest.raises(ValueError, match="^r=1.0 below r_min="):
             tab.f(1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="^r=25.0 beyond tabulated range r_max="):
             tab.h(25.0)
+        with pytest.raises(ValueError, match="beyond tabulated range"):
+            tab.dh(np.array([3.0, r_hi * (1.0 + 1e-10)]))
+        assert tab.h(r_hi * (1.0 + 1e-13)) == pytest.approx(tab.h(r_hi), rel=1e-12)
 
     def test_avr_is_stated_not_sampled(self):
         # f = 2, h = r: (h/r)^2 is 1 at every radius, but geodesic spheres of

@@ -72,8 +72,11 @@ class TestIntegrate:
             integrate(np.sin, 1.0, 0.0)
 
     def test_nonfinite_integrand(self):
-        with pytest.raises(ValueError, match="not finite"):
+        # the caller's input was valid; the integrand it built broke down
+        with pytest.raises(numerics.SolverError, match=r"^integrand not finite inside \["):
             integrate(lambda x: np.where(x < 0.5, 1.0 / x, np.inf), 0.0, 1.0)
+        with pytest.raises(numerics.SolverError, match=r"^integrand not finite inside \["):
+            CumulativeIntegral(lambda x: np.where(x < 0.5, 1.0, np.nan), 0.0, (0.0, 1.0))
 
     def test_depth_exhaustion_carries_best_estimate(self):
         # integrable endpoint singularity: the panels touching the origin
@@ -359,6 +362,27 @@ class TestFindRoot:
         assert together.tolist() == alone
         assert np.all(np.abs(together**3 + together - targets) < 1e-12 * (1.0 + np.abs(targets)))
 
+    def test_tol_per_entry(self):
+        # an array tol gives each entry its own stop, as separate calls would
+        tols = np.array([0.3, 0.1, 1e-2, 1e-13])
+        together = find_root(_dottie, np.zeros(4), 0.0, 1.0, tols)
+        alone = [find_root(_dottie, 0.0, 0.0, 1.0, tol) for tol in tols]
+        assert together.tolist() == alone
+        assert len(set(alone)) == 4
+
+    @pytest.mark.parametrize(
+        "fn, x, lo, hi, tol, root",
+        [
+            # one Newton step of 1e200 from 1e190
+            (lambda x, k: (x - 1e200, np.ones_like(x)), 1e190, -math.inf, math.inf, 1e186, 1e200),
+            # bisection (NaN slope) from steps of 5e299 down to tol
+            (lambda x, k: (x - 3e250, np.full_like(x, np.nan)), 1e299, 1.0, 1e300, 1e286, 3e250),
+        ],
+    )
+    def test_huge_steps_do_not_overflow(self, fn, x, lo, hi, tol, root):
+        # the stop test squares steps past 1e154; the suite's warnings are errors
+        assert abs(find_root(fn, x, lo, hi, tol) - root) <= tol
+
     def test_multiple_root_converges_within_the_cap(self):
         # at a triple root a Newton step contracts the error by 2/3 only: the
         # root lands within the cap (76 steps) and within tol
@@ -476,9 +500,11 @@ class TestSolveSpd:
                 res.solve(b)
 
     def test_indefinite_operator_rejected(self):
+        # LAPACK's LinAlgError stays inside solve_spd
         band = np.array([[2.0, -1.0, 2.0], [1.0, 1.0, 0.0]])
-        with pytest.raises(ValueError, match="positive definite"):
+        with pytest.raises(numerics.SolverError, match="^banded Cholesky: .*not positive definite") as info:
             solve_spd(band, np.ones(3))
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_input_rejected(self, bad):

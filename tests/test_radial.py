@@ -90,7 +90,7 @@ class TestSolveWp:
     def test_annulus_validation(self, euclid3, schw1):
         with pytest.raises(ValueError):
             solve_wp(euclid3, 2.0, 2.0, 1.5)
-        with pytest.raises(geometry.DomainError):
+        with pytest.raises(ConfigError, match="^r0: r=1.5 below r_min=2.0"):
             solve_wp(schw1, 1.5, 8.0, 1.5)
 
     def test_level_radius_roundtrip(self, schw1):
@@ -100,6 +100,22 @@ class TestSolveWp:
             assert pot.w(r) == pytest.approx(t, abs=1e-10)
         with pytest.raises(ValueError):
             pot.level_radius(pot.phi_R + 1.0)
+
+    @pytest.mark.parametrize("p", [1.5, 1.1])
+    def test_level_radius_on_a_wide_annulus(self, euclid3, p):
+        # each level's root tolerance scales with its own bracket, not with R:
+        # with 1e-14 R, a level near r0 on [1, 1e12] was 3e-5 off, and the
+        # capacity read off such levels disagreed with itself
+        pot = solve_wp(euclid3, 1.0, 1e12, p, phi_R=(3.0 - p) * math.log(1e12))
+        ts = np.linspace(0.01, 1.0, 50)
+        assert np.max(np.abs(pot.level_radius(ts) / np.exp(ts / (3.0 - p)) - 1.0)) <= 1e-15
+        exact = (1.0 - math.exp(-0.2 / (p - 1.0))) ** (1.0 - p)
+        assert abs(capacity(pot, 0.0, 0.2) - exact) <= 1e-14
+
+    def test_level_radius_on_a_wide_schwarzschild_annulus(self, schw1):
+        pot = solve_wp(schw1, 2.2, 1e12, 1.5)
+        ts = np.linspace(0.01, 1.0, 50)
+        assert np.max(np.abs(pot.w(pot.level_radius(ts)) - ts)) <= 1e-15
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_level_is_rejected(self, euclid3, schw1, t):
@@ -244,9 +260,11 @@ class TestPublicAnswers:
             for r in rs:
                 pair = pot.w_grad(r)
                 assert pair == (pot.w(r), pot.grad_norm(r)) and all(isinstance(x, float) for x in pair)
-            with pytest.raises(geometry.DomainError, match=r"^r=2\.1 outside the annulus \[2\.2, 8\.0\]$"):
+            # a radius outside the annulus is the program's fault, not a config's
+            with pytest.raises(ValueError, match=r"^r=2\.1 outside the annulus \[2\.2, 8\.0\]$") as info:
                 pot.w_grad(2.1)
-            with pytest.raises(geometry.DomainError, match=r"^r=8\.5 outside the annulus"):
+            assert not isinstance(info.value, ConfigError)
+            with pytest.raises(ValueError, match=r"^r=8\.5 outside the annulus"):
                 pot.w_grad(np.array([3.0, 8.5]))
 
 
@@ -345,7 +363,7 @@ class TestRegularized:
         # that the shooting starts from
         for args, error, field in (
             ((1.0, 3.0, 1.5, 0.0), ConfigError, "eps"),
-            ((3.0, 3.0, 1.5, 1e-3), geometry.DomainError, "R"),
+            ((3.0, 3.0, 1.5, 1e-3), ConfigError, "R"),
             ((1.0, 3.0, 2.5, 1e-3), ConfigError, "p"),
         ):
             with pytest.raises(ConfigError) as info:
