@@ -3,11 +3,12 @@
 A model is the warped product  g = f(r)^2 dr^2 + h(r)^2 g_{S^{n-1}}  on
 r >= r_min, described by the warping functions f, h and their derivatives.
 The warping functions, ``check_radius`` and the curvature helpers take a
-radius or an array of radii.  A radius outside a model's range is a fault
-of the program that computed it, so ``check_radius`` raises ValueError;
-a config's radii are judged once, by ``radial.check_annulus``, whose
-ConfigError names the field.  Sign conventions, asserted in one place by
-the test suite:
+radius or an array of radii.  ``check_radius`` judges a radius against
+[r_min, r_max] by ``numerics.within``, the package's one range rule: a
+radius outside, NaN included, is a fault of the program that computed it,
+a ValueError; a config's radii are judged once, by ``radial.check_annulus``,
+whose ConfigError names the field.  Sign conventions, asserted in one place
+by the test suite:
 
 * coordinate spheres carry the outward normal, so the mean curvature of a
   round sphere in flat space is H = (n-1)/r > 0;
@@ -44,7 +45,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numerics import integrate, natural_cubic_spline
+from .numerics import integrate, natural_cubic_spline, within
 
 __all__ = [
     "RadialManifold",
@@ -95,14 +96,9 @@ class RadialManifold:
     nonneg_ricci: bool = False
 
     def check_radius(self, r):
-        """r as a float or an array; a radius below r_min or beyond r_max, by
-        more than 1e-12 relative, is a ValueError."""
-        r = np.asarray(r, dtype=float)
-        if (r < self.r_min - 1e-12 * (1.0 + abs(self.r_min))).any():
-            raise ValueError(f"r={np.min(r)} below r_min={self.r_min} for {self.label}")
-        if (r > self.r_max * (1.0 + 1e-12)).any():
-            raise ValueError(f"r={np.max(r)} beyond tabulated range r_max={self.r_max} for {self.label}")
-        return r[()]
+        """r clamped to [r_min, r_max] by ``numerics.within``: a float or an
+        array, and a ValueError naming the model beyond either end."""
+        return within(r, self.r_min, self.r_max, f"{self.label}: r")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,13 @@ SciPy is imported only for the banded Cholesky and the spline, inside the
 functions that call them: its import outlasts most configs' runs, and a
 radial-only run never needs it.  For the same reason :func:`find_root` is
 written here rather than taken from ``scipy.optimize``, and the Simpson
-weights are NumPy rather than ``scipy.integrate``.  Every other
+weights are NumPy rather than ``scipy.integrate``.
+
+:func:`within` is the one range rule of the package: every radius and
+level (a potential's annulus, a model's range, a table's range, a level's
+[0, phi_R]) is judged, clamped and shaped by it.  Its pad is relative to
+each end, 1e-12 (1 + |end|), so it neither grows with the span of a wide
+annulus nor turns infinite at an infinite end.  Every other
 exception class of the package derives from exactly one of two bases:
 :class:`ConfigError`, bad input, which names the config field at fault
 (exit 64), and :class:`SolverError`, a breakdown on valid input (exit 2),
@@ -67,6 +73,7 @@ __all__ = [
     "single_threaded_blas",
     "natural_cubic_spline",
     "CumulativeIntegral",
+    "within",
 ]
 
 _ROOT_STEPS = 200  # iteration cap of find_root
@@ -102,6 +109,20 @@ class QuadratureError(SolverError):
     def __init__(self, message: str, best_estimate: float):
         super().__init__(message)
         self.best_estimate = best_estimate
+
+
+def within(x, lo, hi, what: str):
+    """x clamped to [lo, hi]: an array for an array x, a NumPy float64 for a
+    number.  A value beyond an end by more than 1e-12 (1 + |end|), NaN
+    included, raises ValueError ``<what>=<value> outside [<lo>, <hi>]``; an
+    infinite end is allowed.  An argument out of range is the fault of the
+    code that computed it, never of a config."""
+    x = np.asarray(x, dtype=float)
+    inside = (x >= lo - 1e-12 * (1.0 + abs(lo))) & (x <= hi + 1e-12 * (1.0 + abs(hi)))
+    if not inside.all():
+        raise ValueError(f"{what}={float(x[~inside].flat[0])} outside [{lo}, {hi}]")
+    # np.clip's wrapper costs as much as both comparisons
+    return np.minimum(np.maximum(x, lo), hi)[()]
 
 
 def _gauss(fn, a: np.ndarray, b: np.ndarray, log: bool):
@@ -297,13 +318,13 @@ class CumulativeIntegral:
     a query is a polynomial evaluation.  A point at t half-widths from that
     edge adds half * t * G to the sum up to the edge, so partial integrals
     next to the anchor keep their relative accuracy.  Calls take scalars or
-    arrays inside the table range.  Sums away from x0 only add panels of one
-    sign for a one-signed integrand, so tiny tails keep their relative
-    accuracy too.  The error test bounds whole-panel integrals, so between
-    edges a query is as accurate as the panel's degree-19 interpolant, about
-    rel_tol of the panel's integral on a panel that barely passed; a caller
-    that needs rounding accuracy there gives narrow initial edges, as
-    ``radial`` does for its tails.
+    arrays inside the table range, judged by :func:`within`.  Sums away
+    from x0 only add panels of one sign for a one-signed integrand, so tiny
+    tails keep their relative accuracy too.  The error test bounds
+    whole-panel integrals, so between edges a query is as accurate as the
+    panel's degree-19 interpolant, about rel_tol of the panel's integral on
+    a panel that barely passed; a caller that needs rounding accuracy there
+    gives narrow initial edges, as ``radial`` does for its tails.
 
     With ``log=True``, ``fn`` returns the log of a positive integrand and
     calls return log|integral from x0 to x| (``-inf`` at x0), summed by
@@ -348,12 +369,8 @@ class CumulativeIntegral:
         self._coef = at_nodes @ _mean_antiderivative().T
 
     def __call__(self, x):
-        xa = np.asarray(x, dtype=float)
+        xa = np.asarray(within(x, self.edges[0], self.edges[-1], "x"))
         flat = xa.ravel()
-        e = self.edges
-        pad = 1e-12 * (e[-1] - e[0])
-        if not np.all((flat >= e[0] - pad) & (flat <= e[-1] + pad)):
-            raise ValueError(f"x outside the table range [{e[0]}, {e[-1]}]")
         rows = max(1, _CHUNK // _DEGREES.size)
         out = np.concatenate([self._values(flat[i : i + rows]) for i in range(0, max(flat.size, 1), rows)])
         return out.reshape(xa.shape)[()]

@@ -17,8 +17,11 @@ coordinate spheres flow outward (h' > 0) is checked once, where the model
 is built, and no solver here checks it again.
 
 Every evaluator takes a radius or an array of radii (a level or an array of
-levels for ``level_radius``).  A radius outside the annulus or a level
-outside [0, phi_R] is the fault of the code that computed it: a ValueError.
+levels for ``level_radius``) and answers in its shape: an array, or a NumPy
+float64 for a number.  ``numerics.within`` judges and clamps them against
+the annulus [r0, R] or the levels [0, phi_R]: a value within 1e-12 (1 +
+|end|) of an end is answered at that end, and one farther out, NaN
+included, is the fault of the code that computed it, a ValueError.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import geometry
-from .numerics import ConfigError, CumulativeIntegral, SolverError, find_root, integrate
+from .numerics import ConfigError, CumulativeIntegral, SolverError, find_root, integrate, within
 
 __all__ = [
     "RadialPotential",
@@ -66,20 +69,6 @@ class ShootingError(SolverError):
 
 class CapacityConsistencyError(SolverError):
     """The capacity read off at several cross sections disagrees."""
-
-
-def _scalar_or_array(fn):
-    """Evaluate fn on an array; return a float (or a tuple of floats, where
-    fn returns a tuple) for a scalar argument."""
-
-    @functools.wraps(fn)
-    def wrapped(self, x):
-        out = fn(self, np.asarray(x, dtype=float))
-        if np.ndim(x) != 0:
-            return out
-        return tuple(map(float, out)) if isinstance(out, tuple) else float(out)
-
-    return wrapped
 
 
 @dataclass
@@ -121,23 +110,15 @@ class RadialPotential:
             return KIND_IMCF
         return KIND_P if self.eps is None else KIND_EPS
 
-    def _check(self, r: np.ndarray) -> np.ndarray:
-        pad = 1e-9 * (self.R - self.r0)
-        if r.size and (r.min() < self.r0 - pad or r.max() > self.R + pad):
-            bad = r[(r < self.r0 - pad) | (r > self.R + pad)].flat[0]
-            raise ValueError(f"r={bad} outside the annulus [{self.r0}, {self.R}]")
-        # np.clip's wrapper costs as much as both comparisons
-        return np.minimum(np.maximum(r, self.r0), self.R)
+    def _check(self, r):
+        return within(r, self.r0, self.R, "r")
 
-    @_scalar_or_array
     def w(self, r):
         return self._w(self._check(r))
 
-    @_scalar_or_array
     def grad_norm(self, r):
         return self._w_grad(self._check(r))[1]
 
-    @_scalar_or_array
     def w_grad(self, r):
         """(w, |grad w|) from one evaluation of the tail."""
         return self._w_grad(self._check(r))
@@ -153,29 +134,23 @@ class RadialPotential:
         m = rs.size - 1
         return rs[np.round(np.linspace(0, m, min(m, _MAX_PANELS) + 1)).astype(int)]
 
-    @_scalar_or_array
     def u(self, r):
         if self._u is None:
             raise ValueError(f"u is not defined for kind '{self.kind}'")
         return self._u(self._check(r))
 
-    @_scalar_or_array
     def theta(self, r):
         if self._theta is None:
             raise ValueError(f"theta is only defined for the {KIND_EPS} kind")
         return self._theta(self._check(r))
 
-    @_scalar_or_array
     def level_radius(self, t):
         """Radius of the level set {w = t}: ``find_root`` on w - t, whose
         slope is dw/dr = f |grad w|, from the secant start inside the seed
         bracket around t, to the tolerance 1e-14 max(1, hi) of that bracket's
         upper end hi, so a level near r0 of a wide annulus is found to
-        rounding too.  A level outside [0, phi_R], NaN included, is a
-        ValueError."""
-        inside = (t >= -1e-12) & (t <= self.phi_R + 1e-12)
-        if not np.all(inside):
-            raise ValueError(f"level t={t[~inside].flat[0]} outside [0, {self.phi_R}]")
+        rounding too."""
+        t = within(t, 0.0, self.phi_R, "level t")
         rs, ws = self._seed
         t_flat = t.ravel()
         k = np.clip(np.searchsorted(ws, t_flat) - 1, 0, len(rs) - 2)
@@ -187,7 +162,7 @@ class RadialPotential:
             return w - t_flat[j], self.manifold.f(r) * grad
 
         r = find_root(defect, start, lo, hi, 1e-14 * np.maximum(1.0, hi), "level_radius").reshape(t.shape)
-        return np.where(t <= 0.0, self.r0, np.where(t >= self.phi_R, self.R, r))
+        return np.where(t <= 0.0, self.r0, np.where(t >= self.phi_R, self.R, r))[()]
 
 
 def _default_phi(model: geometry.RadialManifold, r0: float, R: float) -> float:
@@ -419,7 +394,8 @@ def capacity(
 
     which is tau-independent for the exact potential; the values must agree
     to 1e-8 relative or CapacityConsistencyError is raised.  Normalized so
-    the unit ball against all of flat R^n has capacity h(r0)^{n-1}.
+    the unit ball against all of flat R^n has capacity h(r0)^{n-1}.  The
+    levels t < T are judged against [0, phi_R] by ``numerics.within``.
     """
     if pot.kind != KIND_P:
         raise ValueError("capacity requires a p-potential")
@@ -427,8 +403,9 @@ def capacity(
     n = pot.manifold.n
     if T is None:
         T = pot.phi_R
-    if not (0.0 <= t < T <= pot.phi_R + 1e-12):
-        raise ValueError(f"need 0 <= t < T <= phi_R, got t={t}, T={T}, phi_R={pot.phi_R}")
+    t, T = within([t, T], 0.0, pot.phi_R, "level")
+    if not t < T:
+        raise ValueError(f"need t < T, got t={t}, T={T}")
     if taus is None:
         taus = (0.0, 0.5 * T, 0.75 * T)
     taus = np.asarray(taus, dtype=float)

@@ -556,8 +556,8 @@ def solve_2d(
         raise ConfigError(f"u_R={u_R} outside (0, 1)", "u_R")
     if eps is None:
         eps = min(1e-3, 1.0 / Nsigma)
-    if eps < 1e-8:
-        raise ConfigError(f"eps={eps} below 1e-8: the p->1 coefficient would overflow", "eps")
+    if not 1e-8 <= eps < math.inf:
+        raise ConfigError(f"eps={eps} must be finite and at least 1e-8: below, the p->1 coefficient overflows", "eps")
     # the grids of the sequence, coarsest first: halve while both halves are >= 16
     grids = [tuple(shape)]
     while all(n % 2 == 0 and n >= 32 for n in grids[0]):
@@ -699,15 +699,13 @@ def _newton(domain, p, u_R, shape, eps, tol, max_outer, u0=None) -> Field2D:
 def field_from_radial(domain: AxisymmetricDomain, shape: tuple[int, int], pot) -> Field2D:
     """Seed a Field2D with exact nodal data of a radial potential.
 
-    The radial annulus must cover [min rho, R]; the resulting field is exact
-    at the nodes, so discretization errors of the derived-field pipeline can
-    be measured in isolation.
+    The radial annulus must cover [min rho, R]: ``pot.u`` judges the nodal
+    radii, so a node outside it is a ValueError.  The resulting field is
+    exact at the nodes, so discretization errors of the derived-field
+    pipeline can be measured in isolation.
     """
     sigma, theta = _nodes(shape)
     r = _map(domain, sigma[:, None], theta[None, :])[0]
-    r_min = float(np.min(r[0]))
-    if pot.r0 > r_min + 1e-12 or pot.R < domain.R - 1e-12:
-        raise ValueError(f"radial annulus [{pot.r0}, {pot.R}] does not cover the domain [{r_min}, {domain.R}]")
     u = pot.u(r)
     return Field2D(
         domain=domain,

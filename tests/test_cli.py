@@ -591,7 +591,7 @@ class TestExitCodeRule:
             pot = radial.solve_wp(geometry.euclidean(3), 1.0, 4.0, 1.5)
             return pot.w(8.0)
 
-        with pytest.raises(ValueError, match=r"^r=8\.0 outside the annulus \[1\.0, 4\.0\]$"):
+        with pytest.raises(ValueError, match=r"^r=8\.0 outside \[1\.0, 4\.0\]$"):
             self._run_probe(tmp_path, monkeypatch, outside)
         assert "config error:" not in capsys.readouterr().err
 

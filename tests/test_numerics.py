@@ -3,6 +3,7 @@ the BLAS thread cap."""
 
 import contextlib
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -19,6 +20,7 @@ from pcapflow.numerics import (
     natural_cubic_spline,
     single_threaded_blas,
     solve_spd,
+    within,
 )
 
 TIGHT = 1e-13
@@ -257,7 +259,7 @@ class TestCumulativeIntegral:
 
     def test_outside_the_table(self):
         cum = CumulativeIntegral(np.exp, 1.0, (1.0, 2.0))
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=r"^x=2\.5 outside \[1\.0, 2\.0\]$"):
             cum(2.5)
 
     def test_tail_keeps_tiny_values_accurate(self):
@@ -293,6 +295,22 @@ class TestCumulativeIntegral:
             for x in (2.2, 3.0, 7.5, 11.0):
                 exact = -mpmath.quad(mf, mpmath.linspace(x, 12, 30))
                 assert abs(cum(x) / float(exact) - 1.0) < 1e-14
+
+
+class TestWithin:
+    """The one range rule: a pad of 1e-12 (1 + |end|) at each end."""
+
+    def test_clamps_inside_the_pad_and_keeps_the_shape(self):
+        x = within(np.array([[1.0 - 1e-12, 2.0], [3.0, 3.0 + 3e-12]]), 1.0, 3.0, "r")
+        assert np.array_equal(x, [[1.0, 2.0], [3.0, 3.0]])
+        assert type(within(2, 1.0, 3.0, "r")) is np.float64
+        assert within(1e300, 2.0, math.inf, "r") == 1e300
+        assert within(np.array([]), 1.0, 3.0, "r").shape == (0,)
+
+    @pytest.mark.parametrize("x", [1.0 - 3e-12, 3.0 + 5e-12, math.nan, -math.inf])
+    def test_beyond_the_pad_is_a_value_error(self, x):
+        with pytest.raises(ValueError, match=rf"^r={re.escape(str(x))} outside \[1\.0, 3\.0\]$"):
+            within(np.array([2.0, x]), 1.0, 3.0, "r")
 
 
 def _dottie(x, k):

@@ -1,6 +1,8 @@
 """Radial potentials: profiles, flux, capacity, curvature identities."""
 
+import functools
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -90,7 +92,7 @@ class TestSolveWp:
     def test_annulus_validation(self, euclid3, schw1):
         with pytest.raises(ValueError):
             solve_wp(euclid3, 2.0, 2.0, 1.5)
-        with pytest.raises(ConfigError, match="^r0: r=1.5 below r_min=2.0"):
+        with pytest.raises(ConfigError, match=r"^r0: schwarzschild\(m=1\): r=1\.5 outside \[2\.0, inf\]$"):
             solve_wp(schw1, 1.5, 8.0, 1.5)
 
     def test_level_radius_roundtrip(self, schw1):
@@ -121,9 +123,10 @@ class TestSolveWp:
     def test_non_finite_level_is_rejected(self, euclid3, schw1, t):
         # NaN passes every comparison test, so the range check names it too
         for pot in (solve_w1(euclid3, 1.0, 4.0), solve_wp(schw1, 2.2, 12.0, 1.5)):
-            with pytest.raises(ValueError, match=r"^level t=(nan|inf|-inf) outside \[0, "):
+            message = rf"^level t={t} outside \[0\.0, {re.escape(str(pot.phi_R))}\]$"
+            with pytest.raises(ValueError, match=message):
                 pot.level_radius(t)
-            with pytest.raises(ValueError, match=r"^level t=(nan|inf|-inf) outside \[0, "):
+            with pytest.raises(ValueError, match=message):
                 pot.level_radius(np.array([0.1, t]))
 
 
@@ -261,11 +264,82 @@ class TestPublicAnswers:
                 pair = pot.w_grad(r)
                 assert pair == (pot.w(r), pot.grad_norm(r)) and all(isinstance(x, float) for x in pair)
             # a radius outside the annulus is the program's fault, not a config's
-            with pytest.raises(ValueError, match=r"^r=2\.1 outside the annulus \[2\.2, 8\.0\]$") as info:
+            with pytest.raises(ValueError, match=r"^r=2\.1 outside \[2\.2, 8\.0\]$") as info:
                 pot.w_grad(2.1)
             assert not isinstance(info.value, ConfigError)
-            with pytest.raises(ValueError, match=r"^r=8\.5 outside the annulus"):
+            with pytest.raises(ValueError, match=r"^r=8\.5 outside \[2\.2, 8\.0\]$"):
                 pot.w_grad(np.array([3.0, 8.5]))
+
+
+# the potentials of TestRangeRule and, for each, radii farther outside its
+# annulus than the rule's pad; on the wide annuli they lie inside a pad of
+# 1e-9 (R - r0), which grows with the span
+_RANGE_POTENTIALS = {
+    KIND_P: (lambda: solve_wp(schwarzschild(1.0), 2.2, 8.0, 1.3), (2.1, 8.1)),
+    KIND_IMCF: (lambda: solve_w1(schwarzschild(1.0), 2.2, 8.0), (2.1, 8.1)),
+    KIND_EPS: (lambda: solve_wp_eps(schwarzschild(1.0), 2.2, 8.0, 1.3, 1e-3), (2.1, 8.1)),
+    "wide schwarzschild": (lambda: solve_wp(schwarzschild(1.0), 2.2, 1e12, 1.5), (-900.0, 1.001e12)),
+    "wide flat": (lambda: solve_wp(euclidean(3), 1.0, 1e12, 1.5), (0.5, 1.001e12)),
+}
+_RANGE_EVALUATORS = {
+    KIND_P: ("w", "grad_norm", "w_grad", "u", "level_radius"),
+    KIND_IMCF: ("w", "grad_norm", "w_grad", "level_radius"),
+    KIND_EPS: ("w", "grad_norm", "w_grad", "u", "theta", "level_radius"),
+    "wide schwarzschild": ("w", "grad_norm"),
+    "wide flat": ("w",),
+}
+_RANGE_CASES = [
+    "model.check_radius",
+    "model.mean_curvature_sphere",
+    "table.__call__",
+    *(f"{where}.{name}" for where, names in _RANGE_EVALUATORS.items() for name in names),
+]
+
+
+@functools.cache
+def _range_potential(where):
+    return _RANGE_POTENTIALS[where][0]()
+
+
+def _range_case(case):
+    """(evaluator, its range [lo, hi], the name its errors give the value,
+    values farther outside the range than the rule's pad)."""
+    where, name = case.split(".")
+    if where == "model":
+        model = schwarzschild(1.0)
+        fn = model.check_radius if name == "check_radius" else functools.partial(mean_curvature_sphere, model)
+        return fn, model.r_min, model.r_max, "schwarzschild(m=1): r", (1.9,)
+    if where == "table":
+        # x = 0.5 lies inside a pad of 1e-12 of the span, about 1 here
+        table = numerics.CumulativeIntegral(np.reciprocal, 1.0, np.geomspace(1.0, 1e12, 25))
+        return table, 1.0, 1e12, "x", (0.5, 2e12)
+    pot = _range_potential(where)
+    if name == "level_radius":
+        return pot.level_radius, 0.0, pot.phi_R, "level t", (-0.1, pot.phi_R + 0.1)
+    return getattr(pot, name), pot.r0, pot.R, "r", _RANGE_POTENTIALS[where][1]
+
+
+class TestRangeRule:
+    """Every evaluator of a radius or a level judges it by ``numerics.within``:
+    a value one ulp past an end is answered at that end, as a NumPy float64
+    for a number, and one farther out, NaN included, is a ValueError naming
+    it, raised before any arithmetic can warn (every warning fails a test)."""
+
+    @pytest.mark.parametrize("case", _RANGE_CASES)
+    def test_range_rule(self, case):
+        fn, lo, hi, what, far = _range_case(case)
+        for end, away in ((lo, -math.inf), (hi, math.inf)):
+            if math.isfinite(end):
+                past, at = fn(np.nextafter(end, away)), fn(end)
+                assert past == at
+                assert all(type(x) is np.float64 for x in (past if isinstance(past, tuple) else (past,)))
+        for x in (math.nan, *far):
+            message = rf"^{re.escape(f'{what}={float(x)} outside [{lo}, {hi}]')}$"
+            with pytest.raises(ValueError, match=message) as info:
+                fn(x)
+            assert not isinstance(info.value, ConfigError)
+            with pytest.raises(ValueError, match=message):
+                fn(np.array([lo, x]))
 
 
 class TestSolveW1:

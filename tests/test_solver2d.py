@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pcapflow import geometry, radial, solver2d
-from pcapflow.numerics import SolverError, simpson_weights
+from pcapflow.numerics import ConfigError, SolverError, simpson_weights
 from pcapflow.solver2d import (
     Field2D,
     LevelRangeError,
@@ -221,6 +221,12 @@ class TestSolveValidation:
             with pytest.raises(ValueError, match=match) as err:
                 solve_2d(dom, **kwargs)
             assert not isinstance(err.value, SolverError)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_is_a_config_error(self, eps):
+        # both pass a plain eps < 1e-8 test
+        with pytest.raises(ConfigError, match=rf"^eps: eps={eps} must be finite and at least 1e-8"):
+            solve_2d(sphere_domain(1.0, 4.0), p=1.5, u_R=0.5, shape=(16, 16), eps=eps)
 
     def test_iteration_cap_flags_not_converged(self):
         f = solve_2d(
@@ -598,6 +604,13 @@ class TestFieldFromRadial:
         f = field_from_radial(sphere_domain(1.0, 4.0), (32, 16), pot)
         exact = np.array([pot.u(x) for x in f.r.ravel()]).reshape(f.r.shape)
         assert np.max(np.abs(f.u - exact)) < 1e-14
+
+    def test_an_annulus_short_of_the_domain_is_a_value_error(self):
+        # pot.u judges the nodal radii: those beyond its R are the program's fault
+        pot = radial.solve_wp(geometry.euclidean(3), 1.0, 3.0, 1.5)
+        with pytest.raises(ValueError, match=r"^r=\S+ outside \[1\.0, 3\.0\]$") as info:
+            field_from_radial(sphere_domain(1.0, 4.0), (16, 16), pot)
+        assert not isinstance(info.value, (ConfigError, SolverError))
 
     def test_divergence_identities_refine(self):
         pot = radial.solve_wp_eps(geometry.euclidean(3), 1.0, 4.0, 1.5, 1e-3)
