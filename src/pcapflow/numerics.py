@@ -19,11 +19,15 @@ kept once every row passes it.  Its ``breaks`` start the run on several
 pieces, so that one run covers an interval cut at kinks or at the ends of
 the rows' supports.
 
-SciPy is imported only for the banded Cholesky and the spline, inside the
-functions that call them: its import outlasts most configs' runs, and a
-radial-only run never needs it.  For the same reason :func:`find_root` is
-written here rather than taken from ``scipy.optimize``, and the Simpson
-weights are NumPy rather than ``scipy.integrate``.
+SciPy is imported only for the spline, inside the function that calls
+it: its import, which loads a second OpenBLAS beside NumPy's, outlasts most
+configs' runs and adds about 25 MB of resident memory, and no shipped
+config needs it.  For the same reason the banded Cholesky calls LAPACK in
+the OpenBLAS library of NumPy's wheel through ``ctypes``, and falls back on
+``scipy.linalg`` only where NumPy bundles no such library;
+:func:`find_root` is written here rather than taken from
+``scipy.optimize``, and the Simpson weights are NumPy rather than
+``scipy.integrate``.
 
 :func:`within` is the one range rule of the package: every radius and
 level (a potential's annulus, a model's range, a table's range, a level's
@@ -52,6 +56,7 @@ the integrand and a query is a polynomial evaluation.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import math
 import os
@@ -487,12 +492,24 @@ def sign_changes(fn: Callable, a: float, b: float, samples: int) -> list[float]:
 
 
 def _back_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve with a lower banded Cholesky factor: two triangular solves."""
-    from scipy.linalg import cho_solve_banded
-
-    if not np.isfinite(rhs).all():
+    """Solve with a lower banded Cholesky factor: two triangular solves, on
+    a copy of rhs."""
+    x = np.array(rhs, dtype=float, order="F")
+    if not np.isfinite(x).all():
         raise ValueError("array must not contain infs or NaNs")
-    return cho_solve_banded((factor, True), rhs, check_finite=False)
+    if x.shape[:1] != factor.shape[1:]:
+        raise ValueError(f"right side of shape {x.shape} for a factor of shape {factor.shape}")
+    lapack = _lapack_cholesky()
+    if lapack is None:
+        from scipy.linalg import cho_solve_banded
+
+        return cho_solve_banded((factor, True), x, overwrite_b=True, check_finite=False)
+    factor = np.require(factor, float, "FA")
+    n, kd = factor.shape[1], factor.shape[0] - 1
+    info = lapack[1](_COL_MAJOR, b"L", n, kd, x[:1].size, factor.ctypes.data, kd + 1, x.ctypes.data, max(n, 1))
+    if info < 0:
+        raise ValueError(f"dpbtrs: illegal value in argument {-info}")
+    return x
 
 
 @dataclass
@@ -519,44 +536,93 @@ def solve_spd(band: np.ndarray, rhs: np.ndarray) -> SpdResult:
     ``band`` holds the lower band in LAPACK storage, ``band[i - j, j] =
     A[i, j]`` for ``0 <= i - j < band.shape[0]``.  A Fortran-ordered float
     array is factored in place, so its contents are lost; any other is
-    copied first.  A matrix that is not positive definite raises
-    ``SolverError``; a band or right side holding an inf or NaN raises
-    ``ValueError``.  Each input is scanned for them once: the factor,
-    LAPACK's own output, is not scanned again.
+    copied first.  The right side is copied, never overwritten.  A matrix
+    that is not positive definite raises ``SolverError``; a band or right
+    side holding an inf or NaN raises ``ValueError``.  Each input is
+    scanned for them once: the factor, LAPACK's own output, is not scanned
+    again.
+
+    LAPACK's dpbtrf and dpbtrs factor and solve, from the OpenBLAS library
+    that NumPy ships in its wheel, so that no second BLAS is loaded.  Where
+    NumPy bundles no such library (a build on Accelerate, MKL or a system
+    BLAS), SciPy's ``cholesky_banded`` and ``cho_solve_banded`` run the
+    same two routines from SciPy's LAPACK.
     """
-    from scipy.linalg import cholesky_banded
+    ab = np.require(band, float, "FAW")
+    if not np.isfinite(ab).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lapack = _lapack_cholesky()
+    if lapack is None:
+        from scipy.linalg import cholesky_banded
 
-    try:
-        factor = cholesky_banded(band, lower=True, overwrite_ab=True)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"banded Cholesky: {exc}") from exc
-    return SpdResult(_back_solve(factor, rhs), iterations=1, factor=factor)
+        try:
+            ab = cholesky_banded(ab, lower=True, overwrite_ab=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"banded Cholesky: {exc}") from exc
+    else:
+        info = lapack[0](_COL_MAJOR, b"L", ab.shape[1], ab.shape[0] - 1, ab.ctypes.data, ab.shape[0])
+        if info > 0:
+            raise SolverError(f"banded Cholesky: {info}-th leading minor not positive definite")
+        if info < 0:
+            raise ValueError(f"dpbtrf: illegal value in argument {-info}")
+    return SpdResult(_back_solve(ab, rhs), iterations=1, factor=ab)
 
 
-# thread-count entry points of an OpenBLAS build, tried in order: the
-# 64-bit-integer copy in NumPy's wheel, then a plain build
-_OPENBLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads")
+_COL_MAJOR = 102  # LAPACKE's layout code for Fortran order
+_INT, _LAPACK_INT, _PTR = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
+# entry points of an OpenBLAS library by use, each a pair of (name, result
+# type, argument types) in the spellings tried in order: the copy in NumPy's
+# wheel, whose names carry a scipy_ prefix and a 64 suffix for its 64-bit
+# integers, then, for the thread counts only, a plain build, whose LAPACK
+# integers may be 32 bits wide.  LAPACKE's _work entry points take the
+# arrays as given; its plain ones scan them for NaN once more.
+_OPENBLAS_SYMBOLS = {
+    "threads": (
+        (("scipy_openblas_get_num_threads64_", _INT, []), ("scipy_openblas_set_num_threads64_", None, [_INT])),
+        (("openblas_get_num_threads", _INT, []), ("openblas_set_num_threads", None, [_INT])),
+    ),
+    # dpbtrf(layout, uplo, n, kd, ab, ldab), dpbtrs(layout, uplo, n, kd, nrhs, ab, ldab, b, ldb)
+    "cholesky": (
+        (
+            ("scipy_LAPACKE_dpbtrf_work64_", _LAPACK_INT, [_INT, ctypes.c_char, *[_LAPACK_INT] * 2, _PTR, _LAPACK_INT]),
+            ("scipy_LAPACKE_dpbtrs_work64_", _LAPACK_INT, [_INT, ctypes.c_char, *[_LAPACK_INT] * 3, *[_PTR, _LAPACK_INT] * 2]),
+        ),
+    ),
+}
 
 
 @functools.cache
-def _openblas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of the OpenBLAS library that NumPy
-    ships in its wheel; empty for other BLAS builds."""
-    import ctypes
+def _openblas_libraries() -> tuple:
+    """The OpenBLAS libraries that NumPy ships in its wheel, opened; empty
+    for other BLAS builds."""
     import glob
 
-    controls = []
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "*openblas*")):
-        lib = ctypes.CDLL(path)
-        for symbol in _OPENBLAS_SYMBOLS:
-            get, set_ = (getattr(lib, symbol.format(verb), None) for verb in ("get", "set"))
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
+    return tuple(ctypes.CDLL(path) for path in glob.glob(os.path.join(libs, "*openblas*")))
+
+
+@functools.cache
+def _openblas(use: str) -> tuple:
+    """Per library of :func:`_openblas_libraries`, the pair of entry points
+    for ``use`` (a key of _OPENBLAS_SYMBOLS) in the first spelling that the
+    library exports, typed; a library that exports none is skipped."""
+    found = []
+    for lib in _openblas_libraries():
+        for spelling in _OPENBLAS_SYMBOLS[use]:
+            pair = [getattr(lib, name, None) for name, _, _ in spelling]
+            if None not in pair:
+                for fn, (_, restype, argtypes) in zip(pair, spelling):
+                    fn.restype, fn.argtypes = restype, argtypes
+                found.append(tuple(pair))
                 break
-    return tuple(controls)
+    return tuple(found)
+
+
+def _lapack_cholesky():
+    """(dpbtrf, dpbtrs) of NumPy's OpenBLAS, or None where NumPy bundles no
+    OpenBLAS that exports them."""
+    pairs = _openblas("cholesky")
+    return pairs[0] if pairs else None
 
 
 @contextlib.contextmanager
@@ -566,13 +632,13 @@ def single_threaded_blas():
 
     The vector and matrix products of the 2-D solve (the ``_Mesh``
     matmuls) are too small to split: a second thread makes them no faster,
-    and idle threads spin on a core while they run.  SciPy's OpenBLAS,
-    which runs the banded Cholesky, is left alone: capping it saves no CPU
-    time.  The thread count is process-wide, so NumPy BLAS calls on other
+    and idle threads spin on a core while they run.  The banded Cholesky
+    of :func:`solve_spd` runs in the same library, so the cap holds for it
+    too.  The thread count is process-wide, so NumPy BLAS calls on other
     threads are capped too while the block runs.  A no-op where no OpenBLAS
     library is found.
     """
-    controls = _openblas_thread_controls()
+    controls = _openblas("threads")
     saved = [get() for get, _ in controls]
     for _, set_threads in controls:
         set_threads(1)
