@@ -13,7 +13,9 @@ SIGPIPE) the reader of stdout closed it early.  Any other exception, a
 included, is a fault of the program and propagates with its traceback.
 Each config runs on its own: one that breaks prints its error and the
 others still write their reports; the exit code is the worst over all
-configs.  All artifacts (CSV tables, report JSON) go under --out.
+configs.  A config whose artifact prefix an earlier config of the call
+wrote is a config error and writes nothing.  All artifacts (CSV tables,
+report JSON) go under --out.
 """
 
 from __future__ import annotations
@@ -48,12 +50,17 @@ def _load_config(path: str):
         raise numerics.ConfigError(f"invalid JSON at {where}: {exc.msg}", "config") from exc
 
 
-def _run_one(path: str, out_dir: str) -> int:
-    """Run one config, write its report and return its exit code."""
+def _run_one(path: str, out_dir: str, written: set) -> int:
+    """Run one config, write its report and return its exit code; one whose
+    prefix earlier configs of the call have ``written`` writes nothing."""
     try:
         cfg = _load_config(path)
+        prefix = verify.artifact_prefix(cfg)
+        if prefix in written:
+            raise numerics.ConfigError(f"an earlier config of this run wrote the prefix {prefix!r}", "out_prefix")
         report = verify.run_experiment(cfg, out_dir)
-        report_path = os.path.join(out_dir, f"{verify.artifact_prefix(cfg)}_report.json")
+        written.add(prefix)
+        report_path = os.path.join(out_dir, f"{prefix}_report.json")
         report.write(report_path)
     except numerics.ConfigError as exc:
         print(f"config error: {path}: {exc}", file=sys.stderr)
@@ -77,7 +84,8 @@ def _cmd_run(args) -> int:
         print(f"config error: --out {args.out}: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG
     # the exit codes are ordered by severity: 64 > 2 > 1 > 0
-    return max(_run_one(path, args.out) for path in args.config)
+    written = set()
+    return max(_run_one(path, args.out, written) for path in args.config)
 
 
 def _cmd_list_models(args) -> int:

@@ -100,7 +100,7 @@ class ConfigError(ValueError):
 
     def __init__(self, message: str, fieldname: str):
         super().__init__(f"{fieldname}: {message}")
-        self.fieldname = fieldname
+        self.message, self.fieldname = message, fieldname
 
 
 class SolverError(RuntimeError):

@@ -21,7 +21,7 @@ import inspect
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 from typing import Optional, Union, get_args, get_origin
 
 import numpy as np
@@ -33,6 +33,9 @@ __all__ = [
     "Check",
     "Report",
     "ConfigError",
+    "Annulus",
+    "RoundCase",
+    "Expect",
     "write_csv",
     "functional_series_suite",
     "monotonicity_suite",
@@ -54,7 +57,8 @@ _T_CAP = 0.2
 _KINK_SAMPLES = 64
 # largest normalized drop a monotone series may take
 _SLACK = 1e-8
-# levels of each monotonicity sweep series
+# exponents and levels of each monotonicity sweep series
+_SWEEP_P = (1.1, 1.5, 2.0)
 _SWEEP_LEVELS = 40
 # relative Newton decrement at which the 2-D solve stops; at 1e-10 the flux
 # spread ends far under its 1e-6 gate
@@ -376,21 +380,45 @@ def eps_to_0_suite(
     return report, {"table": (["eps", "sup_w", "sup_theta"], rows)}
 
 
-def inequality_suite():
-    """Minkowski lower bound/equality, Hawking mass, Geroch and area growth
-    checks on flat space, three cones and Schwarzschild(1).  Returns the
-    report and no tables."""
-    # (model, r0, R, the Hawking mass of its round spheres where it is checked)
-    cases = [
-        (geometry.euclidean(3), 1.0, 10.0, 0.0),
-        (geometry.cone(3, 0.25), 1.0, 10.0, None),
-        (geometry.cone(3, 0.5), 1.0, 10.0, None),
-        (geometry.cone(3, 0.75), 1.0, 10.0, None),
-        (geometry.schwarzschild(1.0), 2.2, 18.0, 1.0),
-    ]
+@dataclass(frozen=True)
+class Annulus:
+    """A model and the annulus [r0, R] of its round levels, judged when built."""
+
+    model: geometry.RadialManifold
+    r0: float
+    R: float
+
+    def __post_init__(self):
+        radial.check_annulus(self.model, self.r0, self.R)
+
+
+@dataclass(frozen=True)
+class RoundCase(Annulus):
+    """An annulus of ``inequality_suite`` and what it expects: ``equality``,
+    the Minkowski bound holds with equality (flat space and the cones), and
+    ``hawking_mass``, the constant Hawking mass of its round spheres (n = 3)."""
+
+    equality: bool = False
+    hawking_mass: Optional[float] = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.equality and not self.model.nonneg_ricci:
+            raise ConfigError(f"the Minkowski bound needs nonneg_ricci, which {self.model.label} lacks", "equality")
+        if self.hawking_mass is not None and not (self.model.n == 3 and math.isfinite(self.hawking_mass)):
+            raise ConfigError(f"{self.hawking_mass} on {self.model.label}; need n = 3 and a finite mass", "hawking_mass")
+
+
+def inequality_suite(cases: list[RoundCase]):
+    """Area growth, the Minkowski lower bound and, where a case states it,
+    its equality, the Hawking mass a case states and the Geroch identity of
+    round levels, per case.  The bound runs where the model states its
+    hypothesis (``nonneg_ricci``), the Geroch check on every n = 3 model.
+    Returns the report and no tables."""
     checks = []
-    for model, r0, R, mass in cases:
-        w1 = radial.solve_w1(model, r0, R)
+    for case in cases:
+        model, mass = case.model, case.hawking_mass
+        w1 = radial.solve_w1(model, case.r0, case.R)
         T = min(4.0, 0.9 * w1.phi_R)
         ts = np.linspace(0.0, T, 40)
         levels = functionals.levels(w1, ts)  # the Hawking series reuses this build
@@ -406,15 +434,16 @@ def inequality_suite():
                 label = f"[{model.label}] alpha={alpha}"
                 values = {"min_excess": worst, "bound": bound}
                 checks.append(_gate(f"minkowski bound {label}", "minkowski-lower-bound", values, worst, -1e-8, True))
-                eq_defect = float(np.max(np.abs(vals - bound))) / bound
-                values = {"max_rel_defect": eq_defect}
-                checks.append(_gate(f"minkowski equality {label}", "minkowski-cone-equality", values, eq_defect, 1e-8))
+                if case.equality:
+                    eq_defect = float(np.max(np.abs(vals - bound))) / bound
+                    values = {"max_rel_defect": eq_defect}
+                    checks.append(_gate(f"minkowski equality {label}", "minkowski-cone-equality", values, eq_defect, 1e-8))
         if model.n == 3:
             hawking = functionals.hawking_series(w1, ts, derivative_step=1e-4)
             masses = hawking.values
             if mass == 0.0:
                 worst = float(np.max(np.abs(masses)))
-                name = "hawking mass vanishes [euclidean]"
+                name = f"hawking mass vanishes [{model.label}]"
                 checks.append(_gate(name, "hawking-flat-space-zero", {"max_abs": worst}, worst, 1e-10))
             elif mass is not None:
                 spread = float(np.max(np.abs(masses - mass)))
@@ -426,7 +455,7 @@ def inequality_suite():
             values = {"max_abs_dmdt_minus_rhs": geroch_defect}
             name = f"geroch monotonicity [{model.label}]"
             checks.append(_gate(name, "geroch-hawking-monotone", values, geroch_defect, 1e-6))
-    return Report(experiment="inequalities", checks=checks, environment={"models": [m.label for m, *_ in cases]}), {}
+    return Report(experiment="inequalities", checks=checks, environment={"models": [c.model.label for c in cases]}), {}
 
 
 # ------------------------------------------------------------- experiments
@@ -438,8 +467,8 @@ def _model(name: str, params: Optional[dict] = None) -> geometry.RadialManifold:
     of ``pcapflow list-models --verbose``."""
     entry = geometry.MODELS.get(name)
     if entry is None:
-        raise ConfigError(f"unknown model {name!r}; known: {', '.join(geometry.MODELS)}", "model.name")
-    return _call(getattr(geometry, entry.constructor), params or {}, "model.params", constructor=True)
+        raise ConfigError(f"unknown model {name!r}; known: {', '.join(geometry.MODELS)}", "name")
+    return _call(getattr(geometry, entry.constructor), params or {}, "params", constructor=True)
 
 
 def _phi_for(mode: str, model, r0, R, p) -> Optional[float]:
@@ -451,21 +480,25 @@ def _phi_for(mode: str, model, r0, R, p) -> Optional[float]:
     raise ConfigError(f"unknown phi_mode '{mode}'", "phi_mode")
 
 
-def _constancy_check(constant: float, rel_tol: float = 1e-8):
-    """The check that a series equals ``constant`` to ``rel_tol``, as a
-    function of the series; the expectation is checked here, before any
-    series is built."""
-    if not (math.isfinite(constant) and constant != 0.0):
-        raise ConfigError(f"constant={constant} must be finite and nonzero", "expect.constant")
-    if not rel_tol > 0.0:
-        raise ConfigError(f"rel_tol={rel_tol} must be positive", "expect.rel_tol")
+@dataclass(frozen=True)
+class Expect:
+    """A series equals ``constant`` to ``rel_tol``; judged where the config
+    object is built, before any series is."""
 
-    def check(series) -> Check:
-        defect = float(np.max(np.abs(series.values - constant))) / abs(constant)
-        values = {"target": constant, "max_rel_defect": defect}
-        return _gate(f"{series.name} constant = {constant:.17g}", "equality-case-constancy", values, defect, rel_tol)
+    constant: float
+    rel_tol: float = 1e-8
 
-    return check
+    def __post_init__(self):
+        if not (math.isfinite(self.constant) and self.constant != 0.0):
+            raise ConfigError(f"constant={self.constant} must be finite and nonzero", "constant")
+        if not self.rel_tol > 0.0:
+            raise ConfigError(f"rel_tol={self.rel_tol} must be positive", "rel_tol")
+
+    def check(self, series) -> Check:
+        defect = float(np.max(np.abs(series.values - self.constant))) / abs(self.constant)
+        values = {"target": self.constant, "max_rel_defect": defect}
+        name = f"{series.name} constant = {self.constant:.17g}"
+        return _gate(name, "equality-case-constancy", values, defect, self.rel_tol)
 
 
 def _gp_identity_check(series) -> Check:
@@ -505,7 +538,7 @@ def functional_series_suite(
     functional: str = "F_p",
     phi_mode: str = "imcf",
     t_max: Optional[float] = None,
-    expect: Optional[dict] = None,
+    expect: Optional[Expect] = None,
 ):
     """F_p or G_p on a level grid: monotone up to a normalized drop of 1e-8,
     the G_p derivative identity, an optional expected constant.  p = 1 is
@@ -515,7 +548,6 @@ def functional_series_suite(
     bulk is subtracted).  Returns the report and the series table."""
     if functional not in ("F_p", "G_p"):
         raise ConfigError(f"unknown functional '{functional}'; known: F_p, G_p", "functional")
-    constancy = _call(_constancy_check, expect, "expect") if expect else None
     if p == 1.0:
         if functional == "G_p":
             raise ConfigError("G_p requires p > 1", "functional")
@@ -535,8 +567,8 @@ def functional_series_suite(
     checks = [_monotone_check(f"{series.name} monotone", anchor, series, params.monotonicity_guaranteed)]
     if functional == "G_p":
         checks.append(_gp_identity_check(series))
-    if constancy is not None:
-        checks.append(constancy(series))
+    if expect is not None:
+        checks.append(expect.check(series))
     report = Report("functional_series", checks, {"model": model.label, "slack": _SLACK})
     return report, {series.name: series.table()}
 
@@ -546,7 +578,7 @@ def hawking_suite(
     r0: float,
     R: float,
     t_max: Optional[float] = None,
-    expect: Optional[dict] = None,
+    expect: Optional[Expect] = None,
 ):
     """Hawking mass along the flow of one model, optional expected constant.
     Geroch monotonicity is guaranteed where the scalar curvature is
@@ -554,31 +586,25 @@ def hawking_suite(
     and the series table."""
     if model.n != 3:
         raise ConfigError(f"the Hawking mass is defined for n = 3, not on {model.label}", "model")
-    constancy = _call(_constancy_check, expect, "expect") if expect else None
     pot = radial.solve_w1(model, r0, R)
     series = functionals.hawking_series(pot, _series_grid(pot, t_max))
     guaranteed = bool(np.all(functionals.levels(pot, series.t).scalar >= -1e-8))
     checks = [_monotone_check("hawking mass monotone", "geroch-hawking-monotone", series, guaranteed)]
-    if constancy is not None:
-        checks.append(constancy(series))
+    if expect is not None:
+        checks.append(expect.check(series))
     return Report("hawking_series", checks, {"model": model.label}), {series.name: series.table()}
 
 
-def monotonicity_suite():
-    """F_p monotonicity on flat space and cone(3, 0.5) over [1, 8] and on
-    Schwarzschild(1) over [2.2, 12], at p in {1.1, 1.5, 2} and the distinct
-    alpha of {termwise threshold + 0.1, 2, n - 1}, on 40 levels.  Returns
-    the report and the verdict table."""
-    annuli = [
-        (geometry.euclidean(3), 1.0, 8.0),
-        (geometry.cone(3, 0.5), 1.0, 8.0),
-        (geometry.schwarzschild(1.0), 2.2, 12.0),
-    ]
+def monotonicity_suite(annuli: list[Annulus]):
+    """F_p monotonicity on each annulus, at p in {1.1, 1.5, 2} and the
+    distinct alpha of {termwise threshold + 0.1, 2, n - 1}, on 40 levels.
+    Returns the report and the verdict table."""
     checks = []
     rows = []
-    for model, r0, R in annuli:
-        for p in (1.1, 1.5, 2.0):
-            pot = radial.solve_wp(model, r0, R, p)
+    for annulus in annuli:
+        model = annulus.model
+        for p in _SWEEP_P:
+            pot = radial.solve_wp(model, annulus.r0, annulus.R, p)
             T = _default_t_max(pot)
             base = functionals.FunctionalParams(model.n, p, 2.0, tuple(np.linspace(0.0, T, _SWEEP_LEVELS)))
             for alpha in dict.fromkeys((base.termwise_threshold + 0.1, 2.0, model.n - 1.0)):
@@ -674,8 +700,9 @@ def _coerce(key: str, value, kind):
         if value is None:
             return None
         kind = next(k for k in get_args(kind) if k is not type(None))
-    if kind is geometry.RadialManifold:
-        return _call(_model, value, key)
+    if is_dataclass(kind):
+        # a config object: a model by its catalog name, any other by its fields
+        return _call(_model if kind is geometry.RadialManifold else kind, value, key, constructor=True)
     if kind in (float, int):
         # JSON numbers only: no strings, no booleans, no truncated fractions
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -685,10 +712,10 @@ def _coerce(key: str, value, kind):
         return kind(value)
     container = get_origin(kind) or kind
     if container in (list, tuple) and isinstance(value, (list, tuple)):
-        # list[X] holds any number of X, tuple[X, Y] exactly one X and one Y
+        # list[X] holds one or more X, tuple[X, Y] exactly one X and one Y
         kinds = get_args(kind) * (len(value) if container is list else 1)
-        if len(kinds) != len(value):
-            raise ConfigError(f"expected {len(kinds)} entries, got {len(value)}", key)
+        if not value or len(kinds) != len(value):
+            raise ConfigError(f"expected {len(kinds) or 'one or more'} entries, got {len(value)}", key)
         return container(_coerce(key, v, k) for v, k in zip(value, kinds))
     if not isinstance(value, container):
         raise ConfigError(f"expected {container.__name__}, got {type(value).__name__}", key)
@@ -699,7 +726,8 @@ def _call(fn, spec, field: str, constructor: bool = False):
     """``fn(**spec)``: the parameters of ``fn`` are the schema of the config
     object ``spec``.  Unknown and missing keys, and values that do not
     convert to their annotation, are config errors, and so is a
-    ``ValueError`` or ``OSError`` of a model or domain ``constructor``."""
+    ``ValueError`` or ``OSError`` of a config object's ``constructor``, which
+    names the object, or keeps a ConfigError's own field under the object's."""
     if not isinstance(spec, dict):
         raise ConfigError(f"expected an object, got {type(spec).__name__}", field)
     params = list(inspect.signature(fn, eval_str=True).parameters.values())
@@ -718,13 +746,21 @@ def _call(fn, spec, field: str, constructor: bool = False):
     try:
         return fn(**kwargs)
     except errors as exc:
+        if isinstance(exc, ConfigError):
+            raise ConfigError(exc.message, prefix + exc.fieldname) from exc
         raise ConfigError(str(exc), field) from exc
 
 
 def artifact_prefix(cfg: dict) -> str:
     """File-name prefix of a config's tables and report: ``out_prefix``,
-    else the experiment name, which must name a file in the output directory."""
-    prefix = cfg.get("out_prefix", cfg["experiment"])
+    else the experiment name, which must name a file in the output directory.
+    The config's root and experiment name are checked first."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("config root must be an object", "config")
+    name = cfg.get("experiment")
+    if not isinstance(name, str) or name not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {name!r}; known: {sorted(EXPERIMENTS)}", "experiment")
+    prefix = cfg.get("out_prefix", name)
     if not isinstance(prefix, str) or prefix in ("", ".", "..") or os.path.basename(prefix) != prefix or "\0" in prefix:
         raise ConfigError(f"expected a file name inside the output directory, got {prefix!r}", "out_prefix")
     return prefix
@@ -737,15 +773,10 @@ def run_experiment(cfg: dict, out_dir) -> Report:
     Besides ``experiment`` and ``out_prefix`` a config holds the keyword
     parameters of its experiment (see ``_call``).
     """
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be an object", "config")
-    name = cfg.get("experiment")
-    if not isinstance(name, str) or name not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {name!r}; known: {sorted(EXPERIMENTS)}", "experiment")
     prefix = artifact_prefix(cfg)
     os.makedirs(out_dir, exist_ok=True)
     spec = {k: v for k, v in cfg.items() if k not in ("experiment", "out_prefix")}
-    report, tables = _call(EXPERIMENTS[name], spec, "config")
+    report, tables = _call(EXPERIMENTS[cfg["experiment"]], spec, "config")
     artifacts = []
     for suffix, (header, rows) in tables.items():
         path = f"{out_dir}/{prefix}_{suffix}.csv"

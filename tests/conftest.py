@@ -6,6 +6,7 @@ field are each solved once and shared between the solver tests and the
 acceptance checks.  Any warning fails a test here.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from pcapflow import geometry, radial, solver2d
 
 HERE = Path(__file__).resolve().parent
+CONFIGS = HERE.parent / "configs"
 
 
 # hypothesis reports a failing example through libcst, whose import warns
@@ -91,6 +93,11 @@ def cell_by_cell(header, rows):
     for row in rows:
         lines.append(",".join("%.17g" % x if isinstance(x, (float, np.floating)) else str(x) for x in row))
     return ("\n".join(lines) + "\n").encode()
+
+
+def shipped_config(stem):
+    """The parsed JSON of the shipped config ``configs/<stem>.json``."""
+    return json.loads((CONFIGS / f"{stem}.json").read_text())
 
 
 def grad_norm_fd(pot, r):

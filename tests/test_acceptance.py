@@ -13,7 +13,7 @@ import pytest
 from pcapflow import functionals, geometry, radial, solver2d, verify
 from pcapflow.functionals import F_p, G_p, FunctionalParams, hawking_series, minkowski_M
 
-from conftest import grad_norm_fd, midband
+from conftest import grad_norm_fd, midband, shipped_config
 
 
 def _passline(k, text):
@@ -34,7 +34,7 @@ def test_01_flat_space_functional_constants(euclid3):
 def test_02_monotonicity_sweep(tmp_path):
     """18-cell sweep: 3 models x 3 exponents p x the 2 distinct weights of
     {termwise threshold + 0.1, 2, n - 1}, 40 levels."""
-    report = verify.run_experiment({"experiment": "monotonicity_sweep"}, tmp_path)
+    report = verify.run_experiment(shipped_config("monotonicity_sweep"), tmp_path)
     monotone = [c for c in report.checks if c.verdict != "pass"]
     assert report.worst == "pass", [c.name for c in monotone]
     names = [c.name for c in report.checks if "F_p" in c.name]
@@ -157,7 +157,7 @@ def test_09_two_dimensional_oracle(sphere_field, ellipsoid_128):
 
 def test_10_minkowski_bound_and_cone_equality(tmp_path):
     """Sharp lower bound via the asymptotic volume ratio; cones saturate it."""
-    report = verify.run_experiment({"experiment": "inequalities"}, tmp_path)
+    report = verify.run_experiment(shipped_config("inequalities"), tmp_path)
     assert report.worst == "pass", [c.name for c in report.checks if c.verdict != "pass"]
     for aperture in (0.25, 0.5, 0.75):
         model = geometry.cone(3, aperture)

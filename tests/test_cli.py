@@ -18,7 +18,7 @@ from pcapflow import geometry, numerics, radial, verify
 from pcapflow.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, EXIT_SOLVER, main
 from pcapflow.verify import artifact_prefix
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+from conftest import CONFIGS
 # subprocesses import the package from the source tree, installed or not
 SRC_ENV = {
     **os.environ,
@@ -303,6 +303,39 @@ class TestRun:
         assert (out / "good_report.json").exists()
         assert (out / "bad_report.json").exists()
 
+    def test_a_written_prefix_is_not_overwritten(self, tmp_path, capsys):
+        # two configs without out_prefix share the default one: the second
+        # would replace the first's report, so it writes nothing
+        base = {k: v for k, v in FAST_CFG.items() if k != "out_prefix"}
+        failing, passing = tmp_path / "failing.json", tmp_path / "passing.json"
+        failing.write_text(json.dumps({**base, "functional": "G_p", "expect": {"constant": 1.0}}))
+        passing.write_text(json.dumps(base))
+        out = tmp_path / "out"
+        assert main(["run", str(failing), str(passing), "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"config error: {passing}: out_prefix: an earlier config of this run wrote" in captured.err
+        assert captured.out.count("report: ") == 1
+        report = json.loads((out / "functional_series_report.json").read_text())
+        assert [c["name"] for c in report["checks"] if c["verdict"] == "fail"] == ["G_p constant = 1"]
+        assert sorted(p.name for p in out.iterdir()) == ["functional_series_G_p.csv", "functional_series_report.json"]
+
+    def test_cases_are_config_data(self, tmp_path):
+        # a model joins either experiment by a config edit
+        schwarzschild = {"model": {"name": "schwarzschild", "params": {"mass": 1.0}}, "r0": 2.2, "R": 18.0}
+        cone = {"model": {"name": "cone", "params": {"n": 3, "aperture": 0.5}}, "r0": 1.0, "R": 10.0}
+        inequalities = tmp_path / "inequalities.json"
+        cases = [{**cone, "equality": True}, {**schwarzschild, "hawking_mass": 1.0}]
+        inequalities.write_text(json.dumps({"experiment": "inequalities", "cases": cases}))
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"experiment": "monotonicity_sweep", "annuli": [{**cone, "R": 8.0}]}))
+        out = tmp_path / "out"
+        assert main(["run", str(inequalities), str(sweep), "--out", str(out)]) == EXIT_PASS
+        report = json.loads((out / "inequalities_report.json").read_text())
+        assert len(report["checks"]) == 9
+        assert report["environment"]["models"] == ["cone(n=3, a=0.5)", "schwarzschild(m=1)"]
+        report = json.loads((out / "monotonicity_sweep_report.json").read_text())
+        assert len(report["checks"]) == 6  # three p, two distinct alpha each
+
     def test_broken_config_does_not_hide_the_others(self, tmp_path, capsys):
         good = write_cfg(tmp_path, "good.json", out_prefix="good")
         missing = tmp_path / "missing.json"
@@ -418,6 +451,13 @@ class TestRun:
         assert main(["run", str(bad), str(good), "--out", str(out)]) == EXIT_CONFIG
         assert f"config error: {bad}: R: need r0 < R" in capsys.readouterr().err
         assert (out / "good_report.json").exists()
+
+    @pytest.mark.parametrize("config", ["euclidean_fp", "schwarzschild_geroch"])
+    def test_empty_expectation_is_a_config_error(self, tmp_path, capsys, config):
+        # an empty object states no constant; it does not drop the check
+        code, bad = self._run_edited(tmp_path, config, expect={})
+        assert code == EXIT_CONFIG
+        assert f"config error: {bad}: expect.constant: missing required field" in capsys.readouterr().err
 
     def test_zero_expected_constant_is_a_config_error(self, tmp_path, capsys):
         # the flat Hawking mass is 0, but a relative defect against 0 is undefined

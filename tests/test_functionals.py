@@ -24,7 +24,7 @@ from pcapflow.functionals import (
 from pcapflow.numerics import CumulativeIntegral
 from pcapflow.verify import write_csv
 
-from conftest import cell_by_cell
+from conftest import cell_by_cell, shipped_config
 
 TS20 = tuple(np.linspace(0.0, 2.0, 20))
 
@@ -263,11 +263,12 @@ class TestLevelBuilds:
             run(pot)
             assert builds == [20, 36]  # the second series reuses both builds
 
-    def test_sweep_builds_once_per_potential(self, builds, monkeypatch):
+    def test_sweep_builds_once_per_potential(self, builds, monkeypatch, tmp_path):
         """The monotonicity sweep runs F_p at up to three alpha per potential
         on one level grid: two builds per potential, and the same table, bit
         for bit, as when each alpha gets a freshly solved potential."""
-        _, tables = verify.monotonicity_suite()
+        cfg = shipped_config("monotonicity_sweep")
+        report = verify.run_experiment(cfg, tmp_path / "shared")
         assert builds == [40, 76] * 9  # nine potentials: the grid, then the stencil
         fp = functionals.F_p
 
@@ -276,14 +277,15 @@ class TestLevelBuilds:
 
         monkeypatch.setattr(functionals, "F_p", fresh)
         builds.clear()
-        _, unshared = verify.monotonicity_suite()
-        assert len(builds) == 2 * len(tables["sweep"][1])  # one grid and one stencil build per alpha
-        assert unshared == tables
+        verify.run_experiment(cfg, tmp_path / "unshared")
+        assert len(builds) == 2 * len(report.checks)  # one grid and one stencil build per alpha
+        table = f"{cfg['out_prefix']}_sweep.csv"
+        assert (tmp_path / "unshared" / table).read_bytes() == (tmp_path / "shared" / table).read_bytes()
 
-    def test_inequality_suite_builds_each_grid_once(self, builds):
+    def test_inequality_suite_builds_each_grid_once(self, builds, tmp_path):
         """The area, Minkowski and Hawking checks of a model share one build
         of its 40 levels."""
-        verify.inequality_suite()
+        verify.run_experiment(shipped_config("inequalities"), tmp_path)
         assert builds == [40, 76] * 5  # five models: the grid, then the Hawking stencil
 
     def test_hawking_suite_reads_its_scalar_curvature_off_the_series(self, monkeypatch, schw1):

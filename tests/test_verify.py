@@ -26,10 +26,10 @@ from pcapflow.verify import (
 # every key each experiment accepts, besides "experiment" and "out_prefix"
 ACCEPTED_KEYS = {
     "functional_series": {"model", "functional", "r0", "R", "p", "alpha", "phi_mode", "t_max", "expect"},
-    "monotonicity_sweep": set(),
+    "monotonicity_sweep": {"annuli"},
     "p_to_1": {"model", "r0", "R", "p_list", "phi_mode", "sup_w_threshold", "expect_sup"},
     "eps_to_0": {"model", "r0", "R", "p", "eps_list"},
-    "inequalities": set(),
+    "inequalities": {"cases"},
     "hawking_series": {"model", "r0", "R", "t_max", "expect"},
     "solve_2d": {"domain", "p", "grid"},
 }
@@ -206,10 +206,10 @@ class TestGate:
 
     def test_constancy_defect_equal_to_rel_tol_fails(self):
         series = SimpleNamespace(name="F_p", values=np.array([2.0, 2.5]))
-        chk = verify._constancy_check(2.0, rel_tol=0.25)(series)
+        chk = verify.Expect(2.0, rel_tol=0.25).check(series)
         assert chk.values["max_rel_defect"] == chk.threshold == 0.25
         assert chk.verdict == "fail"
-        assert verify._constancy_check(2.0, rel_tol=0.5)(series).verdict == "pass"
+        assert verify.Expect(2.0, rel_tol=0.5).check(series).verdict == "pass"
 
 
 class TestRunExperiment:
@@ -398,6 +398,65 @@ class TestFunctionalSeriesSchema:
             assert checks[0] == checks[1]
             (check,) = checks[0]
             assert check["values"]["guaranteed"] is guaranteed and check["verdict"] == verdict
+
+
+SCHWARZSCHILD = {"model": {"name": "schwarzschild", "params": {"mass": 1.0}}, "r0": 2.2, "R": 12.0}
+
+
+def one_case(**keys):
+    """An ``inequalities`` config of one Schwarzschild case, some keys replaced."""
+    return {"experiment": "inequalities", "cases": [{**SCHWARZSCHILD, **keys}]}
+
+
+def one_annulus(**keys):
+    """A ``monotonicity_sweep`` config of one Schwarzschild annulus, some keys replaced."""
+    return {"experiment": "monotonicity_sweep", "annuli": [{**SCHWARZSCHILD, **keys}]}
+
+
+class TestRoundCases:
+    """``inequalities`` and ``monotonicity_sweep`` read their annuli from
+    the config; a case that cannot hold is refused before any solve."""
+
+    @pytest.mark.parametrize(
+        "cfg, fieldname",
+        [
+            (one_case(equality=True), "cases.equality"),
+            (one_case(model={"name": "euclidean", "params": {"n": 4}}, r0=1.0, hawking_mass=0.0), "cases.hawking_mass"),
+            (one_case(hawking_mass=math.nan), "cases.hawking_mass"),
+            ({"experiment": "inequalities", "cases": []}, "cases"),
+            ({"experiment": "monotonicity_sweep", "annuli": []}, "annuli"),
+            (one_case(R=2.2), "cases.R"),
+            (one_annulus(R=2.0), "annuli.R"),
+            (one_annulus(p=1.5), "annuli"),
+            (one_case(equality=1), "cases.equality"),
+            (one_case(model={"name": "schwarzschild", "params": {}}), "cases.model.params.mass"),
+            (one_case(model={"name": "cone", "params": {"aperture": 2}}), "cases.model.params"),
+            (one_annulus(model={"name": "torus"}), "annuli.model.name"),
+        ],
+        ids=[
+            "equality-without-nonneg-ricci",
+            "hawking_mass-at-n4",
+            "hawking_mass-nan",
+            "no-cases",
+            "no-annuli",
+            "case-R-at-r0",
+            "annulus-R-inside-horizon",
+            "annulus-unknown-key",
+            "equality-not-a-boolean",
+            "case-model-missing-parameter",
+            "case-model-constructor-rejects",
+            "annulus-unknown-model",
+        ],
+    )
+    def test_bad_case_stops_before_the_solve(self, tmp_path, monkeypatch, cfg, fieldname):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solved before the cases were checked")
+
+        for name in ("solve_wp", "solve_w1"):
+            monkeypatch.setattr(radial, name, unreachable)
+        with pytest.raises(ConfigError) as err:
+            run_experiment(cfg, tmp_path)
+        assert err.value.fieldname == fieldname
 
 
 class TestSuites:
