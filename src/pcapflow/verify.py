@@ -11,7 +11,8 @@ Every pass/fail verdict comes from :func:`_gate` under one rule: a check
 passes iff its measured value is strictly below its threshold (strictly
 above, for a lower bound), and the threshold it reports is the one it
 applies.  :func:`_monotone_check` gates the largest normalized drop against
-its slack and may turn a fail into ``not-guaranteed``.
+its slack and may turn a fail into ``not-guaranteed``; every equality of a
+measured series with a closed form is one :func:`_equality_check`.
 """
 
 from __future__ import annotations
@@ -149,24 +150,32 @@ def _gate(name: str, anchor: str, values: dict, measured: float, threshold: floa
     return Check(name, anchor, values, threshold, "pass" if ok else "fail")
 
 
-def _monotone_check(name: str, anchor: str, series, guaranteed: bool) -> Check:
+def _monotone_check(name: str, anchor: str, values, guaranteed: bool) -> Check:
     """Gate the largest normalized drop max_k (v_k - v_{k+1}) / (1 + |v_k|)
-    against the slack, the rule ``_drops`` applies per step; a failure
-    without the hypothesis of the theorem is ``not-guaranteed``."""
-    v = series.values
-    drops, violations = _drops(v)
+    of ``values`` against the slack, the rule ``_drops`` applies per step; a
+    failure without the hypothesis of the theorem is ``not-guaranteed``."""
+    drops, violations = _drops(values)
     worst = float(np.max(drops))
-    values = {
-        "first": float(v[0]),
-        "last": float(v[-1]),
+    record = {
+        "first": float(values[0]),
+        "last": float(values[-1]),
         "max_rel_drop": worst,
         "violations": violations,
         "guaranteed": guaranteed,
     }
-    check = _gate(name, anchor, values, worst, _SLACK)
+    check = _gate(name, anchor, record, worst, _SLACK)
     if check.verdict == "fail" and not guaranteed:
         check.verdict = "not-guaranteed"
     return check
+
+
+def _equality_check(name: str, anchor: str, measured, expected, tol: float) -> Check:
+    """Gate max |measured - expected| / |expected|, absolute where expected is
+    0, against ``tol``; ``expected`` is a number or one value per entry."""
+    target = np.asarray(expected, dtype=float)
+    scale = np.where(target == 0.0, 1.0, np.abs(target))
+    defect = float(np.max(np.abs(np.asarray(measured, dtype=float) - target) / scale))
+    return _gate(name, anchor, {"expected": expected, "max_rel_defect": defect}, defect, tol)
 
 
 def write_csv(path, header, rows) -> None:
@@ -231,18 +240,20 @@ def _toward_limit(values, fieldname: str, entries: str, inside, limit) -> None:
         raise ConfigError(f"{fieldname} must decrease toward {limit}", fieldname)
 
 
-def _vanishing_checks(param: str, values, rows, gates) -> list[Check]:
-    """The column rule of a convergence table: per gate (key, name, anchor,
-    threshold), column k of ``rows`` (k from 1, in the order of the gates)
-    passes when it strictly decreases along ``values`` and ends below the
-    threshold."""
+def _vanishing_checks(param: str, rows: list[dict], gates):
+    """The column rule of a convergence table of named columns: per gate
+    (key, name, anchor, threshold), ``row[key]`` passes when it strictly
+    decreases along ``row[param]`` and ends below the threshold.  Returns the
+    checks and the table of ``param`` and the gates' keys, in their order."""
+    keys = [param, *(gate[0] for gate in gates)]
+    along = [row[param] for row in rows]
     checks = []
-    for k, (key, name, anchor, threshold) in enumerate(gates, start=1):
-        column = [row[k] for row in rows]
+    for key, name, anchor, threshold in gates:
+        column = [row[key] for row in rows]
         decreasing = all(b < a for a, b in zip(column, column[1:]))
         measured = column[-1] if decreasing else math.inf
-        checks.append(_gate(name, anchor, {param: values, key: column, "decreasing": decreasing}, measured, threshold))
-    return checks
+        checks.append(_gate(name, anchor, {param: along, key: column, "decreasing": decreasing}, measured, threshold))
+    return checks, (keys, [tuple(row[key] for key in keys) for row in rows])
 
 
 def p_to_1_suite(
@@ -330,22 +341,19 @@ def p_to_1_suite(
         # the defects fall to 1e-8 and below as p -> 1, hence a tight target
         shells = sphere * numerics.integrate(densities, r0, breaks[-1], 1e-12, breaks[:-1])
         l2, l4, h_def, a_def = shells.tolist()
-        l2, l4 = l2**0.5, l4**0.25
-        rows.append((p, sup_w, l2, l4, cap_gap, h_def, a_def))
+        shell_columns = {"l2_grad": l2**0.5, "l4_grad": l4**0.25, "h_defect": h_def, "area_defect": a_def}
+        rows.append({"p": p, "sup_w": sup_w, "cap_gap": cap_gap, **shell_columns})
     gates = [(key, f"p-to-1 {key}", "p-to-1-strong-convergence", threshold) for key, threshold in thr.items()]
-    checks = _vanishing_checks("p", p_list, rows, gates)
+    checks, table = _vanishing_checks("p", rows, gates)
     if expect_sup is not None:
-        sup = [row[1] for row in rows]
-        worst = max(abs(s - e) / abs(e) for s, e in zip(sup, expect_sup))
-        values = {"measured": sup, "expected": list(expect_sup), "worst_rel": worst}
-        checks.append(_gate("p-to-1 sup_w analytic values", "p-to-1-strong-convergence", values, worst, 1e-6))
+        sup = [row["sup_w"] for row in rows]
+        checks.append(_equality_check("p-to-1 sup_w analytic values", "p-to-1-sup-closed-form", sup, expect_sup, 1e-6))
     report = Report(
         experiment="p_to_1",
         checks=checks,
         environment={"model": model.label, "r0": r0, "R": R, "phi_mode": phi_mode, "T_cap": _T_CAP},
     )
-    header = ["p", "sup_w", "l2_grad", "l4_grad", "cap_gap", "h_defect", "area_defect"]
-    return report, {"table": (header, rows)}
+    return report, {"table": table}
 
 
 def eps_to_0_suite(
@@ -367,17 +375,18 @@ def eps_to_0_suite(
         pot = radial.solve_wp_eps(model, r0, R, p, e)
         sup_w = float(np.max(np.abs(pot.w(rs) - base.w(rs))))
         sup_th = float(np.max(pot.theta(rs)))
-        rows.append((e, sup_w, sup_th))
+        rows.append({"eps": e, "sup_w": sup_w, "sup_theta": sup_th})
     gates = (
         ("sup_w", "eps-to-0 sup|w_eps - w_p|", "eps-regularization-vanishes", 1e-4),
         ("sup_theta", "eps-to-0 sup theta_eps", "theta-eps-vanishing", 1e-6),
     )
+    checks, table = _vanishing_checks("eps", rows, gates)
     report = Report(
         experiment="eps_to_0",
-        checks=_vanishing_checks("eps", eps_list, rows, gates),
+        checks=checks,
         environment={"model": model.label, "r0": r0, "R": R, "p": p, "interval": list(interval)},
     )
-    return report, {"table": (["eps", "sup_w", "sup_theta"], rows)}
+    return report, {"table": table}
 
 
 @dataclass(frozen=True)
@@ -409,12 +418,21 @@ class RoundCase(Annulus):
             raise ConfigError(f"{self.hawking_mass} on {self.model.label}; need n = 3 and a finite mass", "hawking_mass")
 
 
+def _once_per_model(annuli: list[Annulus], fieldname: str) -> None:
+    """Check names tell annuli apart by the model label alone: refuse a repeat."""
+    labels = [annulus.model.label for annulus in annuli]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ConfigError(f"lists {', '.join(repeated)} more than once, whose checks would share their names", fieldname)
+
+
 def inequality_suite(cases: list[RoundCase]):
     """Area growth, the Minkowski lower bound and, where a case states it,
     its equality, the Hawking mass a case states and the Geroch identity of
     round levels, per case.  The bound runs where the model states its
     hypothesis (``nonneg_ricci``), the Geroch check on every n = 3 model.
     Returns the report and no tables."""
+    _once_per_model(cases, "cases")
     checks = []
     for case in cases:
         model, mass = case.model, case.hawking_mass
@@ -423,9 +441,8 @@ def inequality_suite(cases: list[RoundCase]):
         ts = np.linspace(0.0, T, 40)
         levels = functionals.levels(w1, ts)  # the Hawking series reuses this build
         areas = levels.area
-        growth = np.max(np.abs(areas * np.exp(-ts) / areas[0] - 1.0))
-        values = {"max_rel_defect": float(growth), "T": float(T)}
-        checks.append(_gate(f"area growth [{model.label}]", "area-exponential-growth", values, growth, 1e-10))
+        name = f"area growth [{model.label}]"
+        checks.append(_equality_check(name, "area-exponential-growth", areas * np.exp(-ts) / areas[0], 1.0, 1e-10))
         if model.nonneg_ricci:
             for alpha in (1.0, 2.0):
                 bound = (model.avr * geometry.unit_sphere_area(model.n)) ** (alpha / (model.n - 1.0))
@@ -435,26 +452,18 @@ def inequality_suite(cases: list[RoundCase]):
                 values = {"min_excess": worst, "bound": bound}
                 checks.append(_gate(f"minkowski bound {label}", "minkowski-lower-bound", values, worst, -1e-8, True))
                 if case.equality:
-                    eq_defect = float(np.max(np.abs(vals - bound))) / bound
-                    values = {"max_rel_defect": eq_defect}
-                    checks.append(_gate(f"minkowski equality {label}", "minkowski-cone-equality", values, eq_defect, 1e-8))
+                    name = f"minkowski equality {label}"
+                    checks.append(_equality_check(name, "minkowski-cone-equality", vals, bound, 1e-8))
         if model.n == 3:
             hawking = functionals.hawking_series(w1, ts, derivative_step=1e-4)
-            masses = hawking.values
-            if mass == 0.0:
-                worst = float(np.max(np.abs(masses)))
-                name = f"hawking mass vanishes [{model.label}]"
-                checks.append(_gate(name, "hawking-flat-space-zero", {"max_abs": worst}, worst, 1e-10))
-            elif mass is not None:
-                spread = float(np.max(np.abs(masses - mass)))
-                values = {"max_abs_defect": spread, "mass": mass}
-                name = f"hawking mass constancy [{model.label}]"
-                checks.append(_gate(name, "hawking-constancy-schwarzschild", values, spread, 1e-9))
+            if mass is not None:
+                name = f"{hawking.name} constant = {mass:.17g} [{model.label}]"
+                checks.append(_equality_check(name, "equality-case-constancy", hawking.values, mass, 1e-10))
             # round levels turn the Geroch inequality into an identity
             geroch_defect = float(np.nanmax(hawking.residual))
             values = {"max_abs_dmdt_minus_rhs": geroch_defect}
-            name = f"geroch monotonicity [{model.label}]"
-            checks.append(_gate(name, "geroch-hawking-monotone", values, geroch_defect, 1e-6))
+            name = f"geroch identity [{model.label}]"
+            checks.append(_gate(name, "geroch-round-identity", values, geroch_defect, 1e-6))
     return Report(experiment="inequalities", checks=checks, environment={"models": [c.model.label for c in cases]}), {}
 
 
@@ -483,7 +492,8 @@ def _phi_for(mode: str, model, r0, R, p) -> Optional[float]:
 @dataclass(frozen=True)
 class Expect:
     """A series equals ``constant`` to ``rel_tol``; judged where the config
-    object is built, before any series is."""
+    object is built, before any series is.  A zero constant is refused: the
+    defect against 0 is absolute, not the relative one ``rel_tol`` states."""
 
     constant: float
     rel_tol: float = 1e-8
@@ -495,10 +505,8 @@ class Expect:
             raise ConfigError(f"rel_tol={self.rel_tol} must be positive", "rel_tol")
 
     def check(self, series) -> Check:
-        defect = float(np.max(np.abs(series.values - self.constant))) / abs(self.constant)
-        values = {"target": self.constant, "max_rel_defect": defect}
         name = f"{series.name} constant = {self.constant:.17g}"
-        return _gate(name, "equality-case-constancy", values, defect, self.rel_tol)
+        return _equality_check(name, "equality-case-constancy", series.values, self.constant, self.rel_tol)
 
 
 def _gp_identity_check(series) -> Check:
@@ -563,8 +571,8 @@ def functional_series_suite(
         # small step keeps the central-difference truncation below the
         # 1e-6 identity threshold without hitting rounding noise
         series = functionals.G_p(pot, params, derivative_step=2.5e-4)
-    anchor = "F1-monotone-nondecreasing" if p == 1.0 else "Fp-monotone-nondecreasing"
-    checks = [_monotone_check(f"{series.name} monotone", anchor, series, params.monotonicity_guaranteed)]
+    anchor = series.name.replace("_", "") + "-monotone-nondecreasing"
+    checks = [_monotone_check(f"{series.name} monotone", anchor, series.values, params.monotonicity_guaranteed)]
     if functional == "G_p":
         checks.append(_gp_identity_check(series))
     if expect is not None:
@@ -589,7 +597,7 @@ def hawking_suite(
     pot = radial.solve_w1(model, r0, R)
     series = functionals.hawking_series(pot, _series_grid(pot, t_max))
     guaranteed = bool(np.all(functionals.levels(pot, series.t).scalar >= -1e-8))
-    checks = [_monotone_check("hawking mass monotone", "geroch-hawking-monotone", series, guaranteed)]
+    checks = [_monotone_check("hawking mass monotone", "geroch-hawking-monotone", series.values, guaranteed)]
     if expect is not None:
         checks.append(expect.check(series))
     return Report("hawking_series", checks, {"model": model.label}), {series.name: series.table()}
@@ -599,6 +607,7 @@ def monotonicity_suite(annuli: list[Annulus]):
     """F_p monotonicity on each annulus, at p in {1.1, 1.5, 2} and the
     distinct alpha of {termwise threshold + 0.1, 2, n - 1}, on 40 levels.
     Returns the report and the verdict table."""
+    _once_per_model(annuli, "annuli")
     checks = []
     rows = []
     for annulus in annuli:
@@ -614,7 +623,7 @@ def monotonicity_suite(annuli: list[Annulus]):
                 chk = _monotone_check(
                     f"F_p monotone [{model.label} p={p} alpha={alpha:.4g}]",
                     "Fp-monotone-nondecreasing",
-                    series,
+                    series.values,
                     guaranteed,
                 )
                 checks.append(chk)
@@ -667,10 +676,8 @@ def solve_2d_suite(domain: dict, p: float, grid: tuple[int, int] = (96, 48)):
     curves = fieldv.level(np.linspace(0.2 * hi, 0.8 * hi, 5))
     gbs = curves.chi_proxy / 2.0
     levels = list(zip(curves.t.tolist(), curves.area, curves.willmore, gbs, curves.integrate(curves.hring_sq)))
-    for k, (t, area, _, gb, _) in enumerate(levels):
-        values = {"sc_top_over_8pi": gb, "area": area}
-        name = f"gauss-bonnet level t={t:.6g}"
-        checks.append(_gate(name, "gauss-bonnet-quantization", values, abs(gb - 1.0), 0.01))
+    for k, (t, _, _, gb, _) in enumerate(levels):
+        checks.append(_equality_check(f"gauss-bonnet level t={t:.6g}", "gauss-bonnet-quantization", gb, 1.0, 0.01))
         tables[f"level{k}"] = curves.table(k)
     newton = [(*f.shape, k, *entry) for f in (*fieldv.coarse, fieldv) for k, entry in enumerate(f.history, 1)]
     tables["newton"] = (["Nsigma", "Ntheta", "step", "energy", "decrement", "step_length"], newton)

@@ -333,8 +333,32 @@ class TestRun:
         report = json.loads((out / "inequalities_report.json").read_text())
         assert len(report["checks"]) == 9
         assert report["environment"]["models"] == ["cone(n=3, a=0.5)", "schwarzschild(m=1)"]
+        # a case's Hawking mass is gated like an expected constant
+        (hawking,) = [c for c in report["checks"] if c["name"] == "hawking_mass constant = 1 [schwarzschild(m=1)]"]
+        assert (hawking["anchor"], hawking["threshold"], hawking["values"]["expected"]) == ("equality-case-constancy", 1e-10, 1.0)
         report = json.loads((out / "monotonicity_sweep_report.json").read_text())
         assert len(report["checks"]) == 6  # three p, two distinct alpha each
+
+    @pytest.mark.parametrize(
+        "config, field, rows",
+        [
+            ("monotonicity_sweep", "annuli", [{"R": 8.0}, {"R": 4.0}]),
+            ("inequalities", "cases", [{"R": 10.0, "equality": True}, {"R": 10.0}]),
+        ],
+    )
+    def test_a_repeated_model_is_a_config_error(self, tmp_path, capsys, monkeypatch, config, field, rows):
+        # check names tell annuli apart by the model label alone, so flat
+        # space twice would give two checks one name; refused before any solve
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solved before the list was checked")
+
+        for name in ("solve_wp", "solve_w1"):
+            monkeypatch.setattr(radial, name, unreachable)
+        flat = {"model": {"name": "euclidean", "params": {"n": 3}}, "r0": 1.0}
+        code, bad = self._run_edited(tmp_path, config, **{field: [{**flat, **row} for row in rows]})
+        assert code == EXIT_CONFIG
+        assert f"config error: {bad}: {field}: lists euclidean(n=3) more than once" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
     def test_broken_config_does_not_hide_the_others(self, tmp_path, capsys):
         good = write_cfg(tmp_path, "good.json", out_prefix="good")
@@ -588,6 +612,22 @@ def test_shipped_config_passes(config, tmp_path):
     assert len(names) == len(set(names))
     assert len(checks) == SHIPPED_CHECKS[config.stem]
     assert [c["name"] for c in checks if c["verdict"] != "pass"] == []
+
+
+def test_each_anchor_names_one_kind_of_check(tmp_path):
+    # an anchor names one statement of one kind: within it, every check
+    # carries the same one of the rule markers, or none does; a relative
+    # defect comes from the equality rule alone, so it carries `expected`
+    markers = ("max_rel_drop", "expected", "decreasing")  # monotone, equality, vanishing
+    assert main(["run", *map(str, sorted(CONFIGS.glob("*.json"))), "--out", str(tmp_path)]) == EXIT_PASS
+    kinds = {}
+    for report in tmp_path.glob("*_report.json"):
+        for check in json.loads(report.read_text())["checks"]:
+            kinds.setdefault(check["anchor"], set()).add(tuple(m for m in markers if m in check["values"]))
+            assert "max_rel_defect" not in check["values"] or "expected" in check["values"], check["name"]
+    assert len(kinds) == 16
+    for anchor, kind in kinds.items():
+        assert len(kind) == 1 and len(next(iter(kind))) <= 1, (anchor, kind)
 
 
 class TestExitCodeRule:

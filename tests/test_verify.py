@@ -23,6 +23,8 @@ from pcapflow.verify import (
     write_csv,
 )
 
+from conftest import CONFIGS
+
 # every key each experiment accepts, besides "experiment" and "out_prefix"
 ACCEPTED_KEYS = {
     "functional_series": {"model", "functional", "r0", "R", "p", "alpha", "phi_mode", "t_max", "expect"},
@@ -85,10 +87,7 @@ class TestCheckMonotone:
 class TestMonotoneCheck:
     @staticmethod
     def _check(values, guaranteed=True):
-        zeros = np.zeros(3)
-        residual = np.array([np.nan, 0.0, np.nan])
-        series = functionals.MonotoneSeries("G_p", np.arange(3.0), np.array(values), zeros, zeros, residual)
-        return verify._monotone_check("G_p monotone", "Fp-monotone-nondecreasing", series, guaranteed)
+        return verify._monotone_check("G_p monotone", "Gp-monotone-nondecreasing", np.array(values), guaranteed)
 
     def test_reports_the_normalized_drop_it_gates(self):
         # a drop of 1e-7 at 12.57 is 7.4e-9 of 1 + 12.57: under the slack
@@ -196,13 +195,17 @@ class TestGate:
         assert (chk.name, chk.anchor, chk.values, chk.threshold) == ("g", "anc", values, 0.75)
 
     def test_vanishing_check_needs_a_strict_decrease(self):
+        columns = ("x", "rising", "flat", "falling")
         rows = [(4.0, 1e-3, 1e-3, 1e-3), (2.0, 2e-3, 1e-3, 1e-5), (1.0, 1e-9, 1e-9, 1e-9)]
-        gates = [(key, f"v {key}", "anc", 1e-6) for key in ("rising", "flat", "falling")]
-        rising, flat, falling = verify._vanishing_checks("x", [4.0, 2.0, 1.0], rows, gates)
+        gates = [(key, f"v {key}", "anc", 1e-6) for key in ("falling", "rising", "flat")]
+        checks, table = verify._vanishing_checks("x", [dict(zip(columns, row)) for row in rows], gates)
+        falling, rising, flat = checks
         assert rising.verdict == "fail" and rising.values["decreasing"] is False
         assert flat.verdict == "fail"
         assert falling.verdict == "pass" and falling.threshold == 1e-6
         assert falling.values == {"x": [4.0, 2.0, 1.0], "falling": [1e-3, 1e-5, 1e-9], "decreasing": True}
+        # the table holds the parameter, then the columns in the gates' order
+        assert table == (["x", "falling", "rising", "flat"], [(row[0], row[3], row[1], row[2]) for row in rows])
 
     def test_constancy_defect_equal_to_rel_tol_fails(self):
         series = SimpleNamespace(name="F_p", values=np.array([2.0, 2.5]))
@@ -210,6 +213,36 @@ class TestGate:
         assert chk.values["max_rel_defect"] == chk.threshold == 0.25
         assert chk.verdict == "fail"
         assert verify.Expect(2.0, rel_tol=0.5).check(series).verdict == "pass"
+        assert verify._equality_check("g", "anc", series.values, 2.0, 0.25).verdict == "fail"
+
+
+class TestEqualityCheck:
+    """One rule for every equality: the defect max |measured - expected| /
+    |expected|, absolute where expected is 0, strictly below ``tol``."""
+
+    def test_shipped_constant_defect_bit_for_bit(self, tmp_path):
+        cfg = json.loads((CONFIGS / "euclidean_fp.json").read_text())
+        report = run_experiment(cfg, tmp_path)
+        v = np.loadtxt(tmp_path / "euclidean_fp_F_p.csv", delimiter=",", skiprows=1)[:, 1]
+        c = cfg["expect"]["constant"]
+        chk = verify._equality_check("F_p", "anc", v, c, 1e-8)
+        assert chk.values == {"expected": c, "max_rel_defect": np.max(np.abs(v - c)) / abs(c)}
+        assert chk.values == report.checks[-1].values
+
+    def test_zero_expected_is_judged_absolutely(self):
+        chk = verify._equality_check("g", "anc", [1e-11, -3e-11], 0.0, 1e-10)
+        assert chk.values["max_rel_defect"] == 3e-11 and chk.verdict == "pass"
+        assert verify._equality_check("g", "anc", [2e-10], 0.0, 1e-10).verdict == "fail"
+
+    def test_one_expected_value_per_entry(self):
+        chk = verify._equality_check("g", "anc", [0.5, 2.2, 4.0], [0.0, 2.0, 4.0], 0.6)
+        assert chk.values == {"expected": [0.0, 2.0, 4.0], "max_rel_defect": 0.5}
+        assert chk.verdict == "pass"
+        assert verify._equality_check("g", "anc", [0.5, 2.2], [0.5, 2.0], 0.1).verdict == "fail"
+
+    def test_nan_measurement_fails(self):
+        chk = verify._equality_check("g", "anc", [1.0, math.nan], 1.0, 1e-8)
+        assert math.isnan(chk.values["max_rel_defect"]) and chk.verdict == "fail"
 
 
 class TestRunExperiment:
@@ -458,6 +491,15 @@ class TestRoundCases:
             run_experiment(cfg, tmp_path)
         assert err.value.fieldname == fieldname
 
+    def test_a_small_hawking_mass_is_held_below_rounding(self, tmp_path):
+        # the stated mass is gated relatively, so m = 1e-6 is held to 1e-16
+        # absolute; the round spheres' mass cancels to ~1e-15 absolute on
+        # [1, 10] whatever m is, so this valid case fails on rounding alone
+        cfg = one_case(model={"name": "schwarzschild", "params": {"mass": 1e-6}}, r0=1.0, R=10.0, hawking_mass=1e-6)
+        (check,) = [c for c in run_experiment(cfg, tmp_path).checks if c.anchor == "equality-case-constancy"]
+        assert check.values["expected"] * check.values["max_rel_defect"] < 1e-14
+        assert check.threshold == 1e-10 and check.verdict == "fail"
+
 
 class TestSuites:
     def test_p_to_1_smoke(self, euclid3):
@@ -566,7 +608,8 @@ class TestSuites:
         assert header == ["t", "area", "willmore", "sc_top_over_8pi", "hring_sq_integral"]
         gauss_bonnet = [c.values for c in report.checks if c.anchor == "gauss-bonnet-quantization"]
         assert len(rows) == len(gauss_bonnet) == 5
-        assert [(row[3], row[1]) for row in rows] == [(v["sc_top_over_8pi"], v["area"]) for v in gauss_bonnet]
+        assert [abs(row[3] - 1.0) for row in rows] == [v["max_rel_defect"] for v in gauss_bonnet]
+        assert all(v["expected"] == 1.0 for v in gauss_bonnet)
         for k, (t, _, willmore, _, hring_sq) in enumerate(rows):
             curve = fieldv.level(t)
             assert (willmore, hring_sq) == (curve.willmore, curve.integrate(curve.hring_sq))
