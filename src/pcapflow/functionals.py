@@ -12,7 +12,7 @@ lam = alpha/(n-p) - 1 and G = |grad w|:
 together with the Hawking mass, the normalized Minkowski functional and
 the Geroch right-hand side.  The derivative identity
 d F_p/dt = e^{lam t} int G^{a+p-3} Q_p is reported as a residual column
-(central differences against the Q_p integral).
+(central differences against the Q_p integral) when the caller gives a step.
 
 p = 1 is a case of F_p, not a separate functional: on the flow potential of
 ``radial.solve_w1`` (whose p is 1) F_p is the functional F_1 of the inverse
@@ -23,17 +23,16 @@ iff its dimension is ``params.n`` (3 for a 2-D field) and its p is
 
 A level is a ``geometry.Level`` (round from ``radial_level``, or extracted
 from a 2-D field; one level or many), so each functional has one body.  A
-series builds the levels of its grid once and the levels of its
-central-difference stencil once, and evaluates its value, right side and
-bulk term on them: each build is one ``radial_level`` or one
-``field.level`` call on an array of levels.  A radial potential
-keeps its builds, so a later series or ``levels`` call reuses them.
+series builds the levels of its grid once and evaluates its value, right
+side and bulk term on them; given a derivative step it also builds its
+central-difference stencil once.  Each build is one ``radial_level`` or one
+``field.level`` call on an array of levels, and nothing keeps it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,7 +98,9 @@ class MonotoneSeries:
 
     ``bulk`` is the accumulated Ricci integral subtracted from the boundary
     term; ``rhs_qp`` the derivative-identity right side; ``residual`` the
-    central-difference defect |dF/dt - rhs| (nan at the end levels).
+    central-difference defect |dF/dt - rhs| (nan at the end levels, and at
+    every level of a series built without a step); ``derivative_step`` the
+    smallest step d the residual used, None without one.
     """
 
     name: str
@@ -108,7 +109,7 @@ class MonotoneSeries:
     bulk: np.ndarray
     rhs_qp: np.ndarray
     residual: np.ndarray
-    meta: dict = field(default_factory=dict)
+    derivative_step: float | None = None
 
     def __post_init__(self):
         m = len(self.t)
@@ -176,16 +177,10 @@ def _validate(solution, params: FunctionalParams, what: str) -> None:
 
 
 def levels(solution, t):
-    """The levels {w = t} of a radial potential or a 2-D field; a radial
-    potential keeps each ``radial_level`` build for later calls on the same t."""
-    if not isinstance(solution, radial.RadialPotential):
-        return solution.level(t)
-    t = np.asarray(t, dtype=float)
-    key = (t.shape, t.tobytes())
-    lev = solution._levels.get(key)
-    if lev is None:
-        lev = solution._levels[key] = radial_level(solution, t)
-    return lev
+    """The levels {w = t} of a radial potential or a 2-D field."""
+    if isinstance(solution, radial.RadialPotential):
+        return radial_level(solution, t)
+    return solution.level(t)
 
 
 def _boundary(level, params: FunctionalParams):
@@ -250,31 +245,29 @@ def Q_p_integral(solution, params: FunctionalParams, t):
     return _qp_integral(levels(solution, t), params)
 
 
-def _series(name, solution, t_grid, value, rhs, step, meta, bulk=_no_bulk) -> MonotoneSeries:
+def _series(name, solution, t_grid, value, rhs, step, bulk=_no_bulk) -> MonotoneSeries:
     """The series value(lev) - bulk(lev) with the columns bulk(lev) and
-    rhs(lev) on the levels of ``t_grid``, and the central-difference residual
-    |d(value - bulk)/dt - rhs| on the stencil t +- d at the inner levels.
-
-    The grid's levels are built once and the stencil's once; d is ``step``,
-    cut to 0.45 of the smaller neighbouring gap, and meta["derivative_step"]
-    is the smallest d used."""
+    rhs(lev) on the levels of ``t_grid``, and, given a ``step``, the residual
+    |d(value - bulk)/dt - rhs| on the stencil t +- d at the inner levels, d
+    the step cut to 0.45 of the smaller neighbouring gap (one build each)."""
     ts = np.asarray(t_grid, dtype=float)
     lev = levels(solution, ts)
     vals, bulks, rhs_col = value(lev), bulk(lev), rhs(lev)
-    residual = np.full(len(ts), np.nan)
-    if len(ts) > 2:
+    residual, d_min = np.full(len(ts), np.nan), None
+    if step is not None and len(ts) > 2:
         gaps = np.diff(ts)
         d = np.minimum(step, 0.45 * np.minimum(gaps[:-1], gaps[1:]))
         inner = ts[1:-1]
         stencil = levels(solution, np.concatenate([inner + d, inner - d]))
         above, below = np.split(value(stencil) - bulk(stencil), 2)
         residual[1:-1] = np.abs((above - below) / (2.0 * d) - rhs_col[1:-1])
-        meta["derivative_step"] = float(np.min(d))
-    return MonotoneSeries(name, ts, vals - bulks, bulks, rhs_col, residual, meta)
+        d_min = float(np.min(d))
+    return MonotoneSeries(name, ts, vals - bulks, bulks, rhs_col, residual, d_min)
 
 
-def F_p(solution, params: FunctionalParams, derivative_step: float = 1e-3) -> MonotoneSeries:
-    """The level-set functional F_p on the grid, with identity diagnostics."""
+def F_p(solution, params: FunctionalParams, derivative_step: float | None = None) -> MonotoneSeries:
+    """The level-set functional F_p on the grid; the residual of its
+    derivative identity needs a ``derivative_step``."""
     _validate(solution, params, "F_p")
     lam = params.alpha / (params.n - params.p) - 1.0
 
@@ -286,11 +279,11 @@ def F_p(solution, params: FunctionalParams, derivative_step: float = 1e-3) -> Mo
 
     name = "F_1" if params.p == 1.0 else "F_p"
     bulk = _ricci_bulk(solution, params)
-    return _series(name, solution, params.t_grid, boundary, rhs, derivative_step, {"p": params.p}, bulk)
+    return _series(name, solution, params.t_grid, boundary, rhs, derivative_step, bulk)
 
 
-def G_p(solution, params: FunctionalParams, derivative_step: float = 1e-3) -> MonotoneSeries:
-    """Gradient-power functional G_p; residual column checks
+def G_p(solution, params: FunctionalParams, derivative_step: float | None = None) -> MonotoneSeries:
+    """Gradient-power functional G_p; given a step, the residual column checks
     (p-1) dG_p/dt = G_p + alpha * (boundary term of F_p)."""
     n, p, alpha = params.n, params.p, params.alpha
     if p == 1.0:
@@ -304,7 +297,7 @@ def G_p(solution, params: FunctionalParams, derivative_step: float = 1e-3) -> Mo
     def rhs(lev):
         return (gval(lev) + alpha * _boundary(lev, params)) / (p - 1.0)
 
-    return _series("G_p", solution, params.t_grid, gval, rhs, derivative_step, {"p": p})
+    return _series("G_p", solution, params.t_grid, gval, rhs, derivative_step)
 
 
 # the flow functional F_1 is F_p at p = 1; the name stays for its callers
@@ -318,15 +311,16 @@ def hawking_mass(area, willmore):
     return np.sqrt(area / (16.0 * math.pi)) * (1.0 - willmore / (16.0 * math.pi))
 
 
-def hawking_series(pot: radial.RadialPotential, t_grid, derivative_step: float = 1e-3) -> MonotoneSeries:
-    """Hawking mass along the flow; rhs column is the Geroch right side."""
+def hawking_series(pot: radial.RadialPotential, t_grid, derivative_step: float | None = None) -> MonotoneSeries:
+    """Hawking mass along the flow; rhs column is the Geroch right side, and
+    given a step the residual checks dm/dt against it."""
     if pot.kind != radial.KIND_IMCF:
         raise ValueError(f"hawking_series requires a solution of kind '{radial.KIND_IMCF}', got '{pot.kind}'")
 
     def mass(lev):
         return hawking_mass(lev.area, lev.willmore)
 
-    return _series("hawking_mass", pot, t_grid, mass, geroch_rhs, derivative_step, {})
+    return _series("hawking_mass", pot, t_grid, mass, geroch_rhs, derivative_step)
 
 
 def minkowski_M(level, alpha: float) -> float:

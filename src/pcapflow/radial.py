@@ -85,9 +85,7 @@ class RadialPotential:
     potential starts, for every kind.  How the potential is stored is this
     module's own: ``_seed`` holds increasing radii (a p-potential's refined
     tail edges) and the values of w there, which bracket the root finds of
-    ``level_radius``.  ``_levels`` keeps the level builds of
-    ``functionals``, keyed by the levels, so each array of levels is built
-    once per potential.
+    ``level_radius``.
     """
 
     manifold: geometry.RadialManifold
@@ -102,7 +100,6 @@ class RadialPotential:
     _u: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
     _theta: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
     _seed: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
-    _levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def kind(self) -> str:

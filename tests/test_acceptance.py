@@ -48,7 +48,7 @@ def test_03_derivative_identity(radial_model_set, ellipsoid_fields):
         pot = radial.solve_wp(model, r0, R, 1.5)
         T = min(2.0, 0.8 * pot.w(0.5 * (r0 + R)))
         params = FunctionalParams(3, 1.5, 2.0, tuple(np.linspace(0.02, T, 40)))
-        F = F_p(pot, params)
+        F = F_p(pot, params, derivative_step=1e-3)
         rel = np.nanmax(np.abs(F.residual[1:-1] / F.rhs_qp[1:-1]))
         assert rel < 1e-4, (model.label, rel)
     rels = {}

@@ -91,7 +91,7 @@ class TestFp:
 
     def test_derivative_identity_residual(self, euclid3):
         pot = radial.solve_wp(euclid3, 1.0, 8.0, 2.0, phi_R=math.log(8.0))
-        series = F_p(pot, FunctionalParams(3, 2.0, 2.0, TS20))
+        series = F_p(pot, FunctionalParams(3, 2.0, 2.0, TS20), derivative_step=1e-3)
         good = series.residual[1:-1]
         assert np.all(good < 1e-8)
 
@@ -203,7 +203,7 @@ class TestHawking:
         # rotationally symmetric levels saturate the Geroch inequality, so
         # the central-difference derivative must match the right side
         pot = radial.solve_w1(cone_half, 1.0, 8.0)
-        series = hawking_series(pot, TS20)
+        series = hawking_series(pot, TS20, derivative_step=1e-3)
         good = slice(1, -1)
         assert np.all(
             series.residual[good] < 1e-6 * (1.0 + np.abs(series.rhs_qp[good]))
@@ -226,9 +226,9 @@ class TestHawking:
 
 
 class TestLevelBuilds:
-    """A series builds the levels of its grid once and those of its
-    central-difference stencil once, and a later series on the same
-    potential and levels reuses both builds."""
+    """A series builds the levels of its grid once and, given a derivative
+    step, those of its central-difference stencil once; no build is kept, so
+    a second series builds again."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -242,7 +242,7 @@ class TestLevelBuilds:
         monkeypatch.setattr(functionals, "radial_level", counted)
         return sizes
 
-    def test_two_builds_per_series(self, builds, schw1):
+    def test_stencil_only_with_a_step(self, builds, schw1):
         def wp():
             return radial.solve_wp(schw1, 2.2, 12.0, 1.5)
 
@@ -250,26 +250,31 @@ class TestLevelBuilds:
             return radial.solve_w1(schw1, 2.2, 12.0)
 
         runs = [
-            (wp, lambda pot: F_p(pot, FunctionalParams(3, 1.5, 2.0, TS20))),
-            (wp, lambda pot: G_p(pot, FunctionalParams(3, 1.5, 2.0, TS20))),
-            (w1, lambda pot: F_p(pot, FunctionalParams(3, 1.0, 2.0, TS20))),
-            (w1, lambda pot: hawking_series(pot, TS20)),
+            (wp, lambda pot, step: F_p(pot, FunctionalParams(3, 1.5, 2.0, TS20), step)),
+            (wp, lambda pot, step: G_p(pot, FunctionalParams(3, 1.5, 2.0, TS20), step)),
+            (w1, lambda pot, step: F_p(pot, FunctionalParams(3, 1.0, 2.0, TS20), step)),
+            (w1, lambda pot, step: hawking_series(pot, TS20, step)),
         ]
         for solve, run in runs:
             pot = solve()
             builds.clear()
-            run(pot)
+            series = run(pot, None)
+            assert builds == [20]  # the grid alone
+            assert np.all(np.isnan(series.residual)) and series.derivative_step is None
+            builds.clear()
+            series = run(pot, 1e-3)
             assert builds == [20, 36]  # the grid, then t +- d at the 18 inner levels
-            run(pot)
-            assert builds == [20, 36]  # the second series reuses both builds
+            assert np.all(np.isfinite(series.residual[1:-1])) and series.derivative_step == 1e-3
+            run(pot, 1e-3)
+            assert builds == [20, 36] * 2  # the second series builds again
 
-    def test_sweep_builds_once_per_potential(self, builds, monkeypatch, tmp_path):
-        """The monotonicity sweep runs F_p at up to three alpha per potential
-        on one level grid: two builds per potential, and the same table, bit
-        for bit, as when each alpha gets a freshly solved potential."""
+    def test_sweep_builds_no_stencil(self, builds, monkeypatch, tmp_path):
+        """The monotonicity sweep reads F_p values alone: one build of its 40
+        levels per series and no stencil, and the same table, bit for bit,
+        as when each alpha gets a freshly solved potential."""
         cfg = shipped_config("monotonicity_sweep")
         report = verify.run_experiment(cfg, tmp_path / "shared")
-        assert builds == [40, 76] * 9  # nine potentials: the grid, then the stencil
+        assert builds == [40] * 18  # nine potentials, two or three alpha each
         fp = functionals.F_p
 
         def fresh(pot, params):
@@ -278,17 +283,17 @@ class TestLevelBuilds:
         monkeypatch.setattr(functionals, "F_p", fresh)
         builds.clear()
         verify.run_experiment(cfg, tmp_path / "unshared")
-        assert len(builds) == 2 * len(report.checks)  # one grid and one stencil build per alpha
+        assert builds == [40] * len(report.checks)
         table = f"{cfg['out_prefix']}_sweep.csv"
         assert (tmp_path / "unshared" / table).read_bytes() == (tmp_path / "shared" / table).read_bytes()
 
-    def test_inequality_suite_builds_each_grid_once(self, builds, tmp_path):
-        """The area, Minkowski and Hawking checks of a model share one build
-        of its 40 levels."""
+    def test_inequality_suite_builds(self, builds, tmp_path):
+        """Per model: the 40 levels of the area and Minkowski checks, then
+        the Hawking series' grid and its stencil."""
         verify.run_experiment(shipped_config("inequalities"), tmp_path)
-        assert builds == [40, 76] * 5  # five models: the grid, then the Hawking stencil
+        assert builds == [40, 40, 76] * 5
 
-    def test_hawking_suite_reads_its_scalar_curvature_off_the_series(self, monkeypatch, schw1):
+    def test_hawking_suite_builds(self, monkeypatch, schw1):
         sizes = []
         level_radius = radial.RadialPotential.level_radius
 
@@ -298,7 +303,7 @@ class TestLevelBuilds:
 
         monkeypatch.setattr(radial.RadialPotential, "level_radius", counted)
         report, _ = verify.hawking_suite(schw1, 2.2, 12.0)
-        assert sizes == [20, 36]  # the grid, then the stencil
+        assert sizes == [20, 36, 20]  # the grid, the stencil, then the grid for the scalar curvature
         assert report.checks[0].values["guaranteed"] is True
 
     def test_two_extractions_per_2d_series(self, monkeypatch, euclid3):
@@ -312,8 +317,11 @@ class TestLevelBuilds:
         monkeypatch.setattr(solver2d, "extract_level", counted)
         pot = radial.solve_wp(euclid3, 1.0, 4.0, 1.5)
         field = solver2d.field_from_radial(solver2d.sphere_domain(1.0, 4.0), (32, 16), pot)
-        ts = tuple(np.linspace(0.2, 0.8, 10) * field.w_range()[1])
-        F_p(field, FunctionalParams(3, 1.5, 2.0, ts))
+        params = FunctionalParams(3, 1.5, 2.0, tuple(np.linspace(0.2, 0.8, 10) * field.w_range()[1]))
+        F_p(field, params)
+        assert sizes == [10]  # the grid alone
+        sizes.clear()
+        F_p(field, params, derivative_step=1e-3)
         assert sizes == [10, 16]  # the grid, then t +- d at the 8 inner levels
 
 

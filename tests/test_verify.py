@@ -720,36 +720,37 @@ class TestAreaSplit:
 
 
 class TestGpIdentityCheck:
-    def _series(self, residual_frac):
-        ts = np.linspace(0.0, 1.0, 5)
-        values = 4.0 * math.pi * np.exp(ts)
-        rhs = values.copy()
+    """The gate on the arrays of a G_p series at p = 2 with step 2.5e-4."""
+
+    @staticmethod
+    def _check(values, rhs, residual):
+        return verify._gp_identity_check(values, rhs, residual, 2.0, 2.5e-4)
+
+    @staticmethod
+    def _arrays(residual_frac):
+        values = 4.0 * math.pi * np.exp(np.linspace(0.0, 1.0, 5))
         residual = np.full(5, np.nan)
-        residual[1:-1] = residual_frac * np.max(np.abs(rhs))
-        return functionals.MonotoneSeries(
-            "G_p", ts, values, np.zeros(5), rhs, residual, {"p": 2.0, "derivative_step": 2.5e-4}
-        )
+        residual[1:-1] = residual_frac * np.max(values)
+        return values, values.copy(), residual
 
     def test_relative_defect_still_fails(self):
-        chk = verify._gp_identity_check(self._series(1e-5))
+        chk = self._check(*self._arrays(1e-5))
         assert chk.verdict == "fail"
         assert chk.values["floor"] < 1e-9 * chk.values["scale"]
 
     def test_within_relative_threshold_passes(self):
-        assert verify._gp_identity_check(self._series(5e-7)).verdict == "pass"
+        assert self._check(*self._arrays(5e-7)).verdict == "pass"
 
     def test_reports_the_bound_it_applies(self):
         for frac in (5e-7, 1e-5):
-            chk = verify._gp_identity_check(self._series(frac))
+            chk = self._check(*self._arrays(frac))
             bound = 1e-6 * chk.values["scale"] + chk.values["floor"]
             assert chk.threshold == bound
             assert (chk.verdict == "pass") == (chk.values["max_residual"] < bound)
 
     def test_rounding_floor_covers_vanishing_right_side(self):
-        series = self._series(0.0)
-        series.rhs_qp[:] = 1e-14
-        series.residual[1:-1] = 3.6e-11
-        series.values[:] = 4.0 * math.pi
-        chk = verify._gp_identity_check(series)
+        residual = np.full(5, np.nan)
+        residual[1:-1] = 3.6e-11
+        chk = self._check(np.full(5, 4.0 * math.pi), np.full(5, 1e-14), residual)
         assert chk.verdict == "pass"
         assert chk.values["max_residual"] > 1e-6 * chk.values["scale"]
